@@ -65,7 +65,11 @@ def _load_structure(path: str) -> HomotopyStructure:
     doc = _load_doc(path)
     if detect_kind(doc) != "structure":
         raise FormatError("expected a structure document", path)
-    return structure_from_json(doc)
+    m = structure_from_json(doc)
+    problems = check_structure(m)
+    if problems:
+        raise Invalid("not a structure: " + problems[0])
+    return m
 
 
 def _field(doc: dict, key: str, decode, path: str):
@@ -121,11 +125,13 @@ def cmd_homotopy_find(args) -> int:
         raise FormatError("expected a complex or structure document", args.file)
     gens = tuple(element_from_json(x.ring, tok.strip(), f"--gens[{i}]")
                  for i, tok in enumerate(args.gens.split(",")))
-    res = find_structure(x, gens, k_max=args.kmax)
+    try:
+        res = find_structure(x, gens)
+    except ValueError as e:
+        raise Invalid(str(e)) from None
     report = {
         "command": "homotopy-find",
         "generators": [element_to_str(x.ring, t) for t in gens],
-        "k_max": args.kmax,
         "exponents": list(res.exponents),
         "obstructed": list(res.obstructed),
         "found": res.structure is not None,
@@ -136,8 +142,8 @@ def cmd_homotopy_find(args) -> int:
         return 0
     report["structure"] = None
     _emit(report)
-    why = ("rational homology obstruction" if any(res.obstructed)
-           else f"no structure up to exponent {args.kmax}")
+    why = ("free homology obstructs every exponent" if any(res.obstructed)
+           else "no power of a generator is null-homotopic")
     _emit_error("invalid", why)
     return 1
 
@@ -360,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     hf.add_argument("file")
     hf.add_argument("--gens", required=True,
                     help="comma-separated generator scalars, e.g. 2,3")
-    hf.add_argument("--kmax", type=int, default=16)
     hf.set_defaults(fn=cmd_homotopy_find)
 
     q = sub.add_parser("gamma", help="fold a structure below its top degree")

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .exactalg import (
-    Matrix, QQ, Ring, SmithSolver, ZZ, ModularRing, elementary_divisors,
-    rank as matrix_rank, solve_right,
+    Matrix, Ring, ZZ, ModularRing, elementary_divisors, rank as matrix_rank,
+    solve_right,
 )
 
 
@@ -233,86 +233,77 @@ def boundary_map(x: GradedFreeComplex) -> ChainMap:
 
 
 # ---------------------------------------------------------------------
-# Contractions: solve d*h + h*d = id as one linear system
+# Null-homotopies: solve d*e + e*d = c * id
 # ---------------------------------------------------------------------
 
 
 class HomotopySystem:
-    """The linear system d*h + h*d = c * id on a fixed complex.
+    """The coupled linear system d*e + e*d = c * id on a fixed complex.
 
-    Unknowns are the entries of the degree +1 operator h (one block per
-    degree below the top, vectorized row-major); the right-hand side scalar
-    c varies, so over Z the Smith factorization of the system matrix is
-    computed once and reused for every c.
+    Unknowns are the entries of e out of each degree below the top,
+    row-major.  ``solve_homotopy`` needs it only over composite Z/m with a
+    non-unit c.
     """
 
     def __init__(self, x: GradedFreeComplex):
         self.x = x
-        ring = x.ring
-        degs = list(x.degrees())
-        self.blocks = [(i, x.rank(i + 1) * x.rank(i)) for i in degs[:-1]] if len(degs) > 1 else []
-        cols = sum(b[1] for b in self.blocks)
-        rows_list = []
-        self.eq_degrees = [(i, x.rank(i) ** 2) for i in degs]
-        for i, _ in self.eq_degrees:
-            n_i = x.rank(i)
-            row_blocks = []
-            for k, (j, width) in enumerate(self.blocks):
-                if j == i:
-                    blk = x.diff(i + 1).kron(Matrix.identity(ring, n_i))
-                elif j == i - 1:
-                    blk = Matrix.identity(ring, n_i).kron(x.diff(i).transpose())
-                else:
-                    blk = Matrix.zeros(ring, n_i * n_i, width)
-                row_blocks.append(blk)
-            if row_blocks:
-                rows_list.append(Matrix.block([row_blocks]))
-            else:
-                rows_list.append(Matrix.zeros(ring, n_i * n_i, 0))
-        if rows_list:
-            self.system = Matrix.block([[m] for m in rows_list])
-        else:
-            self.system = Matrix.zeros(ring, 0, cols)
-        self._solver = SmithSolver(self.system) if ring == ZZ else None
+        ring, degs = x.ring, list(x.degrees())
+        self.shapes = [(x.rank(j + 1), x.rank(j)) for j in degs[:-1]]
+        rows = []
+        for i in degs:
+            n_i, eye = x.rank(i), Matrix.identity(ring, x.rank(i))
+            blocks = [x.diff(i + 1).kron(eye) if j == i
+                      else eye.kron(x.diff(i).transpose()) if j == i - 1
+                      else Matrix.zeros(ring, n_i * n_i, r * c)
+                      for j, (r, c) in zip(degs, self.shapes)]
+            rows.append(Matrix.block([blocks]) if blocks else Matrix.zeros(ring, n_i * n_i, 0))
+        self.system = Matrix.block([[m] for m in rows])
 
-    def rhs(self, c) -> Matrix:
-        ring = self.x.ring
-        cells = []
-        for i, _ in self.eq_degrees:
-            ident = Matrix.scalar(ring, self.x.rank(i), c)
-            cells.extend(ident.entries[r][s] for r in range(ident.rows) for s in range(ident.cols))
-        return Matrix.from_rows(ring, [[v] for v in cells]) if cells else Matrix(ring, 0, 1, ())
-
-    def solve(self, c, kernel_offset: Optional[Matrix] = None) -> Optional[ChainMap]:
-        if self._solver is not None:
-            vec = self._solver.solve(self.rhs(c))
-        else:
-            vec = solve_right(self.system, self.rhs(c))
+    def solve(self, c) -> Optional[ChainMap]:
+        x, ring = self.x, self.x.ring
+        diag = [r == s for i in x.degrees() for r in range(x.rank(i)) for s in range(x.rank(i))]
+        vec = solve_right(self.system, Matrix.build(ring, len(diag), 1,
+                                                    lambda k, _: c if diag[k] else 0))
         if vec is None:
             return None
-        if kernel_offset is not None:
-            vec = vec + kernel_offset
-        return self.unflatten(vec)
-
-    def kernel_basis(self) -> list[Matrix]:
-        if self._solver is not None:
-            return self._solver.kernel_basis()
-        raise ValueError("kernel basis only available over Z")
-
-    def unflatten(self, vec: Matrix) -> ChainMap:
-        x, ring = self.x, self.x.ring
-        mats = []
-        pos = 0
-        by_degree = {}
-        for i, width in self.blocks:
-            r, c_ = x.rank(i + 1), x.rank(i)
-            ents = [vec.entries[pos + t][0] for t in range(width)]
-            pos += width
-            by_degree[i] = Matrix(ring, r, c_, tuple(tuple(ents[a * c_:(a + 1) * c_]) for a in range(r)))
-        for j in range(len(x.ranks)):
-            i = x.min_degree + j
-            mats.append(by_degree.get(i, Matrix.zeros(ring, x.rank(i + 1), x.rank(i))))
+        flat = iter(row[0] for row in vec.entries)
+        mats = [Matrix(ring, r, c_, tuple(tuple(next(flat) for _ in range(c_)) for _ in range(r)))
+                for r, c_ in self.shapes]
+        mats.append(Matrix.zeros(ring, 0, x.rank(x.top_degree)))
         return ChainMap(x, x, 1, tuple(mats))
+
+
+def solve_homotopy(x: GradedFreeComplex, c) -> Optional[ChainMap]:
+    """A degree +1 operator e with d*e + e*d = c * id, or None if there is none.
+
+    Solves d_{i+1} e_i = c - e_{i-1} d_i from the bottom degree up.  The
+    right-hand side is always a matrix of cycles, and this order is complete:
+
+    * over Z and Q for every c: ``solve_right`` gives e_i zero coordinates
+      along ker d_{i+1} (in the Smith V basis over Z, as zero free variables
+      over Q), so e_i lands in a complement C of the cycles.  The next
+      right-hand side then sends a cycle z to c z and C to cycles in C, that
+      is to 0; it is made of boundaries exactly when c kills the homology,
+      which c * id being null-homotopic requires.
+    * over any Z/m when c is a unit: c * id is then null-homotopic exactly
+      when the complex is contractible, hence exact, so cycles are
+      boundaries.  Over Z/p the only other c, 0, gets e = 0.
+
+    Composite Z/m with a non-unit c, where cycles need not have a
+    complement, solves the coupled ``HomotopySystem``.
+    """
+    ring = x.ring
+    c = ring.normalize(c)
+    if isinstance(ring, ModularRing) and not ring.is_field and not ring.is_unit(c):
+        return HomotopySystem(x).solve(c)
+    e = Matrix.zeros(ring, x.rank(x.min_degree), 0)  # out of the zero module below
+    mats = []
+    for i in x.degrees():
+        e = solve_right(x.diff(i + 1), Matrix.scalar(ring, x.rank(i), c) - e * x.diff(i))
+        if e is None:
+            return None
+        mats.append(e)
+    return ChainMap(x, x, 1, tuple(mats))
 
 
 def is_contraction(h: ChainMap) -> bool:
@@ -327,12 +318,12 @@ def is_contraction(h: ChainMap) -> bool:
 def find_contraction(x: GradedFreeComplex) -> Optional[ChainMap]:
     """A degree +1 operator h with d*h + h*d = id, or None.
 
-    Decided by solving the coupled linear system directly, so None is a
-    complete verdict over Z, Q and Z/m.
+    None is a complete verdict over Z, Q and every Z/m (see
+    ``solve_homotopy``; 1 is a unit).
     """
-    h = HomotopySystem(x).solve(x.ring.one())
-    if h is not None:
-        assert is_contraction(h)
+    h = solve_homotopy(x, x.ring.one())
+    if h is not None and not is_contraction(h):
+        raise AssertionError("contraction failed its own check")
     return h
 
 

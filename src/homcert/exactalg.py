@@ -136,6 +136,8 @@ class ModularRing(Ring):
             raise ValueError("modulus must be >= 2")
         self.modulus = int(modulus)
         self.tag = f"Z/{self.modulus}"
+        m = self.modulus  # trial division, once per ring
+        self._prime = m == 2 or (m % 2 == 1 and all(m % f for f in range(3, math.isqrt(m) + 1, 2)))
 
     def from_int(self, n):
         return int(n) % self.modulus
@@ -163,15 +165,7 @@ class ModularRing(Ring):
     def is_field(self):
         # Only prime moduli give a field; callers that need elimination
         # (rank, homology) must check this.
-        m = self.modulus
-        if m % 2 == 0:
-            return m == 2
-        f = 3
-        while f * f <= m:
-            if m % f == 0:
-                return False
-            f += 2
-        return True
+        return self._prime
 
     def __eq__(self, other):
         return isinstance(other, ModularRing) and other.modulus == self.modulus
@@ -351,9 +345,6 @@ class Matrix:
     def entry(self, i: int, j: int):
         return self.entries[i][j]
 
-    def column(self, j: int) -> "Matrix":
-        return Matrix(self.ring, self.rows, 1, tuple((row[j],) for row in self.entries))
-
     def hstack(self, other: "Matrix") -> "Matrix":
         return Matrix.block([[self, other]])
 
@@ -457,18 +448,30 @@ def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
         t += 1
     rank = t
 
-    # Divisibility chain: repair adjacent pairs until stable.
+    # Divisibility chain: D is diagonal now, and each repair touches only
+    # rows and columns k, k+1, turning diag(s, t) into diag(g, st/g) with
+    # g = gcd(s, t) = x*s + y*t:
+    #   [[x, y], [-t/g, s/g]] * diag(s, t) * [[1, -y*t/g], [1, x*s/g]].
+    # Per prime this is a compare-exchange of exponents, so the sweeps stop.
     stable = False
     while not stable:
         stable = True
         for k in range(rank - 1):
-            a_k, a_n = d[k][k], d[k + 1][k + 1]
-            if a_n % a_k != 0:
-                # fold column k+1 into column k and re-eliminate
-                col_sub(k, k + 1, -1)
-                pivot_at(k)
-                pivot_at(k + 1)
-                stable = False
+            s, t = d[k][k], d[k + 1][k + 1]
+            if t % s == 0:
+                continue
+            g = math.gcd(s, t)
+            sg, tg = s // g, t // g
+            x = pow(sg, -1, abs(tg))
+            y = (g - x * s) // t
+            for m in (d, u):
+                m[k], m[k + 1] = ([x * p + y * q for p, q in zip(m[k], m[k + 1])],
+                                  [-tg * p + sg * q for p, q in zip(m[k], m[k + 1])])
+            for m in (d, v):
+                for row in m:
+                    p, q = row[k], row[k + 1]
+                    row[k], row[k + 1] = p + q, -y * tg * p + x * sg * q
+            stable = False
 
     for k in range(rank):
         if d[k][k] < 0:
@@ -547,18 +550,12 @@ def inverse(a: Matrix) -> Matrix:
 
 
 def _solve_field(a: Matrix, b: Matrix) -> Optional[Matrix]:
+    """Gauss-Jordan over Q; free variables are left zero."""
     ring = a.ring
     n, c = a.rows, a.cols
     k = b.cols
     aug = [[*map(ring.normalize, row_a), *map(ring.normalize, row_b)]
            for row_a, row_b in zip(a.entries, b.entries)]
-    if isinstance(ring, ModularRing):
-        inv_cache = {x: pow(x, -1, ring.modulus) for x in range(ring.modulus) if ring.is_unit(x)}
-        def invert(x):
-            return inv_cache[x]
-    else:
-        def invert(x):
-            return 1 / x
     pivots = []
     row = 0
     for col in range(c):
@@ -570,7 +567,7 @@ def _solve_field(a: Matrix, b: Matrix) -> Optional[Matrix]:
         if sel is None:
             continue
         aug[row], aug[sel] = aug[sel], aug[row]
-        f = invert(aug[row][col])
+        f = 1 / aug[row][col]
         aug[row] = [ring.mul(f, x) for x in aug[row]]
         for i in range(n):
             if i != row and aug[i][col] != ring.zero():
@@ -593,8 +590,8 @@ def _solve_field(a: Matrix, b: Matrix) -> Optional[Matrix]:
 class SmithSolver:
     """Factor A over Z once; then solve A*X = B repeatedly.
 
-    Also exposes an integer basis of ker(A), which downstream code uses to
-    vary solutions (different homotopy lifts for the same scalar).
+    A solution has zero coordinates along ker(A) in the basis of V's
+    columns, so every solution lies in one fixed complement of ker(A).
     """
 
     def __init__(self, a: Matrix):
@@ -628,13 +625,6 @@ class SmithSolver:
                     return None
         y = Matrix.from_rows(ZZ, y_rows) if self.a.cols else Matrix(ZZ, 0, b.cols, ())
         return self.v * y
-
-    def kernel_basis(self) -> list[Matrix]:
-        basis = []
-        for i in range(self.a.cols):
-            if i >= len(self.diag) or self.diag[i] == 0:
-                basis.append(self.v.column(i))
-        return basis
 
 
 def solve_right(a: Matrix, b: Matrix) -> Optional[Matrix]:

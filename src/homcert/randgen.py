@@ -118,9 +118,9 @@ def lift_pair_complex(t: int) -> GradedFreeComplex:
     """A 2-3-1 complex whose degree t operator has a free direction.
 
     The homology in degree 0 has t-torsion, so the least exponent is one,
-    and the middle staircase contributes a two-parameter kernel to the
-    operator equation, so searches with different seeds find different
-    operators for the same scalar.
+    and a degree +2 operator sigma (degree 0 to 2) has two entries that
+    e + d sigma - sigma d depends on, so searches with different seeds find
+    different operators for the same scalar.
     """
     d1 = Matrix.from_rows(ZZ, [[t, 0, 0], [0, 0, 1]])
     d2 = Matrix.from_rows(ZZ, [[0], [1], [0]])
@@ -266,6 +266,8 @@ def corrupt_witness_entry(rng, cert: Certificate):
     r = rng.randrange(mat.rows)
     c = rng.randrange(mat.cols)
     delta = ring.from_int(rng.choice((1, -1, 2)))
+    if ring.is_zero(delta):  # 2 over Z/2; replaced after the draw, so the stream stays put
+        delta = ring.one()
     bumped = mat.with_entry(r, c, ring.add(mat.entries[r][c], delta))
     mats = f.mats[:deg] + (bumped,) + f.mats[deg + 1:]
     arrow = ChainMap(f.source, f.target, f.shift, mats)

@@ -9,15 +9,17 @@ only degrees strictly below the top carry data.
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .complexes import (
-    ChainMap, GradedFreeComplex, HomotopySystem, homology_invariants,
-    validate_complex,
+    ChainMap, GradedFreeComplex, boundary_map, homology_invariants,
+    solve_homotopy, validate_complex,
 )
-from .exactalg import Matrix, QQ, ZZ
+from .exactalg import Matrix, ModularRing
 
 
 @dataclass(frozen=True)
@@ -136,8 +138,8 @@ class StructureSearch:
     """Outcome of a per-generator least-exponent search.
 
     ``exponents[g]`` is the least k with d e + e d = t_g^k * id solvable,
-    or None when nothing was found up to the bound; ``obstructed[g]`` marks
-    generators ruled out for every exponent by nonzero rational homology.
+    or None when there is no such k; ``obstructed[g]`` marks generators
+    ruled out for every exponent by nonzero free homology.
     """
 
     structure: Optional[HomotopyStructure]
@@ -145,77 +147,73 @@ class StructureSearch:
     obstructed: tuple
 
 
-def _rational_homology_nonzero(x: GradedFreeComplex) -> bool:
-    ring = x.ring
-    if ring == ZZ:
-        lifted = GradedFreeComplex(
-            QQ, x.min_degree, x.ranks,
-            tuple(Matrix.build(QQ, d.rows, d.cols,
-                               lambda r, c, d=d: QQ.from_int(d.entries[r][c]))
-                  for d in x.diffs))
-        summary = homology_invariants(lifted)
-    elif ring.is_field:
-        summary = homology_invariants(x)
-    else:
-        return False  # no usable obstruction over a non-field quotient ring
-    return any(not s.is_trivial() for s in summary.values())
+def _least_power(x: GradedFreeComplex, t, b: int, composite: bool):
+    """(k, t^k, e) for the least k with d e + e d = t^k * id, or None.
+
+    Once gcd(t^k, b) stops growing, solvability cannot change.  Over Z and
+    fields only the k with b | t^k is solved; over composite Z/m each k is.
+    """
+    power, reached = x.ring.one(), 0
+    for k in itertools.count(1):
+        power = x.ring.mul(power, t)
+        g = math.gcd(int(power), b)  # b = 1 over fields
+        if g == reached:
+            return None
+        reached = g
+        if composite or g == b:
+            e = solve_homotopy(x, power)
+            if e is not None:
+                return k, power, e
+            if not composite:
+                raise AssertionError(f"no null-homotopy of {power} * id, "
+                                     "although it kills homology")
 
 
-def find_structure(x: GradedFreeComplex, gens: Sequence, k_max: int = 16,
+def find_structure(x: GradedFreeComplex, gens: Sequence,
                    rng: Optional[random.Random] = None) -> StructureSearch:
     """Search, per generator, for the least exponent of a null-homotopy.
 
-    The coupled linear system for d e + e d = c * id is factored once and
-    re-solved for c = t^1, t^2, ... up to ``k_max``.  With an ``rng`` a
-    random kernel element is added to each solution, exhibiting different
-    operator lifts for the same exponent.  Absence of a solution below the
-    bound is inconclusive unless the rational homology obstruction applies.
+    Every verdict is exact: None means that no power of the generator
+    works.  With an ``rng`` each operator e becomes e + d sigma - sigma d,
+    for one random degree +2 operator sigma per call, exhibiting different
+    operator lifts for the same exponent.
     """
+    problems = validate_complex(x, allow_negative=True)
+    if problems:
+        raise ValueError("not a complex: " + problems[0])
     ring = x.ring
-    ts = tuple(ring.normalize(t) for t in gens)
-    blocked = _rational_homology_nonzero(x)
-    system = None if blocked else HomotopySystem(x)
-    exponents: list = []
-    grids: list = []
-    obstructed = []
-    for t in ts:
-        obstructed.append(blocked and t != ring.zero())
-        if obstructed[-1] or blocked:
+    # Over Z and fields c * id is null-homotopic exactly when b | c and
+    # (c = 0 or no homology is free), b the lcm of the torsion coefficients.
+    # Over composite Z/m it depends only on gcd(c, b = m).
+    composite = isinstance(ring, ModularRing) and not ring.is_field
+    if composite:
+        b, free = ring.modulus, False
+    else:
+        hom = homology_invariants(x).values()
+        b, free = math.lcm(1, *(a for h in hom for a in h.torsion)), any(h.free_rank for h in hom)
+    twist = None
+    if rng is not None:
+        sigma = ChainMap(x, x, 2, tuple(
+            Matrix.build(ring, x.rank(i + 2), x.rank(i), lambda r, c: rng.randint(-2, 2))
+            for i in x.degrees()))
+        d = boundary_map(x)
+        twist = d.compose(sigma) + sigma.compose(d).scale(-1)
+    exponents, obstructed, powers, grids = [], [], [], []
+    for t in map(ring.normalize, gens):
+        obstructed.append(free and not ring.is_zero(t))
+        hit = None if obstructed[-1] else _least_power(x, t, b, composite)
+        if hit is None:
             exponents.append(None)
             continue
-        found = None
-        power = ring.one()
-        for k in range(1, k_max + 1):
-            power = ring.mul(power, t)
-            offset = None
-            if rng is not None and ring == ZZ:
-                basis = system.kernel_basis()
-                if basis:
-                    acc = None
-                    for b in basis:
-                        c = rng.randint(-2, 2)
-                        if c:
-                            term = b.scale(ring.from_int(c))
-                            acc = term if acc is None else acc + term
-                    offset = acc
-            sol = system.solve(power, kernel_offset=offset)
-            if sol is not None:
-                found = (k, sol)
-                break
-        if found is None:
-            exponents.append(None)
-        else:
-            k, sol = found
-            exponents.append(k)
-            grids.append(tuple(sol.mat(i) for i in list(x.degrees())[:-1]))
-    if all(e is not None for e in exponents) and len(x.ranks) >= 1:
-        powers = []
-        for t, k in zip(ts, exponents):
-            p = ring.one()
-            for _ in range(k):
-                p = ring.mul(p, t)
-            powers.append(p)
-        structure = HomotopyStructure(x, tuple(powers), tuple(grids))
-    else:
-        structure = None
+        k, power, e = hit
+        e = e if twist is None else e + twist
+        exponents.append(k)
+        powers.append(power)
+        grids.append(tuple(e.mat(i) for i in list(x.degrees())[:-1]))
+    if None in exponents:
+        return StructureSearch(None, tuple(exponents), tuple(obstructed))
+    structure = HomotopyStructure(x, tuple(powers), tuple(grids))
+    problems = check_structure(structure, check_complex=False)
+    if problems:
+        raise AssertionError("search output failed its own check: " + problems[0])
     return StructureSearch(structure, tuple(exponents), tuple(obstructed))

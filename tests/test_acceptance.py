@@ -343,7 +343,7 @@ def test_least_exponent_exact_and_obstruction_flagged():
         rows = len(diffs)
         x = GradedFreeComplex(ZZ, 0, (rows, len(diffs[0])),
                               (Matrix.from_rows(ZZ, diffs),))
-        res = find_structure(x, (2,), k_max=8)
+        res = find_structure(x, (2,))
         assert res.structure is None
         assert res.exponents == (None,)
         assert res.obstructed == (True,)

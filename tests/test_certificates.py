@@ -6,7 +6,7 @@ import pytest
 
 from homcert.complexes import ChainMap, GradedFreeComplex, identity_map
 from homcert.constructions import direct_sum, disk, suspend
-from homcert.exactalg import Matrix, ZZ
+from homcert.exactalg import Matrix, ZZ, Zmod
 from homcert.certificates import (
     Certificate,
     ClassExpr,
@@ -18,6 +18,7 @@ from homcert.certificates import (
     SuspensionPair,
     Widen,
     check_certificate,
+    disk_transport_certificate,
     fold_defect_certificate,
     fold_identity_certificate,
     fold_row_certificates,
@@ -28,6 +29,7 @@ from homcert.certificates import (
 from homcert.koszul import koszul
 from homcert.randgen import (
     contractible_structure,
+    corrupt_witness_entry,
     disk_pile,
     lift_pair,
     mutate_certificate,
@@ -239,3 +241,13 @@ def test_mutations_rejected_smoke():
         mutant, what = mutate_certificate(rng, cert)
         res = check_certificate(mutant)
         assert not res.accepted, f"mutation survived: {what}"
+
+
+def test_witness_corruption_over_z2_always_rejected():
+    # a delta of 2 is zero over Z/2; every corruption must still change an entry
+    cert = disk_transport_certificate(Zmod(2), 2, 3, (1,))
+    assert check_certificate(cert).accepted
+    rng = random.Random(2)
+    for _ in range(200):
+        mutant, where = corrupt_witness_entry(rng, cert)
+        assert not check_certificate(mutant).accepted, where

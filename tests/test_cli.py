@@ -53,6 +53,18 @@ def test_validate_rejects_broken_structure(run, tmp_path):
     assert err["error"]["code"] == "invalid"
 
 
+@pytest.mark.parametrize("argv", [("gamma",), ("gamma", "--general"), ("peel",),
+                                  ("dual",), ("suspend",)])
+def test_axiom_violating_structure_is_invalid(run, tmp_path, argv):
+    doc = to_json(disk(ZZ, 1, 2, (3,)))
+    doc["scalars"] = ["5"]
+    path = write(tmp_path, "m.json", doc)
+    code, report, err = run(argv[0], path, *argv[1:])
+    assert code == 1 and report is None
+    assert err["error"]["code"] == "invalid"
+    assert "not a structure" in err["error"]["message"]
+
+
 def test_validate_malformed_is_exit_2(run, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{]")
@@ -72,7 +84,7 @@ def test_usage_error_is_exit_2(run):
 
 def test_homotopy_find_reports_exponent(run, tmp_path):
     path = write(tmp_path, "x.json", two_term(4))
-    code, report, err = run("homotopy", "find", path, "--gens", "2", "--kmax", "8")
+    code, report, err = run("homotopy", "find", path, "--gens", "2")
     assert code == 0
     assert report["exponents"] == [2] and report["found"]
     assert from_json(report).scalars == (4,)
@@ -80,7 +92,7 @@ def test_homotopy_find_reports_exponent(run, tmp_path):
 
 def test_homotopy_find_inconclusive(run, tmp_path):
     path = write(tmp_path, "x.json", two_term(4))
-    code, report, err = run("homotopy", "find", path, "--gens", "3", "--kmax", "6")
+    code, report, err = run("homotopy", "find", path, "--gens", "3")
     assert code == 1
     assert report["exponents"] == [None] and not report["found"]
 
@@ -92,6 +104,15 @@ def test_homotopy_find_obstructed(run, tmp_path):
     assert code == 1
     assert report["obstructed"] == [True]
     assert "homology" in err["error"]["message"]
+
+
+def test_homotopy_find_rejects_non_complex(run, tmp_path):
+    x = GradedFreeComplex(ZZ, 0, (1, 1, 1), (Matrix.from_rows(ZZ, [[2]]),
+                                            Matrix.from_rows(ZZ, [[3]])))
+    path = write(tmp_path, "x.json", x)
+    code, report, err = run("homotopy", "find", path, "--gens", "2")
+    assert code == 1 and report is None
+    assert err["error"]["message"] == "not a complex: d_1 * d_2 != 0"
 
 
 def test_gamma_direct_output_revalidates(run, tmp_path):

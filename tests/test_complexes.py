@@ -8,7 +8,7 @@ import sympy
 from homcert.complexes import (
     ChainMap, GradedFreeComplex, HomotopySystem, check_ses, concentrated,
     find_contraction, homology_invariants, identity_map, is_contraction,
-    is_exact, trim, validate_complex, zero_complex, zero_map,
+    is_exact, solve_homotopy, trim, validate_complex, zero_complex, zero_map,
 )
 from homcert.exactalg import Matrix, QQ, ZZ, Zmod
 
@@ -193,22 +193,25 @@ def test_contraction_iff_exact():
 
 def test_homotopy_system_scalar_rhs():
     # d*h + h*d = 4 on [Z --2--> Z] is solvable (h = [[2]]), = 3 is not
-    sys = HomotopySystem(two_term(2))
-    h4 = sys.solve(4)
+    x = two_term(2)
+    h4 = solve_homotopy(x, 4)
     assert h4 is not None and h4.mat(0) == Matrix.from_rows(ZZ, [[2]])
-    assert sys.solve(3) is None
-    assert sys.solve(0) is not None  # h = 0
-
-
-def test_homotopy_system_kernel_offsets():
-    x = GradedFreeComplex(ZZ, 0, (2, 2), (Matrix.from_rows(ZZ, [[1, 0], [0, 1]]),))
-    sys = HomotopySystem(x)
-    basis = sys.kernel_basis()
-    h = sys.solve(1)
-    assert h is not None
-    if basis:
-        h2 = sys.solve(1, kernel_offset=basis[0])
-        assert h2 is not None and is_contraction(h2) and h2 != h
+    assert solve_homotopy(x, 3) is None
+    assert solve_homotopy(x, 0) is not None  # h = 0
+    # composite Z/m, non-unit scalars: the coupled system decides.  On the
+    # Z/12 complex a bottom-up solve finds nothing for c = 4 and c = 8.
+    y = two_term(2, ring=Zmod(8))
+    z = cx((1, 3, 2), ([[10, 6, 6]], [[0, 3], [0, 10], [2, 9]]), ring=Zmod(12))
+    for x, c, solvable in ((y, 2, True), (y, 4, True), (y, 6, True), (y, 0, True),
+                           (y, 3, False), (two_term(4, ring=Zmod(8)), 2, False),
+                           (z, 4, True), (z, 8, True), (z, 3, False)):
+        h = solve_homotopy(x, c)
+        assert (h is not None) == solvable
+        if h is not None:
+            for i in x.degrees():
+                lhs = x.diff(i + 1) * h.mat(i) + h.mat(i - 1) * x.diff(i)
+                assert lhs == Matrix.scalar(x.ring, x.rank(i), c)
+    assert HomotopySystem(y).solve(2) is not None
 
 
 # -- short exact sequences --------------------------------------------

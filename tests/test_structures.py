@@ -1,8 +1,11 @@
 """Null-homotopy structures: axioms, rescaling, equivariance, exponent search."""
 
+import math
 import random
 
 import pytest
+import sympy
+from sympy.matrices.normalforms import invariant_factors
 
 from homcert.complexes import GradedFreeComplex, find_contraction, identity_map
 from homcert.exactalg import Matrix, QQ, ZZ, Zmod
@@ -104,7 +107,7 @@ def test_find_structure_exact_exponents():
 
 def test_find_structure_inconclusive_without_obstruction():
     # multiplication by 2 admits no 3-power homotopy, but homology vanishes
-    res = find_structure(two_term(2), (3,), k_max=6)
+    res = find_structure(two_term(2), (3,))
     assert res.exponents == (None,)
     assert res.obstructed == (False,)
     assert res.structure is None
@@ -141,3 +144,122 @@ def test_find_structure_random_lifts_differ():
         assert check_structure(res.structure) == []
         seen.add(res.structure.ops)
     assert len(seen) > 1  # the kernel direction produces distinct lifts
+
+
+# -- least exponents against sympy ------------------------------------
+
+
+def unimodular_pair(rng, n, mod=None):
+    """A random unimodular matrix and its inverse, as plain integer rows."""
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    q = [row[:] for row in p]
+    for _ in range(2 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((1, -1, 2, -2))
+        p[i] = [a + c * b for a, b in zip(p[i], p[j])]       # rows: E * p
+        for row in q:                                          # cols: q * E^-1
+            row[j] -= c * row[i]
+    if mod:
+        p = [[a % mod for a in row] for row in p]
+        q = [[a % mod for a in row] for row in q]
+    return p, q
+
+
+def pieces_complex(rng, ring, lower, upper=(), mod=None):
+    """The pieces R --a--> R from degree 1 (``lower``) and from degree 2
+    (``upper``) summed up, then written in a random basis in every degree."""
+    nl, nu = len(lower), len(upper)
+    ranks = [nl, nl + nu, nu] if nu else [nl, nl]
+    d1 = [[lower[i] if i == j else 0 for j in range(ranks[1])] for i in range(nl)]
+    diffs = [d1]
+    if nu:
+        diffs.append([[upper[i - nl] if i == nl + j else 0 for j in range(nu)]
+                      for i in range(nl + nu)])
+    bases = [unimodular_pair(rng, r, mod) for r in ranks]
+    out = []
+    for j, d in enumerate(diffs):
+        p, _ = bases[j]
+        _, q_inv = bases[j + 1]
+        m = sympy.Matrix(p) * sympy.Matrix(d) * sympy.Matrix(q_inv)
+        out.append(Matrix.from_rows(ring, [[int(v) for v in m.row(r)] for r in range(m.rows)]))
+    return GradedFreeComplex(ring, 0, tuple(ranks), tuple(out))
+
+
+def least_exponent_z(x, t):
+    """Least k with every invariant factor of every d dividing t^k and no
+    free homology (None when there is free homology or no such k), by sympy."""
+    plain = [sympy.Matrix([list(r) for r in d.entries]) for d in x.diffs]
+    ranks = [m.rank() for m in plain]
+    for j, n in enumerate(x.ranks):
+        below = ranks[j - 1] if j >= 1 else 0
+        above = ranks[j] if j < len(plain) else 0
+        if n - below - above:
+            return None, True
+    b = 1
+    for m in plain:
+        for a in invariant_factors(m):
+            b = sympy.ilcm(b, int(a))
+    for k in range(1, 64):
+        if t ** k % b == 0:
+            return k, False
+    return None, False
+
+
+def least_exponent_pieces(pieces, t, mod):
+    for k in range(1, 64):
+        if all(t ** k % math.gcd(a, mod) == 0 for a in pieces):
+            return k
+    return None
+
+
+def check_search(x, t, want, obstructed):
+    res = find_structure(x, (t,))
+    assert res.exponents == (want,)
+    assert res.obstructed == (obstructed,)
+    if want is None:
+        assert res.structure is None
+    else:
+        assert res.structure.scalars == (x.ring.normalize(t ** want),)
+        assert check_structure(res.structure) == []
+
+
+def test_find_structure_matches_sympy_over_z():
+    rng = random.Random(1)
+    for case in range(36):
+        t = rng.choice((2, 3, 6))
+        # mostly pieces that some power of t kills, a few that none does
+        twos = t % 2 == 0 or rng.random() < 0.2
+        threes = t % 3 == 0 or rng.random() < 0.2
+
+        def piece():
+            return (rng.choice((1, -1)) * 2 ** (rng.randint(0, 4) * twos)
+                    * 3 ** (rng.randint(0, 3) * threes))
+        if case % 2:
+            nl = rng.randint(1, 4)
+            lower, upper = [piece() for _ in range(nl)], [piece() for _ in range(rng.randint(1, 8 - nl))]
+        else:
+            lower, upper = [piece() for _ in range(rng.randint(2, 8))], []
+        x = pieces_complex(rng, ZZ, lower, upper)
+        want, obstructed = least_exponent_z(x, t)
+        check_search(x, t, want, obstructed)
+
+
+def test_find_structure_matches_gcd_rule_over_composite_zmod():
+    rng = random.Random(77)
+    for case in range(18):
+        mod = (8, 9, 12)[case % 3]
+        units = [a for a in range(1, mod) if math.gcd(a, mod) == 1]
+        non_units = [a for a in range(mod) if math.gcd(a, mod) > 1]
+        def piece():
+            return rng.choice(non_units if rng.random() < 0.6 else units)
+        lower = [piece() for _ in range(rng.randint(1, 3))]
+        upper = [piece() for _ in range(rng.randint(0, 2))]
+        x = pieces_complex(rng, Zmod(mod), lower, upper, mod)
+        t = rng.choice(non_units[1:] + units[:1])
+        check_search(x, t, least_exponent_pieces(lower + upper, t, mod), False)
+
+
+def test_find_structure_fixed_exponents():
+    check_search(two_term(2 ** 20), 2, 20, False)
+    check_search(two_term(2), 3, None, False)
+    check_search(two_term(0), 2, None, True)

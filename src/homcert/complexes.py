@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .exactalg import (
-    Matrix, Ring, ZZ, ModularRing, elementary_divisors, rank as matrix_rank,
+    Matrix, Ring, ZZ, ModularRing, rank as matrix_rank, smith_normal_form,
     solve_right,
 )
 
@@ -125,19 +125,29 @@ def homology_invariants(x: GradedFreeComplex) -> dict:
 
     Over Z the summary at degree i is (free rank, invariant factors > 1);
     over Q and Z/p torsion is empty and free_rank is the dimension.
-    Composite Z/m is not supported here.
+    Composite Z/m is not supported here.  Each differential is factored
+    once and serves the degrees on both of its sides.
     """
     ring = x.ring
     if isinstance(ring, ModularRing) and not ring.is_field:
         raise ValueError("homology over composite Z/m is not supported")
+    # (rank, invariant factors > 1) of diffs[j], the map out of degree min_degree + j + 1
+    facts = [_rank_and_torsion(d) for d in x.diffs] + [(0, ())]
     out = {}
-    for i in x.degrees():
-        r_in = matrix_rank(x.diff(i + 1))
-        r_out = matrix_rank(x.diff(i))
-        free = x.rank(i) - r_in - r_out
-        torsion = tuple(elementary_divisors(x.diff(i + 1))) if ring == ZZ else ()
-        out[i] = HomologySummary(free, torsion)
+    for j, i in enumerate(x.degrees()):
+        r_in, torsion = facts[j]
+        r_out = facts[j - 1][0] if j else 0
+        out[i] = HomologySummary(x.rank(i) - r_in - r_out, torsion)
     return out
+
+
+def _rank_and_torsion(d: Matrix) -> tuple:
+    """Rank and invariant factors > 1 of d: one Smith form over Z, one elimination over a field."""
+    if d.ring != ZZ:
+        return matrix_rank(d), ()
+    _, s, _ = smith_normal_form(d)
+    diag = [s.entries[k][k] for k in range(min(d.rows, d.cols))]
+    return sum(1 for a in diag if a), tuple(a for a in diag if a > 1)
 
 
 def is_exact(x: GradedFreeComplex) -> bool:

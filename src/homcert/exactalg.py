@@ -11,6 +11,7 @@ lifting through the integers).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -56,6 +57,10 @@ class Ring:
         """Canonical representative of ``a`` (used when parsing raw input)."""
         raise NotImplementedError
 
+    def product(self, rows, cols) -> tuple:
+        """Entries of A * B, given the rows of A and the columns of B."""
+        raise NotImplementedError
+
     @property
     def is_field(self) -> bool:
         return False
@@ -89,6 +94,10 @@ class IntegerRing(Ring):
             return int(a)
         return int(a)
 
+    def product(self, rows, cols):
+        mul = operator.mul
+        return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in rows)
+
     def __eq__(self, other):
         return isinstance(other, IntegerRing)
 
@@ -117,6 +126,14 @@ class RationalRing(Ring):
     def normalize(self, a):
         return Fraction(a)
 
+    def product(self, rows, cols):
+        # Each row and each column becomes integers over the lcm of its
+        # denominators; entries may be Fractions or plain ints.
+        mul = operator.mul
+        srows, scols = _over_common_denominator(rows), _over_common_denominator(cols)
+        return tuple(tuple(Fraction(sum(map(mul, row, col)), dr * dc) for col, dc in scols)
+                     for row, dr in srows)
+
     @property
     def is_field(self):
         return True
@@ -128,16 +145,49 @@ class RationalRing(Ring):
         return hash("Q")
 
 
+# Miller-Rabin with the first 13 prime bases decides primality for every
+# m below the least strong pseudoprime to all of them, psi_13 (Sorenson and
+# Webster, Math. Comp. 86 (2017)).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MODULUS_LIMIT = 3317044064679887385961981
+
+
+def is_prime(m: int) -> bool:
+    """Deterministic primality test for 0 <= m < MODULUS_LIMIT."""
+    if m >= MODULUS_LIMIT:
+        raise ValueError(f"primality is decided only below {MODULUS_LIMIT}")
+    if m < 2:
+        return False
+    for p in _MR_BASES:
+        if m % p == 0:
+            return m == p
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class ModularRing(Ring):
     """Z/m with canonical representatives 0..m-1; m need not be prime."""
 
     def __init__(self, modulus: int):
         if modulus < 2:
             raise ValueError("modulus must be >= 2")
+        if modulus >= MODULUS_LIMIT:
+            raise ValueError(f"modulus must be below {MODULUS_LIMIT}")
         self.modulus = int(modulus)
         self.tag = f"Z/{self.modulus}"
-        m = self.modulus  # trial division, once per ring
-        self._prime = m == 2 or (m % 2 == 1 and all(m % f for f in range(3, math.isqrt(m) + 1, 2)))
+        self._prime = is_prime(self.modulus)
 
     def from_int(self, n):
         return int(n) % self.modulus
@@ -161,6 +211,11 @@ class ModularRing(Ring):
             a = int(a)
         return int(a) % self.modulus
 
+    def product(self, rows, cols):
+        # Entries are canonical ints, so one reduction per entry suffices.
+        mul, m = operator.mul, self.modulus
+        return tuple(tuple(sum(map(mul, row, col)) % m for col in cols) for row in rows)
+
     @property
     def is_field(self):
         # Only prime moduli give a field; callers that need elimination
@@ -172,6 +227,15 @@ class ModularRing(Ring):
 
     def __hash__(self):
         return hash(("Zmod", self.modulus))
+
+
+def _over_common_denominator(vectors):
+    """Each vector of rationals as (integer vector, d) with vector = integers / d."""
+    out = []
+    for v in vectors:
+        d = math.lcm(*(x.denominator for x in v))
+        out.append(([x.numerator * (d // x.denominator) for x in v], d))
+    return out
 
 
 ZZ = IntegerRing()
@@ -290,20 +354,8 @@ class Matrix:
             raise ValueError(f"mixed rings: {self.ring} vs {other.ring}")
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        ring = self.ring
-        add, mul, zero = ring.add, ring.mul, ring.zero()
-        ot = other.transpose().entries
-        out = []
-        for row in self.entries:
-            orow = []
-            for j in range(other.cols):
-                col = ot[j]
-                acc = zero
-                for a, b in zip(row, col):
-                    acc = add(acc, mul(a, b))
-                orow.append(acc)
-            out.append(tuple(orow))
-        return Matrix(ring, self.rows, other.cols, tuple(out))
+        cols = tuple(zip(*other.entries)) if other.rows else ((),) * other.cols
+        return Matrix(self.ring, self.rows, other.cols, self.ring.product(self.entries, cols))
 
     def scale(self, c) -> "Matrix":
         c = self.ring.normalize(c)
@@ -478,9 +530,9 @@ def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
             d[k] = [-x for x in d[k]]
             u[k] = [-x for x in u[k]]
 
-    U = Matrix.from_rows(ZZ, u)
-    V = Matrix.from_rows(ZZ, v)
-    D = Matrix.from_rows(ZZ, d)
+    U = Matrix(ZZ, r, r, tuple(map(tuple, u)))
+    V = Matrix(ZZ, c, c, tuple(map(tuple, v)))
+    D = Matrix(ZZ, r, c, tuple(map(tuple, d)))
     return U, D, V
 
 
@@ -549,42 +601,58 @@ def inverse(a: Matrix) -> Matrix:
 # ---------------------------------------------------------------------
 
 
+def _row_reduce(ring: Ring, m: list, ncols: int) -> list:
+    """Gauss-Jordan elimination over Q or Z/p, in place on the rows ``m``.
+
+    Pivots are taken in the first ``ncols`` columns only (the rest is an
+    augmented part); returns the pivot columns, and afterwards row k holds a
+    1 in column pivots[k] and every other row a 0 there.  Entries must be
+    canonical: Fractions over Q, ints in 0..p-1 over Z/p.
+    """
+    p = ring.modulus if isinstance(ring, ModularRing) else None
+    n = len(m)
+    pivots = []
+    for col in range(ncols):
+        rk = len(pivots)
+        sel = next((i for i in range(rk, n) if m[i][col]), None)
+        if sel is None:
+            continue
+        m[rk], m[sel] = m[sel], m[rk]
+        # Entries left of col are zero in the pivot row, so rows change from col on.
+        piv = m[rk][col:]
+        if p is None:
+            f = 1 / piv[0]
+            piv = m[rk][col:] = [f * x for x in piv]
+        else:
+            f = pow(piv[0], -1, p)
+            piv = m[rk][col:] = [f * x % p for x in piv]
+        for i in range(n):
+            g = m[i][col]
+            if i != rk and g:
+                if p is None:
+                    m[i][col:] = [x - g * y for x, y in zip(m[i][col:], piv)]
+                else:
+                    m[i][col:] = [(x - g * y) % p for x, y in zip(m[i][col:], piv)]
+        pivots.append(col)
+        if rk + 1 == n:
+            break
+    return pivots
+
+
 def _solve_field(a: Matrix, b: Matrix) -> Optional[Matrix]:
     """Gauss-Jordan over Q; free variables are left zero."""
     ring = a.ring
-    n, c = a.rows, a.cols
-    k = b.cols
+    c, k = a.cols, b.cols
     aug = [[*map(ring.normalize, row_a), *map(ring.normalize, row_b)]
            for row_a, row_b in zip(a.entries, b.entries)]
-    pivots = []
-    row = 0
-    for col in range(c):
-        sel = None
-        for i in range(row, n):
-            if aug[i][col] != ring.zero():
-                sel = i
-                break
-        if sel is None:
-            continue
-        aug[row], aug[sel] = aug[sel], aug[row]
-        f = 1 / aug[row][col]
-        aug[row] = [ring.mul(f, x) for x in aug[row]]
-        for i in range(n):
-            if i != row and aug[i][col] != ring.zero():
-                g = aug[i][col]
-                aug[i] = [ring.sub(x, ring.mul(g, y)) for x, y in zip(aug[i], aug[row])]
-        pivots.append(col)
-        row += 1
-        if row == n:
-            break
-    for i in range(row, n):
-        if any(x != ring.zero() for x in aug[i][c:]):
-            return None
-    x = [[ring.zero()] * k for _ in range(c)]
-    for r_i, col in enumerate(pivots):
-        for j in range(k):
-            x[col][j] = aug[r_i][c + j]
-    return Matrix.from_rows(ring, x) if c else Matrix(ring, 0, k, ())
+    pivots = _row_reduce(ring, aug, c)
+    if any(any(row[c:]) for row in aug[len(pivots):]):
+        return None
+    zero = (ring.zero(),) * k
+    x = [zero] * c
+    for row, col in zip(aug, pivots):
+        x[col] = tuple(row[c:])
+    return Matrix(ring, c, k, tuple(x))
 
 
 class SmithSolver:
@@ -623,8 +691,7 @@ class SmithSolver:
             if i >= len(self.diag) or self.diag[i] == 0:
                 if any(cb.entries[i][j] != 0 for j in range(b.cols)):
                     return None
-        y = Matrix.from_rows(ZZ, y_rows) if self.a.cols else Matrix(ZZ, 0, b.cols, ())
-        return self.v * y
+        return self.v * Matrix(ZZ, self.a.cols, b.cols, tuple(map(tuple, y_rows)))
 
 
 def solve_right(a: Matrix, b: Matrix) -> Optional[Matrix]:
@@ -652,16 +719,14 @@ def solve_right(a: Matrix, b: Matrix) -> Optional[Matrix]:
         return _solve_field(a, b)
     if isinstance(ring, ModularRing):
         m = ring.modulus
-        lift_a = Matrix.from_rows(ZZ, [[int(x) for x in row] for row in a.entries]) \
-            if a.rows else Matrix(ZZ, 0, a.cols, ())
-        lift_b = Matrix.from_rows(ZZ, [[int(x) for x in row] for row in b.entries]) \
-            if b.rows else Matrix(ZZ, 0, b.cols, ())
-        aug = lift_a.hstack(Matrix.scalar(ZZ, a.rows, m)) if a.rows else Matrix(ZZ, 0, a.cols + a.rows, ())
-        sol = solve_right(aug, lift_b)
+        # Entries are ints, so lifting to Z only changes the ring.
+        lift_a = Matrix(ZZ, a.rows, a.cols, a.entries)
+        lift_b = Matrix(ZZ, b.rows, b.cols, b.entries)
+        sol = solve_right(lift_a.hstack(Matrix.scalar(ZZ, a.rows, m)), lift_b)
         if sol is None:
             return None
-        x = [[sol.entries[i][j] % m for j in range(b.cols)] for i in range(a.cols)]
-        return Matrix.from_rows(ring, x) if a.cols else Matrix(ring, 0, b.cols, ())
+        return Matrix(ring, a.cols, b.cols,
+                      tuple(tuple(x % m for x in row) for row in sol.entries[:a.cols]))
     raise ValueError(f"unsupported ring: {ring}")
 
 
@@ -672,34 +737,7 @@ def rank(a: Matrix) -> int:
         _, d, _ = smith_normal_form(a)
         return sum(1 for i in range(min(a.rows, a.cols)) if d.entries[i][i] != 0)
     if ring.is_field:
-        n, c = a.rows, a.cols
-        m = [list(map(ring.normalize, row)) for row in a.entries]
-        if isinstance(ring, ModularRing):
-            def invert(x):
-                return pow(x, -1, ring.modulus)
-        else:
-            def invert(x):
-                return 1 / x
-        rk = 0
-        for col in range(c):
-            sel = None
-            for i in range(rk, n):
-                if m[i][col] != ring.zero():
-                    sel = i
-                    break
-            if sel is None:
-                continue
-            m[rk], m[sel] = m[sel], m[rk]
-            f = invert(m[rk][col])
-            m[rk] = [ring.mul(f, x) for x in m[rk]]
-            for i in range(n):
-                if i != rk and m[i][col] != ring.zero():
-                    g = m[i][col]
-                    m[i] = [ring.sub(x, ring.mul(g, y)) for x, y in zip(m[i], m[rk])]
-            rk += 1
-            if rk == n:
-                break
-        return rk
+        return len(_row_reduce(ring, [list(map(ring.normalize, row)) for row in a.entries], a.cols))
     raise ValueError(f"rank is not supported over {ring}")
 
 

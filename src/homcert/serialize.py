@@ -94,40 +94,55 @@ def ring_from_json(tag, where: str = "ring") -> Ring:
         m = _int(tag["Zmod"], where + ".Zmod")
         if m < 2:
             _fail("modulus must be at least 2", where + ".Zmod")
-        return Zmod(m)
+        try:
+            return Zmod(m)
+        except ValueError as e:
+            _fail(str(e), where + ".Zmod")
     _fail('ring tag must be "Z", "Q", or {"Zmod": m}', where)
 
 
+def _element_writer(ring: Ring):
+    # str of an int equals str of the same Fraction, so Q entries need no wrapping.
+    return str if ring == QQ else (lambda a: str(int(a)))
+
+
 def element_to_str(ring: Ring, a) -> str:
-    if ring == QQ:
-        return str(Fraction(a))
-    return str(int(a))
+    return _element_writer(ring)(a)
+
+
+def _element_reader(ring: Ring):
+    """Parse a JSON int or decimal string into ``ring``; raise ValueError,
+    ZeroDivisionError or TypeError on anything else."""
+    parse = Fraction if ring == QQ else (lambda v: ring.from_int(int(v, 10)))
+
+    def read(v):
+        if type(v) is int:
+            return ring.from_int(v)
+        if type(v) is str:
+            return parse(v)
+        raise TypeError("expected a ring element")
+    return read
 
 
 def element_from_json(ring: Ring, v, where: str):
-    if isinstance(v, bool):
+    try:
+        return _element_reader(ring)(v)
+    except (ValueError, ZeroDivisionError):
+        _fail(f"not a ring element: {v!r}", where)
+    except TypeError:
         _fail("expected a ring element", where)
-    if isinstance(v, int):
-        return ring.from_int(v)
-    if isinstance(v, str):
-        try:
-            if ring == QQ:
-                return ring.normalize(Fraction(v))
-            return ring.from_int(int(v, 10))
-        except (ValueError, ZeroDivisionError):
-            _fail(f"not a ring element: {v!r}", where)
-    _fail("expected a ring element", where)
 
 
 # -- matrices ----------------------------------------------------------
 
 
 def matrix_to_json(a: Matrix) -> dict:
+    write = _element_writer(a.ring)
     return {
         "ring": ring_to_json(a.ring),
         "rows": a.rows,
         "cols": a.cols,
-        "entries": [[element_to_str(a.ring, x) for x in row] for row in a.entries],
+        "entries": [list(map(write, row)) for row in a.entries],
     }
 
 
@@ -143,13 +158,19 @@ def matrix_from_json(doc, where: str = "matrix", ring: Ring = None) -> Matrix:
     raw = _list(_get(doc, "entries", where), where + ".entries")
     if len(raw) != rows:
         _fail(f"expected {rows} rows, got {len(raw)}", where + ".entries")
+    read = _element_reader(got)
     ents = []
     for i, r in enumerate(raw):
-        r = _list(r, f"{where}.entries[{i}]")
-        if len(r) != cols:
+        if not isinstance(r, list) or len(r) != cols:
+            r = _list(r, f"{where}.entries[{i}]")
             _fail(f"expected {cols} columns, got {len(r)}", f"{where}.entries[{i}]")
-        ents.append(tuple(element_from_json(got, x, f"{where}.entries[{i}][{j}]")
-                          for j, x in enumerate(r)))
+        try:
+            ents.append(tuple(map(read, r)))
+        except (ValueError, ZeroDivisionError, TypeError):
+            # Rare path: find the first bad entry and name it.
+            for j, x in enumerate(r):
+                element_from_json(got, x, f"{where}.entries[{i}][{j}]")
+            raise
     return Matrix(got, rows, cols, tuple(ents))
 
 

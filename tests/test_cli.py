@@ -77,6 +77,14 @@ def test_missing_file_is_exit_2(run):
     assert code == 2 and err["error"]["code"] == "malformed"
 
 
+def test_too_large_modulus_is_exit_2(run, tmp_path):
+    # 2^89 - 1 is past the bound of the deterministic primality test.
+    doc = {"ring": {"Zmod": 2 ** 89 - 1}, "min_degree": 0, "ranks": [1], "diffs": []}
+    code, report, err = run("validate", write(tmp_path, "x.json", doc))
+    assert code == 2 and report is None
+    assert err["error"]["code"] == "malformed" and err["error"]["where"].endswith("ring.Zmod")
+
+
 def test_usage_error_is_exit_2(run):
     code, report, err = run("nonsense")
     assert code == 2 and err["error"]["code"] == "usage"

@@ -1,10 +1,15 @@
 """Complex validation, homology, contractions, short exact sequences."""
 
 import random
+from fractions import Fraction
 
 import pytest
 import sympy
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
 
+import homcert.complexes
+import homcert.exactalg
 from homcert.complexes import (
     ChainMap, GradedFreeComplex, HomotopySystem, check_ses, concentrated,
     find_contraction, homology_invariants, identity_map, is_contraction,
@@ -33,6 +38,35 @@ def random_complex(rng, ring=ZZ, max_rank=3, length=3):
     d1 = Matrix.build(ring, n, m, lambda i, j: ring.from_int(rng.randint(-3, 3) if i < m else 0))
     # two-step complex X_1 -> X_0 always valid; extend by zero top
     return GradedFreeComplex(ring, 0, (n, m), (d1,))
+
+
+def random_split_complex(rng, ring, length=4):
+    """Pieces R --a--> R and lone copies of R summed up, then written in a
+    random basis in every degree (d^2 = 0 by design).  Basis of degree j:
+    lone generators, then targets of the pieces of diffs[j], then sources of
+    the pieces of diffs[j - 1]."""
+    pieces = [[rng.randint(-4, 4) for _ in range(rng.randint(0, 2))] for _ in range(length - 1)]
+    lone = [rng.randint(0, 1) for _ in range(length)]
+    below = [len(pieces[j]) if j < length - 1 else 0 for j in range(length)]
+    above = [len(pieces[j - 1]) if j else 0 for j in range(length)]
+    ranks = [lone[j] + below[j] + above[j] for j in range(length)]
+    d = [[[0] * ranks[j + 1] for _ in range(ranks[j])] for j in range(length - 1)]
+    for j, ps in enumerate(pieces):
+        for p, a in enumerate(ps):
+            d[j][lone[j] + p][lone[j + 1] + below[j + 1] + p] = a
+    # g = 1 + c*e_kl in degree j: g*d into degree j, d*g^-1 out of degree j.
+    for j, n in enumerate(ranks):
+        for _ in range(2 * n if n > 1 else 0):
+            k, l = rng.sample(range(n), 2)
+            c = Fraction(rng.randint(-2, 2), rng.randint(1, 2)) if ring == QQ else rng.randint(-2, 2)
+            if j < length - 1:
+                d[j][k] = [x + c * y for x, y in zip(d[j][k], d[j][l])]
+            if j:
+                for row in d[j - 1]:
+                    row[l] -= c * row[k]
+    diffs = tuple(Matrix.from_rows(ring, m) if m else Matrix(ring, 0, ranks[j + 1], ())
+                  for j, m in enumerate(d))
+    return GradedFreeComplex(ring, 0, tuple(ranks), diffs)
 
 
 def test_validate_examples():
@@ -93,12 +127,21 @@ def test_homology_fields():
 
 
 def sympy_betti(x, i):
-    """Independent homology oracle over Z: rank and torsion via sympy."""
-    din = sympy.Matrix([[int(e) for e in row] for row in x.diff(i + 1).entries]) \
-        if x.rank(i) and x.rank(i + 1) else sympy.zeros(x.rank(i), x.rank(i + 1))
-    dout = sympy.Matrix([[int(e) for e in row] for row in x.diff(i).entries]) \
-        if x.rank(i - 1) and x.rank(i) else sympy.zeros(x.rank(i - 1), x.rank(i))
-    free = x.rank(i) - din.rank() - dout.rank()
+    """Independent homology oracle: rank and torsion via sympy, over Z, Q
+    or Z/p (the rank over GF(p) through sympy's DomainMatrix)."""
+    def plain(d):
+        return sympy.Matrix([[sympy.Rational(e.numerator, e.denominator) for e in row]
+                             for row in d.entries]) \
+            if d.rows and d.cols else sympy.zeros(d.rows, d.cols)
+
+    def rank(m):
+        if x.ring in (ZZ, QQ) or 0 in m.shape:
+            return m.rank()
+        return DomainMatrix.from_Matrix(m).convert_to(GF(x.ring.modulus)).rank()
+    din, dout = plain(x.diff(i + 1)), plain(x.diff(i))
+    free = x.rank(i) - rank(din) - rank(dout)
+    if x.ring != ZZ:
+        return free, ()
     from sympy.matrices.normalforms import invariant_factors
     tors = tuple(int(t) for t in invariant_factors(din) if int(t) > 1)
     return free, tors
@@ -111,6 +154,32 @@ def test_homology_random_vs_sympy():
         for i in x.degrees():
             s = homology_invariants(x)[i]
             assert (s.free_rank, s.torsion) == sympy_betti(x, i)
+    for ring in (ZZ, QQ, Zmod(2), Zmod(5), Zmod(2 ** 31 - 1)):
+        for _ in range(15):
+            x = random_split_complex(rng, ring, rng.randint(2, 5))
+            assert validate_complex(x) == []
+            h = homology_invariants(x)
+            for i in x.degrees():
+                assert (h[i].free_rank, h[i].torsion) == sympy_betti(x, i)
+
+
+def test_homology_factors_each_differential_once(monkeypatch):
+    calls = []
+    real = homcert.exactalg.smith_normal_form
+
+    def counting(a):
+        calls.append((a.rows, a.cols))
+        return real(a)
+    monkeypatch.setattr(homcert.exactalg, "smith_normal_form", counting)
+    monkeypatch.setattr(homcert.complexes, "smith_normal_form", counting)
+    rng = random.Random(8)
+    for _ in range(10):
+        x = random_split_complex(rng, ZZ, 5)
+        calls.clear()
+        h = homology_invariants(x)
+        assert len(calls) <= len(x.diffs)
+        for i in x.degrees():
+            assert (h[i].free_rank, h[i].torsion) == sympy_betti(x, i)
 
 
 # -- chain maps -------------------------------------------------------

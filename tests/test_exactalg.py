@@ -6,11 +6,15 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
+from sympy import GF
 from sympy.matrices.normalforms import invariant_factors
+from sympy.polys.matrices import DomainMatrix
 
 from homcert.exactalg import (
-    Matrix, QQ, SmithSolver, ZZ, Zmod, det, elementary_divisors, inverse,
-    is_invertible, rank, smith_normal_form, solve_right,
+    MODULUS_LIMIT, Matrix, ModularRing, QQ, SmithSolver, ZZ, Zmod, det,
+    elementary_divisors, inverse, is_invertible, is_prime, rank,
+    smith_normal_form, solve_right,
 )
 
 
@@ -45,6 +49,34 @@ def test_field_flags():
     assert Zmod(2).is_field and not Zmod(9).is_field
 
 
+def test_is_prime_matches_sympy_below_20000():
+    assert [m for m in range(20000) if is_prime(m)] == list(sympy.primerange(20000))
+
+
+@pytest.mark.parametrize("m, prime", [
+    (3215031751, False),           # strong pseudoprime to bases 2, 3, 5, 7
+    (3825123056546413051, False),  # strong pseudoprime to every base up to 23
+    (2 ** 31 - 1, True),
+    (2 ** 61 - 1, True),
+])
+def test_is_prime_large_moduli(m, prime):
+    assert is_prime(m) == prime == sympy.isprime(m)
+    assert Zmod(m).is_field == prime
+
+
+def test_modulus_beyond_primality_bound_rejected():
+    assert 2 ** 89 - 1 >= MODULUS_LIMIT
+    with pytest.raises(ValueError):
+        Zmod(2 ** 89 - 1)
+    with pytest.raises(ValueError):
+        is_prime(MODULUS_LIMIT)
+    assert not Zmod(MODULUS_LIMIT - 1).is_field
+
+
+def test_is_field_is_a_plain_property():
+    assert type(ModularRing.__dict__["is_field"]) is property
+
+
 def test_zmod_normalization():
     r = Zmod(5)
     assert r.normalize(-3) == 2
@@ -74,6 +106,81 @@ def test_zero_dimensional_matrices():
     assert e.transpose().rows == 3 and e.transpose().cols == 0
     assert e.is_zero() and f.is_zero()
     assert Matrix.identity(ZZ, 0).is_identity()
+
+
+PRODUCT_RINGS = [ZZ, QQ, Zmod(7), Zmod(12), Zmod(2 ** 31 - 1), Zmod(2 ** 61 - 1)]
+
+
+def naive_product(a, b):
+    """Reference A * B with one ring callback per multiply-add."""
+    ring = a.ring
+    out = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            acc = ring.zero()
+            for k in range(a.cols):
+                acc = ring.add(acc, ring.mul(a.entries[i][k], b.entries[k][j]))
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def assert_canonical(m):
+    for row in m.entries:
+        for x in row:
+            if m.ring == QQ:
+                assert type(x) is Fraction
+            else:
+                assert type(x) is int
+                if m.ring != ZZ:
+                    assert 0 <= x < m.ring.modulus
+
+
+@st.composite
+def product_operands(draw, ring):
+    """A k x l and an l x n matrix over ``ring``; entries of up to 130 bits,
+    negative ones, and over Q both Fractions and plain ints."""
+    r, k, c = (draw(st.integers(0, 4)) for _ in range(3))
+    ints = st.integers(-2 ** 130, 2 ** 130)
+
+    def entry():
+        n = draw(ints)
+        if ring == QQ:
+            return draw(st.sampled_from((n, Fraction(n, draw(st.integers(1, 2 ** 100))))))
+        return ring.from_int(n)
+
+    def matrix(rows, cols):
+        return Matrix(ring, rows, cols, tuple(tuple(entry() for _ in range(cols))
+                                              for _ in range(rows)))
+    return matrix(r, k), matrix(k, c)
+
+
+@pytest.mark.parametrize("ring", PRODUCT_RINGS, ids=str)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_product_matches_naive_reference(ring, data):
+    a, b = data.draw(product_operands(ring))
+    p = a * b
+    assert (p.rows, p.cols) == (a.rows, b.cols)
+    assert p.entries == naive_product(a, b)
+    assert_canonical(p)
+
+
+@pytest.mark.parametrize("ring", PRODUCT_RINGS, ids=str)
+def test_product_empty_and_wide_entries(ring):
+    for r, k, c in ((0, 3, 2), (2, 0, 3), (3, 2, 0), (0, 0, 0)):
+        a, b = Matrix.zeros(ring, r, k), Matrix.zeros(ring, k, c)
+        p = a * b
+        assert p == Matrix.zeros(ring, r, c) and p.entries == naive_product(a, b)
+        assert_canonical(p)
+    big = 2 ** 127 - 1
+    a = Matrix.from_rows(ring, [[big, -big], [-3, 1]])
+    b = Matrix.from_rows(ring, [[big], [5]])
+    assert (a * b).entries == naive_product(a, b)
+    if ring == QQ:
+        mixed = Matrix(QQ, 1, 2, ((Fraction(1, 3), 2),))
+        assert (mixed * Matrix(QQ, 2, 1, ((3,), (Fraction(-1, 4),)))).entries == ((Fraction(1, 2),),)
 
 
 def test_kron_matches_blockwise_definition():
@@ -284,6 +391,35 @@ def test_rank_and_inverse():
     assert is_invertible(Matrix.from_rows(Zmod(12), [[5]]))
     with pytest.raises(ValueError):
         inverse(mat([[2]]))
+
+
+def sympy_field_rank(a):
+    if a.rows == 0 or a.cols == 0:
+        return 0
+    m = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in a.entries])
+    if a.ring == QQ:
+        return m.rank()
+    return DomainMatrix.from_Matrix(m).convert_to(GF(a.ring.modulus)).rank()
+
+
+@pytest.mark.parametrize("ring", [QQ, Zmod(2), Zmod(7), Zmod(2 ** 31 - 1)], ids=str)
+def test_field_rank_and_solve_vs_sympy(ring):
+    rng = random.Random(17)
+    for _ in range(40):
+        r, c = rng.randint(0, 5), rng.randint(0, 5)
+        # low rank on purpose: a product through an inner dimension of 0..3
+        k = rng.randint(0, 3)
+        a = random_matrix(rng, ring, r, k, -4, 4) * random_matrix(rng, ring, k, c, -4, 4)
+        if ring == QQ:
+            a = a * Matrix.scalar(QQ, c, Fraction(1, rng.randint(1, 6)))
+        assert rank(a) == sympy_field_rank(a)
+        b = random_matrix(rng, ring, r, 2, -4, 4)
+        x = solve_right(a, b)
+        solvable = sympy_field_rank(a) == sympy_field_rank(a.hstack(b))
+        assert (x is not None) == solvable
+        if x is not None:
+            assert a * x == b
+            assert_canonical(x)
 
 
 def test_det_values():

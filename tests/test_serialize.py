@@ -16,8 +16,8 @@ from homcert.constructions import disk, suspend
 from homcert.exactalg import Matrix, QQ, ZZ, Zmod
 from homcert.randgen import contractible_structure, disk_pile, lift_pair
 from homcert.serialize import (
-    FormatError, detect_kind, dumps, from_json, loads, matrix_from_json,
-    matrix_to_json, ring_from_json, ring_to_json, to_json,
+    FormatError, complex_from_json, detect_kind, dumps, from_json, loads,
+    matrix_from_json, matrix_to_json, ring_from_json, ring_to_json, to_json,
 )
 from homcert.structures import restrict
 
@@ -65,6 +65,28 @@ def test_matrix_shape_errors_carry_breadcrumbs():
     assert "entries[0][0]" in e.value.where
     with pytest.raises(FormatError):
         matrix_from_json({"ring": "Q", "rows": 1, "cols": 1, "entries": [["1/0"]]})
+
+
+@pytest.mark.parametrize("ring, bad, message", [
+    ("Z", "x", "not a ring element: 'x'"),
+    ("Q", "1/0", "not a ring element: '1/0'"),
+    ({"Zmod": 7}, True, "expected a ring element"),
+    ("Q", 1.5, "expected a ring element"),
+])
+def test_bad_entry_in_nested_matrix_is_named(ring, bad, message):
+    entries = [["1", "2", "3"], ["4", "5", bad]]
+    doc = {"ring": ring, "min_degree": 0, "ranks": [2, 3],
+           "diffs": [{"ring": ring, "rows": 2, "cols": 3, "entries": entries}]}
+    with pytest.raises(FormatError) as e:
+        complex_from_json(doc)
+    assert e.value.where == "complex.diffs[0].entries[1][2]"
+    assert str(e.value) == message
+
+
+def test_modulus_beyond_primality_bound_is_format_error():
+    with pytest.raises(FormatError) as e:
+        ring_from_json({"Zmod": 2 ** 89 - 1})
+    assert e.value.where == "ring.Zmod"
 
 
 def test_complex_round_trip_and_determinism():

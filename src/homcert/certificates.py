@@ -28,7 +28,9 @@ from .constructions import (
     mapping_cone, peel_to_disks, peel_top, suspend,
 )
 from .exactalg import Matrix
-from .fold import coefficient_block, disk_fold_iso, fold_general, fold_map
+from .fold import (
+    coefficient_block, disk_fold_iso, fold_general, fold_map, squared_scalars,
+)
 from .structures import (
     HomotopyStructure, check_structure, is_equivariant, restrict,
 )
@@ -198,14 +200,13 @@ def check_certificate(cert: Certificate) -> CheckResult:
                     or step.project.source != mtot.complex
                     or step.project.target != mquot.complex):
                 return fail(idx, "row arrows do not connect the named objects")
-            if not step.include.is_chain_map() or not step.project.is_chain_map():
-                return fail(idx, "row arrow is not a chain map")
+            problems = check_ses(step.include, step.project)
+            if problems:
+                return fail(idx, "row is not exact: " + problems[0])
             if not is_equivariant(step.include, msub, mtot):
                 return fail(idx, "row inclusion is not equivariant")
             if not is_equivariant(step.project, mtot, mquot):
                 return fail(idx, "row projection is not equivariant")
-            if check_ses(step.include, step.project):
-                return fail(idx, "row is not exact")
             expr[step.total] = expr.get(step.total, 0) + step.mult
             expr[step.sub] = expr.get(step.sub, 0) - step.mult
             expr[step.quotient] = expr.get(step.quotient, 0) - step.mult
@@ -306,11 +307,6 @@ def check_certificate(cert: Certificate) -> CheckResult:
 # accepts; none of them is trusted by the checker.
 
 
-def _squared(m: HomotopyStructure) -> tuple:
-    ring = m.complex.ring
-    return tuple(ring.mul(s, s) for s in m.scalars)
-
-
 def sum_certificate(ma: HomotopyStructure, mb: HomotopyStructure,
                     ceiling: int) -> Certificate:
     """[A + B] = [A] + [B] through the split exact row."""
@@ -341,7 +337,7 @@ def fold_row_certificates(m: HomotopyStructure, n: int):
     comparison cone onto the fold).
     """
     data = fold_general(m, n)
-    slot = Slot(_squared(m), n)
+    slot = Slot(squared_scalars(m), n)
     reg_a = (("coefficient", data.coefficient_end),
              ("cone", data.cone),
              ("base", data.base_end))
@@ -362,12 +358,15 @@ def fold_row_certificates(m: HomotopyStructure, n: int):
 def fold_defect_certificate(m: HomotopyStructure, n: int) -> Certificate:
     """[rescaled input] - [fold] - (-1)^(n-d) [coefficient block] = 0.
 
-    Works for any structure supported in degrees within [0, n]; the
-    coefficient block is taken on the degree n part of the input.
+    Works for any structure supported in degrees within [0, n] with n > d;
+    the coefficient block is taken on the degree n part of the input.
     """
     x = m.complex
     ring = x.ring
     d = m.ngens
+    if n <= d:
+        raise ValueError(f"fold defect needs a ceiling n above the number d of "
+                         f"generators, got n = {n}, d = {d}")
     data = fold_general(m, n)
     p = x.rank(n)
     block = coefficient_block(ring, p, m.scalars)
@@ -397,7 +396,7 @@ def fold_defect_certificate(m: HomotopyStructure, n: int) -> Certificate:
                                     mult=-coeff))
         coeff = -coeff
     claim = ClassExpr.build([("base", 1), ("fold", -1), ("block_up_0", coeff)])
-    return Certificate(Slot(_squared(m), n), tuple(registry),
+    return Certificate(Slot(squared_scalars(m), n), tuple(registry),
                        tuple(steps), claim)
 
 
@@ -421,7 +420,7 @@ def fold_identity_certificate(m: HomotopyStructure, n: int) -> Certificate:
     registry = (("fold", data.structure), ("base", base))
     step = Isomorphism("fold", "base", iso)
     claim = ClassExpr.build([("fold", 1), ("base", -1)])
-    return Certificate(Slot(_squared(m), n - 1), registry, (step,), claim)
+    return Certificate(Slot(squared_scalars(m), n - 1), registry, (step,), claim)
 
 
 def disk_transport_certificate(ring, rank: int, n: int, scalars) -> Certificate:

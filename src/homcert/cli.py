@@ -26,12 +26,12 @@ from .certificates import (
 from .complexes import GradedFreeComplex, ChainMap, validate_complex
 from .constructions import cone_mixed, cone_same, dual, glue_extension, suspend
 from .exactalg import ZZ
-from .fold import fold_general, fold_once
+from .fold import fold_once
 from .randgen import lift_pair, random_structure
 from .serialize import (
     FormatError, certificate_from_json, certificate_to_json,
     chain_map_from_json, chain_map_to_json, complex_from_json, detect_kind,
-    element_from_json, element_to_str, from_json, structure_from_json,
+    dumps, element_from_json, element_to_str, from_json, structure_from_json,
     structure_to_json,
 )
 from .structures import HomotopyStructure, check_structure, find_structure
@@ -42,7 +42,7 @@ class Invalid(Exception):
 
 
 def _emit(doc: dict):
-    sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(dumps(doc))
 
 
 def _emit_error(code: str, message: str, where: str = None):
@@ -157,11 +157,10 @@ def cmd_gamma(args) -> int:
     report = {"command": "gamma", "ceiling": n}
     try:
         if args.general or m.ngens != 1:
-            data = fold_general(m, n)
             rows = fold_row_certificates(m, n)
             report["route"] = "general"
             report["witness_rows"] = [certificate_to_json(c) for c in rows]
-            out = data.structure
+            out = dict(rows[1].registry)["fold"]
         else:
             out = fold_once(m, n)
             report["route"] = "direct"
@@ -325,8 +324,7 @@ def cmd_demo(args) -> int:
                         "reason": res.reason, "steps": len(cert.steps)})
         ok = ok and res.accepted
     out = args.out or f"demo_{args.name}_seed{args.seed}.certificate.json"
-    Path(out).write_text(
-        json.dumps(certificate_to_json(certs[0][1]), indent=2, sort_keys=True) + "\n")
+    Path(out).write_text(dumps(certs[0][1]))
     report = {
         "command": "demo",
         "name": args.name,

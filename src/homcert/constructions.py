@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 from .complexes import (
     ChainMap, GradedFreeComplex, find_contraction, identity_map, is_contraction,
 )
-from .exactalg import Matrix, ZZ, inverse, smith_normal_form, solve_right
+from .exactalg import Matrix, ZZ, smith_normal_form, solve_right
 from .structures import (
     HomotopyStructure, check_structure, is_equivariant, restrict,
 )
@@ -332,7 +332,7 @@ def peel_top(m: HomotopyStructure,
     """Split the top degree of a contractible structure off as a disk.
 
     Uses a contraction h to form the idempotent id - d h on the next
-    degree, splits its image off over Z via the Smith form, and carries
+    degree, splits its image off over Z with one Smith form, and carries
     the operators over; the complement is the included disk on the top
     rank.  Needs at least a two-degree window.
     """
@@ -349,14 +349,16 @@ def peel_top(m: HomotopyStructure,
     dn = x.diff(n)
     proj_top = dn * h.mat(n - 1)             # idempotent with image d_n(X_n)
     compl = Matrix.identity(ring, x.rank(n - 1)) - proj_top
-    u, dd, _ = smith_normal_form(compl)
+    # U * compl * V = diag(1^r, 0): the first r columns of compl * V are a
+    # basis of the image, and the first r rows of U * compl its coordinates.
+    u, dd, v = smith_normal_form(compl)
     r = sum(1 for i in range(min(dd.rows, dd.cols)) if dd.entries[i][i] != 0)
     if any(dd.entries[i][i] != 1 for i in range(r)):
         raise ValueError("idempotent image is not a direct summand")
-    uinv = inverse(u)
-    basis = Matrix.build(ring, compl.rows, r, lambda i, j: uinv.entries[i][j])
-    q = solve_right(basis, compl)
-    if q is None or q * basis != Matrix.identity(ring, r) or not (q * dn).is_zero():
+    basis = Matrix(ring, compl.rows, r, tuple(row[:r] for row in (compl * v).entries))
+    q = Matrix(ring, r, compl.cols, (u * compl).entries[:r])
+    if (basis * q != compl or q * basis != Matrix.identity(ring, r)
+            or not (q * dn).is_zero()):
         raise ValueError("splitting of the idempotent failed")
 
     top_disk = disk(ring, x.rank(n), n, m.scalars)

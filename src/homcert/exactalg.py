@@ -219,7 +219,7 @@ class ModularRing(Ring):
     @property
     def is_field(self):
         # Only prime moduli give a field; callers that need elimination
-        # (rank, homology) must check this.
+        # (rank, solve, homology) must check this.
         return self._prime
 
     def __eq__(self, other):
@@ -537,35 +537,26 @@ def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
 
 
 def det(a: Matrix):
-    """Determinant of a square matrix (exact, fraction-free over Z)."""
+    """Determinant of a square matrix (exact, fraction-free Bareiss).
+
+    Over Q each row is first written as integers over its common
+    denominator, so every ring runs the same integer elimination.
+    """
     if a.rows != a.cols:
         raise ValueError("determinant of a non-square matrix")
     n = a.rows
     if n == 0:
         return a.ring.one()
-    if a.ring == ZZ or isinstance(a.ring, ModularRing):
-        m = [[int(x) for x in row] for row in a.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return a.ring.from_int(0)
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            prev = m[k][k]
-        return a.ring.from_int(sign * m[n - 1][n - 1])
-    # field with fractions: plain elimination
-    m = [[Fraction(x) for x in row] for row in a.entries]
+    if a.ring == QQ:
+        rows = _over_common_denominator(a.entries)
+        m = [row for row, _ in rows]
+        scale = math.prod(d for _, d in rows)
+    else:
+        m = [list(row) for row in a.entries]
+        scale = 1
     sign = 1
-    acc = Fraction(1)
-    for k in range(n):
+    prev = 1
+    for k in range(n - 1):
         if m[k][k] == 0:
             for i in range(k + 1, n):
                 if m[i][k] != 0:
@@ -573,27 +564,19 @@ def det(a: Matrix):
                     sign = -sign
                     break
             else:
-                return a.ring.from_int(0)
-        acc *= m[k][k]
-        inv = 1 / m[k][k]
+                return a.ring.zero()
         for i in range(k + 1, n):
-            f = m[i][k] * inv
-            if f:
-                m[i] = [x - f * y for x, y in zip(m[i], m[k])]
-    return a.ring.normalize(sign * acc)
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    value = sign * m[n - 1][n - 1]
+    return Fraction(value, scale) if a.ring == QQ else a.ring.from_int(value)
 
 
 def is_invertible(a: Matrix) -> bool:
     if a.rows != a.cols:
         return False
     return a.ring.is_unit(det(a))
-
-
-def inverse(a: Matrix) -> Matrix:
-    inv = solve_right(a, Matrix.identity(a.ring, a.rows))
-    if inv is None or not (inv * a).is_identity():
-        raise ValueError("matrix is not invertible over its ring")
-    return inv
 
 
 # ---------------------------------------------------------------------
@@ -640,7 +623,7 @@ def _row_reduce(ring: Ring, m: list, ncols: int) -> list:
 
 
 def _solve_field(a: Matrix, b: Matrix) -> Optional[Matrix]:
-    """Gauss-Jordan over Q; free variables are left zero."""
+    """Gauss-Jordan over Q or Z/p; free variables are left zero."""
     ring = a.ring
     c, k = a.cols, b.cols
     aug = [[*map(ring.normalize, row_a), *map(ring.normalize, row_b)]
@@ -697,8 +680,9 @@ class SmithSolver:
 def solve_right(a: Matrix, b: Matrix) -> Optional[Matrix]:
     """One solution X of A*X = B, or None when no solution exists.
 
-    Complete over Z (Smith form), over fields (elimination), and over any
-    Z/m (lift to an augmented integer system A*X + m*W = B).
+    Complete over Z (Smith form), over the fields Q and Z/p (the shared
+    Gauss-Jordan elimination), and over composite Z/m (lift to an
+    augmented integer system A*X + m*W = B).
 
     Example:
         >>> from homcert.exactalg import Matrix, ZZ, solve_right
@@ -715,7 +699,7 @@ def solve_right(a: Matrix, b: Matrix) -> Optional[Matrix]:
     ring = a.ring
     if ring == ZZ:
         return SmithSolver(a).solve(b)
-    if ring == QQ:
+    if ring.is_field:
         return _solve_field(a, b)
     if isinstance(ring, ModularRing):
         m = ring.modulus

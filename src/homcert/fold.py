@@ -28,7 +28,7 @@ from .constructions import (
     tensor_module,
     module_tensor,
 )
-from .exactalg import Matrix, inverse
+from .exactalg import Matrix
 from .koszul import counit_map, exterior_basis, hodge_star, koszul, koszul_dual
 from .structures import HomotopyStructure, check_structure, is_equivariant, restrict
 
@@ -338,7 +338,7 @@ def disk_fold_iso(ring, rank: int, n: int, scalars: tuple):
     mats = []
     for i in range(gx.min_degree, gx.min_degree + len(gx.ranks)):
         k = i - gx.min_degree
-        unstar = inverse(star.mat(k))
+        unstar = star.mat(k).transpose()  # a signed permutation
         low = exterior_basis(d, d - k)
         nb = len(low)
         high = len(exterior_basis(d, k))

@@ -5,7 +5,9 @@ import random
 import pytest
 
 from homcert.complexes import ChainMap, GradedFreeComplex, identity_map
-from homcert.constructions import direct_sum, disk, suspend
+from homcert.constructions import (
+    direct_sum, disk, identity_cone_contraction, mapping_cone, suspend,
+)
 from homcert.exactalg import Matrix, ZZ, Zmod
 from homcert.certificates import (
     Certificate,
@@ -36,7 +38,9 @@ from homcert.randgen import (
     offset_cone,
     random_structure,
 )
-from homcert.structures import restrict
+from homcert.structures import (
+    HomotopyStructure, restrict, structure_from_contraction,
+)
 
 
 def test_sum_certificate_accepted():
@@ -192,6 +196,14 @@ def test_fold_defect_certificate_accepted():
         assert res.accepted, (res.reason, res.step)
 
 
+def test_fold_defect_needs_ceiling_above_generators():
+    m = disk(ZZ, 1, 2, (2, 3))
+    with pytest.raises(ValueError, match="above the number d"):
+        fold_defect_certificate(m, 2)
+    with pytest.raises(ValueError, match="above the number d"):
+        fold_defect_certificate(disk(ZZ, 1, 1, (2, 3)), 1)
+
+
 def test_fold_identity_certificate_accepted():
     rng = random.Random(8)
     m = disk_pile(rng, ZZ, 2, (3,))
@@ -212,6 +224,67 @@ def test_peel_chain_certificate_accepted():
     assert dict(cert.claim.terms)["stage_0"] == 1
     assert all(c == -1 for name, c in cert.claim.terms if name.startswith("disk_"))
     assert len(cert.claim.terms) == len(rows) + 1
+
+
+def _unimodular(rng, n):
+    """A random integer matrix of determinant +-1 and its inverse."""
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    q = [row[:] for row in p]
+    for _ in range(2 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((1, -1))
+        p[i] = [a + c * b for a, b in zip(p[i], p[j])]
+        for row in q:
+            row[j] -= c * row[i]
+    return Matrix.from_rows(ZZ, p), Matrix.from_rows(ZZ, q)
+
+
+def random_basis_identity_cone(rng, base_ranks, scalar):
+    """s.h on the cone of the identity of a three-term complex, with the base
+    and then the cone written in random bases degree by degree."""
+    lower, mid, upper = base_ranks
+    pieces = [[rng.choice((1, -1, 2, 3)) if i == j else 0 for j in range(mid)]
+              for i in range(lower)]
+    tops = [[rng.choice((1, -1, 2, 3)) if i == lower + j else 0 for j in range(upper)]
+            for i in range(mid)]
+    bases = [_unimodular(rng, r) for r in base_ranks]
+    d1 = bases[0][0] * Matrix.from_rows(ZZ, pieces) * bases[1][1]
+    d2 = bases[1][0] * Matrix.from_rows(ZZ, tops) * bases[2][1]
+    base = GradedFreeComplex(ZZ, 0, base_ranks, (d1, d2))
+    cone, _, _ = mapping_cone(identity_map(base))
+    m = structure_from_contraction(cone, identity_cone_contraction(base), (scalar,))
+    x = m.complex
+    p = {i: _unimodular(rng, x.rank(i)) for i in x.degrees()}
+    diffs = tuple(p[i - 1][0] * x.diff(i) * p[i][1]
+                  for i in range(x.min_degree + 1, x.top_degree + 1))
+    ops = tuple(tuple(p[i + 1][0] * m.op(g, i) * p[i][1]
+                      for i in range(x.min_degree, x.top_degree))
+                for g in range(m.ngens))
+    return HomotopyStructure(GradedFreeComplex(ZZ, x.min_degree, x.ranks, diffs),
+                             m.scalars, ops)
+
+
+@pytest.mark.parametrize("base_ranks", [(2, 4, 2), (4, 8, 4), (6, 12, 6)], ids=str)
+def test_random_basis_identity_cone_peel_accepted(base_ranks):
+    rng = random.Random(sum(base_ranks))
+    for _ in range(2):
+        m = random_basis_identity_cone(rng, base_ranks, rng.choice((2, 3)))
+        n = m.complex.top_degree
+        cert = peel_chain_certificate(m, n)
+        res = check_certificate(cert)
+        assert res.accepted, (res.reason, res.step)
+
+
+def test_inexact_row_reason_names_the_degree():
+    rng = random.Random(12)
+    cert = sum_certificate(disk_pile(rng, ZZ, 3, (2,)), disk_pile(rng, ZZ, 3, (2,)), 3)
+    (row,) = cert.steps
+    # an identity projection kills nothing: g o f = f, nonzero wherever A is
+    f = row.include
+    bad = ExactRow(row.sub, row.total, "sum", f, identity_map(f.target))
+    res = check_certificate(Certificate(cert.slot, cert.registry, (bad,), cert.claim))
+    assert not res.accepted
+    assert res.reason.startswith("row is not exact: g o f != 0 in degree ")
 
 
 def test_structure_independence_certificate_accepted():

@@ -13,7 +13,7 @@ from homcert.constructions import (
     identity_cone_contraction, mapping_cone, module_tensor, peel_to_disks,
     peel_top, suspend, suspend_complex, tensor_complexes, tensor_module,
 )
-from homcert.exactalg import Matrix, ZZ, inverse
+from homcert.exactalg import Matrix, ZZ, solve_right
 from homcert.structures import (
     HomotopyStructure, check_structure, is_equivariant, restrict,
     structure_from_contraction,
@@ -187,7 +187,8 @@ def test_glue_conjugated_extension():
     conj = ChainMap(b, b, 0, u_mats)
     assert conj.is_chain_map()
     incl = conj.compose(ia)
-    proj = pc.compose(ChainMap(b, b, 0, tuple(inverse(mm) for mm in u_mats)))
+    inverses = tuple(solve_right(mm, Matrix.identity(ZZ, mm.rows)) for mm in u_mats)
+    proj = pc.compose(ChainMap(b, b, 0, inverses))
     assert check_ses(incl, proj) == []
     glued = glue_extension(incl, proj, a, c)
     assert glued.scalars == (6,)
@@ -232,6 +233,27 @@ def test_peel_to_disks_counts():
         steps = peel_to_disks(m)
         assert len(steps) == x.top_degree - x.min_degree
         assert sum(s.disk.complex.total_rank() for s in steps) >= x.rank(x.top_degree)
+
+
+def test_peel_factors_once_given_a_contraction(monkeypatch):
+    import homcert.constructions as constructions_mod
+    import homcert.exactalg as exactalg_mod
+    base = staircase_structure().complex
+    cone, _, _ = mapping_cone(identity_map(base))
+    h = identity_cone_contraction(base)
+    m = structure_from_contraction(cone, h, (3,))
+    calls = {"smith_normal_form": 0, "solve_right": 0}
+    for name in calls:
+        real = getattr(exactalg_mod, name)
+
+        def counted(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+        for mod in (exactalg_mod, constructions_mod):
+            monkeypatch.setattr(mod, name, counted)
+    step = peel_top(m, h)
+    assert calls == {"smith_normal_form": 1, "solve_right": 0}
+    assert len(step.quotient.complex.ranks) == len(m.complex.ranks) - 1
 
 
 def test_peel_rejects_non_contractible():

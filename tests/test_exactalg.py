@@ -13,7 +13,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from homcert.exactalg import (
     MODULUS_LIMIT, Matrix, ModularRing, QQ, SmithSolver, ZZ, Zmod, det,
-    elementary_divisors, inverse, is_invertible, is_prime, rank,
+    elementary_divisors, is_invertible, is_prime, rank,
     smith_normal_form, solve_right,
 )
 
@@ -386,11 +386,10 @@ def test_rank_and_inverse():
     assert rank(Matrix.from_rows(Zmod(5), [[1, 2], [2, 4]])) == 1
     u = mat([[1, 1], [0, 1]])
     assert is_invertible(u)
-    assert inverse(u) * u == Matrix.identity(ZZ, 2)
+    assert solve_right(u, Matrix.identity(ZZ, 2)) * u == Matrix.identity(ZZ, 2)
     assert not is_invertible(mat([[2]]))
     assert is_invertible(Matrix.from_rows(Zmod(12), [[5]]))
-    with pytest.raises(ValueError):
-        inverse(mat([[2]]))
+    assert solve_right(mat([[2]]), Matrix.identity(ZZ, 1)) is None
 
 
 def sympy_field_rank(a):
@@ -432,3 +431,15 @@ def test_det_values():
         a = random_matrix(rng, ZZ, 3, 3, -6, 6)
         s = sympy.Matrix([[int(x) for x in row] for row in a.entries])
         assert det(a) == int(s.det())
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(n)]
+                for _ in range(n)]
+        if rng.random() < 0.25:
+            rows[-1] = [2 * x for x in rows[0]]      # singular when n > 1
+        if rng.random() < 0.25:
+            rows[0][0] = Fraction(0)                 # forces a row swap
+        want = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                             for row in rows]).det()
+        got = det(mat(rows, ring=QQ))
+        assert isinstance(got, Fraction) and got == Fraction(int(want.p), int(want.q))

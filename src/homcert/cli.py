@@ -1,9 +1,10 @@
 """Batch front end: validate documents, run constructions, check certificates.
 
-Exit codes: 0 valid/accepted, 1 invalid/rejected, 2 malformed input or bad
-usage.  The report is JSON on stdout with sorted keys and a trailing
-newline, so identical inputs (and seed) give byte-identical output; on any
-nonzero exit a one-line ``{"error": ...}`` object goes to stderr.
+Exit codes: 0 valid/accepted, 1 invalid/rejected or a failed internal
+self-check, 2 malformed input or bad usage.  The report is JSON on stdout
+with sorted keys and a trailing newline, so identical inputs (and seed) give
+byte-identical output; on any nonzero exit a one-line ``{"error": ...}``
+object goes to stderr.
 
 Reports that carry an artifact keep the artifact's own schema at the top
 level (extra keys like ``command`` ride along), so a report written to a
@@ -421,6 +422,11 @@ def main(argv=None) -> int:
         return 2
     except Invalid as e:
         _emit_error("invalid", str(e))
+        return 1
+    except AssertionError as e:
+        # A construction failed to verify its own output: a fault in homcert,
+        # not in the input.
+        _emit_error("internal", f"self-check failed: {e}")
         return 1
 
 

@@ -146,7 +146,7 @@ def _rank_and_torsion(d: Matrix) -> tuple:
     if d.ring != ZZ:
         return matrix_rank(d), ()
     _, s, _ = smith_normal_form(d)
-    diag = [s.entries[k][k] for k in range(min(d.rows, d.cols))]
+    diag = [s.ints[k][k] for k in range(min(d.rows, d.cols))]
     return sum(1 for a in diag if a), tuple(a for a in diag if a > 1)
 
 
@@ -276,8 +276,9 @@ class HomotopySystem:
                                                     lambda k, _: c if diag[k] else 0))
         if vec is None:
             return None
-        flat = iter(row[0] for row in vec.entries)
-        mats = [Matrix(ring, r, c_, tuple(tuple(next(flat) for _ in range(c_)) for _ in range(r)))
+        flat = iter(row[0] for row in vec.ints)
+        mats = [Matrix.from_ints(ring, r, c_, tuple(tuple(next(flat) for _ in range(c_))
+                                                    for _ in range(r)), vec.den)
                 for r, c_ in self.shapes]
         mats.append(Matrix.zeros(ring, 0, x.rank(x.top_degree)))
         return ChainMap(x, x, 1, tuple(mats))

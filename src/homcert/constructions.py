@@ -352,11 +352,11 @@ def peel_top(m: HomotopyStructure,
     # U * compl * V = diag(1^r, 0): the first r columns of compl * V are a
     # basis of the image, and the first r rows of U * compl its coordinates.
     u, dd, v = smith_normal_form(compl)
-    r = sum(1 for i in range(min(dd.rows, dd.cols)) if dd.entries[i][i] != 0)
-    if any(dd.entries[i][i] != 1 for i in range(r)):
+    r = sum(1 for i in range(min(dd.rows, dd.cols)) if dd.ints[i][i] != 0)
+    if any(dd.ints[i][i] != 1 for i in range(r)):
         raise ValueError("idempotent image is not a direct summand")
-    basis = Matrix(ring, compl.rows, r, tuple(row[:r] for row in (compl * v).entries))
-    q = Matrix(ring, r, compl.cols, (u * compl).entries[:r])
+    basis = Matrix.from_ints(ring, compl.rows, r, tuple(row[:r] for row in (compl * v).ints))
+    q = Matrix.from_ints(ring, r, compl.cols, (u * compl).ints[:r])
     if (basis * q != compl or q * basis != Matrix.identity(ring, r)
             or not (q * dn).is_zero()):
         raise ValueError("splitting of the idempotent failed")

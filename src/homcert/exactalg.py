@@ -6,14 +6,19 @@ so this module concentrates all the number crunching: a small immutable
 matrix type, Smith normal form with unimodular witnesses over Z, and a
 complete solver for each supported ring (Z/m composite included, via
 lifting through the integers).
+
+A matrix stores canonical Python ints in every ring (residues over Z/m,
+one integer matrix over one common denominator over Q), so products,
+sums, scaling, Kronecker products and comparisons run on ints; ring
+callbacks are used for scalars only.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Optional
 
 
@@ -25,6 +30,8 @@ class Ring:
     """
 
     tag: str = "?"
+    # Matrix entries are reduced mod this; 0 means no reduction (Z and Q).
+    _mod: int = 0
 
     def zero(self):
         return self.from_int(0)
@@ -55,10 +62,6 @@ class Ring:
 
     def normalize(self, a):
         """Canonical representative of ``a`` (used when parsing raw input)."""
-        raise NotImplementedError
-
-    def product(self, rows, cols) -> tuple:
-        """Entries of A * B, given the rows of A and the columns of B."""
         raise NotImplementedError
 
     @property
@@ -94,10 +97,6 @@ class IntegerRing(Ring):
             return int(a)
         return int(a)
 
-    def product(self, rows, cols):
-        mul = operator.mul
-        return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in rows)
-
     def __eq__(self, other):
         return isinstance(other, IntegerRing)
 
@@ -125,14 +124,6 @@ class RationalRing(Ring):
 
     def normalize(self, a):
         return Fraction(a)
-
-    def product(self, rows, cols):
-        # Each row and each column becomes integers over the lcm of its
-        # denominators; entries may be Fractions or plain ints.
-        mul = operator.mul
-        srows, scols = _over_common_denominator(rows), _over_common_denominator(cols)
-        return tuple(tuple(Fraction(sum(map(mul, row, col)), dr * dc) for col, dc in scols)
-                     for row, dr in srows)
 
     @property
     def is_field(self):
@@ -185,7 +176,7 @@ class ModularRing(Ring):
             raise ValueError("modulus must be >= 2")
         if modulus >= MODULUS_LIMIT:
             raise ValueError(f"modulus must be below {MODULUS_LIMIT}")
-        self.modulus = int(modulus)
+        self.modulus = self._mod = int(modulus)
         self.tag = f"Z/{self.modulus}"
         self._prime = is_prime(self.modulus)
 
@@ -211,11 +202,6 @@ class ModularRing(Ring):
             a = int(a)
         return int(a) % self.modulus
 
-    def product(self, rows, cols):
-        # Entries are canonical ints, so one reduction per entry suffices.
-        mul, m = operator.mul, self.modulus
-        return tuple(tuple(sum(map(mul, row, col)) % m for col in cols) for row in rows)
-
     @property
     def is_field(self):
         # Only prime moduli give a field; callers that need elimination
@@ -227,15 +213,6 @@ class ModularRing(Ring):
 
     def __hash__(self):
         return hash(("Zmod", self.modulus))
-
-
-def _over_common_denominator(vectors):
-    """Each vector of rationals as (integer vector, d) with vector = integers / d."""
-    out = []
-    for v in vectors:
-        d = math.lcm(*(x.denominator for x in v))
-        out.append(([x.numerator * (d // x.denominator) for x in v], d))
-    return out
 
 
 ZZ = IntegerRing()
@@ -250,53 +227,86 @@ def Zmod(m: int) -> ModularRing:
     return _zmod_cache[m]
 
 
-@dataclass(frozen=True)
+def _tuples(rows, m: int) -> tuple:
+    """Rows of ints as nested tuples, each entry reduced mod ``m`` unless m is 0."""
+    if m:
+        return tuple(tuple(x % m for x in row) for row in rows)
+    return tuple(map(tuple, rows))
+
+
+def _times(ints: tuple, f: int) -> tuple:
+    return ints if f == 1 else tuple(tuple(map(f.__mul__, row)) for row in ints)
+
+
 class Matrix:
     """Immutable dense matrix over an exact ring.
 
-    Entries are stored row-major as nested tuples; zero-dimensional shapes
+    The entry (i, j) is ``ints[i][j] / den``, stored as canonical Python
+    ints: over Z ``den`` is 1; over Z/m ``den`` is 1 and ``ints`` holds
+    residues 0..m-1; over Q ``den`` is positive and gcd(den, all ints) = 1,
+    so the zero matrix has den 1.  Equal matrices therefore have equal
+    fields.  ``ints`` is row-major nested tuples; zero-dimensional shapes
     (0 x c, r x 0) are legal and arise constantly from empty degrees of
     complexes.
+
+    ``Matrix(ring, rows, cols, entries)`` takes entry values (ring elements
+    or ints); ``from_ints`` takes the stored form directly.
     """
 
-    ring: Ring
-    rows: int
-    cols: int
-    entries: tuple
+    __slots__ = ("ring", "rows", "cols", "ints", "den")
+
+    def __init__(self, ring: Ring, rows: int, cols: int, entries):
+        if ring == QQ:
+            vals = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+                    for row in entries]
+            # Each Fraction is in lowest terms, so over the lcm of the
+            # denominators the gcd is already 1.
+            den = math.lcm(*(x.denominator for row in vals for x in row))
+            ints = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in vals)
+        else:
+            ints, den = tuple(tuple(map(ring.normalize, row)) for row in entries), 1
+        self.ring, self.rows, self.cols, self.ints, self.den = ring, rows, cols, ints, den
 
     # -- construction -------------------------------------------------
+
+    @staticmethod
+    def from_ints(ring: Ring, rows: int, cols: int, ints: tuple, den: int = 1) -> "Matrix":
+        """The matrix ints / den; ``ints`` must be residues over Z/m, and
+        over Q the fraction is reduced here."""
+        if den != 1:
+            g = math.gcd(den, *chain.from_iterable(ints))
+            if g != 1:
+                ints, den = tuple(tuple(x // g for x in row) for row in ints), den // g
+        a = object.__new__(Matrix)
+        a.ring, a.rows, a.cols, a.ints, a.den = ring, rows, cols, ints, den
+        return a
 
     @staticmethod
     def from_rows(ring: Ring, data) -> "Matrix":
         rows = len(data)
         cols = len(data[0]) if rows else 0
-        ents = []
-        for row in data:
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-            ents.append(tuple(ring.normalize(x) for x in row))
-        return Matrix(ring, rows, cols, tuple(ents))
+        if any(len(row) != cols for row in data):
+            raise ValueError("ragged rows")
+        return Matrix(ring, rows, cols, data)
 
     @staticmethod
     def zeros(ring: Ring, rows: int, cols: int) -> "Matrix":
-        z = ring.zero()
-        return Matrix(ring, rows, cols, tuple(tuple(z for _ in range(cols)) for _ in range(rows)))
+        return Matrix.from_ints(ring, rows, cols, ((0,) * cols,) * rows)
 
     @staticmethod
     def identity(ring: Ring, n: int) -> "Matrix":
-        one, zero = ring.one(), ring.zero()
-        return Matrix(ring, n, n, tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)))
+        return Matrix.scalar(ring, n, 1)
 
     @staticmethod
     def scalar(ring: Ring, n: int, c) -> "Matrix":
         c = ring.normalize(c)
-        zero = ring.zero()
-        return Matrix(ring, n, n, tuple(tuple(c if i == j else zero for j in range(n)) for i in range(n)))
+        num = c.numerator
+        return Matrix.from_ints(ring, n, n, tuple(tuple(num if i == j else 0 for j in range(n))
+                                                  for i in range(n)), c.denominator)
 
     @staticmethod
     def build(ring: Ring, rows: int, cols: int, fn: Callable[[int, int], object]) -> "Matrix":
-        return Matrix(ring, rows, cols,
-                      tuple(tuple(ring.normalize(fn(i, j)) for j in range(cols)) for i in range(rows)))
+        return Matrix(ring, rows, cols, tuple(tuple(fn(i, j) for j in range(cols)) for i in range(rows)))
 
     @staticmethod
     def block(grid) -> "Matrix":
@@ -308,21 +318,19 @@ class Matrix:
             heights = {b.rows for b in brow}
             if len(heights) != 1:
                 raise ValueError("inconsistent block heights")
+            if any(b.ring != ring for b in brow):
+                raise ValueError("mixed rings in block grid")
         for j in range(len(grid[0])):
             widths = {brow[j].cols for brow in grid}
             if len(widths) != 1:
                 raise ValueError("inconsistent block widths")
+        den = math.lcm(*(b.den for brow in grid for b in brow))
         out = []
         for brow in grid:
-            for i in range(brow[0].rows):
-                row: list = []
-                for b in brow:
-                    if b.ring != ring:
-                        raise ValueError("mixed rings in block grid")
-                    row.extend(b.entries[i])
-                out.append(tuple(row))
-        cols = len(out[0]) if out else sum(b.cols for b in grid[0])
-        return Matrix(ring, len(out), cols, tuple(out))
+            parts = [_times(b.ints, den // b.den) for b in brow]
+            out.extend(tuple(chain.from_iterable(pieces)) for pieces in zip(*parts))
+        cols = sum(b.cols for b in grid[0])
+        return Matrix.from_ints(ring, len(out), cols, tuple(out), den)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -332,20 +340,25 @@ class Matrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
 
-    def __add__(self, other: "Matrix") -> "Matrix":
+    def _combine(self, other: "Matrix", op) -> "Matrix":
+        """Entrywise ``op`` (add or sub) in one pass, over a common denominator."""
         self._check_same_shape(other)
-        add = self.ring.add
-        return Matrix(self.ring, self.rows, self.cols,
-                      tuple(tuple(add(a, b) for a, b in zip(ra, rb))
-                            for ra, rb in zip(self.entries, other.entries)))
+        a, b, den = self.ints, other.ints, self.den
+        if other.den != den:
+            den = math.lcm(den, other.den)
+            a, b = _times(a, den // self.den), _times(b, den // other.den)
+        ints = _tuples((map(op, ra, rb) for ra, rb in zip(a, b)), self.ring._mod)
+        return Matrix.from_ints(self.ring, self.rows, self.cols, ints, den)
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return self._combine(other, operator.add)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + (-other)
+        return self._combine(other, operator.sub)
 
     def __neg__(self) -> "Matrix":
-        neg = self.ring.neg
-        return Matrix(self.ring, self.rows, self.cols,
-                      tuple(tuple(neg(a) for a in row) for row in self.entries))
+        ints = _tuples((map(operator.neg, row) for row in self.ints), self.ring._mod)
+        return Matrix.from_ints(self.ring, self.rows, self.cols, ints, self.den)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
@@ -354,48 +367,60 @@ class Matrix:
             raise ValueError(f"mixed rings: {self.ring} vs {other.ring}")
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        cols = tuple(zip(*other.entries)) if other.rows else ((),) * other.cols
-        return Matrix(self.ring, self.rows, other.cols, self.ring.product(self.entries, cols))
+        cols = tuple(zip(*other.ints)) if other.rows else ((),) * other.cols
+        mul, m = operator.mul, self.ring._mod
+        if m:
+            ints = tuple(tuple(sum(map(mul, row, col)) % m for col in cols) for row in self.ints)
+        else:
+            ints = tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in self.ints)
+        return Matrix.from_ints(self.ring, self.rows, other.cols, ints, self.den * other.den)
 
     def scale(self, c) -> "Matrix":
         c = self.ring.normalize(c)
-        mul = self.ring.mul
-        return Matrix(self.ring, self.rows, self.cols,
-                      tuple(tuple(mul(c, a) for a in row) for row in self.entries))
+        ints = _tuples((map(c.numerator.__mul__, row) for row in self.ints), self.ring._mod)
+        return Matrix.from_ints(self.ring, self.rows, self.cols, ints, self.den * c.denominator)
 
     def transpose(self) -> "Matrix":
-        if self.rows == 0:
-            return Matrix(self.ring, self.cols, 0, tuple(() for _ in range(self.cols)))
-        return Matrix(self.ring, self.cols, self.rows, tuple(zip(*self.entries)))
+        ints = tuple(zip(*self.ints)) if self.rows else ((),) * self.cols
+        return Matrix.from_ints(self.ring, self.cols, self.rows, ints, self.den)
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product, row-major convention."""
         if self.ring != other.ring:
             raise ValueError("mixed rings")
-        mul = self.ring.mul
-        out = []
-        for i in range(self.rows):
-            for k in range(other.rows):
-                row = []
-                for j in range(self.cols):
-                    a = self.entries[i][j]
-                    row.extend(mul(a, b) for b in other.entries[k])
-                out.append(tuple(row))
-        return Matrix(self.ring, self.rows * other.rows, self.cols * other.cols, tuple(out))
+        ints = _tuples(([a * b for a in ra for b in rb] for ra in self.ints for rb in other.ints),
+                       self.ring._mod)
+        return Matrix.from_ints(self.ring, self.rows * other.rows, self.cols * other.cols,
+                                ints, self.den * other.den)
 
     # -- queries -------------------------------------------------------
 
+    @property
+    def entries(self) -> tuple:
+        """Entry values, row-major: ints, or Fractions when ``den`` is not 1."""
+        if self.den == 1:
+            return self.ints
+        den = self.den
+        return tuple(tuple(Fraction(x, den) for x in row) for row in self.ints)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return (self.den == other.den and self.rows == other.rows and self.cols == other.cols
+                and self.ring == other.ring and self.ints == other.ints)
+
+    def __hash__(self) -> int:
+        return hash((self.ring, self.rows, self.cols, self.ints, self.den))
+
     def is_zero(self) -> bool:
-        z = self.ring.zero()
-        return all(a == z for row in self.entries for a in row)
+        return not any(map(any, self.ints))
 
     def is_identity(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        return self == Matrix.identity(self.ring, self.rows)
+        return self.rows == self.cols and self == Matrix.identity(self.ring, self.rows)
 
     def entry(self, i: int, j: int):
-        return self.entries[i][j]
+        x = self.ints[i][j]
+        return x if self.den == 1 else Fraction(x, self.den)
 
     def hstack(self, other: "Matrix") -> "Matrix":
         return Matrix.block([[self, other]])
@@ -404,10 +429,9 @@ class Matrix:
         return Matrix.block([[self], [other]])
 
     def with_entry(self, i: int, j: int, value) -> "Matrix":
-        value = self.ring.normalize(value)
         rows = [list(r) for r in self.entries]
-        rows[i][j] = value
-        return Matrix(self.ring, self.rows, self.cols, tuple(tuple(r) for r in rows))
+        rows[i][j] = self.ring.normalize(value)
+        return Matrix(self.ring, self.rows, self.cols, rows)
 
     def __repr__(self):
         if self.rows == 0 or self.cols == 0:
@@ -439,7 +463,7 @@ def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     if a.ring != ZZ:
         raise ValueError("smith_normal_form requires the ring Z")
     r, c = a.rows, a.cols
-    d = [list(row) for row in a.entries]
+    d = [list(row) for row in a.ints]
     u = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
     v = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
 
@@ -530,30 +554,24 @@ def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
             d[k] = [-x for x in d[k]]
             u[k] = [-x for x in u[k]]
 
-    U = Matrix(ZZ, r, r, tuple(map(tuple, u)))
-    V = Matrix(ZZ, c, c, tuple(map(tuple, v)))
-    D = Matrix(ZZ, r, c, tuple(map(tuple, d)))
+    U = Matrix.from_ints(ZZ, r, r, tuple(map(tuple, u)))
+    V = Matrix.from_ints(ZZ, c, c, tuple(map(tuple, v)))
+    D = Matrix.from_ints(ZZ, r, c, tuple(map(tuple, d)))
     return U, D, V
 
 
 def det(a: Matrix):
     """Determinant of a square matrix (exact, fraction-free Bareiss).
 
-    Over Q each row is first written as integers over its common
-    denominator, so every ring runs the same integer elimination.
+    Every ring runs the same integer elimination on ``ints``; over Q the
+    result is divided by den^n.
     """
     if a.rows != a.cols:
         raise ValueError("determinant of a non-square matrix")
     n = a.rows
     if n == 0:
         return a.ring.one()
-    if a.ring == QQ:
-        rows = _over_common_denominator(a.entries)
-        m = [row for row, _ in rows]
-        scale = math.prod(d for _, d in rows)
-    else:
-        m = [list(row) for row in a.entries]
-        scale = 1
+    m = [list(row) for row in a.ints]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -570,7 +588,7 @@ def det(a: Matrix):
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
         prev = m[k][k]
     value = sign * m[n - 1][n - 1]
-    return Fraction(value, scale) if a.ring == QQ else a.ring.from_int(value)
+    return Fraction(value, a.den ** n) if a.ring == QQ else a.ring.from_int(value)
 
 
 def is_invertible(a: Matrix) -> bool:
@@ -626,8 +644,11 @@ def _solve_field(a: Matrix, b: Matrix) -> Optional[Matrix]:
     """Gauss-Jordan over Q or Z/p; free variables are left zero."""
     ring = a.ring
     c, k = a.cols, b.cols
-    aug = [[*map(ring.normalize, row_a), *map(ring.normalize, row_b)]
-           for row_a, row_b in zip(a.entries, b.entries)]
+    # [A | B] times a.den * b.den has the same solutions and integer
+    # entries; normalize makes them Fractions over Q, residues over Z/p.
+    da, db = a.den, b.den
+    aug = [list(map(ring.normalize, (*map(db.__mul__, row_a), *map(da.__mul__, row_b))))
+           for row_a, row_b in zip(a.ints, b.ints)]
     pivots = _row_reduce(ring, aug, c)
     if any(any(row[c:]) for row in aug[len(pivots):]):
         return None
@@ -650,7 +671,7 @@ class SmithSolver:
             raise ValueError("SmithSolver requires the ring Z")
         self.a = a
         self.u, self.d, self.v = smith_normal_form(a)
-        self.diag = [self.d.entries[i][i] for i in range(min(a.rows, a.cols))]
+        self.diag = [self.d.ints[i][i] for i in range(min(a.rows, a.cols))]
         self.rank = sum(1 for x in self.diag if x != 0)
 
     def solve(self, b: Matrix) -> Optional[Matrix]:
@@ -663,7 +684,7 @@ class SmithSolver:
                 di = self.diag[i]
                 row = []
                 for j in range(b.cols):
-                    q, rem = divmod(cb.entries[i][j], di)
+                    q, rem = divmod(cb.ints[i][j], di)
                     if rem:
                         return None
                     row.append(q)
@@ -672,9 +693,9 @@ class SmithSolver:
                 y_rows.append([0] * b.cols)
         for i in range(self.a.rows):
             if i >= len(self.diag) or self.diag[i] == 0:
-                if any(cb.entries[i][j] != 0 for j in range(b.cols)):
+                if any(cb.ints[i]):
                     return None
-        return self.v * Matrix(ZZ, self.a.cols, b.cols, tuple(map(tuple, y_rows)))
+        return self.v * Matrix.from_ints(ZZ, self.a.cols, b.cols, tuple(map(tuple, y_rows)))
 
 
 def solve_right(a: Matrix, b: Matrix) -> Optional[Matrix]:
@@ -704,13 +725,12 @@ def solve_right(a: Matrix, b: Matrix) -> Optional[Matrix]:
     if isinstance(ring, ModularRing):
         m = ring.modulus
         # Entries are ints, so lifting to Z only changes the ring.
-        lift_a = Matrix(ZZ, a.rows, a.cols, a.entries)
-        lift_b = Matrix(ZZ, b.rows, b.cols, b.entries)
+        lift_a = Matrix.from_ints(ZZ, a.rows, a.cols, a.ints)
+        lift_b = Matrix.from_ints(ZZ, b.rows, b.cols, b.ints)
         sol = solve_right(lift_a.hstack(Matrix.scalar(ZZ, a.rows, m)), lift_b)
         if sol is None:
             return None
-        return Matrix(ring, a.cols, b.cols,
-                      tuple(tuple(x % m for x in row) for row in sol.entries[:a.cols]))
+        return Matrix.from_ints(ring, a.cols, b.cols, _tuples(sol.ints[:a.cols], m))
     raise ValueError(f"unsupported ring: {ring}")
 
 
@@ -719,9 +739,9 @@ def rank(a: Matrix) -> int:
     ring = a.ring
     if ring == ZZ:
         _, d, _ = smith_normal_form(a)
-        return sum(1 for i in range(min(a.rows, a.cols)) if d.entries[i][i] != 0)
+        return sum(1 for i in range(min(a.rows, a.cols)) if d.ints[i][i] != 0)
     if ring.is_field:
-        return len(_row_reduce(ring, [list(map(ring.normalize, row)) for row in a.entries], a.cols))
+        return len(_row_reduce(ring, [list(map(ring.normalize, row)) for row in a.ints], a.cols))
     raise ValueError(f"rank is not supported over {ring}")
 
 
@@ -730,7 +750,7 @@ def elementary_divisors(a: Matrix) -> list[int]:
     _, d, _ = smith_normal_form(a)
     out = []
     for i in range(min(a.rows, a.cols)):
-        x = d.entries[i][i]
+        x = d.ints[i][i]
         if x > 1:
             out.append(x)
     return out

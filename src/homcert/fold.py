@@ -348,7 +348,7 @@ def disk_fold_iso(ring, rank: int, n: int, scalars: tuple):
             j_col, jj = divmod(c, nb)
             if j_row != j_col:
                 return ring.zero()
-            return unstar.entries[i_idx][jj]
+            return unstar.entry(i_idx, jj)
 
         mats.append(Matrix.build(ring, high * rank, rank * nb, entry))
     iso = ChainMap(gx, tx, 0, tuple(mats))

@@ -190,7 +190,7 @@ def counit_map(m: HomotopyStructure, ambient=None):
 
         def entry(r, c, words=words, nb=len(basis), sign=sign):
             j, idx = divmod(r, nb)
-            v = words[idx].entries[j][c]
+            v = words[idx].entry(j, c)
             return v if sign == 1 else ring.neg(v)
 
         mats.append(Matrix.build(ring, p * len(basis), x.rank(i), entry))

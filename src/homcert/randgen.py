@@ -210,7 +210,7 @@ def mutate_certificate(rng, cert: Certificate):
         row = rng.randrange(mat.rows)
         wiped = Matrix.build(ring, mat.rows, mat.cols,
                              lambda i, j: ring.zero() if i == row
-                             else mat.entries[i][j])
+                             else mat.entry(i, j))
         mats = step.iso.mats[:deg] + (wiped,) + step.iso.mats[deg + 1:]
         iso = ChainMap(step.iso.source, step.iso.target, 0, mats)
         step = dataclasses.replace(step, iso=iso)
@@ -268,7 +268,7 @@ def corrupt_witness_entry(rng, cert: Certificate):
     delta = ring.from_int(rng.choice((1, -1, 2)))
     if ring.is_zero(delta):  # 2 over Z/2; replaced after the draw, so the stream stays put
         delta = ring.one()
-    bumped = mat.with_entry(r, c, ring.add(mat.entries[r][c], delta))
+    bumped = mat.with_entry(r, c, ring.add(mat.entry(r, c), delta))
     mats = f.mats[:deg] + (bumped,) + f.mats[deg + 1:]
     arrow = ChainMap(f.source, f.target, f.shift, mats)
     step = dataclasses.replace(step, **{field: arrow})

@@ -101,23 +101,28 @@ def ring_from_json(tag, where: str = "ring") -> Ring:
     _fail('ring tag must be "Z", "Q", or {"Zmod": m}', where)
 
 
-def _element_writer(ring: Ring):
-    # str of an int equals str of the same Fraction, so Q entries need no wrapping.
-    return str if ring == QQ else (lambda a: str(int(a)))
-
-
 def element_to_str(ring: Ring, a) -> str:
-    return _element_writer(ring)(a)
+    # str of an int equals str of the same Fraction, so Q needs no wrapping.
+    return str(a) if ring == QQ else str(int(a))
+
+
+def _parse_rational(v: str):
+    """An int when ``v`` is a decimal integer, else a Fraction (``"3/4"``, ``"1.5"``)."""
+    try:
+        return int(v, 10)
+    except ValueError:
+        return Fraction(v)
 
 
 def _element_reader(ring: Ring):
-    """Parse a JSON int or decimal string into ``ring``; raise ValueError,
-    ZeroDivisionError or TypeError on anything else."""
-    parse = Fraction if ring == QQ else (lambda v: ring.from_int(int(v, 10)))
+    """Parse a JSON int or decimal string to an int (over Q, to a Fraction
+    when it is not an integer); raise ValueError, ZeroDivisionError or
+    TypeError on anything else.  The caller puts the value into ``ring``."""
+    parse = _parse_rational if ring == QQ else (lambda v: int(v, 10))
 
     def read(v):
         if type(v) is int:
-            return ring.from_int(v)
+            return v
         if type(v) is str:
             return parse(v)
         raise TypeError("expected a ring element")
@@ -126,7 +131,7 @@ def _element_reader(ring: Ring):
 
 def element_from_json(ring: Ring, v, where: str):
     try:
-        return _element_reader(ring)(v)
+        return ring.normalize(_element_reader(ring)(v))
     except (ValueError, ZeroDivisionError):
         _fail(f"not a ring element: {v!r}", where)
     except TypeError:
@@ -136,13 +141,19 @@ def element_from_json(ring: Ring, v, where: str):
 # -- matrices ----------------------------------------------------------
 
 
+def _ratio_writer(den: int):
+    def write(x: int) -> str:
+        return str(x // den) if x % den == 0 else str(Fraction(x, den))
+    return write
+
+
 def matrix_to_json(a: Matrix) -> dict:
-    write = _element_writer(a.ring)
+    write = str if a.den == 1 else _ratio_writer(a.den)
     return {
         "ring": ring_to_json(a.ring),
         "rows": a.rows,
         "cols": a.cols,
-        "entries": [list(map(write, row)) for row in a.entries],
+        "entries": [list(map(write, row)) for row in a.ints],
     }
 
 
@@ -159,11 +170,19 @@ def matrix_from_json(doc, where: str = "matrix", ring: Ring = None) -> Matrix:
     if len(raw) != rows:
         _fail(f"expected {rows} rows, got {len(raw)}", where + ".entries")
     read = _element_reader(got)
-    ents = []
+    tens = (10,) * cols
+    ents, integral = [], True
     for i, r in enumerate(raw):
         if not isinstance(r, list) or len(r) != cols:
             r = _list(r, f"{where}.entries[{i}]")
             _fail(f"expected {cols} columns, got {len(r)}", f"{where}.entries[{i}]")
+        try:
+            # A row of decimal integer strings, the only form the writers
+            # emit; int with a base raises TypeError on anything but a string.
+            ents.append(tuple(map(int, r, tens)))
+            continue
+        except (ValueError, TypeError):
+            integral = False
         try:
             ents.append(tuple(map(read, r)))
         except (ValueError, ZeroDivisionError, TypeError):
@@ -171,7 +190,12 @@ def matrix_from_json(doc, where: str = "matrix", ring: Ring = None) -> Matrix:
             for j, x in enumerate(r):
                 element_from_json(got, x, f"{where}.entries[{i}][{j}]")
             raise
-    return Matrix(got, rows, cols, tuple(ents))
+    if got == QQ and not integral:
+        return Matrix(got, rows, cols, ents)
+    if isinstance(got, ModularRing):
+        m = got.modulus
+        ents = [tuple(x % m for x in row) for row in ents]
+    return Matrix.from_ints(got, rows, cols, tuple(ents))
 
 
 # -- complexes ---------------------------------------------------------

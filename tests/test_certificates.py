@@ -1,14 +1,16 @@
 """Certificate kernel semantics, builder acceptance, mutation rejection."""
 
 import random
+import re
+from fractions import Fraction
 
 import pytest
 
-from homcert.complexes import ChainMap, GradedFreeComplex, identity_map
+from homcert.complexes import ChainMap, GradedFreeComplex, find_contraction, identity_map
 from homcert.constructions import (
-    direct_sum, disk, identity_cone_contraction, mapping_cone, suspend,
+    direct_sum, disk, identity_cone_contraction, mapping_cone, module_tensor, suspend,
 )
-from homcert.exactalg import Matrix, ZZ, Zmod
+from homcert.exactalg import Matrix, QQ, RationalRing, ZZ, Zmod
 from homcert.certificates import (
     Certificate,
     ClassExpr,
@@ -38,6 +40,7 @@ from homcert.randgen import (
     offset_cone,
     random_structure,
 )
+from homcert.serialize import dumps, loads
 from homcert.structures import (
     HomotopyStructure, restrict, structure_from_contraction,
 )
@@ -324,3 +327,46 @@ def test_witness_corruption_over_z2_always_rejected():
     for _ in range(200):
         mutant, where = corrupt_witness_entry(rng, cert)
         assert not check_certificate(mutant).accepted, where
+
+
+def rational_structure():
+    """Scalar 2 over Q on Q^2 --d--> Q^2 (degrees 1, 2) with e = 2 d^-1;
+    d and e carry entries over 2."""
+    x = GradedFreeComplex(QQ, 1, (2, 2), (Matrix.from_rows(QQ, [[-2, Fraction(1, 2)], [0, -1]]),))
+    return structure_from_contraction(x, find_contraction(x), (2,))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: fold_defect_certificate(rational_structure(), 2),
+    lambda: disk_transport_certificate(QQ, 2, 3, (2, Fraction(1, 2))),
+], ids=["fold_defect", "disk_transport"])
+def test_rational_certificates_with_denominators(build):
+    cert = build()
+    text = dumps(cert)
+    assert re.search(r'"-?[0-9]+/[0-9]+"', text)   # real denominators in the document
+    assert dumps(loads(text)) == text
+    res = check_certificate(loads(text))
+    assert res.accepted, (res.reason, res.step)
+    rng = random.Random(5)
+    for _ in range(20):
+        mutant, where = corrupt_witness_entry(rng, cert)
+        assert not check_certificate(mutant).accepted, where
+
+
+def test_rational_check_makes_no_per_entry_ring_calls(monkeypatch):
+    # integral Q fold defect on a Koszul tensor (d = 3, module rank 2)
+    cert = fold_defect_certificate(suspend(module_tensor(2, koszul(QQ, (2, 3, 5))), 1), 5)
+    scalars = len(cert.slot.scalars) + sum(m.ngens for _, m in cert.registry)
+    entries = sum(a.rows * a.cols for _, m in cert.registry
+                  for a in m.complex.diffs + tuple(e for grid in m.ops for e in grid))
+    assert entries > 20 * scalars
+    calls = {"add": 0, "mul": 0, "neg": 0}
+    for name in calls:
+        real = getattr(RationalRing, name)
+
+        def counted(self, *args, real=real, name=name):
+            calls[name] += 1
+            return real(self, *args)
+        monkeypatch.setattr(RationalRing, name, counted)
+    assert check_certificate(cert).accepted
+    assert sum(calls.values()) <= 3 * scalars, calls

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, report schemas, round trips, demos."""
 
+import importlib
 import json
 import random
 
@@ -132,6 +133,16 @@ def test_gamma_direct_output_revalidates(run, tmp_path):
     assert out.scalars == (4,)
     back = write(tmp_path, "fold.json", report)
     assert run("validate", back)[0] == 0
+
+
+def test_failed_self_check_is_internal_error(run, tmp_path, monkeypatch):
+    fold_mod = importlib.import_module("homcert.fold")  # the package exports a function `fold`
+    monkeypatch.setattr(fold_mod, "check_structure", lambda m: ["forced failure"])
+    path = write(tmp_path, "m.json", disk_pile(random.Random(1), ZZ, 3, (2,)))
+    code, report, err = run("gamma", path)
+    assert code == 1 and report is None
+    assert err["error"]["code"] == "internal"
+    assert "forced failure" in err["error"]["message"]
 
 
 def test_gamma_general_witnesses_certify(run, tmp_path):

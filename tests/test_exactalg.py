@@ -127,44 +127,97 @@ def naive_product(a, b):
 
 
 def assert_canonical(m):
-    for row in m.entries:
-        for x in row:
-            if m.ring == QQ:
-                assert type(x) is Fraction
-            else:
-                assert type(x) is int
-                if m.ring != ZZ:
-                    assert 0 <= x < m.ring.modulus
+    """ints / den in lowest terms: den 1 outside Q, residues over Z/m, and
+    gcd(den, all ints) = 1 over Q; ``entries`` gives the values."""
+    assert len(m.ints) == m.rows and all(len(row) == m.cols for row in m.ints)
+    assert all(type(x) is int for row in m.ints for x in row)
+    assert type(m.den) is int and m.den > 0
+    if m.ring == QQ:
+        assert math.gcd(m.den, *(x for row in m.ints for x in row)) == 1
+        want = tuple(tuple(x if m.den == 1 else Fraction(x, m.den) for x in row) for row in m.ints)
+        assert m.entries == want
+        assert all(type(x) is (int if m.den == 1 else Fraction) for row in m.entries for x in row)
+    else:
+        assert m.den == 1 and m.entries is m.ints
+        if m.ring != ZZ:
+            assert all(0 <= x < m.ring.modulus for row in m.ints for x in row)
+
+
+def reduced(ring, rows):
+    """Naive reference values, computed with plain int/Fraction arithmetic, put into ``ring``."""
+    if isinstance(ring, ModularRing):
+        return tuple(tuple(x % ring.modulus for x in row) for row in rows)
+    return tuple(tuple(row) for row in rows)
 
 
 @st.composite
 def product_operands(draw, ring):
-    """A k x l and an l x n matrix over ``ring``; entries of up to 130 bits,
-    negative ones, and over Q both Fractions and plain ints."""
+    """A k x l and an l x n matrix and a second k x l one over ``ring``, and
+    a scalar; entries of up to 130 bits, negative ones, zero matrices, and
+    over Q both Fractions (mixed denominators) and plain ints."""
     r, k, c = (draw(st.integers(0, 4)) for _ in range(3))
     ints = st.integers(-2 ** 130, 2 ** 130)
 
     def entry():
         n = draw(ints)
         if ring == QQ:
-            return draw(st.sampled_from((n, Fraction(n, draw(st.integers(1, 2 ** 100))))))
+            return draw(st.sampled_from((n, Fraction(n, draw(st.integers(1, 2 ** 100))),
+                                         Fraction(n, draw(st.sampled_from((2, 3, 4, 6)))))))
         return ring.from_int(n)
 
     def matrix(rows, cols):
+        if draw(st.integers(0, 5)) == 0:
+            return Matrix.zeros(ring, rows, cols)
         return Matrix(ring, rows, cols, tuple(tuple(entry() for _ in range(cols))
                                               for _ in range(rows)))
-    return matrix(r, k), matrix(k, c)
+    return matrix(r, k), matrix(k, c), matrix(r, k), entry()
 
 
 @pytest.mark.parametrize("ring", PRODUCT_RINGS, ids=str)
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_product_matches_naive_reference(ring, data):
-    a, b = data.draw(product_operands(ring))
+    a, b, a2, s = data.draw(product_operands(ring))
     p = a * b
     assert (p.rows, p.cols) == (a.rows, b.cols)
     assert p.entries == naive_product(a, b)
-    assert_canonical(p)
+    for m in (a, b, a2, p):
+        assert_canonical(m)
+
+    # Every entrywise operation against plain int/Fraction arithmetic on the values.
+    va, vb, v2 = a.entries, b.entries, a2.entries
+    s = ring.normalize(s)
+    vat = [[va[i][j] for i in range(a.rows)] for j in range(a.cols)]
+    vbt = [[vb[i][j] for i in range(b.rows)] for j in range(b.cols)]
+    expected = [
+        (a + a2, [[x + y for x, y in zip(ra, r2)] for ra, r2 in zip(va, v2)]),
+        (a - a2, [[x - y for x, y in zip(ra, r2)] for ra, r2 in zip(va, v2)]),
+        (-a, [[-x for x in ra] for ra in va]),
+        (a.scale(s), [[s * x for x in ra] for ra in va]),
+        (a.kron(b), [[x * y for x in ra for y in rb] for ra in va for rb in vb]),
+        (a.transpose(), vat),
+        (Matrix.block([[a, a2], [a2, a]]),
+         [list(ra) + list(r2) for ra, r2 in zip(va, v2)]
+         + [list(r2) + list(ra) for ra, r2 in zip(va, v2)]),
+        (Matrix.block([[a], [b.transpose()]]), [*va, *vbt]),
+    ]
+    for got, want in expected:
+        assert got.entries == reduced(ring, want)
+        assert_canonical(got)
+    assert (a == a2) == (va == v2)
+    assert a.is_zero() == (a == Matrix.zeros(ring, a.rows, a.cols))
+
+    # Equal values give equal matrices and equal hashes, whatever the path.
+    same = [(a + a2) - a2, -(-a), a.transpose().transpose(), Matrix(ring, a.rows, a.cols, va),
+            Matrix.block([[a]]), a + Matrix.zeros(ring, a.rows, a.cols),
+            a.kron(Matrix.identity(ring, 1)), Matrix.identity(ring, a.rows) * a]
+    if ring == QQ:
+        same.append(a.scale(Fraction(1, 2)).scale(2))
+    elif ring != ZZ and ring.is_unit(2):
+        same.append(a.scale(pow(2, -1, ring.modulus)).scale(2))
+    for m in same:
+        assert m == a and hash(m) == hash(a)
+        assert_canonical(m)
 
 
 @pytest.mark.parametrize("ring", PRODUCT_RINGS, ids=str)

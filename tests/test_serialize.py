@@ -53,6 +53,14 @@ def test_matrix_accepts_int_entries():
     a = matrix_from_json({"ring": "Z", "rows": 1, "cols": 2,
                           "entries": [[4, "-2"]]})
     assert a == Matrix.from_rows(ZZ, [[4, -2]])
+    # Q rows of decimal integers and rows with fractions or decimals read
+    # as the values Fraction gives; Z/m entries are reduced.
+    raw = [["+3", "-0", " 2 ", "10"], ["3/4", "1.5", 7, "-10/4"]]
+    q = matrix_from_json({"ring": "Q", "rows": 2, "cols": 4, "entries": raw})
+    assert q == Matrix.from_rows(QQ, [[Fraction(x) for x in row] for row in raw])
+    assert (q.ints, q.den) == (((12, 0, 8, 40), (3, 6, 28, -10)), 4)
+    z = matrix_from_json({"ring": {"Zmod": 5}, "rows": 1, "cols": 3, "entries": [["-1", 12, "7"]]})
+    assert z.ints == ((4, 2, 2),)
 
 
 def test_matrix_shape_errors_carry_breadcrumbs():

@@ -7,12 +7,17 @@ equivariant isomorphisms and suspension pairs.  A certificate names its
 objects in a registry, lists evidence steps, and claims that a particular
 integer combination of registered classes is zero.
 
-``check_certificate`` trusts nothing: every structure is re-validated,
-every arrow is re-checked (chain map, equivariance, exactness of rows,
-contractions, invertibility), and the claim is accepted only if it equals
-the exact accumulation of the verified relations.  The check is one-sided:
-acceptance proves the identity, rejection carries no information beyond
-the recorded reason.
+``check_certificate`` trusts nothing: every structure is re-validated and
+every arrow is re-checked, and the claim is accepted only if it equals the
+exact accumulation of the verified relations.  Each step carries the
+witnesses its check needs, so acceptance rests on matrix products and
+equality alone, the same in Z, Q, Z/p and composite Z/m: a row carries a
+section s and a retraction r with r·i = id, p·s = id and i·r + s·p = id
+(degreewise split exact), an isomorphism carries its inverse g with
+f·g = id and g·f = id, and a contraction satisfies d h + h d = id.  No
+Smith form, elimination, homology or determinant runs here.  The check is
+one-sided: acceptance proves the identity, rejection carries no
+information beyond the recorded reason.
 """
 
 from __future__ import annotations
@@ -21,18 +26,20 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from .complexes import (
-    ChainMap, check_ses, find_contraction, identity_map, is_contraction,
+    ChainMap, contraction_defect, find_contraction, identity_map,
+    inverse_defect, split_defect,
 )
 from .constructions import (
     cone_same, direct_sum, glue_extension, identity_cone_contraction,
-    mapping_cone, peel_to_disks, peel_top, suspend,
+    mapping_cone, peel_to_disks, peel_top, solve_splitting, suspend,
 )
 from .exactalg import Matrix
 from .fold import (
-    coefficient_block, disk_fold_iso, fold_general, fold_map, squared_scalars,
+    coefficient_block, disk_fold_iso, fold_block_map, fold_general, fold_map,
+    squared_scalars,
 )
 from .structures import (
-    HomotopyStructure, check_structure, is_equivariant, restrict,
+    HomotopyStructure, check_structure, equivariance_defect, restrict,
 )
 
 
@@ -61,16 +68,32 @@ class ClassExpr:
         return dict(self.terms)
 
 
+# Each relation step lists its named objects with their coefficients in
+# ``terms``; the kernel checks the step on those objects and then adds the
+# terms to the running combination.
+
+
 @dataclass(frozen=True)
 class ExactRow:
-    """sub >--> total -->> quotient; adds mult * ([total] - [sub] - [quotient])."""
+    """sub >--> total -->> quotient; adds mult * ([total] - [sub] - [quotient]).
+
+    ``section`` (quotient -> total) and ``retraction`` (total -> sub) split
+    the row in every degree; they need not be chain maps.
+    """
 
     sub: str
     total: str
     quotient: str
     include: ChainMap
     project: ChainMap
+    section: ChainMap
+    retraction: ChainMap
     mult: int = 1
+
+    @property
+    def terms(self) -> tuple:
+        return ((self.sub, -self.mult), (self.total, self.mult),
+                (self.quotient, -self.mult))
 
 
 @dataclass(frozen=True)
@@ -81,15 +104,24 @@ class Contractible:
     contraction: ChainMap
     mult: int = 1
 
+    @property
+    def terms(self) -> tuple:
+        return ((self.name, self.mult),)
+
 
 @dataclass(frozen=True)
 class Isomorphism:
-    """Equivariant degreewise isomorphism; adds mult * ([source] - [target])."""
+    """Equivariant isomorphism with its inverse; adds mult * ([source] - [target])."""
 
     source: str
     target: str
     iso: ChainMap
+    inverse: ChainMap
     mult: int = 1
+
+    @property
+    def terms(self) -> tuple:
+        return ((self.source, self.mult), (self.target, -self.mult))
 
 
 @dataclass(frozen=True)
@@ -103,6 +135,10 @@ class SuspensionPair:
     base: str
     shifted: str
     mult: int = 1
+
+    @property
+    def terms(self) -> tuple:
+        return ((self.base, self.mult), (self.shifted, self.mult))
 
 
 @dataclass(frozen=True)
@@ -156,6 +192,71 @@ def _fits(m: HomotopyStructure, slot: Slot, ring) -> Optional[str]:
     return None
 
 
+def _connects(arrows) -> bool:
+    """Every (map, source, target) is a degree 0 map between the objects' complexes."""
+    return all(f.shift == 0 and f.source == a.complex and f.target == b.complex
+               for f, a, b in arrows)
+
+
+def _prefixed(prefix: str, why: Optional[str]) -> Optional[str]:
+    return why and prefix + why
+
+
+def _not_chain(label: str, f: ChainMap) -> Optional[str]:
+    i = f.chain_defect()
+    return None if i is None else f"{label} is not a chain map in degree {i}"
+
+
+def _not_equivariant(label: str, f: ChainMap, mx, my) -> Optional[str]:
+    bad = equivariance_defect(f, mx, my)
+    return None if bad is None else \
+        f"{label} is not equivariant for generator {bad[0]} in degree {bad[1]}"
+
+
+def _check_row(step: ExactRow, sub, total, quot, slot) -> Optional[str]:
+    i, p, s, r = step.include, step.project, step.section, step.retraction
+    if not _connects(((i, sub, total), (p, total, quot), (s, quot, total), (r, total, sub))):
+        return "row arrows do not connect the named objects"
+    return (_not_chain("row inclusion", i) or _not_chain("row projection", p)
+            or _prefixed("row is not split exact: ", split_defect(i, p, s, r))
+            or _not_equivariant("row inclusion", i, sub, total)
+            or _not_equivariant("row projection", p, total, quot))
+
+
+def _check_contraction(step: Contractible, m, slot) -> Optional[str]:
+    h = step.contraction
+    if h.source != m.complex or h.target != m.complex or h.shift != 1:
+        return "contraction does not live on the named object"
+    i = contraction_defect(h)
+    return None if i is None else f"contraction identity fails in degree {i}"
+
+
+def _check_iso(step: Isomorphism, msrc, mtgt, slot) -> Optional[str]:
+    f, g = step.iso, step.inverse
+    if not _connects(((f, msrc, mtgt), (g, mtgt, msrc))):
+        return "isomorphism does not connect the named objects"
+    return (_not_chain("isomorphism", f)
+            or _prefixed("isomorphism is not invertible: ", inverse_defect(f, g))
+            or _not_equivariant("isomorphism", f, msrc, mtgt))
+
+
+def _check_suspension(step: SuspensionPair, mbase, mshift, slot) -> Optional[str]:
+    if mshift != suspend(mbase, 1):
+        return "shifted object is not the suspension of the base"
+    span = _support(mbase)
+    if span is not None and span[1] + 1 > slot.ceiling:
+        return "suspension cone would leave the slot window"
+    return None
+
+
+_RELATIONS = {
+    ExactRow: ("row", _check_row),
+    Contractible: ("contraction", _check_contraction),
+    Isomorphism: ("isomorphism", _check_iso),
+    SuspensionPair: ("suspension", _check_suspension),
+}
+
+
 def check_certificate(cert: Certificate) -> CheckResult:
     reg: dict = {}
     ring = None
@@ -175,109 +276,36 @@ def check_certificate(cert: Certificate) -> CheckResult:
 
     slot = cert.slot
     expr: dict = {}
-
-    def fail(idx, why):
-        return CheckResult(False, why, idx)
-
-    def lookup(idx, *names):
-        for name in names:
-            if name not in reg:
-                return None
-        return [reg[name] for name in names]
-
     for idx, step in enumerate(cert.steps):
-        if isinstance(step, ExactRow):
-            got = lookup(idx, step.sub, step.total, step.quotient)
-            if got is None:
-                return fail(idx, "row references an unregistered name")
-            msub, mtot, mquot = got
-            for m in got:
-                why = _fits(m, slot, ring)
-                if why:
-                    return fail(idx, why)
-            if (step.include.source != msub.complex
-                    or step.include.target != mtot.complex
-                    or step.project.source != mtot.complex
-                    or step.project.target != mquot.complex):
-                return fail(idx, "row arrows do not connect the named objects")
-            problems = check_ses(step.include, step.project)
-            if problems:
-                return fail(idx, "row is not exact: " + problems[0])
-            if not is_equivariant(step.include, msub, mtot):
-                return fail(idx, "row inclusion is not equivariant")
-            if not is_equivariant(step.project, mtot, mquot):
-                return fail(idx, "row projection is not equivariant")
-            expr[step.total] = expr.get(step.total, 0) + step.mult
-            expr[step.sub] = expr.get(step.sub, 0) - step.mult
-            expr[step.quotient] = expr.get(step.quotient, 0) - step.mult
-        elif isinstance(step, Contractible):
-            got = lookup(idx, step.name)
-            if got is None:
-                return fail(idx, "contraction references an unregistered name")
-            m = got[0]
-            why = _fits(m, slot, ring)
+        if type(step) in _RELATIONS:
+            kind, check = _RELATIONS[type(step)]
+            names = [name for name, _ in step.terms]
+            if any(name not in reg for name in names):
+                return CheckResult(False, f"{kind} references an unregistered name", idx)
+            objs = [reg[name] for name in names]
+            why = next(filter(None, (_fits(m, slot, ring) for m in objs)), None)
+            why = why or check(step, *objs, slot)
             if why:
-                return fail(idx, why)
-            h = step.contraction
-            if h.source != m.complex or h.target != m.complex or h.shift != 1:
-                return fail(idx, "contraction does not live on the named object")
-            if not is_contraction(h):
-                return fail(idx, "contraction identity fails")
-            expr[step.name] = expr.get(step.name, 0) + step.mult
-        elif isinstance(step, Isomorphism):
-            got = lookup(idx, step.source, step.target)
-            if got is None:
-                return fail(idx, "isomorphism references an unregistered name")
-            msrc, mtgt = got
-            for m in got:
-                why = _fits(m, slot, ring)
-                if why:
-                    return fail(idx, why)
-            f = step.iso
-            if f.source != msrc.complex or f.target != mtgt.complex or f.shift != 0:
-                return fail(idx, "isomorphism does not connect the named objects")
-            if not f.is_chain_map():
-                return fail(idx, "isomorphism is not a chain map")
-            if not f.is_degreewise_invertible():
-                return fail(idx, "isomorphism is not invertible")
-            if not is_equivariant(f, msrc, mtgt):
-                return fail(idx, "isomorphism is not equivariant")
-            expr[step.source] = expr.get(step.source, 0) + step.mult
-            expr[step.target] = expr.get(step.target, 0) - step.mult
-        elif isinstance(step, SuspensionPair):
-            got = lookup(idx, step.base, step.shifted)
-            if got is None:
-                return fail(idx, "suspension references an unregistered name")
-            mbase, mshift = got
-            for m in got:
-                why = _fits(m, slot, ring)
-                if why:
-                    return fail(idx, why)
-            if mshift != suspend(mbase, 1):
-                return fail(idx, "shifted object is not the suspension of the base")
-            span = _support(mbase)
-            if span is not None and span[1] + 1 > slot.ceiling:
-                return fail(idx, "suspension cone would leave the slot window")
-            expr[step.shifted] = expr.get(step.shifted, 0) + step.mult
-            expr[step.base] = expr.get(step.base, 0) + step.mult
+                return CheckResult(False, why, idx)
+            for name, coeff in step.terms:
+                expr[name] = expr.get(name, 0) + coeff
         elif isinstance(step, Rescale):
             if len(step.factors) != len(slot.scalars):
-                return fail(idx, "rescale factor count mismatch")
+                return CheckResult(False, "rescale factor count mismatch", idx)
             pairs = dict(step.pairs)
             if len(pairs) != len(step.pairs):
-                return fail(idx, "rescale maps a name twice")
-            news = set(pairs.values())
-            if len(news) != len(pairs):
-                return fail(idx, "rescale collapses two names")
+                return CheckResult(False, "rescale maps a name twice", idx)
+            if len(set(pairs.values())) != len(pairs):
+                return CheckResult(False, "rescale collapses two names", idx)
             for name, coeff in expr.items():
                 if coeff and name not in pairs:
-                    return fail(idx, f"rescale does not cover live term {name!r}")
+                    return CheckResult(False, f"rescale does not cover live term {name!r}", idx)
             for old, new in pairs.items():
-                got = lookup(idx, old, new)
-                if got is None:
-                    return fail(idx, "rescale references an unregistered name")
-                if got[1] != restrict(got[0], step.factors):
-                    return fail(idx, f"{new!r} is not the stated rescale of {old!r}")
+                if old not in reg or new not in reg:
+                    return CheckResult(False, "rescale references an unregistered name", idx)
+                if (reg[old].ngens != len(step.factors)
+                        or reg[new] != restrict(reg[old], step.factors)):
+                    return CheckResult(False, f"{new!r} is not the stated rescale of {old!r}", idx)
             expr = {pairs[name]: coeff for name, coeff in expr.items() if coeff}
             slot = Slot(
                 tuple(ring.normalize(ring.mul(ring.normalize(s), ring.normalize(f)))
@@ -285,10 +313,10 @@ def check_certificate(cert: Certificate) -> CheckResult:
                 slot.ceiling)
         elif isinstance(step, Widen):
             if step.ceiling < slot.ceiling:
-                return fail(idx, "widening cannot lower the ceiling")
+                return CheckResult(False, "widening cannot lower the ceiling", idx)
             slot = replace(slot, ceiling=step.ceiling)
         else:
-            return fail(idx, f"unknown step kind {type(step).__name__}")
+            return CheckResult(False, f"unknown step kind {type(step).__name__}", idx)
 
     for name, coeff in cert.claim.terms:
         if name not in reg:
@@ -312,7 +340,8 @@ def sum_certificate(ma: HomotopyStructure, mb: HomotopyStructure,
     """[A + B] = [A] + [B] through the split exact row."""
     ds = direct_sum(ma, mb)
     registry = (("left", ma), ("right", mb), ("sum", ds.structure))
-    row = ExactRow("left", "sum", "right", ds.include[0], ds.project[1])
+    row = ExactRow("left", "sum", "right", ds.include[0], ds.project[1],
+                   ds.include[1], ds.project[0])
     claim = ClassExpr.build([("sum", 1), ("left", -1), ("right", -1)])
     return Certificate(Slot(ma.scalars, ceiling), registry, (row,), claim)
 
@@ -322,9 +351,14 @@ def extension_certificate(include: ChainMap, project: ChainMap,
                           m_total: HomotopyStructure,
                           m_quot: HomotopyStructure,
                           ceiling: int) -> Certificate:
-    """[total] = [sub] + [quotient] for any exact row of structures."""
+    """[total] = [sub] + [quotient] for any degreewise split exact row.
+
+    The splitting is solved here (``solve_splitting``); a row without one
+    raises a ValueError naming the degree.
+    """
     registry = (("sub", m_sub), ("total", m_total), ("quotient", m_quot))
-    row = ExactRow("sub", "total", "quotient", include, project)
+    row = ExactRow("sub", "total", "quotient", include, project,
+                   *solve_splitting(include, project))
     claim = ClassExpr.build([("total", 1), ("sub", -1), ("quotient", -1)])
     return Certificate(Slot(m_total.scalars, ceiling), registry, (row,), claim)
 
@@ -342,14 +376,16 @@ def fold_row_certificates(m: HomotopyStructure, n: int):
              ("cone", data.cone),
              ("base", data.base_end))
     row_a = ExactRow("coefficient", "cone", "base",
-                     data.coefficient_include, data.base_project)
+                     data.coefficient_include, data.base_project,
+                     data.base_section, data.coefficient_retraction)
     cert_a = Certificate(slot, reg_a, (row_a,), ClassExpr.build(
         [("cone", 1), ("coefficient", -1), ("base", -1)]))
     reg_b = (("top_disk", data.disk_end),
              ("cone", data.cone),
              ("fold", data.structure))
     row_b = ExactRow("top_disk", "cone", "fold",
-                     data.disk_include, data.fold_project)
+                     data.disk_include, data.fold_project,
+                     data.fold_section, data.disk_retraction)
     cert_b = Certificate(slot, reg_b, (row_b,), ClassExpr.build(
         [("cone", 1), ("top_disk", -1), ("fold", -1)]))
     return cert_a, cert_b
@@ -382,9 +418,11 @@ def fold_defect_certificate(m: HomotopyStructure, n: int) -> Certificate:
 
     steps = [
         ExactRow(top_name, "cone", "base",
-                 data.coefficient_include, data.base_project, mult=-1),
+                 data.coefficient_include, data.base_project,
+                 data.base_section, data.coefficient_retraction, mult=-1),
         ExactRow("top_disk", "cone", "fold",
-                 data.disk_include, data.fold_project, mult=1),
+                 data.disk_include, data.fold_project,
+                 data.fold_section, data.disk_retraction, mult=1),
     ]
     h = find_contraction(data.disk_end.complex)
     if h is None:
@@ -418,7 +456,7 @@ def fold_identity_certificate(m: HomotopyStructure, n: int) -> Certificate:
                  for i in range(g.min_degree, g.min_degree + len(g.ranks)))
     iso = ChainMap(g, base.complex, 0, mats)
     registry = (("fold", data.structure), ("base", base))
-    step = Isomorphism("fold", "base", iso)
+    step = Isomorphism("fold", "base", iso, iso.transpose())
     claim = ClassExpr.build([("fold", 1), ("base", -1)])
     return Certificate(Slot(squared_scalars(m), n - 1), registry, (step,), claim)
 
@@ -434,7 +472,7 @@ def disk_transport_certificate(ring, rank: int, n: int, scalars) -> Certificate:
         raise ValueError("ceiling too low for a nonnegative shifted block")
     data, target, iso = disk_fold_iso(ring, rank, n, scalars)
     registry = (("fold", data.structure), ("shifted_block", target))
-    step = Isomorphism("fold", "shifted_block", iso)
+    step = Isomorphism("fold", "shifted_block", iso, iso.transpose())
     claim = ClassExpr.build([("fold", 1), ("shifted_block", -1)])
     return Certificate(Slot(data.structure.scalars, n - 1), registry,
                        (step,), claim)
@@ -456,7 +494,8 @@ def peel_chain_certificate(m: HomotopyStructure, ceiling: int) -> Certificate:
         registry.append((f"disk_{k}", peel.disk))
         registry.append((f"stage_{k + 1}", peel.quotient))
         steps.append(ExactRow(f"disk_{k}", f"stage_{k}", f"stage_{k + 1}",
-                              peel.include, peel.project))
+                              peel.include, peel.project, peel.section,
+                              peel.retraction))
         claim_terms.append((f"disk_{k}", -1))
     last = chain[-1].quotient if chain else m
     h = find_contraction(last.complex)
@@ -521,19 +560,28 @@ def structure_independence_certificate(m1: HomotopyStructure,
         ("tail_cone", f_tail_p.structure),
     )
 
+    def folded_row(names, arrows, folds, mult):
+        # The splitting goes through the same block formula as the arrows.
+        (include, project, section, retraction), (f_sub, f_tot, f_quot) = arrows, folds
+        return ExactRow(*names,
+                        fold_map(include, f_sub, f_tot, ceiling),
+                        fold_map(project, f_tot, f_quot, ceiling),
+                        fold_block_map(section, f_quot, f_tot, ceiling),
+                        fold_block_map(retraction, f_tot, f_sub, ceiling), mult=mult)
+
+    def split(row):
+        return row.include, row.project, row.section, row.retraction
+
     steps = [
-        ExactRow("left_end", "glued_fold", "shared_quotient",
-                 fold_map(incl, f_left, f_glued, ceiling),
-                 fold_map(proj, f_glued, f_shared, ceiling), mult=-1),
-        ExactRow("right_end", "cone_fold", "shared_quotient",
-                 fold_map(plain.include, f_right, f_plain, ceiling),
-                 fold_map(plain.project, f_plain, f_shared, ceiling), mult=1),
-        ExactRow("disk_fold", "glued_fold", "tail_glued",
-                 fold_map(peel_g.include, f_disk, f_glued, ceiling),
-                 fold_map(peel_g.project, f_glued, f_tail_g, ceiling), mult=1),
-        ExactRow("disk_fold", "cone_fold", "tail_cone",
-                 fold_map(peel_p.include, f_disk, f_plain, ceiling),
-                 fold_map(peel_p.project, f_plain, f_tail_p, ceiling), mult=-1),
+        folded_row(("left_end", "glued_fold", "shared_quotient"),
+                   (incl, proj, proj.transpose(), incl.transpose()),
+                   (f_left, f_glued, f_shared), -1),
+        folded_row(("right_end", "cone_fold", "shared_quotient"), split(plain),
+                   (f_right, f_plain, f_shared), 1),
+        folded_row(("disk_fold", "glued_fold", "tail_glued"), split(peel_g),
+                   (f_disk, f_glued, f_tail_g), 1),
+        folded_row(("disk_fold", "cone_fold", "tail_cone"), split(peel_p),
+                   (f_disk, f_plain, f_tail_p), -1),
     ]
     for name, struct, mult in (("tail_glued", f_tail_g.structure, 1),
                                ("tail_cone", f_tail_p.structure, -1)):

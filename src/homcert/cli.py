@@ -409,10 +409,13 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# Built once per process: parse_args keeps no state between calls.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
     try:

@@ -183,16 +183,21 @@ class ChainMap:
             return self.mats[j]
         return Matrix.zeros(self.source.ring, self.target.rank(i + self.shift), self.source.rank(i))
 
-    def is_chain_map(self) -> bool:
-        """d_target o f = (-1)^shift f o d_source in every degree."""
+    def chain_defect(self) -> Optional[int]:
+        """The first source degree i with d_target f_i != (-1)^shift f_{i-1} d_i,
+        or None for a chain map."""
         sgn = (-1) ** self.shift
         for i in range(min(self.source.min_degree, self.target.min_degree - self.shift) - 1,
                        max(self.source.top_degree, self.target.top_degree - self.shift) + 2):
             lhs = self.target.diff(i + self.shift) * self.mat(i)
             rhs = (self.mat(i - 1) * self.source.diff(i)).scale(sgn)
             if lhs != rhs:
-                return False
-        return True
+                return i
+        return None
+
+    def is_chain_map(self) -> bool:
+        """d_target o f = (-1)^shift f o d_source in every degree."""
+        return self.chain_defect() is None
 
     def compose(self, other: "ChainMap") -> "ChainMap":
         """self o other (apply ``other`` first)."""
@@ -213,18 +218,17 @@ class ChainMap:
         return ChainMap(self.source, self.target, self.shift,
                         tuple(m.scale(c) for m in self.mats))
 
-    def is_degreewise_invertible(self) -> bool:
-        from .exactalg import is_invertible
+    def transpose(self) -> "ChainMap":
+        """The degree 0 map target -> source with every matrix transposed.
+
+        For a signed permutation this is the inverse, and for the arrows of
+        a mapping cone it is the canonical splitting; it need not be a chain
+        map.
+        """
         if self.shift != 0:
-            return False
-        lo = min(self.source.min_degree, self.target.min_degree)
-        hi = max(self.source.top_degree, self.target.top_degree)
-        for i in range(lo, hi + 1):
-            if self.source.rank(i) != self.target.rank(i):
-                return False
-            if not is_invertible(self.mat(i)):
-                return False
-        return True
+            raise ValueError("only degree 0 maps are transposed")
+        return ChainMap(self.target, self.source, 0,
+                        tuple(self.mat(i).transpose() for i in self.target.degrees()))
 
 
 def identity_map(x: GradedFreeComplex) -> ChainMap:
@@ -317,13 +321,17 @@ def solve_homotopy(x: GradedFreeComplex, c) -> Optional[ChainMap]:
     return ChainMap(x, x, 1, tuple(mats))
 
 
-def is_contraction(h: ChainMap) -> bool:
+def contraction_defect(h: ChainMap) -> Optional[int]:
+    """The first degree where d h + h d != id, or None for a contraction."""
     x = h.source
     for i in x.degrees():
-        lhs = x.diff(i + 1) * h.mat(i) + h.mat(i - 1) * x.diff(i)
-        if lhs != Matrix.identity(x.ring, x.rank(i)):
-            return False
-    return True
+        if not (x.diff(i + 1) * h.mat(i) + h.mat(i - 1) * x.diff(i)).is_identity():
+            return i
+    return None
+
+
+def is_contraction(h: ChainMap) -> bool:
+    return contraction_defect(h) is None
 
 
 def find_contraction(x: GradedFreeComplex) -> Optional[ChainMap]:
@@ -339,8 +347,48 @@ def find_contraction(x: GradedFreeComplex) -> Optional[ChainMap]:
 
 
 # ---------------------------------------------------------------------
-# Short exact sequences
+# Short exact sequences and isomorphisms, by their witnesses
 # ---------------------------------------------------------------------
+
+
+def _first_non_identity(lo: int, hi: int, products) -> Optional[str]:
+    """The first ``label`` whose ``product(i)`` is not an identity matrix,
+    over degrees lo..hi, as "label ≠ id in degree i"; None if all are."""
+    for i in range(lo, hi + 1):
+        for label, product in products:
+            if not product(i).is_identity():
+                return f"{label} ≠ id in degree {i}"
+    return None
+
+
+def split_defect(include: ChainMap, project: ChainMap, section: ChainMap,
+                 retraction: ChainMap) -> Optional[str]:
+    """The first failing identity of a degreewise splitting of A -i-> B -p-> C.
+
+    Checks r·i = id, p·s = id and i·r + s·p = id in every degree, where the
+    section s maps C to B and the retraction r maps B to A; None when all
+    hold.  Over any commutative ring they say exactly that
+    0 -> A -> B -> C -> 0 is split exact in each degree: p·i = p·i·r·i =
+    (p - p·s·p)·i = 0, and p b = 0 gives b = i (r b).
+    """
+    a, b, c = include.source, include.target, project.target
+    i, p, s, r = include.mat, project.mat, section.mat, retraction.mat
+    return _first_non_identity(
+        min(a.min_degree, b.min_degree, c.min_degree),
+        max(a.top_degree, b.top_degree, c.top_degree),
+        (("r·i", lambda k: r(k) * i(k)),
+         ("p·s", lambda k: p(k) * s(k)),
+         ("i·r + s·p", lambda k: i(k) * r(k) + s(k) * p(k))))
+
+
+def inverse_defect(f: ChainMap, g: ChainMap) -> Optional[str]:
+    """The first failing identity of f·g = id and g·f = id, or None when g is
+    a two-sided inverse of the degree 0 map f in every degree."""
+    x, y = f.source, f.target
+    return _first_non_identity(
+        min(x.min_degree, y.min_degree), max(x.top_degree, y.top_degree),
+        (("f·g", lambda k: f.mat(k) * g.mat(k)),
+         ("g·f", lambda k: g.mat(k) * f.mat(k))))
 
 
 def check_ses(f: ChainMap, g: ChainMap) -> list[str]:
@@ -348,7 +396,10 @@ def check_ses(f: ChainMap, g: ChainMap) -> list[str]:
 
     Exactness in each degree is homology of the three-term complex
     C <- B <- A, which covers injectivity, surjectivity and ker g = im f
-    (including torsion) uniformly over Z and over fields.
+    (including torsion) uniformly over Z and over fields; composite Z/m is
+    not supported.  The certificate kernel does not use it (it checks
+    carried splittings with ``split_defect``); it is the independent
+    reference the tests compare that check against.
     """
     report = []
     if f.shift != 0 or g.shift != 0:

@@ -13,6 +13,7 @@ from typing import Optional, Sequence
 
 from .complexes import (
     ChainMap, GradedFreeComplex, find_contraction, identity_map, is_contraction,
+    split_defect,
 )
 from .exactalg import Matrix, ZZ, smith_normal_form, solve_right
 from .structures import (
@@ -40,14 +41,6 @@ def suspend(m: HomotopyStructure, k: int = 1) -> HomotopyStructure:
 
 def desuspend(m: HomotopyStructure) -> HomotopyStructure:
     return suspend(m, -1)
-
-
-def shift_map(f: ChainMap, k: int) -> ChainMap:
-    """Reindex a degree 0 chain map along suspension; matrices are unchanged."""
-    if f.shift != 0:
-        raise ValueError("only degree 0 maps are reindexed")
-    return ChainMap(suspend_complex(f.source, k), suspend_complex(f.target, k),
-                    0, f.mats)
 
 
 def dual(m: HomotopyStructure) -> HomotopyStructure:
@@ -174,6 +167,16 @@ class ConeData:
     sub: HomotopyStructure
     quotient: HomotopyStructure
 
+    @property
+    def section(self) -> ChainMap:
+        """The canonical section x -> (0, x) of ``project``: its transpose."""
+        return self.project.transpose()
+
+    @property
+    def retraction(self) -> ChainMap:
+        """The canonical retraction (y, x) -> y of ``include``: its transpose."""
+        return self.include.transpose()
+
 
 def cone_mixed(f: ChainMap, mx: HomotopyStructure, my: HomotopyStructure) -> ConeData:
     """Cone of any chain map between structured complexes.
@@ -249,6 +252,36 @@ def identity_cone_contraction(x: GradedFreeComplex) -> ChainMap:
 # -- gluing a structure across an extension ---------------------------
 
 
+def solve_splitting(include: ChainMap, project: ChainMap):
+    """A degreewise splitting ``(section, retraction)`` of A -> B -> C.
+
+    Solves p s = id on C and then i r = id - s p on B, degree by degree, and
+    verifies the three splitting identities (``split_defect``); a row that
+    is not degreewise split exact raises a ValueError naming the degree.
+    """
+    a, b, c = include.source, include.target, project.target
+    ring = b.ring
+    sections = []
+    for i in c.degrees():
+        sec = solve_right(project.mat(i), Matrix.identity(ring, c.rank(i)))
+        if sec is None:
+            raise ValueError(f"projection is not split surjective in degree {i}")
+        sections.append(sec)
+    section = ChainMap(c, b, 0, tuple(sections))
+    retractions = []
+    for i in b.degrees():
+        r = solve_right(include.mat(i),
+                        Matrix.identity(ring, b.rank(i)) - section.mat(i) * project.mat(i))
+        if r is None:
+            raise ValueError(f"sequence is not exact as a split pair in degree {i}")
+        retractions.append(r)
+    retraction = ChainMap(b, a, 0, tuple(retractions))
+    why = split_defect(include, project, section, retraction)
+    if why:
+        raise ValueError("row is not split exact: " + why)
+    return section, retraction
+
+
 def glue_extension(incl: ChainMap, proj: ChainMap, m_sub: HomotopyStructure,
                    m_quot: HomotopyStructure) -> HomotopyStructure:
     """Transport structures on the ends of an extension onto the middle.
@@ -264,24 +297,8 @@ def glue_extension(incl: ChainMap, proj: ChainMap, m_sub: HomotopyStructure,
     if m_sub.ngens != m_quot.ngens:
         raise ValueError("ends need the same number of generators")
     ring = b.ring
-    sigma = {}
-    retract = {}
-    for i in b.degrees():
-        sec = solve_right(proj.mat(i), Matrix.identity(ring, c.rank(i)))
-        if sec is None:
-            raise ValueError(f"projection is not split surjective in degree {i}")
-        sigma[i] = sec
-        rem = Matrix.identity(ring, b.rank(i)) - sec * proj.mat(i)
-        r = solve_right(incl.mat(i), rem)
-        if r is None:
-            raise ValueError(f"sequence is not exact as a split pair in degree {i}")
-        retract[i] = r
-
-    def sig(i):
-        return sigma.get(i, Matrix.zeros(ring, b.rank(i), c.rank(i)))
-
-    def ret(i):
-        return retract.get(i, Matrix.zeros(ring, a.rank(i), b.rank(i)))
+    section, retraction = solve_splitting(incl, proj)
+    sig, ret = section.mat, retraction.mat
 
     grids = []
     for g in range(m_sub.ngens):
@@ -318,13 +335,15 @@ def glue_extension(incl: ChainMap, proj: ChainMap, m_sub: HomotopyStructure,
 
 @dataclass(frozen=True)
 class PeelStep:
-    """One top-degree split: disk -> total -> quotient."""
+    """One top-degree split: disk -> total -> quotient, with its splitting."""
 
     disk: HomotopyStructure
     include: ChainMap
     quotient: HomotopyStructure
     project: ChainMap
     contraction: ChainMap
+    section: ChainMap
+    retraction: ChainMap
 
 
 def peel_top(m: HomotopyStructure,
@@ -357,9 +376,6 @@ def peel_top(m: HomotopyStructure,
         raise ValueError("idempotent image is not a direct summand")
     basis = Matrix.from_ints(ring, compl.rows, r, tuple(row[:r] for row in (compl * v).ints))
     q = Matrix.from_ints(ring, r, compl.cols, (u * compl).ints[:r])
-    if (basis * q != compl or q * basis != Matrix.identity(ring, r)
-            or not (q * dn).is_zero()):
-        raise ValueError("splitting of the idempotent failed")
 
     top_disk = disk(ring, x.rank(n), n, m.scalars)
     incl = ChainMap(top_disk.complex, x, 0, (dn, Matrix.identity(ring, x.rank(n))))
@@ -380,7 +396,17 @@ def peel_top(m: HomotopyStructure,
     proj_mats.append(q)
     proj_mats.append(Matrix.zeros(ring, 0, x.rank(n)))
     proj = ChainMap(x, quot_cx, 0, tuple(proj_mats))
+    # In degree n - 1, h d_n = id (the contraction at the top) and
+    # d_n h + basis q = id split the row; above and below it is trivial.
+    section = ChainMap(quot_cx, x, 0, tuple(
+        basis if i == n - 1 else Matrix.identity(ring, x.rank(i)) for i in quot_cx.degrees()))
+    retraction = ChainMap(x, top_disk.complex, 0, tuple(
+        h.mat(i) if i == n - 1 else Matrix.identity(ring, x.rank(n)) if i == n
+        else Matrix.zeros(ring, 0, x.rank(i)) for i in x.degrees()))
 
+    why = split_defect(incl, proj, section, retraction)
+    if why:
+        raise AssertionError("peel row is not split: " + why)
     bad = check_structure(quotient)
     if bad:
         raise AssertionError("peeled quotient lost the axiom: " + bad[0])
@@ -388,7 +414,7 @@ def peel_top(m: HomotopyStructure,
         raise AssertionError("peel arrows are not chain maps")
     if not (is_equivariant(incl, top_disk, m) and is_equivariant(proj, m, quotient)):
         raise AssertionError("peel arrows are not equivariant")
-    return PeelStep(top_disk, incl, quotient, proj, h)
+    return PeelStep(top_disk, incl, quotient, proj, h, section, retraction)
 
 
 def peel_to_disks(m: HomotopyStructure) -> list:

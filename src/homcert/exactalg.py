@@ -416,7 +416,10 @@ class Matrix:
         return not any(map(any, self.ints))
 
     def is_identity(self) -> bool:
-        return self.rows == self.cols and self == Matrix.identity(self.ring, self.rows)
+        # The identity is stored as 0/1 ints over 1 in every ring.
+        return (self.rows == self.cols and self.den == 1
+                and all(row[i] == 1 and not any(row[:i]) and not any(row[i + 1:])
+                        for i, row in enumerate(self.ints)))
 
     def entry(self, i: int, j: int):
         x = self.ints[i][j]
@@ -589,12 +592,6 @@ def det(a: Matrix):
         prev = m[k][k]
     value = sign * m[n - 1][n - 1]
     return Fraction(value, a.den ** n) if a.ring == QQ else a.ring.from_int(value)
-
-
-def is_invertible(a: Matrix) -> bool:
-    if a.rows != a.cols:
-        return False
-    return a.ring.is_unit(det(a))
 
 
 # ---------------------------------------------------------------------

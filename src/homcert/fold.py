@@ -5,8 +5,8 @@ Given a null-homotopy structure on a complex concentrated in degrees at most
 homotopy scalar.  The general construction runs through the coevaluation
 comparison map into a shifted exterior-coefficient complex, takes its mapping
 cone, and divides out a canonical disk; everything the surrounding theory
-needs (both short exact sequence presentations and their arrows) is returned
-alongside the fold itself.
+needs (both short exact sequence presentations, their arrows and their
+degreewise splittings) is returned alongside the fold itself.
 
 For a single homotopy generator there is also a small direct model built from
 explicit block matrices; ``fold_once_match_iso`` exhibits the canonical
@@ -17,13 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import ChainMap, GradedFreeComplex
+from .complexes import ChainMap, GradedFreeComplex, inverse_defect
 from .constructions import (
     cone_mixed,
     desuspend,
     direct_sum,
     disk,
-    shift_map,
     suspend,
     tensor_module,
     module_tensor,
@@ -133,7 +132,9 @@ class FoldData:
 
     ``base_end`` is the input rescaled by its own scalars, ``coefficient_end``
     is a shifted block of exterior-coefficient columns, and ``disk_end`` is a
-    two-term disk on the top-degree part of the input.
+    two-term disk on the top-degree part of the input.  Each row carries its
+    degreewise splitting: a section of its projection and a retraction of
+    its inclusion (not chain maps).
     """
 
     structure: HomotopyStructure
@@ -145,6 +146,10 @@ class FoldData:
     disk_end: HomotopyStructure
     disk_include: ChainMap
     fold_project: ChainMap
+    base_section: ChainMap
+    coefficient_retraction: ChainMap
+    fold_section: ChainMap
+    disk_retraction: ChainMap
 
 
 def fold_general(m: HomotopyStructure, n: int) -> FoldData:
@@ -207,17 +212,37 @@ def fold_general(m: HomotopyStructure, n: int) -> FoldData:
         else:
             proj_mats.append(Matrix.zeros(ring, 0, cx.rank(i)))
     proj = ChainMap(cx, qx, 0, tuple(proj_mats))
+    # The disk row splits by [0; I] against q_top = [d_n | I] and by [I, 0]
+    # against [I; -d_n]; elsewhere its blocks are identities or empty.
+    section = tuple(keep if i == n else Matrix.identity(ring, cx.rank(i)) for i in qx.degrees())
+    retraction = tuple(
+        Matrix.hstack(Matrix.identity(ring, p), Matrix.zeros(ring, p, x.rank(n - 1))) if i == n
+        else Matrix.identity(ring, p) if i == n + 1
+        else Matrix.zeros(ring, 0, cx.rank(i)) for i in cx.degrees())
+
+    # Desuspending moves every object one degree down; the arrows keep
+    # their matrices.
+    structure, cone_end = desuspend(q), desuspend(c)
+    coefficient_end, base_end = desuspend(cone.sub), desuspend(cone.quotient)
+    disk_end = desuspend(dsk)
+
+    def down(mats, source, target):
+        return ChainMap(source.complex, target.complex, 0, tuple(mats))
 
     data = FoldData(
-        structure=desuspend(q),
-        cone=desuspend(c),
-        coefficient_end=desuspend(cone.sub),
-        base_end=desuspend(cone.quotient),
-        coefficient_include=shift_map(cone.include, -1),
-        base_project=shift_map(cone.project, -1),
-        disk_end=desuspend(dsk),
-        disk_include=shift_map(disk_incl, -1),
-        fold_project=shift_map(proj, -1),
+        structure=structure,
+        cone=cone_end,
+        coefficient_end=coefficient_end,
+        base_end=base_end,
+        coefficient_include=down(cone.include.mats, coefficient_end, cone_end),
+        base_project=down(cone.project.mats, cone_end, base_end),
+        disk_end=disk_end,
+        disk_include=down(disk_incl.mats, disk_end, cone_end),
+        fold_project=down(proj.mats, cone_end, structure),
+        base_section=down(cone.section.mats, base_end, cone_end),
+        coefficient_retraction=down(cone.retraction.mats, cone_end, coefficient_end),
+        fold_section=down(section, structure, cone_end),
+        disk_retraction=down(retraction, cone_end, disk_end),
     )
     for name, struct in (("fold", data.structure), ("cone", data.cone)):
         problems = check_structure(struct)
@@ -235,12 +260,13 @@ def fold(m: HomotopyStructure, n: int) -> HomotopyStructure:
     return fold_general(m, n).structure
 
 
-def fold_map(phi: ChainMap, fold_x: FoldData, fold_y: FoldData, n: int) -> ChainMap:
-    """Push an equivariant degree 0 map through the fold below ``n``.
+def fold_block_map(phi: ChainMap, fold_x: FoldData, fold_y: FoldData, n: int) -> ChainMap:
+    """The degree 0 map the fold below ``n`` induces from ``phi``, unchecked.
 
-    ``phi`` must be a chain map between the inputs of the two folds that
-    commutes with every homotopy operator; the result commutes with the
-    folded operators.
+    In degree n - 1 it is phi itself, and below it the block sum of
+    phi_n (x) id on the coefficient columns and phi_i.  The formula is
+    additive, multiplicative and unital degree by degree, so it carries
+    splitting identities over, also for maps that are not chain maps.
     """
     gx = fold_x.structure.complex
     gy = fold_y.structure.complex
@@ -262,7 +288,17 @@ def fold_map(phi: ChainMap, fold_x: FoldData, fold_y: FoldData, n: int) -> Chain
                 [Matrix.zeros(ring, y.rank(i), top_mat.cols * width),
                  phi.mat(i)],
             ]))
-    out = ChainMap(gx, gy, 0, tuple(mats))
+    return ChainMap(gx, gy, 0, tuple(mats))
+
+
+def fold_map(phi: ChainMap, fold_x: FoldData, fold_y: FoldData, n: int) -> ChainMap:
+    """Push an equivariant degree 0 map through the fold below ``n``.
+
+    ``phi`` must be a chain map between the inputs of the two folds that
+    commutes with every homotopy operator; the result commutes with the
+    folded operators.
+    """
+    out = fold_block_map(phi, fold_x, fold_y, n)
     if not out.is_chain_map():
         raise AssertionError("folded map is not a chain map")
     if not is_equivariant(out, fold_x.structure, fold_y.structure):
@@ -300,8 +336,9 @@ def fold_once_match_iso(m: HomotopyStructure, n: int) -> ChainMap:
     iso = ChainMap(gx, sx, 0, tuple(mats))
     if not iso.is_chain_map():
         raise AssertionError("match iso is not a chain map")
-    if not iso.is_degreewise_invertible():
-        raise AssertionError("match iso is not invertible")
+    why = inverse_defect(iso, iso.transpose())
+    if why:
+        raise AssertionError("match iso is not a signed permutation: " + why)
     if not is_equivariant(iso, gen, small):
         raise AssertionError("match iso is not equivariant")
     return iso
@@ -354,8 +391,9 @@ def disk_fold_iso(ring, rank: int, n: int, scalars: tuple):
     iso = ChainMap(gx, tx, 0, tuple(mats))
     if not iso.is_chain_map():
         raise AssertionError("disk fold iso is not a chain map")
-    if not iso.is_degreewise_invertible():
-        raise AssertionError("disk fold iso is not invertible")
+    why = inverse_defect(iso, iso.transpose())
+    if why:
+        raise AssertionError("disk fold iso is not a signed permutation: " + why)
     if not is_equivariant(iso, data.structure, target):
         raise AssertionError("disk fold iso is not equivariant")
     return data, target, iso
@@ -404,8 +442,9 @@ def sum_fold_iso(ma: HomotopyStructure, mb: HomotopyStructure, n: int) -> ChainM
     iso = ChainMap(gx, tx, 0, tuple(mats))
     if not iso.is_chain_map():
         raise AssertionError("sum fold iso is not a chain map")
-    if not iso.is_degreewise_invertible():
-        raise AssertionError("sum fold iso is not invertible")
+    why = inverse_defect(iso, iso.transpose())
+    if why:
+        raise AssertionError("sum fold iso is not a signed permutation: " + why)
     if not is_equivariant(iso, fab.structure, target.structure):
         raise AssertionError("sum fold iso is not equivariant")
     return iso

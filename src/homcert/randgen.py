@@ -234,11 +234,12 @@ def _witness_matrices(cert):
     for i, s in enumerate(cert.steps):
         arrows = []
         if isinstance(s, ExactRow):
-            arrows = [("include", s.include), ("project", s.project)]
+            arrows = [("include", s.include), ("project", s.project),
+                      ("section", s.section), ("retraction", s.retraction)]
         elif isinstance(s, Contractible):
             arrows = [("contraction", s.contraction)]
         elif isinstance(s, Isomorphism):
-            arrows = [("iso", s.iso)]
+            arrows = [("iso", s.iso), ("inverse", s.inverse)]
         for field, f in arrows:
             for j, mat in enumerate(f.mats):
                 if mat.rows > 0 and mat.cols > 0:
@@ -249,11 +250,22 @@ def _witness_matrices(cert):
 def corrupt_witness_entry(rng, cert: Certificate):
     """Bump one random entry of one random witness matrix by a nonzero delta.
 
-    Every degree 0 arrow the kernel verifies is rigid entry by entry: a
-    change in column r breaks the chain-map check when d's column r is
-    nonzero, and otherwise breaks equivariance, because d e + e d = s . id
-    with s nonzero forces e's column r to be nonzero there.  Contraction
-    witnesses are covered by the d h + h d = id recheck.
+    Every witness the kernel verifies is rigid entry by entry, in every
+    ring, through the product identities alone.  Write E for the matrix unit
+    at the bumped entry (a, b) and c for the nonzero delta.
+
+    * Row arrows and splittings: bumping i changes i·r + s·p by c E r, whose
+      row a is c times row b of r, and that row is nonzero because
+      (row b of r)·(column b of i) = 1 from r·i = id, so c times it pairs
+      with column b of i to c.  Symmetrically, bumping p changes
+      i·r + s·p by c s E (column a of s pairs with row a of p to 1), bumping
+      s changes it by c E p (row b of p pairs with column b of s to 1), and
+      bumping r changes it by c i E (column a of i pairs with row a of r
+      to 1).
+    * Isomorphisms: bumping f changes f·g by c E g and bumping its inverse
+      g changes it by c f E; both are nonzero because g·f = id pairs row b
+      of g with column b of f, and row a of g with column a of f, to 1.
+    * Contraction witnesses are covered by the d h + h d = id recheck.
     """
     picks = _witness_matrices(cert)
     if not picks:

@@ -7,7 +7,10 @@ Conventions shared by every document kind:
   integers are accepted on input but never emitted;
 * a complex stores ``diffs[j]`` as the differential out of degree
   ``min_degree + j + 1`` into ``min_degree + j``;
-* chain maps embed their source and target so a file stands alone;
+* chain maps embed their source and target so a file stands alone; the
+  witnesses a certificate step carries (a row's ``section`` and
+  ``retraction``, an isomorphism's ``inverse``) are lists of matrices only,
+  their endpoints being those of the step's own arrows;
 * dumps are sorted and indented, so equal objects give equal bytes.
 
 ``from_json`` sniffs the document kind from its keys; decoding errors are
@@ -285,12 +288,26 @@ def structure_from_json(doc, where: str = "structure") -> HomotopyStructure:
 _STEP_TAGS = ("SES", "ACYCLIC", "ISO", "SUSPEND", "RESTRICT", "WIDEN")
 
 
+def _witness_from_json(doc: dict, key: str, source: GradedFreeComplex,
+                       target: GradedFreeComplex, where: str) -> ChainMap:
+    """A degree 0 witness map stored as its matrices, one per source degree."""
+    at = f"{where}.{key}"
+    mats = tuple(matrix_from_json(m, f"{at}[{i}]", source.ring)
+                 for i, m in enumerate(_list(_get(doc, key, where), at)))
+    try:
+        return ChainMap(source, target, 0, mats)
+    except ValueError as e:
+        _fail(str(e), at)
+
+
 def _step_to_json(step) -> dict:
     if isinstance(step, ExactRow):
         return {"kind": "SES", "sub": step.sub, "total": step.total,
                 "quotient": step.quotient,
                 "include": chain_map_to_json(step.include),
                 "project": chain_map_to_json(step.project),
+                "section": [matrix_to_json(m) for m in step.section.mats],
+                "retraction": [matrix_to_json(m) for m in step.retraction.mats],
                 "mult": step.mult}
     if isinstance(step, Contractible):
         return {"kind": "ACYCLIC", "name": step.name,
@@ -298,7 +315,9 @@ def _step_to_json(step) -> dict:
                 "mult": step.mult}
     if isinstance(step, Isomorphism):
         return {"kind": "ISO", "source": step.source, "target": step.target,
-                "map": chain_map_to_json(step.iso), "mult": step.mult}
+                "map": chain_map_to_json(step.iso),
+                "inverse": [matrix_to_json(m) for m in step.inverse.mats],
+                "mult": step.mult}
     if isinstance(step, SuspensionPair):
         return {"kind": "SUSPEND", "base": step.base, "shifted": step.shifted,
                 "mult": step.mult}
@@ -315,12 +334,14 @@ def _step_from_json(doc, ring: Ring, where: str):
     doc = _dict(doc, where)
     kind = _str(_get(doc, "kind", where), where + ".kind")
     if kind == "SES":
+        names = [_str(_get(doc, key, where), f"{where}.{key}")
+                 for key in ("sub", "total", "quotient")]
+        include = chain_map_from_json(_get(doc, "include", where), where + ".include")
+        project = chain_map_from_json(_get(doc, "project", where), where + ".project")
         return ExactRow(
-            _str(_get(doc, "sub", where), where + ".sub"),
-            _str(_get(doc, "total", where), where + ".total"),
-            _str(_get(doc, "quotient", where), where + ".quotient"),
-            chain_map_from_json(_get(doc, "include", where), where + ".include"),
-            chain_map_from_json(_get(doc, "project", where), where + ".project"),
+            *names, include, project,
+            _witness_from_json(doc, "section", project.target, project.source, where),
+            _witness_from_json(doc, "retraction", include.target, include.source, where),
             _int(doc.get("mult", 1), where + ".mult"))
     if kind == "ACYCLIC":
         return Contractible(
@@ -328,10 +349,10 @@ def _step_from_json(doc, ring: Ring, where: str):
             chain_map_from_json(_get(doc, "contraction", where), where + ".contraction"),
             _int(doc.get("mult", 1), where + ".mult"))
     if kind == "ISO":
+        names = [_str(_get(doc, key, where), f"{where}.{key}") for key in ("source", "target")]
+        iso = chain_map_from_json(_get(doc, "map", where), where + ".map")
         return Isomorphism(
-            _str(_get(doc, "source", where), where + ".source"),
-            _str(_get(doc, "target", where), where + ".target"),
-            chain_map_from_json(_get(doc, "map", where), where + ".map"),
+            *names, iso, _witness_from_json(doc, "inverse", iso.target, iso.source, where),
             _int(doc.get("mult", 1), where + ".mult"))
     if kind == "SUSPEND":
         return SuspensionPair(

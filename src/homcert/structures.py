@@ -116,21 +116,29 @@ def structure_from_contraction(x: GradedFreeComplex, h: ChainMap,
     return HomotopyStructure(x, tuple(scalars), tuple(grids))
 
 
-def is_equivariant(f: ChainMap, mx: HomotopyStructure, my: HomotopyStructure) -> bool:
-    """True when the chain map intertwines every generator's operator."""
+def equivariance_defect(f: ChainMap, mx: HomotopyStructure,
+                        my: HomotopyStructure) -> Optional[tuple]:
+    """The first (generator, degree) where f e_X != e_Y f, or None when the
+    chain map intertwines every generator's operator.  The structures must
+    have the same number of generators."""
     if f.shift != 0:
         raise ValueError("equivariance is only defined for degree 0 maps")
     if f.source != mx.complex or f.target != my.complex:
         raise ValueError("structures must live on the map's source and target")
     if mx.ngens != my.ngens:
-        return False
+        raise ValueError("structures have different generator counts")
     lo = min(f.source.min_degree, f.target.min_degree)
     hi = max(f.source.top_degree, f.target.top_degree)
     for g in range(mx.ngens):
         for i in range(lo, hi + 1):
             if f.mat(i + 1) * mx.op(g, i) != my.op(g, i) * f.mat(i):
-                return False
-    return True
+                return g, i
+    return None
+
+
+def is_equivariant(f: ChainMap, mx: HomotopyStructure, my: HomotopyStructure) -> bool:
+    """True when the chain map intertwines every generator's operator."""
+    return mx.ngens == my.ngens and equivariance_defect(f, mx, my) is None
 
 
 @dataclass(frozen=True)

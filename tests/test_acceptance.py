@@ -15,7 +15,7 @@ from homcert.certificates import (
 )
 from homcert.complexes import (
     ChainMap, GradedFreeComplex, boundary_map, check_ses, find_contraction,
-    identity_map, is_contraction,
+    identity_map, inverse_defect, is_contraction,
 )
 from homcert.constructions import (
     cone_mixed, cone_same, direct_sum, disk, glue_extension,
@@ -130,7 +130,7 @@ def test_folded_disk_matches_shifted_block_grid():
                     assert check_structure(data.structure) == []
                     assert check_structure(target) == []
                     assert iso.is_chain_map()
-                    assert iso.is_degreewise_invertible()
+                    assert inverse_defect(iso, iso.transpose()) is None
                     assert is_equivariant(iso, data.structure, target)
                     cells += 1
     assert cells == 72
@@ -243,7 +243,7 @@ def test_exterior_calculus_suite():
             star = hodge_star(ZZ, scalars)
             assert star.source == k.complex and star.target == o.complex
             assert star.is_chain_map()
-            assert star.is_degreewise_invertible()
+            assert inverse_defect(star, star.transpose()) is None
             assert is_equivariant(star, k, o)
             for j in range(d + 1):
                 sgn = ZZ.from_int(-1 if (j * (d - j)) % 2 else 1)
@@ -296,8 +296,11 @@ def test_independent_lifts_certified_equal():
 def test_corrupted_witness_always_rejected():
     rng = random.Random(99)
     pool = []
+    draws = 0
     while len(pool) < 100:
-        roll = len(pool) % 5
+        # by draw, not by pool size: the rows come in pairs
+        roll = draws % 5
+        draws += 1
         if roll == 0:
             m = random_structure(rng, ZZ, rng.randint(2, 3),
                                  (rng.choice((2, 3, 6)),))
@@ -318,13 +321,16 @@ def test_corrupted_witness_always_rejected():
                 ZZ, rng.randint(1, 2), rng.randint(3, 4),
                 (rng.choice((2, 3)),)))
     pool = pool[:100]
-    survivors = []
+    survivors, fields = [], set()
     for idx, cert in enumerate(pool):
         assert check_certificate(cert).accepted
         mutant, where = corrupt_witness_entry(rng, cert)
+        fields.add(where.split()[2])
         if check_certificate(mutant).accepted:
             survivors.append((idx, where))
     assert survivors == []
+    assert fields == {"include", "project", "section", "retraction", "contraction",
+                      "iso", "inverse"}
 
 
 @criterion("AC10", "least exponents are exact through 8; rational homology flags the rest")

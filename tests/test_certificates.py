@@ -110,15 +110,16 @@ def test_isomorphism_step_requires_invertibility():
     ident = identity_map(m.complex)
     cert = Certificate(
         Slot(m.scalars, 2), (("a", m), ("b", m)),
-        (Isomorphism("a", "b", ident),),
+        (Isomorphism("a", "b", ident, ident),),
         ClassExpr.build([("a", 1), ("b", -1)]))
     assert check_certificate(cert).accepted
     squash = ChainMap(m.complex, m.complex, 0,
                       tuple(mat.scale(ZZ.from_int(2)) for mat in ident.mats))
     bad = Certificate(cert.slot, cert.registry,
-                      (Isomorphism("a", "b", squash),), cert.claim)
+                      (Isomorphism("a", "b", squash, ident),), cert.claim)
     res = check_certificate(bad)
-    assert not res.accepted and "invertible" in res.reason
+    assert not res.accepted
+    assert res.reason == "isomorphism is not invertible: f·g ≠ id in degree 1"
 
 
 def test_suspension_pair_window_guard():
@@ -140,7 +141,7 @@ def test_rescale_moves_the_slot():
     n4 = restrict(m, (2,))
     registry = (("a", m), ("b", m), ("a4", m4), ("b4", n4))
     steps = (
-        Isomorphism("a", "b", identity_map(m.complex)),
+        Isomorphism("a", "b", identity_map(m.complex), identity_map(m.complex)),
         Rescale((ZZ.from_int(2),), (("a", "a4"), ("b", "b4"))),
     )
     claim = ClassExpr.build([("a4", 1), ("b4", -1)])
@@ -282,12 +283,14 @@ def test_inexact_row_reason_names_the_degree():
     rng = random.Random(12)
     cert = sum_certificate(disk_pile(rng, ZZ, 3, (2,)), disk_pile(rng, ZZ, 3, (2,)), 3)
     (row,) = cert.steps
-    # an identity projection kills nothing: g o f = f, nonzero wherever A is
+    # an identity projection kills nothing: with the identity as its section,
+    # i·r + s·p = i·r + id, which is not id wherever A is nonzero
     f = row.include
-    bad = ExactRow(row.sub, row.total, "sum", f, identity_map(f.target))
+    ident = identity_map(f.target)
+    bad = ExactRow(row.sub, row.total, "sum", f, ident, ident, row.retraction)
     res = check_certificate(Certificate(cert.slot, cert.registry, (bad,), cert.claim))
     assert not res.accepted
-    assert res.reason.startswith("row is not exact: g o f != 0 in degree ")
+    assert res.reason.startswith("row is not split exact: i·r + s·p ≠ id in degree ")
 
 
 def test_structure_independence_certificate_accepted():

@@ -1,15 +1,22 @@
 """Command-line behavior: exit codes, report schemas, round trips, demos."""
 
+import contextlib
 import importlib
+import io
 import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from homcert import cli
+from homcert.certificates import (
+    disk_transport_certificate, fold_row_certificates, sum_certificate,
+)
 from homcert.cli import main
 from homcert.complexes import GradedFreeComplex, identity_map
 from homcert.constructions import disk
-from homcert.exactalg import Matrix, ZZ
+from homcert.exactalg import Matrix, ZZ, Zmod
 from homcert.randgen import contractible_structure, disk_pile, split_row
 from homcert.serialize import dumps, from_json, to_json
 from homcert.structures import find_structure
@@ -263,3 +270,115 @@ def test_demo_deterministic_bytes(tmp_path, capsys):
     main(["demo", "wij", "--seed", "11", "--out", out])
     assert capsys.readouterr().out == first
     assert open(out).read() == first_file
+
+
+def test_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1))
+    m = write(tmp_path, "m.json", disk(ZZ, 1, 2, (2,)))
+    c = write(tmp_path, "c.json", sum_certificate(disk(ZZ, 1, 2, (2,)), disk(ZZ, 1, 2, (2,)), 2))
+    argvs = (["validate", m], ["dual", m], ["certify", c],
+             ["homotopy", "find", m, "--gens", "2"], ["gamma", "--nonsense", m])
+    seen = []
+    for _ in range(2):
+        for argv in argvs:
+            seen.append((main(argv), capsys.readouterr()))
+    assert built == []
+    assert seen[:len(argvs)] == seen[len(argvs):]
+    assert [code for code, _ in seen[:len(argvs)]] == [0, 0, 0, 0, 2]
+
+
+@pytest.mark.parametrize("build, kind, field", [
+    (lambda: sum_certificate(disk(ZZ, 1, 2, (2,)), disk(ZZ, 1, 2, (2,)), 2), "SES", "section"),
+    (lambda: sum_certificate(disk(ZZ, 1, 2, (2,)), disk(ZZ, 1, 2, (2,)), 2), "SES", "retraction"),
+    (lambda: disk_transport_certificate(ZZ, 1, 3, (2,)), "ISO", "inverse"),
+])
+def test_pre_witness_certificate_is_malformed(run, tmp_path, build, kind, field):
+    doc = to_json(build())
+    (step,) = doc["steps"]
+    assert step["kind"] == kind
+    del step[field]
+    code, report, err = run("certify", write(tmp_path, "c.json", doc))
+    assert code == 2 and report is None
+    assert err["error"] == {"code": "malformed", "message": f"missing field {field!r}",
+                            "where": "certificate.steps[0]"}
+
+
+# -- JSON mutants of valid certificates --------------------------------------
+
+FUZZ_BASES = [
+    to_json(sum_certificate(disk(ZZ, 1, 2, (2,)), disk(ZZ, 2, 2, (2,)), 2)),
+    to_json(disk_transport_certificate(Zmod(4), 1, 3, (3,))),
+    to_json(fold_row_certificates(disk(ZZ, 1, 2, (3,)), 2)[0]),
+]
+NAME_KEYS = ("sub", "total", "quotient", "source", "target", "name", "base", "shifted")
+WITNESS_KEYS = ("section", "retraction", "inverse")
+OTHER_TYPES = (None, 7, "7", [], {}, True, 1.5)
+
+
+def _paths(doc, prefix=()):
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _mutate(doc, move, pick):
+    """Apply one mutation in place; ``pick(n)`` chooses one of n candidates."""
+    paths = list(_paths(doc))
+    if move == "delete_key":
+        cands = [p for p in paths if p and isinstance(p[-1], str)]
+        path = cands[pick(len(cands))]
+        del _at(doc, path[:-1])[path[-1]]
+    elif move == "retype":
+        path = paths[1:][pick(len(paths) - 1)]
+        old = _at(doc, path)
+        new = [v for v in OTHER_TYPES if type(v) is not type(old)]
+        _at(doc, path[:-1])[path[-1]] = new[pick(len(new))]
+    elif move == "matrix_rows":
+        cands = [p for p in paths if isinstance(_at(doc, p), dict) and "entries" in _at(doc, p)]
+        rows = _at(doc, cands[pick(len(cands))])["entries"]
+        if rows and pick(2):
+            rows.pop(pick(len(rows)))
+        else:
+            rows.append(list(rows[0]) if rows else ["1"])
+    elif move == "rename":
+        cands = [(i, k) for i, step in enumerate(doc["steps"]) for k in NAME_KEYS if k in step]
+        i, k = cands[pick(len(cands))]
+        names = [name for name, _ in doc["registry"]] + ["nowhere"]
+        doc["steps"][i][k] = names[pick(len(names))]
+    else:  # truncate a witness list
+        cands = [(i, k) for i, step in enumerate(doc["steps"]) for k in WITNESS_KEYS if k in step]
+        i, k = cands[pick(len(cands))]
+        del doc["steps"][i][k][pick(len(doc["steps"][i][k])):]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=150, deadline=None)
+@given(base=st.integers(0, len(FUZZ_BASES) - 1),
+       move=st.sampled_from(("delete_key", "retype", "matrix_rows", "rename", "truncate")),
+       data=st.data())
+def test_certify_survives_json_mutants(fuzz_dir, base, move, data):
+    doc = json.loads(json.dumps(FUZZ_BASES[base]))
+    _mutate(doc, move, lambda n: data.draw(st.integers(0, n - 1)))
+    path = fuzz_dir / "mutant.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["certify", str(path)])
+    assert code in (0, 1, 2)
+    if code:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and set(json.loads(lines[0])) == {"error"}
+    else:
+        assert err.getvalue() == ""

@@ -162,7 +162,7 @@ def test_rescale_and_widen_steps_round_trip():
     cert = Certificate(
         Slot((2,), 2),
         (("a", m), ("b", m), ("a4", m4), ("b4", m4)),
-        (Isomorphism("a", "b", identity_map(m.complex)),
+        (Isomorphism("a", "b", identity_map(m.complex), identity_map(m.complex)),
          Widen(4),
          Rescale((2,), (("a", "a4"), ("b", "b4"))),
          SuspensionPair("a4", "s"),

@@ -269,7 +269,8 @@ def cmd_certify(args) -> int:
     }
     _emit(report)
     if not res.accepted:
-        _emit_error("reject", res.reason or "certificate rejected")
+        _emit_error("reject", res.reason or "certificate rejected",
+                    None if res.step is None else f"certificate.steps[{res.step}]")
         return 1
     return 0
 

@@ -99,18 +99,6 @@ def validate_complex(x: GradedFreeComplex, allow_negative: bool = False) -> list
     return report
 
 
-def trim(x: GradedFreeComplex) -> GradedFreeComplex:
-    """Drop zero-rank slots at both ends of the window (zero complex stays one slot)."""
-    lo, hi = 0, len(x.ranks) - 1
-    while lo < hi and x.ranks[lo] == 0:
-        lo += 1
-    while hi > lo and x.ranks[hi] == 0:
-        hi -= 1
-    if x.ranks[lo] == 0:
-        return zero_complex(x.ring, x.min_degree)
-    return GradedFreeComplex(x.ring, x.min_degree + lo, x.ranks[lo:hi + 1], x.diffs[lo:hi])
-
-
 @dataclass(frozen=True)
 class HomologySummary:
     free_rank: int

@@ -741,13 +741,3 @@ def rank(a: Matrix) -> int:
         return len(_row_reduce(ring, [list(map(ring.normalize, row)) for row in a.ints], a.cols))
     raise ValueError(f"rank is not supported over {ring}")
 
-
-def elementary_divisors(a: Matrix) -> list[int]:
-    """Nontrivial invariant factors (> 1) of an integer matrix."""
-    _, d, _ = smith_normal_form(a)
-    out = []
-    for i in range(min(a.rows, a.cols)):
-        x = d.ints[i][i]
-        if x > 1:
-            out.append(x)
-    return out

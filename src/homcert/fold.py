@@ -49,7 +49,7 @@ def _padded_restrict(m: HomotopyStructure, n: int) -> HomotopyStructure:
     d = m.ngens
     scaled = restrict(m, m.scalars)
     lo = min(x.min_degree, n - d - 1)
-    hi = max(x.min_degree + len(x.ranks) - 1, n - 1)
+    hi = max(x.top_degree, n - 1)
     ranks = tuple(x.rank(i) for i in range(lo, hi + 1))
     diffs = tuple(x.diff(i) for i in range(lo + 1, hi + 1))
     cx = GradedFreeComplex(x.ring, lo, ranks, diffs)
@@ -71,7 +71,7 @@ def fold_once(m: HomotopyStructure, n: int) -> HomotopyStructure:
         raise ValueError("direct fold needs exactly one homotopy generator")
     x = m.complex
     ring = x.ring
-    top = x.min_degree + len(x.ranks) - 1
+    top = x.top_degree
     if n < 2:
         raise ValueError("fold ceiling must be at least 2")
     if top > n:
@@ -164,8 +164,7 @@ def fold_general(m: HomotopyStructure, n: int) -> FoldData:
     d = m.ngens
     if d == 0:
         raise ValueError("fold needs at least one homotopy generator")
-    top = x.min_degree + len(x.ranks) - 1
-    if top > n:
+    if x.top_degree > n:
         raise ValueError("complex exceeds the fold ceiling")
     if n < d:
         raise ValueError("fold ceiling must be at least the generator count")
@@ -204,7 +203,7 @@ def fold_general(m: HomotopyStructure, n: int) -> FoldData:
         ops.append(tuple(col))
     q = HomotopyStructure(qx, c.scalars, tuple(ops))
     proj_mats = []
-    for i in range(lo, lo + len(cx.ranks)):
+    for i in cx.degrees():
         if i < n:
             proj_mats.append(Matrix.identity(ring, cx.rank(i)))
         elif i == n:
@@ -277,7 +276,7 @@ def fold_block_map(phi: ChainMap, fold_x: FoldData, fold_y: FoldData, n: int) ->
         raise ValueError("folds have different generator counts")
     top_mat = phi.mat(n)
     mats = []
-    for i in range(gx.min_degree, gx.min_degree + len(gx.ranks)):
+    for i in gx.degrees():
         if i == n - 1:
             mats.append(phi.mat(n - 1))
         else:
@@ -306,6 +305,19 @@ def fold_map(phi: ChainMap, fold_x: FoldData, fold_y: FoldData, n: int) -> Chain
     return out
 
 
+def _check_permutation_iso(iso: ChainMap, source: HomotopyStructure,
+                           target: HomotopyStructure, label: str):
+    """Self-check of a built isomorphism: a chain map, inverted by its
+    transpose, and equivariant from ``source`` to ``target``."""
+    if not iso.is_chain_map():
+        raise AssertionError(f"{label} is not a chain map")
+    why = inverse_defect(iso, iso.transpose())
+    if why:
+        raise AssertionError(f"{label} is not a signed permutation: " + why)
+    if not is_equivariant(iso, source, target):
+        raise AssertionError(f"{label} is not equivariant")
+
+
 def fold_once_match_iso(m: HomotopyStructure, n: int) -> ChainMap:
     """Equivariant isomorphism from the general fold onto the direct model.
 
@@ -315,15 +327,14 @@ def fold_once_match_iso(m: HomotopyStructure, n: int) -> ChainMap:
     """
     x = m.complex
     ring = x.ring
-    top = x.min_degree + len(x.ranks) - 1
-    if m.ngens != 1 or top != n:
+    if m.ngens != 1 or x.top_degree != n:
         raise ValueError("match iso needs one generator reaching the ceiling")
     gen = fold_general(m, n).structure
     small = fold_once(m, n)
     gx, sx = gen.complex, small.complex
     sign = ring.one() if n % 2 == 0 else ring.neg(ring.one())
     mats = []
-    for i in range(gx.min_degree, gx.min_degree + len(gx.ranks)):
+    for i in gx.degrees():
         if i == n - 2:
             pn = x.rank(n)
             pl = x.rank(n - 2)
@@ -334,13 +345,7 @@ def fold_once_match_iso(m: HomotopyStructure, n: int) -> ChainMap:
         else:
             mats.append(Matrix.identity(ring, gx.rank(i)))
     iso = ChainMap(gx, sx, 0, tuple(mats))
-    if not iso.is_chain_map():
-        raise AssertionError("match iso is not a chain map")
-    why = inverse_defect(iso, iso.transpose())
-    if why:
-        raise AssertionError("match iso is not a signed permutation: " + why)
-    if not is_equivariant(iso, gen, small):
-        raise AssertionError("match iso is not equivariant")
+    _check_permutation_iso(iso, gen, small, "match iso")
     return iso
 
 
@@ -373,7 +378,7 @@ def disk_fold_iso(ring, rank: int, n: int, scalars: tuple):
     gx = data.structure.complex
     tx = target.complex
     mats = []
-    for i in range(gx.min_degree, gx.min_degree + len(gx.ranks)):
+    for i in gx.degrees():
         k = i - gx.min_degree
         unstar = star.mat(k).transpose()  # a signed permutation
         low = exterior_basis(d, d - k)
@@ -389,13 +394,7 @@ def disk_fold_iso(ring, rank: int, n: int, scalars: tuple):
 
         mats.append(Matrix.build(ring, high * rank, rank * nb, entry))
     iso = ChainMap(gx, tx, 0, tuple(mats))
-    if not iso.is_chain_map():
-        raise AssertionError("disk fold iso is not a chain map")
-    why = inverse_defect(iso, iso.transpose())
-    if why:
-        raise AssertionError("disk fold iso is not a signed permutation: " + why)
-    if not is_equivariant(iso, data.structure, target):
-        raise AssertionError("disk fold iso is not equivariant")
+    _check_permutation_iso(iso, data.structure, target, "disk fold iso")
     return data, target, iso
 
 
@@ -417,7 +416,7 @@ def sum_fold_iso(ma: HomotopyStructure, mb: HomotopyStructure, n: int) -> ChainM
     gx = fab.structure.complex
     tx = target.structure.complex
     mats = []
-    for i in range(gx.min_degree, gx.min_degree + len(gx.ranks)):
+    for i in gx.degrees():
         if i == n - 1:
             mats.append(Matrix.identity(ring, gx.rank(i)))
             continue
@@ -440,11 +439,5 @@ def sum_fold_iso(ma: HomotopyStructure, mb: HomotopyStructure, n: int) -> ChainM
 
         mats.append(Matrix.build(ring, tx.rank(i), gx.rank(i), entry))
     iso = ChainMap(gx, tx, 0, tuple(mats))
-    if not iso.is_chain_map():
-        raise AssertionError("sum fold iso is not a chain map")
-    why = inverse_defect(iso, iso.transpose())
-    if why:
-        raise AssertionError("sum fold iso is not a signed permutation: " + why)
-    if not is_equivariant(iso, fab.structure, target.structure):
-        raise AssertionError("sum fold iso is not equivariant")
+    _check_permutation_iso(iso, fab.structure, target.structure, "sum fold iso")
     return iso

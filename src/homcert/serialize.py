@@ -7,10 +7,13 @@ Conventions shared by every document kind:
   integers are accepted on input but never emitted;
 * a complex stores ``diffs[j]`` as the differential out of degree
   ``min_degree + j + 1`` into ``min_degree + j``;
-* chain maps embed their source and target so a file stands alone; the
-  witnesses a certificate step carries (a row's ``section`` and
-  ``retraction``, an isomorphism's ``inverse``) are lists of matrices only,
-  their endpoints being those of the step's own arrows;
+* a standalone chain map embeds its source and target so the file stands
+  alone;
+* a certificate states each complex once, in its registry: every map a step
+  carries (a row's ``include``, ``project``, ``section`` and
+  ``retraction``, an isomorphism's ``map`` and ``inverse``, a
+  ``contraction``) is a list of matrices, one per source degree, between
+  the complexes of the registry objects the step names;
 * dumps are sorted and indented, so equal objects give equal bytes.
 
 ``from_json`` sniffs the document kind from its keys; decoding errors are
@@ -287,37 +290,47 @@ def structure_from_json(doc, where: str = "structure") -> HomotopyStructure:
 
 _STEP_TAGS = ("SES", "ACYCLIC", "ISO", "SUSPEND", "RESTRICT", "WIDEN")
 
+# The steps that carry maps: kind -> (class, the keys naming registry objects,
+# and per map (key, attribute, source name key, target name key, shift)).
+_MAP_STEPS = {
+    "SES": (ExactRow, ("sub", "total", "quotient"),
+            (("include", "include", "sub", "total", 0),
+             ("project", "project", "total", "quotient", 0),
+             ("section", "section", "quotient", "total", 0),
+             ("retraction", "retraction", "total", "sub", 0))),
+    "ACYCLIC": (Contractible, ("name",),
+                (("contraction", "contraction", "name", "name", 1),)),
+    "ISO": (Isomorphism, ("source", "target"),
+            (("map", "iso", "source", "target", 0),
+             ("inverse", "inverse", "target", "source", 0))),
+}
 
-def _witness_from_json(doc: dict, key: str, source: GradedFreeComplex,
-                       target: GradedFreeComplex, where: str) -> ChainMap:
-    """A degree 0 witness map stored as its matrices, one per source degree."""
+
+def _map_from_json(doc: dict, key: str, source: GradedFreeComplex,
+                   target: GradedFreeComplex, shift: int, where: str) -> ChainMap:
+    """A step map stored as its matrices, one per source degree."""
     at = f"{where}.{key}"
     mats = tuple(matrix_from_json(m, f"{at}[{i}]", source.ring)
                  for i, m in enumerate(_list(_get(doc, key, where), at)))
     try:
-        return ChainMap(source, target, 0, mats)
+        return ChainMap(source, target, shift, mats)
     except ValueError as e:
         _fail(str(e), at)
 
 
-def _step_to_json(step) -> dict:
-    if isinstance(step, ExactRow):
-        return {"kind": "SES", "sub": step.sub, "total": step.total,
-                "quotient": step.quotient,
-                "include": chain_map_to_json(step.include),
-                "project": chain_map_to_json(step.project),
-                "section": [matrix_to_json(m) for m in step.section.mats],
-                "retraction": [matrix_to_json(m) for m in step.retraction.mats],
-                "mult": step.mult}
-    if isinstance(step, Contractible):
-        return {"kind": "ACYCLIC", "name": step.name,
-                "contraction": chain_map_to_json(step.contraction),
-                "mult": step.mult}
-    if isinstance(step, Isomorphism):
-        return {"kind": "ISO", "source": step.source, "target": step.target,
-                "map": chain_map_to_json(step.iso),
-                "inverse": [matrix_to_json(m) for m in step.inverse.mats],
-                "mult": step.mult}
+def _step_to_json(step, complexes: dict, where: str) -> dict:
+    for kind, (cls, names, maps) in _MAP_STEPS.items():
+        if isinstance(step, cls):
+            doc = {"kind": kind, "mult": step.mult}
+            doc.update((key, getattr(step, key)) for key in names)
+            for key, attr, src, tgt, shift in maps:
+                f = getattr(step, attr)
+                if (f.source, f.target, f.shift) != (
+                        complexes.get(doc[src]), complexes.get(doc[tgt]), shift):
+                    raise ValueError(f"{where}: {key} is not a degree {shift} map "
+                                     f"from {doc[src]!r} to {doc[tgt]!r}")
+                doc[key] = [matrix_to_json(m) for m in f.mats]
+            return doc
     if isinstance(step, SuspensionPair):
         return {"kind": "SUSPEND", "base": step.base, "shifted": step.shifted,
                 "mult": step.mult}
@@ -330,30 +343,20 @@ def _step_to_json(step) -> dict:
     raise ValueError(f"unknown step type {type(step).__name__}")
 
 
-def _step_from_json(doc, ring: Ring, where: str):
+def _step_from_json(doc, ring: Ring, complexes: dict, where: str):
     doc = _dict(doc, where)
     kind = _str(_get(doc, "kind", where), where + ".kind")
-    if kind == "SES":
-        names = [_str(_get(doc, key, where), f"{where}.{key}")
-                 for key in ("sub", "total", "quotient")]
-        include = chain_map_from_json(_get(doc, "include", where), where + ".include")
-        project = chain_map_from_json(_get(doc, "project", where), where + ".project")
-        return ExactRow(
-            *names, include, project,
-            _witness_from_json(doc, "section", project.target, project.source, where),
-            _witness_from_json(doc, "retraction", include.target, include.source, where),
-            _int(doc.get("mult", 1), where + ".mult"))
-    if kind == "ACYCLIC":
-        return Contractible(
-            _str(_get(doc, "name", where), where + ".name"),
-            chain_map_from_json(_get(doc, "contraction", where), where + ".contraction"),
-            _int(doc.get("mult", 1), where + ".mult"))
-    if kind == "ISO":
-        names = [_str(_get(doc, key, where), f"{where}.{key}") for key in ("source", "target")]
-        iso = chain_map_from_json(_get(doc, "map", where), where + ".map")
-        return Isomorphism(
-            *names, iso, _witness_from_json(doc, "inverse", iso.target, iso.source, where),
-            _int(doc.get("mult", 1), where + ".mult"))
+    if kind in _MAP_STEPS:
+        cls, names, maps = _MAP_STEPS[kind]
+        args = {}
+        for key in names:
+            args[key] = _str(_get(doc, key, where), f"{where}.{key}")
+            if args[key] not in complexes:
+                _fail(f"unregistered name {args[key]!r}", f"{where}.{key}")
+        for key, attr, src, tgt, shift in maps:
+            args[attr] = _map_from_json(doc, key, complexes[args[src]],
+                                        complexes[args[tgt]], shift, where)
+        return cls(**args, mult=_int(doc.get("mult", 1), where + ".mult"))
     if kind == "SUSPEND":
         return SuspensionPair(
             _str(_get(doc, "base", where), where + ".base"),
@@ -380,12 +383,13 @@ def certificate_to_json(cert: Certificate) -> dict:
     if not cert.registry:
         raise ValueError("cannot serialize a certificate with an empty registry")
     ring = cert.registry[0][1].complex.ring
+    complexes = {name: m.complex for name, m in cert.registry}
     return {
         "ring": ring_to_json(ring),
         "slot": {"scalars": [element_to_str(ring, s) for s in cert.slot.scalars],
                  "ceiling": cert.slot.ceiling},
         "registry": [[name, structure_to_json(m)] for name, m in cert.registry],
-        "steps": [_step_to_json(s) for s in cert.steps],
+        "steps": [_step_to_json(s, complexes, f"steps[{i}]") for i, s in enumerate(cert.steps)],
         "claim": [[name, coeff] for name, coeff in cert.claim.terms],
     }
 
@@ -406,7 +410,8 @@ def certificate_from_json(doc, where: str = "certificate") -> Certificate:
             _fail("expected [name, structure]", f"{where}.registry[{i}]")
         registry.append((_str(item[0], f"{where}.registry[{i}][0]"),
                          structure_from_json(item[1], f"{where}.registry[{i}][1]")))
-    steps = tuple(_step_from_json(s, ring, f"{where}.steps[{i}]")
+    complexes = {name: m.complex for name, m in registry}
+    steps = tuple(_step_from_json(s, ring, complexes, f"{where}.steps[{i}]")
                   for i, s in enumerate(_list(_get(doc, "steps", where), where + ".steps")))
     claim_pairs = []
     for i, item in enumerate(_list(_get(doc, "claim", where), where + ".claim")):

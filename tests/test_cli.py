@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from homcert import cli
 from homcert.certificates import (
-    disk_transport_certificate, fold_row_certificates, sum_certificate,
+    disk_transport_certificate, fold_row_certificates, peel_chain_certificate,
+    sum_certificate,
 )
 from homcert.cli import main
 from homcert.complexes import GradedFreeComplex, identity_map
@@ -238,13 +239,14 @@ def test_certify_reject_reports_step(run, tmp_path):
     from homcert.certificates import sum_certificate
     m = disk(ZZ, 1, 2, (2,))
     doc = to_json(sum_certificate(m, m, 3))
-    doc["steps"][0]["include"]["mats"][0]["entries"][0][0] = "9"
+    doc["steps"][0]["include"][0]["entries"][0][0] = "9"
     path = write(tmp_path, "c.json", doc)
     code, report, err = run("certify", path)
     assert code == 1
     assert not report["accepted"]
     assert report["failing_step"] == 0
-    assert err["error"]["code"] == "reject"
+    assert err["error"] == {"code": "reject", "message": report["reason"],
+                            "where": "certificate.steps[0]"}
 
 
 def test_certify_requires_certificate(run, tmp_path):
@@ -304,15 +306,33 @@ def test_pre_witness_certificate_is_malformed(run, tmp_path, build, kind, field)
                             "where": "certificate.steps[0]"}
 
 
+@pytest.mark.parametrize("edit, where", [
+    (lambda step, cert: step.update(sub="nowhere"), "certificate.steps[0].sub"),
+    # left is a rank 1 disk and right a rank 2 disk: include cannot start at right
+    (lambda step, cert: step.update(sub="right"), "certificate.steps[0].include"),
+    # the earlier layout, where each step map embedded its complexes
+    (lambda step, cert: step.update(include=to_json(cert.steps[0].include)),
+     "certificate.steps[0].include"),
+])
+def test_step_maps_off_the_registry_are_malformed(run, tmp_path, edit, where):
+    cert = sum_certificate(disk(ZZ, 1, 2, (2,)), disk(ZZ, 2, 2, (2,)), 2)
+    doc = to_json(cert)
+    edit(doc["steps"][0], cert)
+    code, report, err = run("certify", write(tmp_path, "c.json", doc))
+    assert code == 2 and report is None
+    assert err["error"]["code"] == "malformed" and err["error"]["where"] == where
+
+
 # -- JSON mutants of valid certificates --------------------------------------
 
 FUZZ_BASES = [
     to_json(sum_certificate(disk(ZZ, 1, 2, (2,)), disk(ZZ, 2, 2, (2,)), 2)),
     to_json(disk_transport_certificate(Zmod(4), 1, 3, (3,))),
     to_json(fold_row_certificates(disk(ZZ, 1, 2, (3,)), 2)[0]),
+    to_json(peel_chain_certificate(disk(ZZ, 1, 2, (2,)), 2)),
 ]
 NAME_KEYS = ("sub", "total", "quotient", "source", "target", "name", "base", "shifted")
-WITNESS_KEYS = ("section", "retraction", "inverse")
+WITNESS_KEYS = ("include", "project", "section", "retraction", "map", "inverse", "contraction")
 OTHER_TYPES = (None, 7, "7", [], {}, True, 1.5)
 
 

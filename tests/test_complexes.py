@@ -13,7 +13,7 @@ import homcert.exactalg
 from homcert.complexes import (
     ChainMap, GradedFreeComplex, HomotopySystem, check_ses, concentrated,
     find_contraction, homology_invariants, identity_map, inverse_defect,
-    is_contraction, is_exact, solve_homotopy, trim, validate_complex, zero_complex, zero_map,
+    is_contraction, is_exact, solve_homotopy, validate_complex, zero_complex, zero_map,
 )
 from homcert.exactalg import Matrix, QQ, ZZ, Zmod
 
@@ -89,14 +89,6 @@ def test_rank_and_diff_accessors_off_window():
     assert x.diff(0).rows == 0 and x.diff(2).cols == 0
     assert x.diff(1).entry(0, 0) == 5
     assert x.euler_characteristic() == 0
-
-
-def test_trim():
-    x = GradedFreeComplex(ZZ, 0, (0, 1, 1, 0),
-                          (Matrix.zeros(ZZ, 0, 1), Matrix.from_rows(ZZ, [[4]]), Matrix.zeros(ZZ, 1, 0)))
-    t = trim(x)
-    assert t.min_degree == 1 and t.ranks == (1, 1)
-    assert trim(zero_complex(ZZ)).is_zero()
 
 
 # -- homology ---------------------------------------------------------

@@ -13,8 +13,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from homcert.exactalg import (
     MODULUS_LIMIT, Matrix, ModularRing, QQ, SmithSolver, ZZ, Zmod, det,
-    elementary_divisors, is_prime, rank,
-    smith_normal_form, solve_right,
+    is_prime, rank, smith_normal_form, solve_right,
 )
 
 
@@ -360,12 +359,6 @@ def test_snf_small_vs_minors_oracle():
     for _ in range(25):
         a = random_matrix(rng, ZZ, rng.randint(1, 3), rng.randint(1, 3), -6, 6)
         assert check_snf_contract(a) == minors_gcd_divisors(a)
-
-
-def test_elementary_divisors():
-    assert elementary_divisors(mat([[2, 0], [0, 3]])) == [6]
-    assert elementary_divisors(mat([[1, 0], [0, 1]])) == []
-    assert elementary_divisors(mat([[4]])) == [4]
 
 
 # -- solving ----------------------------------------------------------

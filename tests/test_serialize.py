@@ -1,17 +1,19 @@
 """JSON round trips, byte determinism, and malformed-input diagnostics."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from homcert.certificates import (
-    Certificate, ClassExpr, Isomorphism, Rescale, Slot, SuspensionPair,
-    Widen, check_certificate, fold_defect_certificate,
-    fold_identity_certificate, peel_chain_certificate,
-    structure_independence_certificate, sum_certificate,
+    Certificate, ClassExpr, Contractible, ExactRow, Isomorphism, Rescale,
+    Slot, SuspensionPair, Widen, check_certificate, disk_transport_certificate,
+    fold_defect_certificate, fold_identity_certificate, fold_row_certificates,
+    peel_chain_certificate, structure_independence_certificate,
+    sum_certificate,
 )
-from homcert.complexes import GradedFreeComplex, identity_map
+from homcert.complexes import GradedFreeComplex, find_contraction, identity_map
 from homcert.constructions import disk, suspend
 from homcert.exactalg import Matrix, QQ, ZZ, Zmod
 from homcert.randgen import contractible_structure, disk_pile, lift_pair
@@ -19,7 +21,7 @@ from homcert.serialize import (
     FormatError, complex_from_json, detect_kind, dumps, from_json, loads,
     matrix_from_json, matrix_to_json, ring_from_json, ring_to_json, to_json,
 )
-from homcert.structures import restrict
+from homcert.structures import restrict, structure_from_contraction
 
 
 def test_ring_tags():
@@ -137,7 +139,21 @@ def test_detect_kind():
         detect_kind({"nope": 1})
 
 
-@pytest.mark.parametrize("build", [
+def _rational_certificate():
+    """Q steps with non-integral maps: an isomorphism 2·id with inverse
+    (1/2)·id, and the contraction (1/3) of Q --3--> Q."""
+    x = GradedFreeComplex(QQ, 0, (1, 1), (Matrix.from_rows(QQ, [[3]]),))
+    h = find_contraction(x)
+    m = structure_from_contraction(x, h, (Fraction(2, 5),))
+    one = identity_map(x)
+    return Certificate(
+        Slot(m.scalars, 1), (("a", m), ("b", m)),
+        (Isomorphism("a", "b", one.scale(2), one.scale(Fraction(1, 2))),
+         Contractible("a", h)),
+        ClassExpr.build([("a", 2), ("b", -1)]))
+
+
+CERTIFICATE_BUILDERS = [
     lambda: sum_certificate(disk(ZZ, 1, 2, (2,)), disk(ZZ, 2, 2, (2,)), 3),
     lambda: peel_chain_certificate(
         contractible_structure(random.Random(5), ZZ, 3, (4,)), 3),
@@ -146,7 +162,18 @@ def test_detect_kind():
     lambda: fold_identity_certificate(
         suspend(disk(ZZ, 2, 1, (3,)), 1), 3),
     lambda: structure_independence_certificate(*lift_pair(random.Random(7), 2), 3),
-])
+    _rational_certificate,
+    lambda: sum_certificate(disk(QQ, 1, 2, (Fraction(2, 3),)),
+                            disk(QQ, 2, 2, (Fraction(2, 3),)), 3),
+    lambda: disk_transport_certificate(QQ, 2, 3, (Fraction(3, 5),)),
+    lambda: fold_row_certificates(disk_pile(random.Random(6), Zmod(7), 3, (3,)), 3)[0],
+    lambda: fold_row_certificates(disk_pile(random.Random(6), Zmod(7), 3, (3,)), 3)[1],
+    lambda: disk_transport_certificate(Zmod(12), 2, 4, (5, 7)),
+    lambda: fold_defect_certificate(disk_pile(random.Random(6), Zmod(12), 3, (5,)), 4),
+]
+
+
+@pytest.mark.parametrize("build", CERTIFICATE_BUILDERS)
 def test_certificate_round_trip_and_reaccept(build):
     cert = build()
     text = dumps(cert)
@@ -154,6 +181,36 @@ def test_certificate_round_trip_and_reaccept(build):
     assert back == cert
     assert dumps(back) == text
     assert check_certificate(back).accepted
+
+
+@pytest.mark.parametrize("build", CERTIFICATE_BUILDERS)
+def test_certificate_states_each_complex_once(build):
+    cert = build()
+    text = dumps(cert)
+    assert text.count('"min_degree"') == len(cert.registry)
+    # Decoded step maps run between the registry's own complex objects.
+    back = loads(text)
+    reg = {name: m.complex for name, m in back.registry}
+    for step in back.steps:
+        if isinstance(step, ExactRow):
+            assert step.include.source is reg[step.sub]
+            assert step.project.target is reg[step.quotient]
+
+
+def test_rational_steps_keep_fractions():
+    doc = to_json(_rational_certificate())
+    assert doc["steps"][0]["inverse"][0]["entries"] == [["1/2"]]
+    assert doc["steps"][1]["contraction"][0]["entries"] == [["1/3"]]
+
+
+def test_writer_rejects_maps_off_the_named_objects():
+    m = disk(ZZ, 1, 2, (2,))
+    cert = sum_certificate(m, disk(ZZ, 2, 2, (2,)), 3)
+    row = cert.steps[0]
+    swapped = replace(cert, steps=(replace(row, sub=row.quotient, quotient=row.sub),))
+    with pytest.raises(ValueError, match=r"steps\[0\]: include is not a degree 0 map "
+                                         r"from 'right' to 'sum'"):
+        to_json(swapped)
 
 
 def test_rescale_and_widen_steps_round_trip():

@@ -1,10 +1,10 @@
 """Batch front end: validate documents, run constructions, check certificates.
 
 Exit codes: 0 valid/accepted, 1 invalid/rejected or a failed internal
-self-check, 2 malformed input or bad usage.  The report is JSON on stdout
-with sorted keys and a trailing newline, so identical inputs (and seed) give
-byte-identical output; on any nonzero exit a one-line ``{"error": ...}``
-object goes to stderr.
+self-check, 2 malformed input or bad usage.  The report is one line of JSON
+on stdout with sorted keys and a trailing newline, so identical inputs (and
+seed) give byte-identical output; on any nonzero exit a one-line
+``{"error": ...}`` object goes to stderr.
 
 Reports that carry an artifact keep the artifact's own schema at the top
 level (extra keys like ``command`` ride along), so a report written to a
@@ -32,8 +32,8 @@ from .randgen import lift_pair, random_structure
 from .serialize import (
     FormatError, certificate_from_json, certificate_to_json,
     chain_map_from_json, chain_map_to_json, complex_from_json, detect_kind,
-    dumps, element_from_json, element_to_str, from_json, structure_from_json,
-    structure_to_json,
+    dumps, element_from_json, element_to_str, from_json, parse_json,
+    structure_from_json, structure_to_json,
 )
 from .structures import HomotopyStructure, check_structure, find_structure
 
@@ -53,13 +53,10 @@ def _emit_error(code: str, message: str, where: str = None):
 
 def _load_doc(path: str):
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as e:
         raise FormatError(f"cannot read {path}: {e.strerror or e}", path) from None
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as e:
-        raise FormatError(f"not JSON: {e}", path) from None
+    return parse_json(data, path)
 
 
 def _load_structure(path: str) -> HomotopyStructure:

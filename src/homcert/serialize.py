@@ -14,10 +14,14 @@ Conventions shared by every document kind:
   ``retraction``, an isomorphism's ``map`` and ``inverse``, a
   ``contraction``) is a list of matrices, one per source degree, between
   the complexes of the registry objects the step names;
-* dumps are sorted and indented, so equal objects give equal bytes.
+* a dump is one line of compact JSON with sorted keys and a trailing
+  newline, so equal objects give equal bytes (``python -m json.tool FILE``
+  shows it indented); the reader takes any JSON layout, the indented one of
+  earlier versions included.
 
 ``from_json`` sniffs the document kind from its keys; decoding errors are
-reported as ``FormatError`` with a breadcrumb path into the document.
+reported as ``FormatError`` with a breadcrumb path into the document, and
+``parse_json`` turns every way raw text can fail to be JSON into one.
 Decoding only enforces well-formedness (shapes, types); semantic laws
 (d^2 = 0, homotopy axioms) are the business of the validators.
 """
@@ -452,7 +456,8 @@ _DECODERS = {
 
 
 def from_json(doc):
-    return _DECODERS[detect_kind(doc)](doc, detect_kind(doc))
+    kind = detect_kind(doc)
+    return _DECODERS[kind](doc, kind)
 
 
 def to_json(obj):
@@ -470,15 +475,29 @@ def to_json(obj):
 
 
 def dumps(obj) -> str:
-    """Deterministic text form: sorted keys, two-space indent, one trailing
-    newline.  Equal objects serialize to identical bytes."""
+    """Deterministic text form: one line of sorted, compact JSON and a
+    trailing newline.  Equal objects serialize to identical bytes.  Without
+    ``indent`` CPython encodes in C, several times faster than its
+    pure-Python indenting encoder."""
     doc = to_json(obj) if not isinstance(obj, (dict, list)) else obj
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def parse_json(data, where: str = ""):
+    """Parse text, or bytes as UTF-8, into a JSON value.  Every failure
+    (bad UTF-8, bad syntax, nesting deeper than the recursion limit, an
+    integer longer than Python's digit limit) is a ``FormatError``."""
+    try:
+        if isinstance(data, bytes):
+            data = data.decode("utf-8")
+        return json.loads(data)
+    except UnicodeDecodeError as e:
+        raise FormatError(f"not UTF-8: {e}", where) from None
+    except RecursionError:
+        raise FormatError("not JSON: nested too deeply", where) from None
+    except ValueError as e:  # JSONDecodeError, or the int digit limit
+        raise FormatError(f"not JSON: {e}", where) from None
 
 
 def loads(text: str):
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise FormatError(f"not JSON: {e}", "") from None
-    return from_json(doc)
+    return from_json(parse_json(text))

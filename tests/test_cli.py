@@ -11,15 +11,16 @@ from hypothesis import given, settings, strategies as st
 
 from homcert import cli
 from homcert.certificates import (
-    disk_transport_certificate, fold_row_certificates, peel_chain_certificate,
-    sum_certificate,
+    disk_transport_certificate, fold_defect_certificate, fold_row_certificates,
+    peel_chain_certificate, sum_certificate,
 )
 from homcert.cli import main
 from homcert.complexes import GradedFreeComplex, identity_map
-from homcert.constructions import disk
+from homcert.constructions import disk, module_tensor, suspend
 from homcert.exactalg import Matrix, ZZ, Zmod
+from homcert.koszul import koszul
 from homcert.randgen import contractible_structure, disk_pile, split_row
-from homcert.serialize import dumps, from_json, to_json
+from homcert.serialize import dumps, from_json, loads, to_json
 from homcert.structures import find_structure
 
 
@@ -92,6 +93,27 @@ def test_too_large_modulus_is_exit_2(run, tmp_path):
     code, report, err = run("validate", write(tmp_path, "x.json", doc))
     assert code == 2 and report is None
     assert err["error"]["code"] == "malformed" and err["error"]["where"].endswith("ring.Zmod")
+
+
+def _digits_doc():
+    # A JSON integer longer than Python's int-string limit (4300 digits).
+    doc = dict(to_json(two_term(4)), min_degree="DIGITS")
+    return json.dumps(doc).replace('"DIGITS"', "9" * 4301)
+
+
+@pytest.mark.parametrize("command", ["validate", "certify"])
+@pytest.mark.parametrize("make, message", [
+    (lambda: b"\xff\xfe{}", "not UTF-8"),
+    (lambda: b"[" * 200000, "not JSON: nested too deeply"),
+    (lambda: _digits_doc().encode(), "not JSON"),
+])
+def test_unreadable_text_is_exit_2(run, tmp_path, command, make, message):
+    path = tmp_path / "in.json"
+    path.write_bytes(make())
+    code, report, err = run(command, str(path))
+    assert code == 2 and report is None
+    assert err["error"]["code"] == "malformed" and err["error"]["where"] == str(path)
+    assert err["error"]["message"].startswith(message)
 
 
 def test_usage_error_is_exit_2(run):
@@ -261,6 +283,8 @@ def test_demo_round_trip(run, tmp_path, name):
     code, report, err = run("demo", name, "--seed", "7", "--out", out)
     assert code == 0 and report["accepted"]
     assert all(c["accepted"] for c in report["checked"])
+    text = open(out).read()
+    assert text.endswith("\n") and text.count("\n") == 1
     assert run("certify", out)[0] == 0
 
 
@@ -272,6 +296,20 @@ def test_demo_deterministic_bytes(tmp_path, capsys):
     main(["demo", "wij", "--seed", "11", "--out", out])
     assert capsys.readouterr().out == first
     assert open(out).read() == first_file
+
+
+@pytest.mark.skipif(json.encoder.c_make_encoder is None, reason="no C JSON encoder")
+def test_writers_stay_on_the_c_encoder(run, tmp_path, monkeypatch):
+    # CPython's pure-Python encoder (taken for any ``indent``) is several
+    # times slower; make it fail so that a return to it fails here.
+    def slow_path(*args, **kwargs):
+        raise AssertionError("pure-Python JSON encoder used")
+    monkeypatch.setattr(json.encoder, "_make_iterencode", slow_path)
+    cert = fold_defect_certificate(suspend(module_tensor(2, koszul(ZZ, (2, 3))), 1), 4)
+    assert loads(dumps(cert)) == cert
+    path = write(tmp_path, "m.json", disk_pile(random.Random(2), ZZ, 3, (3,)))
+    code, report, err = run("gamma", path, "--general")
+    assert code == 0 and report["route"] == "general"
 
 
 def test_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,6 @@
-"""JSON round trips, byte determinism, and malformed-input diagnostics."""
+"""JSON round trips, byte determinism, layout, and malformed-input diagnostics."""
 
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -241,6 +242,46 @@ def test_unknown_step_kind_rejected():
     assert "SNAP" in str(e.value)
 
 
-def test_loads_rejects_non_json():
+@pytest.mark.parametrize("text", [
+    "]",
+    b"\xff\xfe{}",                           # not UTF-8
+    "[" * 200000,                             # deeper than the recursion limit
+    '{"min_degree": ' + "9" * 4301 + "}",     # past the int-string digit limit
+])
+def test_loads_rejects_non_json(text):
     with pytest.raises(FormatError):
-        loads("]")
+        loads(text)
+
+
+# -- layout ------------------------------------------------------------
+
+LAYOUT_RINGS = [(ZZ, 2), (QQ, Fraction(2, 3)), (Zmod(7), 3), (Zmod(12), 5)]
+
+
+def _one_of_each_kind(ring, s):
+    """A complex, a structure, a chain map and a certificate over ``ring``
+    whose entries involve the scalar ``s``."""
+    m = disk(ring, 2, 3, (s,))
+    return [m.complex, m, identity_map(m.complex).scale(s),
+            disk_transport_certificate(ring, 2, 3, (s,))]
+
+
+@pytest.mark.parametrize("ring, s", LAYOUT_RINGS)
+def test_every_document_is_one_line(ring, s):
+    texts = []
+    for obj in _one_of_each_kind(ring, s):
+        text = dumps(obj)
+        assert text.endswith("\n") and text.count("\n") == 1
+        assert loads(text) == obj
+        assert dumps(loads(text)) == text
+        texts.append(text)
+    if ring == QQ:  # all but the complex carry non-integral entries
+        assert all('2/3"' in t for t in texts[1:])
+
+
+@pytest.mark.parametrize("ring, s", LAYOUT_RINGS)
+def test_indented_documents_still_load(ring, s):
+    for obj in _one_of_each_kind(ring, s):
+        old = json.dumps(to_json(obj), indent=2, sort_keys=True) + "\n"
+        assert old.count("\n") > 1
+        assert loads(old) == obj

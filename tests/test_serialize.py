@@ -242,13 +242,17 @@ def test_unknown_step_kind_rejected():
     assert "SNAP" in str(e.value)
 
 
+def test_loads_rejects_non_json():
+    with pytest.raises(FormatError):
+        loads("]")
+
+
 @pytest.mark.parametrize("text", [
-    "]",
     b"\xff\xfe{}",                           # not UTF-8
     "[" * 200000,                             # deeper than the recursion limit
     '{"min_degree": ' + "9" * 4301 + "}",     # past the int-string digit limit
 ])
-def test_loads_rejects_non_json(text):
+def test_loads_rejects_unreadable_text(text):
     with pytest.raises(FormatError):
         loads(text)
 

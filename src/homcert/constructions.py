@@ -17,7 +17,7 @@ from .complexes import (
 )
 from .exactalg import Matrix, ZZ, smith_normal_form, solve_right
 from .structures import (
-    HomotopyStructure, check_structure, is_equivariant, restrict,
+    HomotopyStructure, check_structure, is_equivariant, restrict, row_defect,
 )
 
 
@@ -404,16 +404,12 @@ def peel_top(m: HomotopyStructure,
         h.mat(i) if i == n - 1 else Matrix.identity(ring, x.rank(n)) if i == n
         else Matrix.zeros(ring, 0, x.rank(i)) for i in x.degrees()))
 
-    why = split_defect(incl, proj, section, retraction)
-    if why:
-        raise AssertionError("peel row is not split: " + why)
     bad = check_structure(quotient)
     if bad:
         raise AssertionError("peeled quotient lost the axiom: " + bad[0])
-    if not (incl.is_chain_map() and proj.is_chain_map()):
-        raise AssertionError("peel arrows are not chain maps")
-    if not (is_equivariant(incl, top_disk, m) and is_equivariant(proj, m, quotient)):
-        raise AssertionError("peel arrows are not equivariant")
+    why = row_defect(incl, proj, section, retraction, top_disk, m, quotient)
+    if why:
+        raise AssertionError("peel " + why)
     return PeelStep(top_disk, incl, quotient, proj, h, section, retraction)
 
 

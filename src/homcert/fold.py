@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import ChainMap, GradedFreeComplex, inverse_defect
+from .complexes import ChainMap, GradedFreeComplex
 from .constructions import (
     cone_mixed,
     desuspend,
@@ -29,7 +29,7 @@ from .constructions import (
 )
 from .exactalg import Matrix
 from .koszul import counit_map, exterior_basis, hodge_star, koszul, koszul_dual
-from .structures import HomotopyStructure, check_structure, is_equivariant, restrict
+from .structures import HomotopyStructure, check_structure, iso_defect, map_defect, restrict
 
 
 def squared_scalars(m: HomotopyStructure) -> tuple:
@@ -38,7 +38,7 @@ def squared_scalars(m: HomotopyStructure) -> tuple:
 
 
 def _padded_restrict(m: HomotopyStructure, n: int) -> HomotopyStructure:
-    """Rescale by the structure scalars and extend the window up to n - 1.
+    """Scale by the structure scalars and extend the window up to n - 1.
 
     Used when the input already lives strictly below the ceiling: the fold
     does nothing except square the scalars, but the ambient construction
@@ -182,10 +182,6 @@ def fold_general(m: HomotopyStructure, n: int) -> FoldData:
                            x.diff(n).scale(ring.neg(ring.one())))
     disk_incl = ChainMap(dsk.complex, cx, 0,
                          (incl_n, Matrix.identity(ring, cx.rank(n + 1))))
-    if not disk_incl.is_chain_map():
-        raise AssertionError("disk inclusion is not a chain map")
-    if not is_equivariant(disk_incl, dsk, c):
-        raise AssertionError("disk inclusion is not equivariant")
 
     # Quotient of the cone by the disk: drop degree n + 1 and the
     # coefficient block in degree n.
@@ -247,10 +243,10 @@ def fold_general(m: HomotopyStructure, n: int) -> FoldData:
         problems = check_structure(struct)
         if problems:
             raise AssertionError(f"{name} is not a structure: " + problems[0])
-    if not data.fold_project.is_chain_map():
-        raise AssertionError("fold projection is not a chain map")
-    if not is_equivariant(data.fold_project, data.cone, data.structure):
-        raise AssertionError("fold projection is not equivariant")
+    why = (map_defect("disk inclusion", data.disk_include, disk_end, cone_end)
+           or map_defect("fold projection", data.fold_project, cone_end, structure))
+    if why:
+        raise AssertionError(why)
     return data
 
 
@@ -298,10 +294,9 @@ def fold_map(phi: ChainMap, fold_x: FoldData, fold_y: FoldData, n: int) -> Chain
     folded operators.
     """
     out = fold_block_map(phi, fold_x, fold_y, n)
-    if not out.is_chain_map():
-        raise AssertionError("folded map is not a chain map")
-    if not is_equivariant(out, fold_x.structure, fold_y.structure):
-        raise AssertionError("folded map is not equivariant")
+    why = map_defect("folded map", out, fold_x.structure, fold_y.structure)
+    if why:
+        raise AssertionError(why)
     return out
 
 
@@ -309,13 +304,9 @@ def _check_permutation_iso(iso: ChainMap, source: HomotopyStructure,
                            target: HomotopyStructure, label: str):
     """Self-check of a built isomorphism: a chain map, inverted by its
     transpose, and equivariant from ``source`` to ``target``."""
-    if not iso.is_chain_map():
-        raise AssertionError(f"{label} is not a chain map")
-    why = inverse_defect(iso, iso.transpose())
+    why = iso_defect(iso, iso.transpose(), source, target)
     if why:
-        raise AssertionError(f"{label} is not a signed permutation: " + why)
-    if not is_equivariant(iso, source, target):
-        raise AssertionError(f"{label} is not equivariant")
+        raise AssertionError(f"{label}: {why}")
 
 
 def fold_once_match_iso(m: HomotopyStructure, n: int) -> ChainMap:

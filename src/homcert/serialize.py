@@ -32,8 +32,8 @@ import json
 from fractions import Fraction
 
 from .certificates import (
-    Certificate, ClassExpr, Contractible, ExactRow, Isomorphism, Rescale,
-    Slot, SuspensionPair, Widen,
+    Certificate, ClassExpr, Contractible, ExactRow, Isomorphism, Slot,
+    SuspensionPair,
 )
 from .complexes import ChainMap, GradedFreeComplex
 from .exactalg import Matrix, ModularRing, QQ, Ring, ZZ, Zmod
@@ -292,10 +292,8 @@ def structure_from_json(doc, where: str = "structure") -> HomotopyStructure:
 
 # -- certificates ------------------------------------------------------
 
-_STEP_TAGS = ("SES", "ACYCLIC", "ISO", "SUSPEND", "RESTRICT", "WIDEN")
-
-# The steps that carry maps: kind -> (class, the keys naming registry objects,
-# and per map (key, attribute, source name key, target name key, shift)).
+# Every step kind: kind -> (class, the keys naming registry objects, and per
+# map it carries (key, attribute, source name key, target name key, shift)).
 _MAP_STEPS = {
     "SES": (ExactRow, ("sub", "total", "quotient"),
             (("include", "include", "sub", "total", 0),
@@ -307,6 +305,7 @@ _MAP_STEPS = {
     "ISO": (Isomorphism, ("source", "target"),
             (("map", "iso", "source", "target", 0),
              ("inverse", "inverse", "target", "source", 0))),
+    "SUSPEND": (SuspensionPair, ("base", "shifted"), ()),
 }
 
 
@@ -335,19 +334,10 @@ def _step_to_json(step, complexes: dict, where: str) -> dict:
                                      f"from {doc[src]!r} to {doc[tgt]!r}")
                 doc[key] = [matrix_to_json(m) for m in f.mats]
             return doc
-    if isinstance(step, SuspensionPair):
-        return {"kind": "SUSPEND", "base": step.base, "shifted": step.shifted,
-                "mult": step.mult}
-    if isinstance(step, Rescale):
-        return {"kind": "RESTRICT",
-                "factors": [str(f) for f in step.factors],
-                "pairs": [[old, new] for old, new in step.pairs]}
-    if isinstance(step, Widen):
-        return {"kind": "WIDEN", "ceiling": step.ceiling}
     raise ValueError(f"unknown step type {type(step).__name__}")
 
 
-def _step_from_json(doc, ring: Ring, complexes: dict, where: str):
+def _step_from_json(doc, complexes: dict, where: str):
     doc = _dict(doc, where)
     kind = _str(_get(doc, "kind", where), where + ".kind")
     if kind in _MAP_STEPS:
@@ -361,26 +351,7 @@ def _step_from_json(doc, ring: Ring, complexes: dict, where: str):
             args[attr] = _map_from_json(doc, key, complexes[args[src]],
                                         complexes[args[tgt]], shift, where)
         return cls(**args, mult=_int(doc.get("mult", 1), where + ".mult"))
-    if kind == "SUSPEND":
-        return SuspensionPair(
-            _str(_get(doc, "base", where), where + ".base"),
-            _str(_get(doc, "shifted", where), where + ".shifted"),
-            _int(doc.get("mult", 1), where + ".mult"))
-    if kind == "RESTRICT":
-        factors = tuple(
-            element_from_json(ring, f, f"{where}.factors[{g}]")
-            for g, f in enumerate(_list(_get(doc, "factors", where), where + ".factors")))
-        pairs = []
-        for i, p in enumerate(_list(_get(doc, "pairs", where), where + ".pairs")):
-            p = _list(p, f"{where}.pairs[{i}]")
-            if len(p) != 2:
-                _fail("expected [old, new]", f"{where}.pairs[{i}]")
-            pairs.append((_str(p[0], f"{where}.pairs[{i}][0]"),
-                          _str(p[1], f"{where}.pairs[{i}][1]")))
-        return Rescale(factors, tuple(pairs))
-    if kind == "WIDEN":
-        return Widen(_int(_get(doc, "ceiling", where), where + ".ceiling"))
-    _fail(f"unknown step kind {kind!r}; expected one of {_STEP_TAGS}", where + ".kind")
+    _fail(f"unknown step kind {kind!r}; expected one of {tuple(_MAP_STEPS)}", where + ".kind")
 
 
 def certificate_to_json(cert: Certificate) -> dict:
@@ -415,7 +386,7 @@ def certificate_from_json(doc, where: str = "certificate") -> Certificate:
         registry.append((_str(item[0], f"{where}.registry[{i}][0]"),
                          structure_from_json(item[1], f"{where}.registry[{i}][1]")))
     complexes = {name: m.complex for name, m in registry}
-    steps = tuple(_step_from_json(s, ring, complexes, f"{where}.steps[{i}]")
+    steps = tuple(_step_from_json(s, complexes, f"{where}.steps[{i}]")
                   for i, s in enumerate(_list(_get(doc, "steps", where), where + ".steps")))
     claim_pairs = []
     for i, item in enumerate(_list(_get(doc, "claim", where), where + ".claim")):

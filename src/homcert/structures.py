@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from .complexes import (
     ChainMap, GradedFreeComplex, boundary_map, homology_invariants,
-    solve_homotopy, validate_complex,
+    inverse_defect, solve_homotopy, split_defect, validate_complex,
 )
 from .exactalg import Matrix, ModularRing
 
@@ -90,7 +90,7 @@ def check_structure(m: HomotopyStructure, check_complex: bool = True) -> list[st
 
 
 def restrict(m: HomotopyStructure, factors: Sequence) -> HomotopyStructure:
-    """Rescale each generator: operator f_g * e_g has scalar f_g * s_g.
+    """Scale each generator: operator f_g * e_g has scalar f_g * s_g.
 
     This is the structure transport along a change of scalars; the
     underlying complex is untouched.
@@ -139,6 +139,58 @@ def equivariance_defect(f: ChainMap, mx: HomotopyStructure,
 def is_equivariant(f: ChainMap, mx: HomotopyStructure, my: HomotopyStructure) -> bool:
     """True when the chain map intertwines every generator's operator."""
     return mx.ngens == my.ngens and equivariance_defect(f, mx, my) is None
+
+
+# -- relation checks: the certificate kernel and every construction's
+# self-check run these; each returns None, or the first failure named with
+# its check and degree.
+
+
+def _connects(arrows) -> bool:
+    """Every (map, source, target) is a degree 0 map between the objects' complexes."""
+    return all(f.shift == 0 and f.source == a.complex and f.target == b.complex
+               for f, a, b in arrows)
+
+
+def _prefixed(prefix: str, why: Optional[str]) -> Optional[str]:
+    return why and prefix + why
+
+
+def _not_chain(label: str, f: ChainMap) -> Optional[str]:
+    i = f.chain_defect()
+    return None if i is None else f"{label} is not a chain map in degree {i}"
+
+
+def _not_equivariant(label: str, f: ChainMap, mx, my) -> Optional[str]:
+    bad = equivariance_defect(f, mx, my)
+    return None if bad is None else \
+        f"{label} is not equivariant for generator {bad[0]} in degree {bad[1]}"
+
+
+def map_defect(label: str, f: ChainMap, mx, my) -> Optional[str]:
+    """Why ``f`` is not an equivariant chain map from ``mx`` to ``my``."""
+    return _not_chain(label, f) or _not_equivariant(label, f, mx, my)
+
+
+def row_defect(include, project, section, retraction, sub, total, quotient) -> Optional[str]:
+    """Why sub >--> total -->> quotient is not a split exact row of
+    equivariant chain maps; ``section`` and ``retraction`` need not be chain maps."""
+    i, p, s, r, quot = include, project, section, retraction, quotient
+    if not _connects(((i, sub, total), (p, total, quot), (s, quot, total), (r, total, sub))):
+        return "row arrows do not connect the named objects"
+    return (_not_chain("row inclusion", i) or _not_chain("row projection", p)
+            or _prefixed("row is not split exact: ", split_defect(i, p, s, r))
+            or _not_equivariant("row inclusion", i, sub, total)
+            or _not_equivariant("row projection", p, total, quot))
+
+
+def iso_defect(f: ChainMap, g: ChainMap, source, target) -> Optional[str]:
+    """Why ``f`` is not an equivariant isomorphism with inverse ``g``."""
+    if not _connects(((f, source, target), (g, target, source))):
+        return "isomorphism does not connect the named objects"
+    return (_not_chain("isomorphism", f)
+            or _prefixed("isomorphism is not invertible: ", inverse_defect(f, g))
+            or _not_equivariant("isomorphism", f, source, target))
 
 
 @dataclass(frozen=True)

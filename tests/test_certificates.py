@@ -17,10 +17,8 @@ from homcert.certificates import (
     Contractible,
     ExactRow,
     Isomorphism,
-    Rescale,
     Slot,
     SuspensionPair,
-    Widen,
     check_certificate,
     disk_transport_certificate,
     fold_defect_certificate,
@@ -42,7 +40,7 @@ from homcert.randgen import (
 )
 from homcert.serialize import dumps, loads
 from homcert.structures import (
-    HomotopyStructure, restrict, structure_from_contraction,
+    HomotopyStructure, structure_from_contraction,
 )
 
 
@@ -133,40 +131,6 @@ def test_suspension_pair_window_guard():
     tight = Certificate(Slot(base.scalars, 2), registry, (step,), claim)
     res = check_certificate(tight)
     assert not res.accepted and "window" in res.reason
-
-
-def test_rescale_moves_the_slot():
-    m = disk(ZZ, 1, 1, (2,))
-    m4 = restrict(m, (2,))
-    n4 = restrict(m, (2,))
-    registry = (("a", m), ("b", m), ("a4", m4), ("b4", n4))
-    steps = (
-        Isomorphism("a", "b", identity_map(m.complex), identity_map(m.complex)),
-        Rescale((ZZ.from_int(2),), (("a", "a4"), ("b", "b4"))),
-    )
-    claim = ClassExpr.build([("a4", 1), ("b4", -1)])
-    cert = Certificate(Slot(m.scalars, 2), registry, steps, claim)
-    assert check_certificate(cert).accepted
-    partial = Rescale((ZZ.from_int(2),), (("a", "a4"),))
-    bad = Certificate(cert.slot, registry, (steps[0], partial), claim)
-    res = check_certificate(bad)
-    assert not res.accepted and "cover" in res.reason
-
-
-def test_widen_permits_higher_suspension():
-    base = disk(ZZ, 1, 3, (2,))
-    up = suspend(base, 1)
-    registry = (("base", base), ("up", up))
-    claim = ClassExpr.build([("up", 1), ("base", 1)])
-    without = Certificate(Slot(base.scalars, 3), registry,
-                          (SuspensionPair("base", "up"),), claim)
-    assert not check_certificate(without).accepted
-    widened = Certificate(Slot(base.scalars, 3), registry,
-                          (Widen(4), SuspensionPair("base", "up")), claim)
-    assert check_certificate(widened).accepted
-    lowered = Certificate(Slot(base.scalars, 3), registry,
-                          (Widen(2),), ClassExpr.build([]))
-    assert not check_certificate(lowered).accepted
 
 
 def test_fold_row_certificates_accepted():

@@ -175,6 +175,16 @@ def test_failed_self_check_is_internal_error(run, tmp_path, monkeypatch):
     assert "forced failure" in err["error"]["message"]
 
 
+def test_failed_peel_self_check_is_internal_error(run, tmp_path, monkeypatch):
+    constructions = importlib.import_module("homcert.constructions")
+    monkeypatch.setattr(constructions, "check_structure", lambda m: ["forced failure"])
+    path = write(tmp_path, "m.json", contractible_structure(random.Random(5), ZZ, 3, (6,)))
+    code, report, err = run("peel", path)
+    assert code == 1 and report is None
+    assert err["error"]["code"] == "internal"
+    assert "forced failure" in err["error"]["message"]
+
+
 def test_gamma_general_witnesses_certify(run, tmp_path):
     m = disk_pile(random.Random(2), ZZ, 3, (3,))
     path = write(tmp_path, "m.json", m)
@@ -351,6 +361,11 @@ def test_pre_witness_certificate_is_malformed(run, tmp_path, build, kind, field)
     # the earlier layout, where each step map embedded its complexes
     (lambda step, cert: step.update(include=to_json(cert.steps[0].include)),
      "certificate.steps[0].include"),
+    # step kinds the kernel does not have
+    (lambda step, cert: step.update(kind="RESTRICT"), "certificate.steps[0].kind"),
+    (lambda step, cert: step.update(kind="WIDEN"), "certificate.steps[0].kind"),
+    (lambda step, cert: step.update(kind="SUSPEND", base="nowhere", shifted="left"),
+     "certificate.steps[0].base"),
 ])
 def test_step_maps_off_the_registry_are_malformed(run, tmp_path, edit, where):
     cert = sum_certificate(disk(ZZ, 1, 2, (2,)), disk(ZZ, 2, 2, (2,)), 2)
@@ -368,6 +383,8 @@ FUZZ_BASES = [
     to_json(disk_transport_certificate(Zmod(4), 1, 3, (3,))),
     to_json(fold_row_certificates(disk(ZZ, 1, 2, (3,)), 2)[0]),
     to_json(peel_chain_certificate(disk(ZZ, 1, 2, (2,)), 2)),
+    # carries SUSPEND and ACYCLIC steps
+    to_json(fold_defect_certificate(disk(ZZ, 1, 3, (2,)), 3)),
 ]
 NAME_KEYS = ("sub", "total", "quotient", "source", "target", "name", "base", "shifted")
 WITNESS_KEYS = ("include", "project", "section", "retraction", "map", "inverse", "contraction")

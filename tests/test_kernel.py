@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from homcert import complexes, exactalg
 from homcert.certificates import (
-    Certificate, ClassExpr, Contractible, ExactRow, Isomorphism, Slot, Widen,
+    Certificate, ClassExpr, Contractible, ExactRow, Isomorphism, Slot,
     check_certificate, disk_transport_certificate, extension_certificate,
     fold_defect_certificate, fold_row_certificates, peel_chain_certificate,
     structure_independence_certificate, sum_certificate,
@@ -282,7 +282,9 @@ def bad_iso_equivariance():
 def test_rejection_names_step_check_and_degree(build, reason):
     cert, step = build()
     # a harmless first step, so the failing step is the second one
-    steps = (Widen(cert.slot.ceiling), step)
+    name, m = cert.registry[0]
+    ident = identity_map(m.complex)
+    steps = (Isomorphism(name, name, ident, ident), step)
     res = check_certificate(Certificate(cert.slot, cert.registry, steps, cert.claim))
     assert not res.accepted and res.step == 1
     assert re.fullmatch(reason, res.reason), res.reason

@@ -20,7 +20,7 @@ one-sided: acceptance proves the identity, rejection carries no
 information beyond the recorded reason.
 
 Every step is checked in the certificate's one slot.  Rows and
-isomorphisms are checked by ``row_defect`` and ``iso_defect`` from
+isomorphisms are checked by ``Row.defect`` and ``iso_defect`` from
 ``structures``, the functions the constructions run on their own output.
 """
 
@@ -32,7 +32,7 @@ from typing import Optional
 from .complexes import ChainMap, contraction_defect, find_contraction, identity_map
 from .constructions import (
     cone_same, direct_sum, glue_extension, identity_cone_contraction,
-    mapping_cone, peel_to_disks, peel_top, solve_splitting, suspend,
+    peel_to_disks, peel_top, solve_splitting, suspend,
 )
 from .exactalg import Matrix
 from .fold import (
@@ -40,7 +40,7 @@ from .fold import (
     squared_scalars,
 )
 from .structures import (
-    HomotopyStructure, check_structure, iso_defect, restrict, row_defect,
+    HomotopyStructure, Row, check_structure, iso_defect, restrict,
 )
 
 
@@ -175,7 +175,7 @@ def _fits(m: HomotopyStructure, slot: Slot, ring) -> Optional[str]:
 
 
 def _check_row(step: ExactRow, sub, total, quot, slot) -> Optional[str]:
-    return row_defect(step.include, step.project, step.section, step.retraction, sub, total, quot)
+    return Row(sub, total, quot, step.include, step.project, step.section, step.retraction).defect()
 
 
 def _check_contraction(step: Contractible, m, slot) -> Optional[str]:
@@ -295,23 +295,14 @@ def fold_row_certificates(m: HomotopyStructure, n: int):
     """
     data = fold_general(m, n)
     slot = Slot(squared_scalars(m), n)
-    reg_a = (("coefficient", data.coefficient_end),
-             ("cone", data.cone),
-             ("base", data.base_end))
-    row_a = ExactRow("coefficient", "cone", "base",
-                     data.coefficient_include, data.base_project,
-                     data.base_section, data.coefficient_retraction)
-    cert_a = Certificate(slot, reg_a, (row_a,), ClassExpr.build(
-        [("cone", 1), ("coefficient", -1), ("base", -1)]))
-    reg_b = (("top_disk", data.disk_end),
-             ("cone", data.cone),
-             ("fold", data.structure))
-    row_b = ExactRow("top_disk", "cone", "fold",
-                     data.disk_include, data.fold_project,
-                     data.fold_section, data.disk_retraction)
-    cert_b = Certificate(slot, reg_b, (row_b,), ClassExpr.build(
-        [("cone", 1), ("top_disk", -1), ("fold", -1)]))
-    return cert_a, cert_b
+    certs = []
+    for names, row in ((("coefficient", "cone", "base"), data.coefficient_row),
+                       (("top_disk", "cone", "fold"), data.disk_row)):
+        sub, total, quotient = names
+        registry = tuple(zip(names, (row.sub, row.total, row.quotient)))
+        claim = ClassExpr.build([(total, 1), (sub, -1), (quotient, -1)])
+        certs.append(Certificate(slot, registry, (ExactRow(*names, *row.maps),), claim))
+    return tuple(certs)
 
 
 def fold_defect_certificate(m: HomotopyStructure, n: int) -> Certificate:
@@ -327,27 +318,24 @@ def fold_defect_certificate(m: HomotopyStructure, n: int) -> Certificate:
         raise ValueError(f"fold defect needs a ceiling n above the number d of "
                          f"generators, got n = {n}, d = {d}")
     data = fold_general(m, n)
+    coeff_row, disk_row = data.coefficient_row, data.disk_row
     p = x.rank(n)
     block = coefficient_block(ring, p, m.scalars)
     shifts = [suspend(block, j) for j in range(n - d)]
     top_name = f"block_up_{n - d - 1}"
-    registry = [("base", data.base_end),
+    registry = [("base", coeff_row.quotient),
                 ("fold", data.structure),
-                ("cone", data.cone),
-                ("top_disk", data.disk_end)]
+                ("cone", coeff_row.total),
+                ("top_disk", disk_row.sub)]
     registry += [(f"block_up_{j}", shifts[j]) for j in range(n - d)]
-    if shifts[n - d - 1] != data.coefficient_end:
+    if shifts[n - d - 1] != coeff_row.sub:
         raise AssertionError("coefficient row is not the expected shift")
 
     steps = [
-        ExactRow(top_name, "cone", "base",
-                 data.coefficient_include, data.base_project,
-                 data.base_section, data.coefficient_retraction, mult=-1),
-        ExactRow("top_disk", "cone", "fold",
-                 data.disk_include, data.fold_project,
-                 data.fold_section, data.disk_retraction, mult=1),
+        ExactRow(top_name, "cone", "base", *coeff_row.maps, mult=-1),
+        ExactRow("top_disk", "cone", "fold", *disk_row.maps, mult=1),
     ]
-    h = find_contraction(data.disk_end.complex)
+    h = find_contraction(disk_row.sub.complex)
     if h is None:
         raise AssertionError("top disk has no contraction")
     steps.append(Contractible("top_disk", h, mult=1))
@@ -414,11 +402,9 @@ def peel_chain_certificate(m: HomotopyStructure, ceiling: int) -> Certificate:
     registry.append(("stage_0", m))
     claim_terms = [("stage_0", 1)]
     for k, peel in enumerate(chain):
-        registry.append((f"disk_{k}", peel.disk))
+        registry.append((f"disk_{k}", peel.sub))
         registry.append((f"stage_{k + 1}", peel.quotient))
-        steps.append(ExactRow(f"disk_{k}", f"stage_{k}", f"stage_{k + 1}",
-                              peel.include, peel.project, peel.section,
-                              peel.retraction))
+        steps.append(ExactRow(f"disk_{k}", f"stage_{k}", f"stage_{k + 1}", *peel.maps))
         claim_terms.append((f"disk_{k}", -1))
     last = chain[-1].quotient if chain else m
     h = find_contraction(last.complex)
@@ -450,25 +436,25 @@ def structure_independence_certificate(m1: HomotopyStructure,
     s = m1.scalars
     ceiling = n + 1
 
-    _, incl, proj = mapping_cone(identity_map(x))
-    glued = glue_extension(incl, proj, m1, suspend(m2))
     left = restrict(m1, s)
     right = restrict(m2, s)
     shared = suspend(right, 1)
+    # Both middles live on the cone of the identity and share its arrows.
     plain = cone_same(identity_map(x), right, right)
+    glued = glue_extension(plain.include, plain.project, m1, suspend(m2))
 
     f_left = fold_general(left, ceiling)
     f_right = fold_general(right, ceiling)
     f_shared = fold_general(shared, ceiling)
     f_glued = fold_general(glued, ceiling)
-    f_plain = fold_general(plain.structure, ceiling)
+    f_plain = fold_general(plain.total, ceiling)
 
     h_cone = identity_cone_contraction(x)
     peel_g = peel_top(glued, h_cone)
-    peel_p = peel_top(plain.structure, h_cone)
-    if peel_g.disk != peel_p.disk:
+    peel_p = peel_top(plain.total, h_cone)
+    if peel_g.sub != peel_p.sub:
         raise AssertionError("the two peels disagree on the top disk")
-    f_disk = fold_general(peel_g.disk, ceiling)
+    f_disk = fold_general(peel_g.sub, ceiling)
     f_tail_g = fold_general(peel_g.quotient, ceiling)
     f_tail_p = fold_general(peel_p.quotient, ceiling)
 
@@ -492,18 +478,14 @@ def structure_independence_certificate(m1: HomotopyStructure,
                         fold_block_map(section, f_quot, f_tot, ceiling),
                         fold_block_map(retraction, f_tot, f_sub, ceiling), mult=mult)
 
-    def split(row):
-        return row.include, row.project, row.section, row.retraction
-
     steps = [
-        folded_row(("left_end", "glued_fold", "shared_quotient"),
-                   (incl, proj, proj.transpose(), incl.transpose()),
+        folded_row(("left_end", "glued_fold", "shared_quotient"), plain.maps,
                    (f_left, f_glued, f_shared), -1),
-        folded_row(("right_end", "cone_fold", "shared_quotient"), split(plain),
+        folded_row(("right_end", "cone_fold", "shared_quotient"), plain.maps,
                    (f_right, f_plain, f_shared), 1),
-        folded_row(("disk_fold", "glued_fold", "tail_glued"), split(peel_g),
+        folded_row(("disk_fold", "glued_fold", "tail_glued"), peel_g.maps,
                    (f_disk, f_glued, f_tail_g), 1),
-        folded_row(("disk_fold", "cone_fold", "tail_cone"), split(peel_p),
+        folded_row(("disk_fold", "cone_fold", "tail_cone"), peel_p.maps,
                    (f_disk, f_plain, f_tail_p), -1),
     ]
     for name, struct, mult in (("tail_glued", f_tail_g.structure, 1),

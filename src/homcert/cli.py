@@ -24,7 +24,7 @@ from .certificates import (
     fold_row_certificates, peel_chain_certificate,
     structure_independence_certificate,
 )
-from .complexes import GradedFreeComplex, ChainMap, validate_complex
+from .complexes import validate_complex
 from .constructions import cone_mixed, cone_same, dual, glue_extension, suspend
 from .exactalg import ZZ
 from .fold import fold_once
@@ -59,15 +59,18 @@ def _load_doc(path: str):
     return parse_json(data, path)
 
 
+def _checked(m: HomotopyStructure, what: str = "") -> HomotopyStructure:
+    problems = check_structure(m)
+    if problems:
+        raise Invalid(f"{what}not a structure: " + problems[0])
+    return m
+
+
 def _load_structure(path: str) -> HomotopyStructure:
     doc = _load_doc(path)
     if detect_kind(doc) != "structure":
         raise FormatError("expected a structure document", path)
-    m = structure_from_json(doc)
-    problems = check_structure(m)
-    if problems:
-        raise Invalid("not a structure: " + problems[0])
-    return m
+    return _checked(structure_from_json(doc))
 
 
 def _field(doc: dict, key: str, decode, path: str):
@@ -174,10 +177,13 @@ def cmd_cone(args) -> int:
     if not isinstance(doc, dict):
         raise FormatError("expected an object", args.file)
     f = _field(doc, "map", chain_map_from_json, args.file)
-    mx = _field(doc, "source", structure_from_json, args.file)
-    my = _field(doc, "target", structure_from_json, args.file)
+    mx = _checked(_field(doc, "source", structure_from_json, args.file), "source is ")
+    my = _checked(_field(doc, "target", structure_from_json, args.file), "target is ")
     if f.source != mx.complex or f.target != my.complex:
         raise Invalid("map endpoints do not match the given structures")
+    i = f.chain_defect()
+    if i is not None:
+        raise Invalid(f"map is not a chain map in degree {i}")
     try:
         data = cone_same(f, mx, my) if args.same else cone_mixed(f, mx, my)
     except ValueError as e:
@@ -190,7 +196,7 @@ def cmd_cone(args) -> int:
         "sub": structure_to_json(data.sub),
         "quotient": structure_to_json(data.quotient),
     }
-    report.update(structure_to_json(data.structure))
+    report.update(structure_to_json(data.total))
     _emit(report)
     return 0
 

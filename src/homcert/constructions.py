@@ -17,7 +17,7 @@ from .complexes import (
 )
 from .exactalg import Matrix, ZZ, smith_normal_form, solve_right
 from .structures import (
-    HomotopyStructure, check_structure, is_equivariant, restrict, row_defect,
+    HomotopyStructure, Row, check_structure, is_equivariant, restrict,
 )
 
 
@@ -152,38 +152,15 @@ def mapping_cone(f: ChainMap):
     return cone, incl, proj
 
 
-@dataclass(frozen=True)
-class ConeData:
-    """A cone structure with its canonical short exact sequence.
-
-    ``include`` and ``project`` are the arrows of
-    target -> cone -> suspended source, and ``sub`` / ``quotient`` are the
-    structures (at the cone's scalars) making both arrows equivariant.
-    """
-
-    structure: HomotopyStructure
-    include: ChainMap
-    project: ChainMap
-    sub: HomotopyStructure
-    quotient: HomotopyStructure
-
-    @property
-    def section(self) -> ChainMap:
-        """The canonical section x -> (0, x) of ``project``: its transpose."""
-        return self.project.transpose()
-
-    @property
-    def retraction(self) -> ChainMap:
-        """The canonical retraction (y, x) -> y of ``include``: its transpose."""
-        return self.include.transpose()
-
-
-def cone_mixed(f: ChainMap, mx: HomotopyStructure, my: HomotopyStructure) -> ConeData:
-    """Cone of any chain map between structured complexes.
+def cone_mixed(f: ChainMap, mx: HomotopyStructure, my: HomotopyStructure) -> Row:
+    """Cone of any chain map between structured complexes, as the total of
+    its canonical row target >--> cone -->> suspended source.
 
     Generator g acts by [[t_g e_Y, e_Y f e_X], [0, -s_g e_X]] where s_g,
     t_g are the scalars on the target and the source; the cone carries the
-    product scalars s_g * t_g.
+    product scalars s_g * t_g, and the ends are rescaled to match.  The
+    transposes split the row: the section x -> (0, x) and the retraction
+    (y, x) -> y.
     """
     if mx.ngens != my.ngens:
         raise ValueError("source and target need the same number of generators")
@@ -203,13 +180,13 @@ def cone_mixed(f: ChainMap, mx: HomotopyStructure, my: HomotopyStructure) -> Con
         ops.append(tuple(grid))
     scalars = tuple(ring.mul(my.scalars[g], mx.scalars[g]) for g in range(mx.ngens))
     structure = HomotopyStructure(cone, scalars, tuple(ops))
-    sub = restrict(my, mx.scalars)
-    quotient = restrict(suspend(mx), my.scalars)
-    return ConeData(structure, incl, proj, sub, quotient)
+    return Row(restrict(my, mx.scalars), structure, restrict(suspend(mx), my.scalars),
+               incl, proj, proj.transpose(), incl.transpose())
 
 
-def cone_same(f: ChainMap, mx: HomotopyStructure, my: HomotopyStructure) -> ConeData:
-    """Cone of an equivariant map between structures with equal scalars.
+def cone_same(f: ChainMap, mx: HomotopyStructure, my: HomotopyStructure) -> Row:
+    """Cone of an equivariant map between structures with equal scalars,
+    as the total of its canonical row (see ``cone_mixed``).
 
     The diagonal operator [[e_Y, 0], [0, -e_X]] keeps the original scalars
     instead of squaring them; the map must intertwine the operators.
@@ -229,7 +206,7 @@ def cone_same(f: ChainMap, mx: HomotopyStructure, my: HomotopyStructure) -> Cone
             for i in list(cone.degrees())[:-1])
         for g in range(mx.ngens))
     structure = HomotopyStructure(cone, mx.scalars, ops)
-    return ConeData(structure, incl, proj, my, suspend(mx))
+    return Row(my, structure, suspend(mx), incl, proj, proj.transpose(), incl.transpose())
 
 
 def identity_cone_contraction(x: GradedFreeComplex) -> ChainMap:
@@ -320,9 +297,9 @@ def glue_extension(incl: ChainMap, proj: ChainMap, m_sub: HomotopyStructure,
     scalars = tuple(ring.mul(m_sub.scalars[g], m_quot.scalars[g])
                     for g in range(m_sub.ngens))
     glued = HomotopyStructure(b, scalars, tuple(grids))
-    problems = check_structure(glued, check_complex=False)
+    problems = check_structure(glued)
     if problems:
-        raise ValueError("glued operator violates the axiom: " + problems[0])
+        raise ValueError("glued structure is not valid: " + problems[0])
     if not is_equivariant(incl, restrict(m_sub, m_quot.scalars), glued):
         raise ValueError("glued operator is not compatible with the inclusion")
     if not is_equivariant(proj, glued, restrict(m_quot, m_sub.scalars)):
@@ -333,22 +310,10 @@ def glue_extension(incl: ChainMap, proj: ChainMap, m_sub: HomotopyStructure,
 # -- peeling the top disk ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class PeelStep:
-    """One top-degree split: disk -> total -> quotient, with its splitting."""
-
-    disk: HomotopyStructure
-    include: ChainMap
-    quotient: HomotopyStructure
-    project: ChainMap
-    contraction: ChainMap
-    section: ChainMap
-    retraction: ChainMap
-
-
 def peel_top(m: HomotopyStructure,
-             contraction: Optional[ChainMap] = None) -> PeelStep:
-    """Split the top degree of a contractible structure off as a disk.
+             contraction: Optional[ChainMap] = None) -> Row:
+    """Split the top degree of a contractible structure off as a disk: the
+    row disk >--> input -->> quotient, with its splitting.
 
     Uses a contraction h to form the idempotent id - d h on the next
     degree, splits its image off over Z with one Smith form, and carries
@@ -407,10 +372,11 @@ def peel_top(m: HomotopyStructure,
     bad = check_structure(quotient)
     if bad:
         raise AssertionError("peeled quotient lost the axiom: " + bad[0])
-    why = row_defect(incl, proj, section, retraction, top_disk, m, quotient)
+    row = Row(top_disk, m, quotient, incl, proj, section, retraction)
+    why = row.defect()
     if why:
         raise AssertionError("peel " + why)
-    return PeelStep(top_disk, incl, quotient, proj, h, section, retraction)
+    return row
 
 
 def peel_to_disks(m: HomotopyStructure) -> list:

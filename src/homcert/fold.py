@@ -4,9 +4,9 @@ Given a null-homotopy structure on a complex concentrated in degrees at most
 ``n``, the fold removes the degree ``n`` part at the cost of squaring every
 homotopy scalar.  The general construction runs through the coevaluation
 comparison map into a shifted exterior-coefficient complex, takes its mapping
-cone, and divides out a canonical disk; everything the surrounding theory
-needs (both short exact sequence presentations, their arrows and their
-degreewise splittings) is returned alongside the fold itself.
+cone, and divides out a canonical disk.  The two split exact rows through
+that cone, each a ``Row`` with its arrows and degreewise splitting, are
+returned alongside the fold itself.
 
 For a single homotopy generator there is also a small direct model built from
 explicit block matrices; ``fold_once_match_iso`` exhibits the canonical
@@ -29,7 +29,9 @@ from .constructions import (
 )
 from .exactalg import Matrix
 from .koszul import counit_map, exterior_basis, hodge_star, koszul, koszul_dual
-from .structures import HomotopyStructure, check_structure, iso_defect, map_defect, restrict
+from .structures import (
+    HomotopyStructure, Row, check_structure, iso_defect, map_defect, restrict,
+)
 
 
 def squared_scalars(m: HomotopyStructure) -> tuple:
@@ -122,34 +124,35 @@ def fold_once(m: HomotopyStructure, n: int) -> HomotopyStructure:
 
 @dataclass(frozen=True)
 class FoldData:
-    """The general fold together with its two exact presentations.
+    """The general fold together with its two split exact rows.
 
-    ``structure`` is the fold itself.  ``cone`` is the (desuspended) mapping
-    cone of the comparison map; it sits in two short exact sequences::
+    Both rows share their total, the (desuspended) mapping cone of the
+    comparison map::
 
-        coefficient_end >--> cone -->> base_end        (coefficient rows)
-        disk_end        >--> cone -->> structure       (canonical disk)
+        coefficient block >--> cone -->> rescaled input   (coefficient_row)
+        top disk          >--> cone -->> fold             (disk_row)
 
-    ``base_end`` is the input rescaled by its own scalars, ``coefficient_end``
-    is a shifted block of exterior-coefficient columns, and ``disk_end`` is a
-    two-term disk on the top-degree part of the input.  Each row carries its
-    degreewise splitting: a section of its projection and a retraction of
-    its inclusion (not chain maps).
+    The coefficient block is a shifted block of exterior-coefficient
+    columns, the rescaled input is the input times its own scalars, and the
+    top disk is a two-term disk on the top-degree part of the input.
     """
 
-    structure: HomotopyStructure
-    cone: HomotopyStructure
-    coefficient_end: HomotopyStructure
-    base_end: HomotopyStructure
-    coefficient_include: ChainMap
-    base_project: ChainMap
-    disk_end: HomotopyStructure
-    disk_include: ChainMap
-    fold_project: ChainMap
-    base_section: ChainMap
-    coefficient_retraction: ChainMap
-    fold_section: ChainMap
-    disk_retraction: ChainMap
+    coefficient_row: Row
+    disk_row: Row
+
+    @property
+    def structure(self) -> HomotopyStructure:
+        """The fold itself, the quotient of the disk row."""
+        return self.disk_row.quotient
+
+
+def _desuspended(row: Row, total: HomotopyStructure) -> Row:
+    """``row`` one degree down, around its already desuspended ``total``;
+    desuspending moves every object, and the arrows keep their matrices."""
+    sub, quotient = desuspend(row.sub), desuspend(row.quotient)
+    ends = ((sub, total), (total, quotient), (quotient, total), (total, sub))
+    return Row(sub, total, quotient, *(ChainMap(a.complex, b.complex, 0, f.mats)
+                                       for f, (a, b) in zip(row.maps, ends)))
 
 
 def fold_general(m: HomotopyStructure, n: int) -> FoldData:
@@ -171,7 +174,7 @@ def fold_general(m: HomotopyStructure, n: int) -> FoldData:
 
     f, coeff = counit_map(m, ambient=n)
     cone = cone_mixed(f, m, coeff)
-    c = cone.structure
+    c = cone.total
     cx = c.complex
     p = x.rank(n)
 
@@ -209,49 +212,31 @@ def fold_general(m: HomotopyStructure, n: int) -> FoldData:
     proj = ChainMap(cx, qx, 0, tuple(proj_mats))
     # The disk row splits by [0; I] against q_top = [d_n | I] and by [I, 0]
     # against [I; -d_n]; elsewhere its blocks are identities or empty.
-    section = tuple(keep if i == n else Matrix.identity(ring, cx.rank(i)) for i in qx.degrees())
-    retraction = tuple(
+    section = ChainMap(qx, cx, 0, tuple(
+        keep if i == n else Matrix.identity(ring, cx.rank(i)) for i in qx.degrees()))
+    retraction = ChainMap(cx, dsk.complex, 0, tuple(
         Matrix.hstack(Matrix.identity(ring, p), Matrix.zeros(ring, p, x.rank(n - 1))) if i == n
         else Matrix.identity(ring, p) if i == n + 1
-        else Matrix.zeros(ring, 0, cx.rank(i)) for i in cx.degrees())
+        else Matrix.zeros(ring, 0, cx.rank(i)) for i in cx.degrees()))
 
-    # Desuspending moves every object one degree down; the arrows keep
-    # their matrices.
-    structure, cone_end = desuspend(q), desuspend(c)
-    coefficient_end, base_end = desuspend(cone.sub), desuspend(cone.quotient)
-    disk_end = desuspend(dsk)
-
-    def down(mats, source, target):
-        return ChainMap(source.complex, target.complex, 0, tuple(mats))
-
+    cone_end = desuspend(c)
     data = FoldData(
-        structure=structure,
-        cone=cone_end,
-        coefficient_end=coefficient_end,
-        base_end=base_end,
-        coefficient_include=down(cone.include.mats, coefficient_end, cone_end),
-        base_project=down(cone.project.mats, cone_end, base_end),
-        disk_end=disk_end,
-        disk_include=down(disk_incl.mats, disk_end, cone_end),
-        fold_project=down(proj.mats, cone_end, structure),
-        base_section=down(cone.section.mats, base_end, cone_end),
-        coefficient_retraction=down(cone.retraction.mats, cone_end, coefficient_end),
-        fold_section=down(section, structure, cone_end),
-        disk_retraction=down(retraction, cone_end, disk_end),
-    )
-    for name, struct in (("fold", data.structure), ("cone", data.cone)):
+        _desuspended(cone, cone_end),
+        _desuspended(Row(dsk, c, q, disk_incl, proj, section, retraction), cone_end))
+    for name, struct in (("fold", data.structure), ("cone", cone_end)):
         problems = check_structure(struct)
         if problems:
             raise AssertionError(f"{name} is not a structure: " + problems[0])
-    why = (map_defect("disk inclusion", data.disk_include, disk_end, cone_end)
-           or map_defect("fold projection", data.fold_project, cone_end, structure))
+    disk_row = data.disk_row
+    why = (map_defect("disk inclusion", disk_row.include, disk_row.sub, cone_end)
+           or map_defect("fold projection", disk_row.project, cone_end, data.structure))
     if why:
         raise AssertionError(why)
     return data
 
 
 def fold(m: HomotopyStructure, n: int) -> HomotopyStructure:
-    """The fold below ``n`` (general route), without the exact presentations."""
+    """The fold below ``n`` (general route), without its rows."""
     return fold_general(m, n).structure
 
 

@@ -44,7 +44,7 @@ def offset_cone(rng, ring, top, s, t):
     mat = Matrix.build(ring, r, r,
                        lambda i, j: ring.from_int(rng.randint(-2, 2)))
     arrow = ChainMap(a.complex, b.complex, 0, (Matrix.zeros(ring, 0, r), mat))
-    return cone_mixed(arrow, a, b).structure
+    return cone_mixed(arrow, a, b).total
 
 
 def contractible_structure(rng, ring, top, scalars):

@@ -172,16 +172,38 @@ def map_defect(label: str, f: ChainMap, mx, my) -> Optional[str]:
     return _not_chain(label, f) or _not_equivariant(label, f, mx, my)
 
 
-def row_defect(include, project, section, retraction, sub, total, quotient) -> Optional[str]:
-    """Why sub >--> total -->> quotient is not a split exact row of
-    equivariant chain maps; ``section`` and ``retraction`` need not be chain maps."""
-    i, p, s, r, quot = include, project, section, retraction, quotient
-    if not _connects(((i, sub, total), (p, total, quot), (s, quot, total), (r, total, sub))):
-        return "row arrows do not connect the named objects"
-    return (_not_chain("row inclusion", i) or _not_chain("row projection", p)
-            or _prefixed("row is not split exact: ", split_defect(i, p, s, r))
-            or _not_equivariant("row inclusion", i, sub, total)
-            or _not_equivariant("row projection", p, total, quot))
+@dataclass(frozen=True)
+class Row:
+    """A row sub >--> total -->> quotient of structures, with its splitting.
+
+    ``section`` (quotient -> total) and ``retraction`` (total -> sub) split
+    the row in every degree; they need not be chain maps.  ``defect`` says
+    why the row is not split exact.
+    """
+
+    sub: HomotopyStructure
+    total: HomotopyStructure
+    quotient: HomotopyStructure
+    include: ChainMap
+    project: ChainMap
+    section: ChainMap
+    retraction: ChainMap
+
+    @property
+    def maps(self) -> tuple:
+        """``(include, project, section, retraction)``."""
+        return self.include, self.project, self.section, self.retraction
+
+    def defect(self) -> Optional[str]:
+        """Why this is not a split exact row of equivariant chain maps."""
+        i, p, s, r = self.maps
+        sub, total, quot = self.sub, self.total, self.quotient
+        if not _connects(((i, sub, total), (p, total, quot), (s, quot, total), (r, total, sub))):
+            return "row arrows do not connect the named objects"
+        return (_not_chain("row inclusion", i) or _not_chain("row projection", p)
+                or _prefixed("row is not split exact: ", split_defect(i, p, s, r))
+                or _not_equivariant("row inclusion", i, sub, total)
+                or _not_equivariant("row projection", p, total, quot))
 
 
 def iso_defect(f: ChainMap, g: ChainMap, source, target) -> Optional[str]:

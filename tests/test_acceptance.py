@@ -79,7 +79,7 @@ def bounded_structure(rng, s, top):
         b = disk(ZZ, r, top, (u,))
         mat = Matrix.build(ZZ, r, r, lambda i, j: ZZ.from_int(rng.randint(-1, 1)))
         arrow = ChainMap(a.complex, b.complex, 0, (Matrix.zeros(ZZ, 0, r), mat))
-        return cone_mixed(arrow, a, b).structure
+        return cone_mixed(arrow, a, b).total
     if kind == 2:
         base = disk(ZZ, rng.randint(1, 2), top - 1, (1,)).complex
         cone, _, _ = mapping_cone(identity_map(base))
@@ -146,13 +146,13 @@ def test_fold_rows_exact_and_certified():
         m = random_structure(rng, ZZ, top, scalars)
         n = min(5, max(top, d + 1) + rng.randint(0, 1))
         data = fold_general(m, n)
-        assert check_ses(data.coefficient_include, data.base_project) == []
-        assert check_ses(data.disk_include, data.fold_project) == []
-        assert is_equivariant(data.coefficient_include,
-                              data.coefficient_end, data.cone)
-        assert is_equivariant(data.base_project, data.cone, data.base_end)
-        assert is_equivariant(data.disk_include, data.disk_end, data.cone)
-        assert is_equivariant(data.fold_project, data.cone, data.structure)
+        assert check_ses(data.coefficient_row.include, data.coefficient_row.project) == []
+        assert check_ses(data.disk_row.include, data.disk_row.project) == []
+        assert is_equivariant(data.coefficient_row.include,
+                              data.coefficient_row.sub, data.disk_row.total)
+        assert is_equivariant(data.coefficient_row.project, data.disk_row.total, data.coefficient_row.quotient)
+        assert is_equivariant(data.disk_row.include, data.disk_row.sub, data.disk_row.total)
+        assert is_equivariant(data.disk_row.project, data.disk_row.total, data.structure)
         for cert in fold_row_certificates(m, n):
             assert check_certificate(cert).accepted
         assert check_certificate(fold_defect_certificate(m, n)).accepted
@@ -182,8 +182,8 @@ def test_cones_valid_and_identity_cone_contracts():
         my = random_structure(rng, ZZ, rng.randint(2, 3), (t,))
         f = boundary_built_map(rng, mx.complex, my.complex)
         cone = cone_mixed(f, mx, my)
-        assert cone.structure.scalars == (s * t,)
-        assert check_structure(cone.structure) == []
+        assert cone.total.scalars == (s * t,)
+        assert check_structure(cone.total) == []
     for _ in range(40):
         s = rng.choice((2, 3, 6))
         m = random_structure(rng, ZZ, rng.randint(2, 3), (s,))
@@ -198,7 +198,7 @@ def test_cones_valid_and_identity_cone_contracts():
             ds = direct_sum(m, other)
             f, mx, my = ds.include[0], m, ds.structure
         assert is_equivariant(f, mx, my)
-        assert check_structure(cone_same(f, mx, my).structure) == []
+        assert check_structure(cone_same(f, mx, my).total) == []
     for _ in range(20):
         if rng.random() < 0.5:
             base = disk_pile(rng, ZZ, rng.randint(1, 3),
@@ -219,11 +219,11 @@ def test_contractible_peels_in_window_length_steps():
             m = contractible_structure(rng, ZZ, rng.randint(2, 4), (s,))
         else:
             m0 = disk_pile(rng, ZZ, rng.randint(1, 3), (s,), summands=2)
-            m = cone_same(identity_map(m0.complex), m0, m0).structure
+            m = cone_same(identity_map(m0.complex), m0, m0).total
         x = m.complex
         chain = peel_to_disks(m)
         assert len(chain) == x.top_degree - x.min_degree
-        assert all(check_structure(p.disk) == [] for p in chain)
+        assert all(check_structure(p.sub) == [] for p in chain)
         cert = peel_chain_certificate(m, x.top_degree)
         assert check_certificate(cert).accepted
         claim = cert.claim.as_dict()

@@ -8,7 +8,7 @@ import pytest
 
 from homcert.complexes import ChainMap, GradedFreeComplex, find_contraction, identity_map
 from homcert.constructions import (
-    direct_sum, disk, identity_cone_contraction, mapping_cone, module_tensor, suspend,
+    disk, identity_cone_contraction, mapping_cone, module_tensor, suspend,
 )
 from homcert.exactalg import Matrix, QQ, RationalRing, ZZ, Zmod
 from homcert.certificates import (

@@ -15,13 +15,13 @@ from homcert.certificates import (
     peel_chain_certificate, sum_certificate,
 )
 from homcert.cli import main
-from homcert.complexes import GradedFreeComplex, identity_map
+from homcert.complexes import ChainMap, GradedFreeComplex, identity_map
 from homcert.constructions import disk, module_tensor, suspend
 from homcert.exactalg import Matrix, ZZ, Zmod
 from homcert.koszul import koszul
 from homcert.randgen import contractible_structure, disk_pile, split_row
 from homcert.serialize import dumps, from_json, loads, to_json
-from homcert.structures import find_structure
+from homcert.structures import HomotopyStructure, find_structure
 
 
 @pytest.fixture
@@ -221,11 +221,40 @@ def test_cone_and_glue_outputs_revalidate(run, tmp_path):
 def test_cone_mismatched_endpoints_invalid(run, tmp_path):
     m = disk_pile(random.Random(4), ZZ, 3, (2,))
     other = disk(ZZ, 1, 1, (2,))
-    cone_in = write(tmp_path, "cone.json", {
-        "map": to_json(identity_map(m.complex)),
-        "source": to_json(other), "target": to_json(m)})
-    code, report, err = run("cone", cone_in)
-    assert code == 1 and err["error"]["code"] == "invalid"
+    # a map of disk(Z, 1, 1) to itself that is not a chain map in degree 1
+    not_chain = ChainMap(other.complex, other.complex, 0,
+                         (Matrix.from_rows(ZZ, [[1]]), Matrix.from_rows(ZZ, [[0]])))
+    broken = to_json(other)
+    broken["ops"][0][0]["entries"][0][0] = "5"
+    cases = [
+        ({"map": to_json(identity_map(m.complex)),
+          "source": to_json(other), "target": to_json(m)}, "endpoints"),
+        ({"map": to_json(not_chain), "source": to_json(other), "target": to_json(other)},
+         "not a chain map in degree 1"),
+        ({"map": to_json(identity_map(other.complex)), "source": broken,
+          "target": to_json(other)}, "source is not a structure"),
+    ]
+    for doc, why in cases:
+        cone_in = write(tmp_path, "cone.json", doc)
+        for flags in ((), ("--same",)):
+            code, report, err = run("cone", cone_in, *flags)
+            assert code == 1 and report is None
+            assert err["error"]["code"] == "invalid" and why in err["error"]["message"]
+
+
+def test_glue_rejects_middle_complex_that_is_not_a_complex(run, tmp_path):
+    one = Matrix.from_rows(ZZ, [[1]])
+    middle = GradedFreeComplex(ZZ, 0, (1, 1, 1), (one, one))  # d_1 d_2 = 1
+    zero = GradedFreeComplex(ZZ, 0, (0,), ())
+    quot = HomotopyStructure(middle, (0,), ((Matrix.zeros(ZZ, 1, 1),) * 2,))
+    glue_in = write(tmp_path, "glue.json", {
+        "include": to_json(ChainMap(zero, middle, 0, (Matrix.zeros(ZZ, 1, 0),))),
+        "project": to_json(identity_map(middle)),
+        "sub": to_json(HomotopyStructure(zero, (0,), ((),))),
+        "quotient": to_json(quot)})
+    code, report, err = run("glue", glue_in)
+    assert code == 1 and report is None
+    assert err["error"]["code"] == "invalid" and "d_1 * d_2 != 0" in err["error"]["message"]
 
 
 def test_peel_emits_accepted_certificate(run, tmp_path):

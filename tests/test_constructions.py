@@ -13,7 +13,10 @@ from homcert.constructions import (
     identity_cone_contraction, mapping_cone, module_tensor, peel_to_disks,
     peel_top, suspend, suspend_complex, tensor_complexes, tensor_module,
 )
-from homcert.exactalg import Matrix, ZZ, solve_right
+from homcert.exactalg import Matrix, QQ, ZZ, Zmod, solve_right
+from homcert.fold import fold_general
+from homcert.koszul import koszul
+from homcert.randgen import contractible_structure, disk_pile, random_structure
 from homcert.structures import (
     HomotopyStructure, check_structure, is_equivariant, restrict,
     structure_from_contraction,
@@ -116,11 +119,11 @@ def test_cone_mixed_structure_and_ses():
     my = staircase_structure((2,))
     f = zero_map(mx.complex, my.complex)
     data = cone_mixed(f, mx, my)
-    assert check_structure(data.structure) == []
-    assert data.structure.scalars == (6,)
+    assert check_structure(data.total) == []
+    assert data.total.scalars == (6,)
     assert check_ses(data.include, data.project) == []
-    assert is_equivariant(data.include, data.sub, data.structure)
-    assert is_equivariant(data.project, data.structure, data.quotient)
+    assert is_equivariant(data.include, data.sub, data.total)
+    assert is_equivariant(data.project, data.total, data.quotient)
 
 
 def test_cone_mixed_nonzero_map():
@@ -128,22 +131,22 @@ def test_cone_mixed_nonzero_map():
     mx = staircase_structure((3,))
     f = ChainMap(mx.complex, my.complex, 0, identity_map(my.complex).mats)
     data = cone_mixed(f, mx, my)
-    assert check_structure(data.structure) == []
-    assert data.structure.scalars == (6,)
+    assert check_structure(data.total) == []
+    assert data.total.scalars == (6,)
     assert check_ses(data.include, data.project) == []
-    assert is_equivariant(data.include, data.sub, data.structure)
-    assert is_equivariant(data.project, data.structure, data.quotient)
+    assert is_equivariant(data.include, data.sub, data.total)
+    assert is_equivariant(data.project, data.total, data.quotient)
 
 
 def test_cone_same_keeps_scalars():
     m = staircase_structure((2,))
     data = cone_same(identity_map(m.complex), m, m)
-    assert data.structure.scalars == (2,)
-    assert check_structure(data.structure) == []
+    assert data.total.scalars == (2,)
+    assert check_structure(data.total) == []
     assert check_ses(data.include, data.project) == []
-    assert is_equivariant(data.include, data.sub, data.structure)
-    assert is_equivariant(data.project, data.structure, data.quotient)
-    assert find_contraction(data.structure.complex) is not None
+    assert is_equivariant(data.include, data.sub, data.total)
+    assert is_equivariant(data.project, data.total, data.quotient)
+    assert find_contraction(data.total.complex) is not None
 
 
 def test_cone_same_requires_equivariance():
@@ -204,13 +207,38 @@ def test_glue_on_cone_ses():
     assert check_structure(glued) == []
 
 
+# -- rows -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, Zmod(7)], ids=["Z", "Q", "Z7"])
+def test_every_constructed_row_passes_its_check(ring):
+    """Cones, fold rows and (over Z) peels are split exact rows of
+    structures; for the cones the splitting is the pair of transposes."""
+    rng = random.Random(8)
+    rows = []
+    for m in (suspend(koszul(ring, (2, 3)), 1), random_structure(rng, ring, 3, (2, 3))):
+        summand = disk_pile(rng, ring, 2, (2, 3))
+        total = direct_sum(m, summand)
+        onto = total.project[1]  # equivariant from the sum onto the summand
+        rows.append(cone_mixed(onto, total.structure, restrict(summand, (3, 5))))
+        rows.append(cone_same(onto, total.structure, summand))
+        data = fold_general(m, 3)
+        rows += [data.coefficient_row, data.disk_row]
+    if ring == ZZ:
+        rows += peel_to_disks(contractible_structure(rng, ZZ, 3, (6,)))  # peel_top each
+    for row in rows:
+        assert row.defect() is None
+        for part in (row.sub, row.total, row.quotient):
+            assert check_structure(part) == []
+
+
 # -- peeling ----------------------------------------------------------
 
 
 def test_peel_two_term_disk():
     m = disk(ZZ, 2, 3, (5,))
     step = peel_top(m)
-    assert step.disk == m
+    assert step.sub == m
     assert step.quotient.complex.ranks == (0,)
     assert step.quotient.complex.min_degree == 2
 
@@ -218,7 +246,7 @@ def test_peel_two_term_disk():
 def test_peel_staircase():
     m = staircase_structure((2,))
     step = peel_top(m)
-    assert step.disk.complex.ranks == (1, 1)
+    assert step.sub.complex.ranks == (1, 1)
     assert step.quotient.complex.top_degree == 1
     assert check_structure(step.quotient) == []
     assert check_ses(step.include, step.project) == []
@@ -227,12 +255,12 @@ def test_peel_staircase():
 def test_peel_to_disks_counts():
     m3 = staircase_structure((3,))
     for m in (staircase_structure((2,)),
-              cone_same(identity_map(m3.complex), m3, m3).structure,
+              cone_same(identity_map(m3.complex), m3, m3).total,
               disk(ZZ, 3, 4, (2,))):
         x = m.complex
         steps = peel_to_disks(m)
         assert len(steps) == x.top_degree - x.min_degree
-        assert sum(s.disk.complex.total_rank() for s in steps) >= x.rank(x.top_degree)
+        assert sum(s.sub.complex.total_rank() for s in steps) >= x.rank(x.top_degree)
 
 
 def test_peel_factors_once_given_a_contraction(monkeypatch):

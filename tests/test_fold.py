@@ -53,7 +53,7 @@ def shifted_cone(rng, ring, top, s, t):
     arrow = ChainMap(a.complex, b.complex, 0,
                      (Matrix.zeros(ring, 0, r), mat))
     assert arrow.is_chain_map()
-    return cone_mixed(arrow, a, b).structure
+    return cone_mixed(arrow, a, b).total
 
 
 def test_fold_once_frozen_two_term():
@@ -124,22 +124,22 @@ def test_fold_general_exact_rows():
     for m in cases:
         n = m.complex.top_degree
         data = fold_general(m, n)
-        for part in (data.structure, data.cone, data.coefficient_end,
-                     data.base_end, data.disk_end):
+        for part in (data.structure, data.disk_row.total, data.coefficient_row.sub,
+                     data.coefficient_row.quotient, data.disk_row.sub):
             assert check_structure(part) == []
-        assert check_ses(data.coefficient_include, data.base_project) == []
-        assert check_ses(data.disk_include, data.fold_project) == []
-        assert is_equivariant(data.coefficient_include,
-                              data.coefficient_end, data.cone)
-        assert is_equivariant(data.base_project, data.cone, data.base_end)
-        assert is_equivariant(data.disk_include, data.disk_end, data.cone)
+        assert check_ses(data.coefficient_row.include, data.coefficient_row.project) == []
+        assert check_ses(data.disk_row.include, data.disk_row.project) == []
+        assert is_equivariant(data.coefficient_row.include,
+                              data.coefficient_row.sub, data.disk_row.total)
+        assert is_equivariant(data.coefficient_row.project, data.disk_row.total, data.coefficient_row.quotient)
+        assert is_equivariant(data.disk_row.include, data.disk_row.sub, data.disk_row.total)
         # The coefficient row is the shifted rescaled exterior block, and the
         # base row is the input rescaled by its own scalars, on the nose.
         d = m.ngens
         p = m.complex.rank(n)
-        assert data.coefficient_end == suspend(
+        assert data.coefficient_row.sub == suspend(
             coefficient_block(ZZ, p, m.scalars), n - d - 1)
-        assert data.base_end == restrict(m, m.scalars)
+        assert data.coefficient_row.quotient == restrict(m, m.scalars)
 
 
 def test_fold_general_below_ceiling_is_rescaling():
@@ -151,7 +151,7 @@ def test_fold_general_below_ceiling_is_rescaling():
         assert data.structure.complex.rank(i) == m.complex.rank(i)
         assert data.structure.complex.diff(i) == m.complex.diff(i)
         assert data.structure.op(0, i) == scaled.op(0, i)
-    assert data.disk_end.complex.rank(4) == 0
+    assert data.disk_row.sub.complex.rank(4) == 0
 
 
 def test_fold_rejects_bad_windows():

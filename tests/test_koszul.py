@@ -3,15 +3,13 @@
 import random
 
 from homcert.complexes import boundary_map, find_contraction, identity_map, inverse_defect
-from homcert.constructions import disk, suspend, tensor_module
+from homcert.constructions import disk, suspend
 from homcert.exactalg import Matrix, ZZ
 from homcert.koszul import (
     counit_map, exterior_basis, hodge_star, koszul, koszul_dual, permutation_sign,
     unit_map, word_operator,
 )
-from homcert.structures import (
-    check_structure, find_structure, is_equivariant, structure_from_contraction,
-)
+from homcert.structures import check_structure, find_structure, is_equivariant
 from homcert.complexes import GradedFreeComplex
 
 

@@ -97,7 +97,8 @@ def cmd_validate(args) -> int:
         report["ranks"] = list(obj.complex.ranks)
         report["scalars"] = [element_to_str(obj.complex.ring, s) for s in obj.scalars]
     elif kind == "chain_map":
-        problems = [] if obj.is_chain_map() else ["not a chain map"]
+        i = obj.chain_defect()
+        problems = [] if i is None else [f"not a chain map in degree {i}"]
         report["shift"] = obj.shift
     else:
         res = check_certificate(obj)

@@ -9,6 +9,7 @@ boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 from .exactalg import (
@@ -244,7 +245,8 @@ class HomotopySystem:
 
     Unknowns are the entries of e out of each degree below the top,
     row-major.  ``solve_homotopy`` needs it only over composite Z/m with a
-    non-unit c.
+    non-unit c, and builds it only on the output of ``reduce_units``, a
+    complex with no unit entry.
     """
 
     def __init__(self, x: GradedFreeComplex):
@@ -276,6 +278,102 @@ class HomotopySystem:
         return ChainMap(x, x, 1, tuple(mats))
 
 
+def _unit_inverse(ring: Ring, a):
+    if isinstance(ring, ModularRing):
+        return pow(a, -1, ring.modulus)
+    return ring.normalize(1 / Fraction(a))
+
+
+def reduce_units(x: GradedFreeComplex) -> tuple:
+    """Cancel unit entries of the differentials until none is left.
+
+    Returns (y, f, g, h): the reduced complex y, chain maps f: x -> y and
+    g: y -> x with f g = 1, and a degree +1 operator h on x with
+    g f + d h + h d = 1, so y is homotopy equivalent to x (Kaczynski,
+    Mrozek and Ślusarek 1998; Sköldberg 2006).
+
+    A unit a = d_i[r][s] splits X_i = <s> + B and X_{i-1} = <r> + A.  With
+    gamma = d_i[A, s] and delta = d_i[r, B], the pair r, s is cancelled by
+    d'_i = d_i[A, B] - gamma a^-1 delta, while d_{i+1} keeps its rows B
+    and d_{i-1} its columns A.  The step's maps are f_{i-1} =
+    [-gamma a^-1 | 1], f_i the projection onto B, g_{i-1} the inclusion of
+    A, g_i = [-a^-1 delta ; 1] and h_{i-1} = a^-1 at (s, r); each step
+    composes into the running ones by f <- f' f, g <- g g',
+    h <- h + g h' f.  Cancelling in d_i only deletes rows and columns of
+    its neighbours, so one pass over the differentials finds every unit.
+    The output is checked once; a failed check raises ``AssertionError``.
+
+    Example:
+        >>> from homcert.complexes import GradedFreeComplex, reduce_units
+        >>> from homcert.exactalg import Matrix, Zmod
+        >>> r = Zmod(4)
+        >>> x = GradedFreeComplex(r, 0, (2, 2), (Matrix.from_rows(r, [[3, 2], [1, 0]]),))
+        >>> y, f, g, h = reduce_units(x)
+        >>> y.ranks, y.diffs[0].entries
+        ((1, 1), ((2,),))
+        >>> h.mat(0).entries
+        ((3, 0), (0, 0))
+    """
+    ring, norm, n = x.ring, x.ring.normalize, len(x.ranks)
+    d = [[list(row) for row in m.entries] for m in x.diffs]
+    # f[j]: the rows of f out of slot j (degree min_degree + j); g[j]: the
+    # columns of g into slot j; h[j]: h out of slot j.
+    f = [[[int(p == q) for q in range(r)] for p in range(r)] for r in x.ranks]
+    g = [[row[:] for row in fj] for fj in f]
+    h = [[[0] * x.ranks[j] for _ in range(x.rank(x.min_degree + j + 1))] for j in range(n)]
+    for j in range(n - 1):  # d[j] maps slot j + 1 to slot j
+        while True:
+            pivot = next(((r, s) for r, row in enumerate(d[j]) for s, a in enumerate(row)
+                          if ring.is_unit(a)), None)
+            if pivot is None:
+                break
+            r, s = pivot
+            inv = _unit_inverse(ring, d[j][r][s])
+            delta = [norm(inv * v) for v in d[j][r]]  # a^-1 row r: 1 at s, a^-1 delta on B
+            gamma = [row[s] for row in d[j]]
+            f_r = [norm(inv * v) for v in f[j][r]]
+            g_s = g[j + 1][s]
+            h[j] = [[norm(v + c * w) for v, w in zip(row, f_r)] for row, c in zip(h[j], g_s)]
+            d[j] = [[norm(v - c * w) for k, (v, w) in enumerate(zip(row, delta)) if k != s]
+                    for q, (row, c) in enumerate(zip(d[j], gamma)) if q != r]
+            f[j] = [[norm(v - c * w) for v, w in zip(row, f_r)]
+                    for q, (row, c) in enumerate(zip(f[j], gamma)) if q != r]
+            g[j + 1] = [[norm(v - t * w) for v, w in zip(col, g_s)]
+                        for k, (col, t) in enumerate(zip(g[j + 1], delta)) if k != s]
+            del f[j + 1][s], g[j][r]
+            if j + 1 < n - 1:
+                del d[j + 1][s]
+            if j:
+                for row in d[j - 1]:
+                    del row[r]
+    ranks = tuple(map(len, f))
+    y = GradedFreeComplex(ring, x.min_degree, ranks, tuple(
+        Matrix(ring, ranks[j], ranks[j + 1], d[j]) for j in range(n - 1)))
+    fm = ChainMap(x, y, 0, tuple(Matrix(ring, ranks[j], x.ranks[j], f[j]) for j in range(n)))
+    gm = ChainMap(y, x, 0, tuple(Matrix(ring, ranks[j], x.ranks[j], g[j]).transpose()
+                                 for j in range(n)))
+    hm = ChainMap(x, x, 1, tuple(Matrix(ring, len(h[j]), x.ranks[j], h[j]) for j in range(n)))
+    problem = _retraction_defect(fm, gm, hm)
+    if problem is not None:
+        raise AssertionError("unit reduction failed its own check: " + problem)
+    return y, fm, gm, hm
+
+
+def _retraction_defect(f: ChainMap, g: ChainMap, h: ChainMap) -> Optional[str]:
+    """The first failing law of a deformation retraction of x = f.source onto
+    y = f.target: f and g chain maps, f·g = id, g·f + dh + hd = id."""
+    for name, m in (("f", f), ("g", g)):
+        i = m.chain_defect()
+        if i is not None:
+            return f"{name} is not a chain map in degree {i}"
+    x = f.source
+    return _first_non_identity(
+        x.min_degree, x.top_degree,
+        (("f·g", lambda i: f.mat(i) * g.mat(i)),
+         ("g·f + dh + hd", lambda i: (g.mat(i) * f.mat(i) + x.diff(i + 1) * h.mat(i)
+                                      + h.mat(i - 1) * x.diff(i)))))
+
+
 def solve_homotopy(x: GradedFreeComplex, c) -> Optional[ChainMap]:
     """A degree +1 operator e with d*e + e*d = c * id, or None if there is none.
 
@@ -293,12 +391,18 @@ def solve_homotopy(x: GradedFreeComplex, c) -> Optional[ChainMap]:
       boundaries.  Over Z/p the only other c, 0, gets e = 0.
 
     Composite Z/m with a non-unit c, where cycles need not have a
-    complement, solves the coupled ``HomotopySystem``.
+    complement, first cancels the unit entries (``reduce_units`` gives
+    y, f, g, h), then solves the coupled ``HomotopySystem`` of the smaller
+    complex y and returns e = g e' f + c h.  The verdict is that of x: if
+    d e' + e' d = c on y then d e + e d = c (g f + d h + h d) = c on x, and
+    if e works on x then f e g works on y.
     """
     ring = x.ring
     c = ring.normalize(c)
     if isinstance(ring, ModularRing) and not ring.is_field and not ring.is_unit(c):
-        return HomotopySystem(x).solve(c)
+        y, f, g, h = reduce_units(x)
+        e = HomotopySystem(y).solve(c)
+        return None if e is None else g.compose(e.compose(f)) + h.scale(c)
     e = Matrix.zeros(ring, x.rank(x.min_degree), 0)  # out of the zero module below
     mats = []
     for i in x.degrees():

@@ -53,6 +53,17 @@ def test_validate_complex_ok(run, tmp_path):
     assert report["kind"] == "complex" and report["valid"]
 
 
+def test_validate_names_the_degree_of_a_non_chain_map(run, tmp_path):
+    x = disk(ZZ, 1, 1, (2,)).complex
+    not_chain = ChainMap(x, x, 0, (Matrix.from_rows(ZZ, [[1]]), Matrix.from_rows(ZZ, [[0]])))
+    code, report, err = run("validate", write(tmp_path, "f.json", not_chain))
+    assert code == 1
+    assert report["kind"] == "chain_map" and not report["valid"]
+    assert report["problems"] == ["not a chain map in degree 1"]
+    assert err["error"]["code"] == "invalid"
+    assert err["error"]["message"] == "not a chain map in degree 1"
+
+
 def test_validate_rejects_broken_structure(run, tmp_path):
     doc = to_json(disk(ZZ, 1, 2, (2,)))
     doc["ops"][0][0]["entries"][0][0] = "5"
@@ -127,6 +138,19 @@ def test_homotopy_find_reports_exponent(run, tmp_path):
     assert code == 0
     assert report["exponents"] == [2] and report["found"]
     assert from_json(report).scalars == (4,)
+
+
+def test_homotopy_find_deterministic_bytes(tmp_path, capsys):
+    r8 = Zmod(8)
+    x = GradedFreeComplex(r8, 0, (2, 3, 1), (
+        Matrix.from_rows(r8, [[1, 1, 3], [4, 0, 0]]), Matrix.from_rows(r8, [[2], [3], [1]])))
+    path = write(tmp_path, "x.json", x)
+    outs = []
+    for _ in range(2):
+        assert main(["homotopy", "find", path, "--gens", "2"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["exponents"] == [2]
 
 
 def test_homotopy_find_inconclusive(run, tmp_path):

@@ -1,5 +1,6 @@
 """Complex validation, homology, contractions, short exact sequences."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -13,7 +14,8 @@ import homcert.exactalg
 from homcert.complexes import (
     ChainMap, GradedFreeComplex, HomotopySystem, check_ses, concentrated,
     find_contraction, homology_invariants, identity_map, inverse_defect,
-    is_contraction, is_exact, solve_homotopy, validate_complex, zero_complex, zero_map,
+    is_contraction, is_exact, reduce_units, solve_homotopy, validate_complex, zero_complex,
+    zero_map,
 )
 from homcert.exactalg import Matrix, QQ, ZZ, Zmod
 
@@ -40,12 +42,15 @@ def random_complex(rng, ring=ZZ, max_rank=3, length=3):
     return GradedFreeComplex(ring, 0, (n, m), (d1,))
 
 
-def random_split_complex(rng, ring, length=4):
+def random_split_complex(rng, ring, length=4, pieces=None):
     """Pieces R --a--> R and lone copies of R summed up, then written in a
-    random basis in every degree (d^2 = 0 by design).  Basis of degree j:
-    lone generators, then targets of the pieces of diffs[j], then sources of
-    the pieces of diffs[j - 1]."""
-    pieces = [[rng.randint(-4, 4) for _ in range(rng.randint(0, 2))] for _ in range(length - 1)]
+    random basis in every degree (d^2 = 0 by design).  ``pieces[j]`` lists
+    the entries a of the pieces of diffs[j] (by default up to two, each in
+    -4..4).  Basis of degree j: lone generators, then targets of the pieces
+    of diffs[j], then sources of the pieces of diffs[j - 1]."""
+    if pieces is None:
+        pieces = [[rng.randint(-4, 4) for _ in range(rng.randint(0, 2))]
+                  for _ in range(length - 1)]
     lone = [rng.randint(0, 1) for _ in range(length)]
     below = [len(pieces[j]) if j < length - 1 else 0 for j in range(length)]
     above = [len(pieces[j - 1]) if j else 0 for j in range(length)]
@@ -273,6 +278,75 @@ def test_homotopy_system_scalar_rhs():
                 lhs = x.diff(i + 1) * h.mat(i) + h.mat(i - 1) * x.diff(i)
                 assert lhs == Matrix.scalar(x.ring, x.rank(i), c)
     assert HomotopySystem(y).solve(2) is not None
+
+
+# -- unit reduction ----------------------------------------------------
+
+
+def zmod_pieces_complex(rng, mod):
+    """A split complex over Z/mod of length 2 to 4 and ranks up to 8, in a
+    random basis; each piece R --a--> R has a unit or a non-unit a, with
+    even odds."""
+    units = [a for a in range(1, mod) if math.gcd(a, mod) == 1]
+    non_units = [a for a in range(mod) if math.gcd(a, mod) > 1]
+    counts = []
+    for _ in range(rng.randint(1, 3)):
+        counts.append(rng.randint(0, min(4, 7 - (counts[-1] if counts else 0))))
+    pieces = [[rng.choice(units if rng.random() < 0.5 else non_units) for _ in range(k)]
+              for k in counts]
+    return random_split_complex(rng, Zmod(mod), len(counts) + 1, pieces)
+
+
+ZMOD_CASES = [pytest.param(zmod_pieces_complex(random.Random(100 * mod + k), mod),
+                           id=f"Z{mod}-{k}")
+              for mod in (4, 8, 9, 12, 36) for k in range(5)]
+
+
+@pytest.mark.parametrize("x", ZMOD_CASES)
+def test_reduce_units_is_a_deformation_retraction(x):
+    y, f, g, h = reduce_units(x)
+    assert (f.source, f.target, g.source, g.target) == (x, y, y, x)
+    assert f.is_chain_map() and g.is_chain_map()
+    assert (h.source, h.target, h.shift) == (x, x, 1)
+    for i in x.degrees():
+        assert (f.mat(i) * g.mat(i)).is_identity()
+        assert (g.mat(i) * f.mat(i) + x.diff(i + 1) * h.mat(i)
+                + h.mat(i - 1) * x.diff(i)).is_identity()
+    assert validate_complex(y) == []
+    assert not any(y.ring.is_unit(a) for d in y.diffs for row in d.ints for a in row)
+    m = x.ring.modulus
+    if m in (4, 8, 9):
+        # over a local ring the result is minimal: d = 0 mod p, so its ranks
+        # are the dimensions of the homology of x mod p
+        fp = Zmod(2 if m % 2 == 0 else 3)
+        xp = GradedFreeComplex(fp, x.min_degree, x.ranks,
+                               tuple(Matrix(fp, d.rows, d.cols, d.ints) for d in x.diffs))
+        assert y.ranks == tuple(hom.free_rank for hom in homology_invariants(xp).values())
+
+
+def test_reduce_units_checks_its_output(monkeypatch):
+    x = random_split_complex(random.Random(3), Zmod(9), 3, [[1, 3], [2]])
+    real = homcert.complexes._unit_inverse
+    monkeypatch.setattr(homcert.complexes, "_unit_inverse",
+                        lambda ring, a: ring.mul(2, real(ring, a)))
+    with pytest.raises(AssertionError, match="unit reduction failed its own check"):
+        reduce_units(x)
+
+
+@pytest.mark.parametrize("x", ZMOD_CASES)
+def test_reduced_solve_matches_the_unreduced_system(x):
+    # The unreduced system is solved once per ideal (c) = (gcd(c, m)): every c
+    # is a unit u times gcd(c, m), and e solves c exactly when u e solves u c.
+    ring, m = x.ring, x.ring.modulus
+    system = HomotopySystem(x)
+    solvable = {g % m: system.solve(g) is not None for g in range(1, m + 1) if m % g == 0}
+    for c in range(m):
+        e = solve_homotopy(x, c)
+        assert (e is not None) == solvable[math.gcd(c, m) % m]
+        if e is not None:
+            for i in x.degrees():
+                assert (x.diff(i + 1) * e.mat(i) + e.mat(i - 1) * x.diff(i)
+                        == Matrix.scalar(ring, x.rank(i), c))
 
 
 # -- short exact sequences --------------------------------------------

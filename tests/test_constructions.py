@@ -18,7 +18,7 @@ from homcert.fold import fold_general
 from homcert.koszul import koszul
 from homcert.randgen import contractible_structure, disk_pile, random_structure
 from homcert.structures import (
-    HomotopyStructure, check_structure, is_equivariant, restrict,
+    HomotopyStructure, check_structure, find_structure, is_equivariant, restrict,
     structure_from_contraction,
 )
 
@@ -282,6 +282,28 @@ def test_peel_factors_once_given_a_contraction(monkeypatch):
     step = peel_top(m, h)
     assert calls == {"smith_normal_form": 1, "solve_right": 0}
     assert len(step.quotient.complex.ranks) == len(m.complex.ranks) - 1
+
+
+def test_composite_search_builds_systems_on_the_reduced_complex(monkeypatch):
+    import homcert.complexes as complexes_mod
+    rng, r9 = random.Random(9), Zmod(9)
+
+    def unimodular(n):
+        up = Matrix.build(r9, n, n, lambda i, j: 1 if i == j else rng.randint(0, 8) * (i < j))
+        low = Matrix.build(r9, n, n, lambda i, j: 1 if i == j else rng.randint(0, 8) * (i > j))
+        return up * low
+    pieces = Matrix.build(r9, 4, 4, lambda i, j: (2, 4, 6, 8)[i] * (i == j))  # 6: the non-unit
+    x = GradedFreeComplex(r9, 0, (4, 4), (unimodular(4) * pieces * unimodular(4),))
+    sizes = []
+    real = complexes_mod.HomotopySystem.__init__
+
+    def counted(self, y):
+        sizes.append(y.total_rank())
+        real(self, y)
+    monkeypatch.setattr(complexes_mod.HomotopySystem, "__init__", counted)
+    res = find_structure(x, (3,))
+    assert res.exponents == (1,) and check_structure(res.structure) == []
+    assert sizes and max(sizes) <= 2
 
 
 def test_peel_rejects_non_contractible():

@@ -246,14 +246,14 @@ def test_find_structure_matches_sympy_over_z():
 
 def test_find_structure_matches_gcd_rule_over_composite_zmod():
     rng = random.Random(77)
-    for case in range(18):
-        mod = (8, 9, 12)[case % 3]
+    for case in range(24):
+        mod = (8, 9, 12, 36)[case % 4]
         units = [a for a in range(1, mod) if math.gcd(a, mod) == 1]
         non_units = [a for a in range(mod) if math.gcd(a, mod) > 1]
         def piece():
             return rng.choice(non_units if rng.random() < 0.6 else units)
-        lower = [piece() for _ in range(rng.randint(1, 3))]
-        upper = [piece() for _ in range(rng.randint(0, 2))]
+        lower = [piece() for _ in range(rng.randint(1, 4))]
+        upper = [piece() for _ in range(rng.randint(0, 4))]
         x = pieces_complex(rng, Zmod(mod), lower, upper, mod)
         t = rng.choice(non_units[1:] + units[:1])
         check_search(x, t, least_exponent_pieces(lower + upper, t, mod), False)

@@ -10,11 +10,11 @@ certificates for identities between classes of such structures.
 
 from .complexes import ChainMap, GradedFreeComplex, find_contraction
 from .constructions import cone_mixed, cone_same, disk, dual, glue_extension, suspend
-from .certificates import Certificate, check_certificate
 from .exactalg import Matrix, QQ, ZZ, Zmod
 from .fold import fold, fold_general, fold_once
+from .kernel import Certificate, check_certificate, check_structure
 from .koszul import hodge_star, koszul, koszul_dual
-from .structures import HomotopyStructure, check_structure, find_structure
+from .structures import HomotopyStructure, find_structure
 
 __all__ = [
     "Certificate", "ChainMap", "GradedFreeComplex", "HomotopyStructure",

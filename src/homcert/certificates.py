@@ -1,4 +1,4 @@
-"""Certificate-checked identities between classes of structured complexes.
+"""Certificate builders: identities between classes of structured complexes.
 
 The ambient group for a certificate is spanned by structures with a fixed
 tuple of homotopy scalars, supported in degrees ``[0, ceiling]``, modulo
@@ -7,29 +7,13 @@ equivariant isomorphisms and suspension pairs.  A certificate names its
 objects in a registry, lists evidence steps, and claims that a particular
 integer combination of registered classes is zero.
 
-``check_certificate`` trusts nothing: every structure is re-validated and
-every arrow is re-checked, and the claim is accepted only if it equals the
-exact accumulation of the verified relations.  Each step carries the
-witnesses its check needs, so acceptance rests on matrix products and
-equality alone, the same in Z, Q, Z/p and composite Z/m: a row carries a
-section s and a retraction r with r·i = id, p·s = id and i·r + s·p = id
-(degreewise split exact), an isomorphism carries its inverse g with
-f·g = id and g·f = id, and a contraction satisfies d h + h d = id.  No
-Smith form, elimination, homology or determinant runs here.  The check is
-one-sided: acceptance proves the identity, rejection carries no
-information beyond the recorded reason.
-
-Every step is checked in the certificate's one slot.  Rows and
-isomorphisms are checked by ``Row.defect`` and ``iso_defect`` from
-``structures``, the functions the constructions run on their own output.
+Each builder returns a Certificate that ``kernel.check_certificate``
+accepts, re-exported here; none of them is trusted by the checker.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
-from .complexes import ChainMap, contraction_defect, find_contraction, identity_map
+from .complexes import ChainMap, find_contraction, identity_map
 from .constructions import (
     cone_same, direct_sum, glue_extension, identity_cone_contraction,
     peel_to_disks, peel_top, solve_splitting, suspend,
@@ -39,223 +23,15 @@ from .fold import (
     coefficient_block, disk_fold_iso, fold_block_map, fold_general, fold_map,
     squared_scalars,
 )
-from .structures import (
-    HomotopyStructure, Row, check_structure, iso_defect, restrict,
+from .kernel import (
+    Certificate, ClassExpr, Contractible, ExactRow, Isomorphism, Slot,
+    SuspensionPair, check_certificate,
 )
+from .structures import HomotopyStructure, restrict
 
-
-@dataclass(frozen=True)
-class Slot:
-    """The class group a certificate works in: scalar tuple plus ceiling."""
-
-    scalars: tuple
-    ceiling: int
-
-
-@dataclass(frozen=True)
-class ClassExpr:
-    """Integer combination of registered names, kept sorted and reduced."""
-
-    terms: tuple  # ((name, coefficient), ...)
-
-    @staticmethod
-    def build(pairs) -> "ClassExpr":
-        acc: dict = {}
-        for name, coeff in pairs:
-            acc[name] = acc.get(name, 0) + coeff
-        return ClassExpr(tuple(sorted((k, v) for k, v in acc.items() if v)))
-
-    def as_dict(self) -> dict:
-        return dict(self.terms)
-
-
-# Each relation step lists its named objects with their coefficients in
-# ``terms``; the kernel checks the step on those objects and then adds the
-# terms to the running combination.
-
-
-@dataclass(frozen=True)
-class ExactRow:
-    """sub >--> total -->> quotient; adds mult * ([total] - [sub] - [quotient]).
-
-    ``section`` (quotient -> total) and ``retraction`` (total -> sub) split
-    the row in every degree; they need not be chain maps.
-    """
-
-    sub: str
-    total: str
-    quotient: str
-    include: ChainMap
-    project: ChainMap
-    section: ChainMap
-    retraction: ChainMap
-    mult: int = 1
-
-    @property
-    def terms(self) -> tuple:
-        return ((self.sub, -self.mult), (self.total, self.mult),
-                (self.quotient, -self.mult))
-
-
-@dataclass(frozen=True)
-class Contractible:
-    """A contraction of the named object; adds mult * [name]."""
-
-    name: str
-    contraction: ChainMap
-    mult: int = 1
-
-    @property
-    def terms(self) -> tuple:
-        return ((self.name, self.mult),)
-
-
-@dataclass(frozen=True)
-class Isomorphism:
-    """Equivariant isomorphism with its inverse; adds mult * ([source] - [target])."""
-
-    source: str
-    target: str
-    iso: ChainMap
-    inverse: ChainMap
-    mult: int = 1
-
-    @property
-    def terms(self) -> tuple:
-        return ((self.source, self.mult), (self.target, -self.mult))
-
-
-@dataclass(frozen=True)
-class SuspensionPair:
-    """shifted == suspend(base); adds mult * ([shifted] + [base]).
-
-    Sound because base >--> cone(id) -->> shifted is exact with a
-    contractible middle, provided the cone still fits under the ceiling.
-    """
-
-    base: str
-    shifted: str
-    mult: int = 1
-
-    @property
-    def terms(self) -> tuple:
-        return ((self.base, self.mult), (self.shifted, self.mult))
-
-
-@dataclass(frozen=True)
-class Certificate:
-    slot: Slot
-    registry: tuple  # ((name, HomotopyStructure), ...)
-    steps: tuple
-    claim: ClassExpr
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    accepted: bool
-    reason: Optional[str] = None
-    step: Optional[int] = None
-
-
-def _support(m: HomotopyStructure):
-    degs = [i for i in m.complex.degrees() if m.complex.rank(i) > 0]
-    if not degs:
-        return None
-    return min(degs), max(degs)
-
-
-def _fits(m: HomotopyStructure, slot: Slot, ring) -> Optional[str]:
-    want = tuple(ring.normalize(s) for s in slot.scalars)
-    if m.scalars != want:
-        return "scalars do not match the slot"
-    span = _support(m)
-    if span is not None and (span[0] < 0 or span[1] > slot.ceiling):
-        return "support leaves the slot window"
-    return None
-
-
-def _check_row(step: ExactRow, sub, total, quot, slot) -> Optional[str]:
-    return Row(sub, total, quot, step.include, step.project, step.section, step.retraction).defect()
-
-
-def _check_contraction(step: Contractible, m, slot) -> Optional[str]:
-    h = step.contraction
-    if h.source != m.complex or h.target != m.complex or h.shift != 1:
-        return "contraction does not live on the named object"
-    i = contraction_defect(h)
-    return None if i is None else f"contraction identity fails in degree {i}"
-
-
-def _check_iso(step: Isomorphism, msrc, mtgt, slot) -> Optional[str]:
-    return iso_defect(step.iso, step.inverse, msrc, mtgt)
-
-
-def _check_suspension(step: SuspensionPair, mbase, mshift, slot) -> Optional[str]:
-    if mshift != suspend(mbase, 1):
-        return "shifted object is not the suspension of the base"
-    span = _support(mbase)
-    if span is not None and span[1] + 1 > slot.ceiling:
-        return "suspension cone would leave the slot window"
-    return None
-
-
-_RELATIONS = {
-    ExactRow: ("row", _check_row),
-    Contractible: ("contraction", _check_contraction),
-    Isomorphism: ("isomorphism", _check_iso),
-    SuspensionPair: ("suspension", _check_suspension),
-}
-
-
-def check_certificate(cert: Certificate) -> CheckResult:
-    reg: dict = {}
-    ring = None
-    for name, m in cert.registry:
-        if not isinstance(name, str) or name in reg:
-            return CheckResult(False, f"bad or duplicate name {name!r}")
-        problems = check_structure(m)
-        if problems:
-            return CheckResult(False, f"{name}: {problems[0]}")
-        if ring is None:
-            ring = m.complex.ring
-        elif m.complex.ring != ring:
-            return CheckResult(False, "registry mixes ground rings")
-        reg[name] = m
-    if ring is None:
-        return CheckResult(False, "empty registry")
-
-    slot = cert.slot
-    expr: dict = {}
-    for idx, step in enumerate(cert.steps):
-        if type(step) not in _RELATIONS:
-            return CheckResult(False, f"unknown step kind {type(step).__name__}", idx)
-        kind, check = _RELATIONS[type(step)]
-        names = [name for name, _ in step.terms]
-        if any(name not in reg for name in names):
-            return CheckResult(False, f"{kind} references an unregistered name", idx)
-        objs = [reg[name] for name in names]
-        why = next(filter(None, (_fits(m, slot, ring) for m in objs)), None)
-        why = why or check(step, *objs, slot)
-        if why:
-            return CheckResult(False, why, idx)
-        for name, coeff in step.terms:
-            expr[name] = expr.get(name, 0) + coeff
-
-    for name, coeff in cert.claim.terms:
-        if name not in reg:
-            return CheckResult(False, f"claim references unregistered {name!r}")
-        why = _fits(reg[name], slot, ring)
-        if why:
-            return CheckResult(False, f"claim term {name!r}: {why}")
-    got = {name: coeff for name, coeff in expr.items() if coeff}
-    if got != cert.claim.as_dict():
-        return CheckResult(False, "accumulated relations do not match the claim")
-    return CheckResult(True)
-
-
-# ---------------------------------------------------------------------------
-# Certificate builders.  Each returns a Certificate that check_certificate
-# accepts; none of them is trusted by the checker.
+__all__ = ["check_certificate", "disk_transport_certificate", "extension_certificate",
+           "fold_defect_certificate", "fold_identity_certificate", "fold_row_certificates",
+           "peel_chain_certificate", "structure_independence_certificate", "sum_certificate"]
 
 
 def sum_certificate(ma: HomotopyStructure, mb: HomotopyStructure,

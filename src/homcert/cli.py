@@ -20,14 +20,13 @@ import sys
 from pathlib import Path
 
 from .certificates import (
-    check_certificate, disk_transport_certificate, fold_defect_certificate,
-    fold_row_certificates, peel_chain_certificate,
-    structure_independence_certificate,
+    disk_transport_certificate, fold_defect_certificate, fold_row_certificates,
+    peel_chain_certificate, structure_independence_certificate,
 )
-from .complexes import validate_complex
 from .constructions import cone_mixed, cone_same, dual, glue_extension, suspend
 from .exactalg import ZZ
 from .fold import fold_once
+from .kernel import check_certificate, check_structure, validate_complex
 from .randgen import lift_pair, random_structure
 from .serialize import (
     FormatError, certificate_from_json, certificate_to_json,
@@ -35,7 +34,7 @@ from .serialize import (
     dumps, element_from_json, element_to_str, from_json, parse_json,
     structure_from_json, structure_to_json,
 )
-from .structures import HomotopyStructure, check_structure, find_structure
+from .structures import HomotopyStructure, find_structure
 
 
 class Invalid(Exception):

@@ -13,9 +13,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .exactalg import (
-    Matrix, Ring, ZZ, ModularRing, rank as matrix_rank, smith_normal_form,
-    solve_right,
+    Matrix, Ring, ZZ, ModularRing, SmithSolver, rank as matrix_rank, solve_right,
 )
+from .kernel import _first_non_identity, contraction_defect
 
 
 @dataclass(frozen=True)
@@ -83,23 +83,6 @@ def concentrated(ring: Ring, degree: int, rank: int) -> GradedFreeComplex:
     return GradedFreeComplex(ring, degree, (rank,), ())
 
 
-def validate_complex(x: GradedFreeComplex, allow_negative: bool = False) -> list[str]:
-    """Diagnostics for the complex laws; empty list means valid.
-
-    ``allow_negative`` permits nonzero modules in negative degrees, which
-    internal desuspensions need; external inputs keep the default.
-    """
-    report = []
-    if not allow_negative and x.min_degree < 0:
-        if any(x.rank(i) > 0 for i in range(x.min_degree, 0)):
-            report.append("nonzero module in negative degree")
-    for i in x.degrees():
-        prod = x.diff(i) * x.diff(i + 1)
-        if not prod.is_zero():
-            report.append(f"d_{i} * d_{i + 1} != 0")
-    return report
-
-
 @dataclass(frozen=True)
 class HomologySummary:
     free_rank: int
@@ -134,9 +117,8 @@ def _rank_and_torsion(d: Matrix) -> tuple:
     """Rank and invariant factors > 1 of d: one Smith form over Z, one elimination over a field."""
     if d.ring != ZZ:
         return matrix_rank(d), ()
-    _, s, _ = smith_normal_form(d)
-    diag = [s.ints[k][k] for k in range(min(d.rows, d.cols))]
-    return sum(1 for a in diag if a), tuple(a for a in diag if a > 1)
+    smith = SmithSolver(d)
+    return smith.rank, tuple(a for a in smith.diag if a > 1)
 
 
 def is_exact(x: GradedFreeComplex) -> bool:
@@ -413,15 +395,6 @@ def solve_homotopy(x: GradedFreeComplex, c) -> Optional[ChainMap]:
     return ChainMap(x, x, 1, tuple(mats))
 
 
-def contraction_defect(h: ChainMap) -> Optional[int]:
-    """The first degree where d h + h d != id, or None for a contraction."""
-    x = h.source
-    for i in x.degrees():
-        if not (x.diff(i + 1) * h.mat(i) + h.mat(i - 1) * x.diff(i)).is_identity():
-            return i
-    return None
-
-
 def is_contraction(h: ChainMap) -> bool:
     return contraction_defect(h) is None
 
@@ -439,48 +412,8 @@ def find_contraction(x: GradedFreeComplex) -> Optional[ChainMap]:
 
 
 # ---------------------------------------------------------------------
-# Short exact sequences and isomorphisms, by their witnesses
+# Short exact sequences, by homology
 # ---------------------------------------------------------------------
-
-
-def _first_non_identity(lo: int, hi: int, products) -> Optional[str]:
-    """The first ``label`` whose ``product(i)`` is not an identity matrix,
-    over degrees lo..hi, as "label ≠ id in degree i"; None if all are."""
-    for i in range(lo, hi + 1):
-        for label, product in products:
-            if not product(i).is_identity():
-                return f"{label} ≠ id in degree {i}"
-    return None
-
-
-def split_defect(include: ChainMap, project: ChainMap, section: ChainMap,
-                 retraction: ChainMap) -> Optional[str]:
-    """The first failing identity of a degreewise splitting of A -i-> B -p-> C.
-
-    Checks r·i = id, p·s = id and i·r + s·p = id in every degree, where the
-    section s maps C to B and the retraction r maps B to A; None when all
-    hold.  Over any commutative ring they say exactly that
-    0 -> A -> B -> C -> 0 is split exact in each degree: p·i = p·i·r·i =
-    (p - p·s·p)·i = 0, and p b = 0 gives b = i (r b).
-    """
-    a, b, c = include.source, include.target, project.target
-    i, p, s, r = include.mat, project.mat, section.mat, retraction.mat
-    return _first_non_identity(
-        min(a.min_degree, b.min_degree, c.min_degree),
-        max(a.top_degree, b.top_degree, c.top_degree),
-        (("r·i", lambda k: r(k) * i(k)),
-         ("p·s", lambda k: p(k) * s(k)),
-         ("i·r + s·p", lambda k: i(k) * r(k) + s(k) * p(k))))
-
-
-def inverse_defect(f: ChainMap, g: ChainMap) -> Optional[str]:
-    """The first failing identity of f·g = id and g·f = id, or None when g is
-    a two-sided inverse of the degree 0 map f in every degree."""
-    x, y = f.source, f.target
-    return _first_non_identity(
-        min(x.min_degree, y.min_degree), max(x.top_degree, y.top_degree),
-        (("f·g", lambda k: f.mat(k) * g.mat(k)),
-         ("g·f", lambda k: g.mat(k) * f.mat(k))))
 
 
 def check_ses(f: ChainMap, g: ChainMap) -> list[str]:
@@ -490,7 +423,7 @@ def check_ses(f: ChainMap, g: ChainMap) -> list[str]:
     C <- B <- A, which covers injectivity, surjectivity and ker g = im f
     (including torsion) uniformly over Z and over fields; composite Z/m is
     not supported.  The certificate kernel does not use it (it checks
-    carried splittings with ``split_defect``); it is the independent
+    carried splittings with ``kernel.split_defect``); it is the independent
     reference the tests compare that check against.
     """
     report = []

@@ -13,12 +13,10 @@ from typing import Optional, Sequence
 
 from .complexes import (
     ChainMap, GradedFreeComplex, find_contraction, identity_map, is_contraction,
-    split_defect,
 )
 from .exactalg import Matrix, ZZ, smith_normal_form, solve_right
-from .structures import (
-    HomotopyStructure, Row, check_structure, is_equivariant, restrict,
-)
+from .kernel import Row, check_structure, split_defect
+from .structures import HomotopyStructure, is_equivariant, restrict
 
 
 # -- regrading --------------------------------------------------------
@@ -325,8 +323,9 @@ def peel_top(m: HomotopyStructure,
         raise ValueError("peeling uses integral Smith splitting")
     if len(x.ranks) < 2:
         raise ValueError("nothing to peel in a one-degree window")
-    h = contraction if contraction is not None else find_contraction(x)
-    if h is None or not is_contraction(h):
+    # find_contraction checks its own output; only a supplied one is checked here.
+    h = find_contraction(x) if contraction is None else contraction
+    if h is None or (contraction is not None and not is_contraction(h)):
         raise ValueError("peeling needs a contractible complex")
     n = x.top_degree
     ring = x.ring

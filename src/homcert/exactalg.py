@@ -51,9 +51,6 @@ class Ring:
     def neg(self, a):
         raise NotImplementedError
 
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
     def is_zero(self, a) -> bool:
         return a == self.zero()
 
@@ -735,8 +732,7 @@ def rank(a: Matrix) -> int:
     """Rank over Z (via Smith form) or over a field (via elimination)."""
     ring = a.ring
     if ring == ZZ:
-        _, d, _ = smith_normal_form(a)
-        return sum(1 for i in range(min(a.rows, a.cols)) if d.ints[i][i] != 0)
+        return SmithSolver(a).rank
     if ring.is_field:
         return len(_row_reduce(ring, [list(map(ring.normalize, row)) for row in a.ints], a.cols))
     raise ValueError(f"rank is not supported over {ring}")

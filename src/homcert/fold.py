@@ -29,9 +29,8 @@ from .constructions import (
 )
 from .exactalg import Matrix
 from .koszul import counit_map, exterior_basis, hodge_star, koszul, koszul_dual
-from .structures import (
-    HomotopyStructure, Row, check_structure, iso_defect, map_defect, restrict,
-)
+from .kernel import Row, check_structure, iso_defect, map_defect
+from .structures import HomotopyStructure, restrict
 
 
 def squared_scalars(m: HomotopyStructure) -> tuple:

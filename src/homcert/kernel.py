@@ -1,0 +1,406 @@
+"""The trusted certificate kernel: ``check_certificate`` and the checks it runs.
+
+``check_certificate`` trusts nothing: every structure is re-validated and
+every arrow is re-checked, and the claim is accepted only if it equals the
+exact accumulation of the verified relations.  Each step carries the
+witnesses its check needs, so acceptance rests on matrix products and
+equality alone, the same in Z, Q, Z/p and composite Z/m: a row carries a
+section s and a retraction r with r·i = id, p·s = id and i·r + s·p = id
+(degreewise split exact), an isomorphism carries its inverse g with
+f·g = id and g·f = id, and a contraction satisfies d h + h d = id.  No
+Smith form, elimination, homology or determinant runs here.  The check is
+one-sided: acceptance proves the identity, rejection carries no
+information beyond the recorded reason.
+
+Every step is checked in the certificate's one slot, by the checks the
+constructions run on their own output.  At run time this module imports
+nothing from homcert but ``exactalg.Matrix``.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Optional
+
+from .exactalg import Matrix
+
+if TYPE_CHECKING:
+    from .complexes import ChainMap, GradedFreeComplex
+    from .structures import HomotopyStructure
+
+
+def validate_complex(x: GradedFreeComplex, allow_negative: bool = False) -> list[str]:
+    """Diagnostics for the complex laws; empty list means valid.
+
+    ``allow_negative`` permits nonzero modules in negative degrees, which
+    internal desuspensions need; external inputs keep the default.
+    """
+    report = []
+    if not allow_negative and x.min_degree < 0:
+        if any(x.rank(i) > 0 for i in range(x.min_degree, 0)):
+            report.append("nonzero module in negative degree")
+    for i in x.degrees():
+        prod = x.diff(i) * x.diff(i + 1)
+        if not prod.is_zero():
+            report.append(f"d_{i} * d_{i + 1} != 0")
+    return report
+
+
+def contraction_defect(h: ChainMap) -> Optional[int]:
+    """The first degree where d h + h d != id, or None for a contraction."""
+    x = h.source
+    for i in x.degrees():
+        if not (x.diff(i + 1) * h.mat(i) + h.mat(i - 1) * x.diff(i)).is_identity():
+            return i
+    return None
+
+
+def _first_non_identity(lo: int, hi: int, products) -> Optional[str]:
+    """The first ``label`` whose ``product(i)`` is not an identity matrix,
+    over degrees lo..hi, as "label ≠ id in degree i"; None if all are."""
+    for i in range(lo, hi + 1):
+        for label, product in products:
+            if not product(i).is_identity():
+                return f"{label} ≠ id in degree {i}"
+    return None
+
+
+def split_defect(include: ChainMap, project: ChainMap, section: ChainMap,
+                 retraction: ChainMap) -> Optional[str]:
+    """The first failing identity of a degreewise splitting of A -i-> B -p-> C.
+
+    Checks r·i = id, p·s = id and i·r + s·p = id in every degree, where the
+    section s maps C to B and the retraction r maps B to A; None when all
+    hold.  Over any commutative ring they say exactly that
+    0 -> A -> B -> C -> 0 is split exact in each degree: p·i = p·i·r·i =
+    (p - p·s·p)·i = 0, and p b = 0 gives b = i (r b).
+    """
+    a, b, c = include.source, include.target, project.target
+    i, p, s, r = include.mat, project.mat, section.mat, retraction.mat
+    return _first_non_identity(
+        min(a.min_degree, b.min_degree, c.min_degree),
+        max(a.top_degree, b.top_degree, c.top_degree),
+        (("r·i", lambda k: r(k) * i(k)),
+         ("p·s", lambda k: p(k) * s(k)),
+         ("i·r + s·p", lambda k: i(k) * r(k) + s(k) * p(k))))
+
+
+def inverse_defect(f: ChainMap, g: ChainMap) -> Optional[str]:
+    """The first failing identity of f·g = id and g·f = id, or None when g is
+    a two-sided inverse of the degree 0 map f in every degree."""
+    x, y = f.source, f.target
+    return _first_non_identity(
+        min(x.min_degree, y.min_degree), max(x.top_degree, y.top_degree),
+        (("f·g", lambda k: f.mat(k) * g.mat(k)),
+         ("g·f", lambda k: g.mat(k) * f.mat(k))))
+
+
+def check_structure(m: HomotopyStructure, check_complex: bool = True) -> list[str]:
+    """Report every violated axiom; an empty list means the structure is valid."""
+    problems = []
+    x = m.complex
+    if check_complex:
+        problems.extend(validate_complex(x, allow_negative=True))
+    for g in range(m.ngens):
+        s = m.scalars[g]
+        for i in x.degrees():
+            lhs = x.diff(i + 1) * m.op(g, i) + m.op(g, i - 1) * x.diff(i)
+            if lhs != Matrix.scalar(x.ring, x.rank(i), s):
+                problems.append(
+                    f"generator {g}: d e + e d != {s} * id in degree {i}")
+    return problems
+
+
+def equivariance_defect(f: ChainMap, mx: HomotopyStructure,
+                        my: HomotopyStructure) -> Optional[tuple]:
+    """The first (generator, degree) where f e_X != e_Y f, or None when the
+    chain map intertwines every generator's operator.  The structures must
+    have the same number of generators."""
+    if f.shift != 0:
+        raise ValueError("equivariance is only defined for degree 0 maps")
+    if f.source != mx.complex or f.target != my.complex:
+        raise ValueError("structures must live on the map's source and target")
+    if mx.ngens != my.ngens:
+        raise ValueError("structures have different generator counts")
+    lo = min(f.source.min_degree, f.target.min_degree)
+    hi = max(f.source.top_degree, f.target.top_degree)
+    for g in range(mx.ngens):
+        for i in range(lo, hi + 1):
+            if f.mat(i + 1) * mx.op(g, i) != my.op(g, i) * f.mat(i):
+                return g, i
+    return None
+
+
+def _connects(arrows) -> bool:
+    """Every (map, source, target) is a degree 0 map between the objects' complexes."""
+    return all(f.shift == 0 and f.source == a.complex and f.target == b.complex
+               for f, a, b in arrows)
+
+
+def _prefixed(prefix: str, why: Optional[str]) -> Optional[str]:
+    return why and prefix + why
+
+
+def _not_chain(label: str, f: ChainMap) -> Optional[str]:
+    i = f.chain_defect()
+    return None if i is None else f"{label} is not a chain map in degree {i}"
+
+
+def _not_equivariant(label: str, f: ChainMap, mx, my) -> Optional[str]:
+    bad = equivariance_defect(f, mx, my)
+    return None if bad is None else \
+        f"{label} is not equivariant for generator {bad[0]} in degree {bad[1]}"
+
+
+def map_defect(label: str, f: ChainMap, mx, my) -> Optional[str]:
+    """Why ``f`` is not an equivariant chain map from ``mx`` to ``my``."""
+    return _not_chain(label, f) or _not_equivariant(label, f, mx, my)
+
+
+@dataclass(frozen=True)
+class Row:
+    """A row sub >--> total -->> quotient of structures, with its splitting.
+
+    ``section`` (quotient -> total) and ``retraction`` (total -> sub) split
+    the row in every degree; they need not be chain maps.  ``defect`` says
+    why the row is not split exact.
+    """
+
+    sub: HomotopyStructure
+    total: HomotopyStructure
+    quotient: HomotopyStructure
+    include: ChainMap
+    project: ChainMap
+    section: ChainMap
+    retraction: ChainMap
+
+    @property
+    def maps(self) -> tuple:
+        """``(include, project, section, retraction)``."""
+        return self.include, self.project, self.section, self.retraction
+
+    def defect(self) -> Optional[str]:
+        """Why this is not a split exact row of equivariant chain maps."""
+        i, p, s, r = self.maps
+        sub, total, quot = self.sub, self.total, self.quotient
+        if not _connects(((i, sub, total), (p, total, quot), (s, quot, total), (r, total, sub))):
+            return "row arrows do not connect the named objects"
+        return (_not_chain("row inclusion", i) or _not_chain("row projection", p)
+                or _prefixed("row is not split exact: ", split_defect(i, p, s, r))
+                or _not_equivariant("row inclusion", i, sub, total)
+                or _not_equivariant("row projection", p, total, quot))
+
+
+def iso_defect(f: ChainMap, g: ChainMap, source, target) -> Optional[str]:
+    """Why ``f`` is not an equivariant isomorphism with inverse ``g``."""
+    if not _connects(((f, source, target), (g, target, source))):
+        return "isomorphism does not connect the named objects"
+    return (_not_chain("isomorphism", f)
+            or _prefixed("isomorphism is not invertible: ", inverse_defect(f, g))
+            or _not_equivariant("isomorphism", f, source, target))
+
+
+# -- certificates -----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Slot:
+    """The class group a certificate works in: scalar tuple plus ceiling."""
+
+    scalars: tuple
+    ceiling: int
+
+
+@dataclass(frozen=True)
+class ClassExpr:
+    """Integer combination of registered names, kept sorted and reduced."""
+
+    terms: tuple  # ((name, coefficient), ...)
+
+    @staticmethod
+    def build(pairs) -> "ClassExpr":
+        acc: dict = {}
+        for name, coeff in pairs:
+            acc[name] = acc.get(name, 0) + coeff
+        return ClassExpr(tuple(sorted((k, v) for k, v in acc.items() if v)))
+
+    def as_dict(self) -> dict:
+        return dict(self.terms)
+
+
+@dataclass(frozen=True)
+class ExactRow:
+    """sub >--> total -->> quotient; adds mult * ([total] - [sub] - [quotient]).
+
+    ``section`` (quotient -> total) and ``retraction`` (total -> sub) split
+    the row in every degree; they need not be chain maps.
+    """
+
+    sub: str
+    total: str
+    quotient: str
+    include: ChainMap
+    project: ChainMap
+    section: ChainMap
+    retraction: ChainMap
+    mult: int = 1
+
+    @property
+    def terms(self) -> tuple:
+        return ((self.sub, -self.mult), (self.total, self.mult),
+                (self.quotient, -self.mult))
+
+
+@dataclass(frozen=True)
+class Contractible:
+    """A contraction of the named object; adds mult * [name]."""
+
+    name: str
+    contraction: ChainMap
+    mult: int = 1
+
+    @property
+    def terms(self) -> tuple:
+        return ((self.name, self.mult),)
+
+
+@dataclass(frozen=True)
+class Isomorphism:
+    """Equivariant isomorphism with its inverse; adds mult * ([source] - [target])."""
+
+    source: str
+    target: str
+    iso: ChainMap
+    inverse: ChainMap
+    mult: int = 1
+
+    @property
+    def terms(self) -> tuple:
+        return ((self.source, self.mult), (self.target, -self.mult))
+
+
+@dataclass(frozen=True)
+class SuspensionPair:
+    """shifted == suspend(base); adds mult * ([shifted] + [base]).
+
+    Sound because base >--> cone(id) -->> shifted is exact with a
+    contractible middle, and the cone is supported on the union of the
+    supports of base and shifted, so it fits in the slot when both do.
+    """
+
+    base: str
+    shifted: str
+    mult: int = 1
+
+    @property
+    def terms(self) -> tuple:
+        return ((self.base, self.mult), (self.shifted, self.mult))
+
+
+@dataclass(frozen=True)
+class Certificate:
+    slot: Slot
+    registry: tuple  # ((name, HomotopyStructure), ...)
+    steps: tuple
+    claim: ClassExpr
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    accepted: bool
+    reason: Optional[str] = None
+    step: Optional[int] = None
+
+
+def _support(m: HomotopyStructure):
+    degs = [i for i in m.complex.degrees() if m.complex.rank(i) > 0]
+    if not degs:
+        return None
+    return min(degs), max(degs)
+
+
+def _fits(m: HomotopyStructure, slot: Slot, ring) -> Optional[str]:
+    want = tuple(ring.normalize(s) for s in slot.scalars)
+    if m.scalars != want:
+        return "scalars do not match the slot"
+    span = _support(m)
+    if span is not None and (span[0] < 0 or span[1] > slot.ceiling):
+        return "support leaves the slot window"
+    return None
+
+
+def _check_contraction(step: Contractible, m) -> Optional[str]:
+    h = step.contraction
+    if h.source != m.complex or h.target != m.complex or h.shift != 1:
+        return "contraction does not live on the named object"
+    i = contraction_defect(h)
+    return None if i is None else f"contraction identity fails in degree {i}"
+
+
+def _check_suspension(step: SuspensionPair, base, shifted) -> Optional[str]:
+    """The fields ``constructions.suspend(base, 1)`` sets: degrees one up,
+    the same ranks and scalars, and every differential and operator negated."""
+    x, y = base.complex, shifted.complex
+    same = ((y.ring, y.min_degree, y.ranks, y.diffs, shifted.scalars, shifted.ops)
+            == (x.ring, x.min_degree + 1, x.ranks, tuple(-d for d in x.diffs), base.scalars,
+                tuple(tuple(-e for e in grid) for grid in base.ops)))
+    return None if same else "shifted object is not the suspension of the base"
+
+
+# Each step kind with its name in reasons and its check on the objects its
+# ``terms`` name, in that order; an accepted step adds its terms to the sum.
+_RELATIONS = {
+    ExactRow: ("row", lambda step, sub, total, quot: Row(
+        sub, total, quot, step.include, step.project, step.section, step.retraction).defect()),
+    Contractible: ("contraction", _check_contraction),
+    Isomorphism: ("isomorphism", lambda step, source, target: iso_defect(
+        step.iso, step.inverse, source, target)),
+    SuspensionPair: ("suspension", _check_suspension),
+}
+
+
+def check_certificate(cert: Certificate) -> CheckResult:
+    """Accept when every structure and step checks and the steps sum to the claim."""
+    reg: dict = {}
+    ring = None
+    for name, m in cert.registry:
+        if not isinstance(name, str) or name in reg:
+            return CheckResult(False, f"bad or duplicate name {name!r}")
+        problems = check_structure(m)
+        if problems:
+            return CheckResult(False, f"{name}: {problems[0]}")
+        if ring is None:
+            ring = m.complex.ring
+        elif m.complex.ring != ring:
+            return CheckResult(False, "registry mixes ground rings")
+        reg[name] = m
+    if ring is None:
+        return CheckResult(False, "empty registry")
+
+    slot = cert.slot
+    expr: dict = {}
+    for idx, step in enumerate(cert.steps):
+        if type(step) not in _RELATIONS:
+            return CheckResult(False, f"unknown step kind {type(step).__name__}", idx)
+        kind, check = _RELATIONS[type(step)]
+        names = [name for name, _ in step.terms]
+        if any(name not in reg for name in names):
+            return CheckResult(False, f"{kind} references an unregistered name", idx)
+        objs = [reg[name] for name in names]
+        why = next(filter(None, (_fits(m, slot, ring) for m in objs)), None)
+        why = why or check(step, *objs)
+        if why:
+            return CheckResult(False, why, idx)
+        for name, coeff in step.terms:
+            expr[name] = expr.get(name, 0) + coeff
+
+    for name, coeff in cert.claim.terms:
+        if name not in reg:
+            return CheckResult(False, f"claim references unregistered {name!r}")
+        why = _fits(reg[name], slot, ring)
+        if why:
+            return CheckResult(False, f"claim term {name!r}: {why}")
+    got = {name: coeff for name, coeff in expr.items() if coeff}
+    if got != cert.claim.as_dict():
+        return CheckResult(False, "accumulated relations do not match the claim")
+    return CheckResult(True)

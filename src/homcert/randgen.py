@@ -17,11 +17,11 @@ from .constructions import (
     module_tensor, suspend,
 )
 from .exactalg import Matrix, ZZ
-from .koszul import koszul
-from .certificates import (
+from .kernel import (
     Certificate, ClassExpr, Contractible, ExactRow, Isomorphism,
     SuspensionPair,
 )
+from .koszul import koszul
 from .structures import (
     HomotopyStructure, find_structure, restrict, structure_from_contraction,
 )

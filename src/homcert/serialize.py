@@ -31,12 +31,12 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .certificates import (
+from .complexes import ChainMap, GradedFreeComplex
+from .exactalg import Matrix, ModularRing, QQ, Ring, ZZ, Zmod
+from .kernel import (
     Certificate, ClassExpr, Contractible, ExactRow, Isomorphism, Slot,
     SuspensionPair,
 )
-from .complexes import ChainMap, GradedFreeComplex
-from .exactalg import Matrix, ModularRing, QQ, Ring, ZZ, Zmod
 from .structures import HomotopyStructure
 
 

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .complexes import (
-    ChainMap, GradedFreeComplex, boundary_map, homology_invariants,
-    inverse_defect, solve_homotopy, split_defect, validate_complex,
+    ChainMap, GradedFreeComplex, boundary_map, homology_invariants, solve_homotopy,
 )
 from .exactalg import Matrix, ModularRing
+from .kernel import check_structure, equivariance_defect, validate_complex
 
 
 @dataclass(frozen=True)
@@ -73,22 +73,6 @@ class HomotopyStructure:
         return ChainMap(x, x, 1, mats)
 
 
-def check_structure(m: HomotopyStructure, check_complex: bool = True) -> list[str]:
-    """Report every violated axiom; an empty list means the structure is valid."""
-    problems = []
-    x = m.complex
-    if check_complex:
-        problems.extend(validate_complex(x, allow_negative=True))
-    for g in range(m.ngens):
-        s = m.scalars[g]
-        for i in x.degrees():
-            lhs = x.diff(i + 1) * m.op(g, i) + m.op(g, i - 1) * x.diff(i)
-            if lhs != Matrix.scalar(x.ring, x.rank(i), s):
-                problems.append(
-                    f"generator {g}: d e + e d != {s} * id in degree {i}")
-    return problems
-
-
 def restrict(m: HomotopyStructure, factors: Sequence) -> HomotopyStructure:
     """Scale each generator: operator f_g * e_g has scalar f_g * s_g.
 
@@ -116,103 +100,9 @@ def structure_from_contraction(x: GradedFreeComplex, h: ChainMap,
     return HomotopyStructure(x, tuple(scalars), tuple(grids))
 
 
-def equivariance_defect(f: ChainMap, mx: HomotopyStructure,
-                        my: HomotopyStructure) -> Optional[tuple]:
-    """The first (generator, degree) where f e_X != e_Y f, or None when the
-    chain map intertwines every generator's operator.  The structures must
-    have the same number of generators."""
-    if f.shift != 0:
-        raise ValueError("equivariance is only defined for degree 0 maps")
-    if f.source != mx.complex or f.target != my.complex:
-        raise ValueError("structures must live on the map's source and target")
-    if mx.ngens != my.ngens:
-        raise ValueError("structures have different generator counts")
-    lo = min(f.source.min_degree, f.target.min_degree)
-    hi = max(f.source.top_degree, f.target.top_degree)
-    for g in range(mx.ngens):
-        for i in range(lo, hi + 1):
-            if f.mat(i + 1) * mx.op(g, i) != my.op(g, i) * f.mat(i):
-                return g, i
-    return None
-
-
 def is_equivariant(f: ChainMap, mx: HomotopyStructure, my: HomotopyStructure) -> bool:
     """True when the chain map intertwines every generator's operator."""
     return mx.ngens == my.ngens and equivariance_defect(f, mx, my) is None
-
-
-# -- relation checks: the certificate kernel and every construction's
-# self-check run these; each returns None, or the first failure named with
-# its check and degree.
-
-
-def _connects(arrows) -> bool:
-    """Every (map, source, target) is a degree 0 map between the objects' complexes."""
-    return all(f.shift == 0 and f.source == a.complex and f.target == b.complex
-               for f, a, b in arrows)
-
-
-def _prefixed(prefix: str, why: Optional[str]) -> Optional[str]:
-    return why and prefix + why
-
-
-def _not_chain(label: str, f: ChainMap) -> Optional[str]:
-    i = f.chain_defect()
-    return None if i is None else f"{label} is not a chain map in degree {i}"
-
-
-def _not_equivariant(label: str, f: ChainMap, mx, my) -> Optional[str]:
-    bad = equivariance_defect(f, mx, my)
-    return None if bad is None else \
-        f"{label} is not equivariant for generator {bad[0]} in degree {bad[1]}"
-
-
-def map_defect(label: str, f: ChainMap, mx, my) -> Optional[str]:
-    """Why ``f`` is not an equivariant chain map from ``mx`` to ``my``."""
-    return _not_chain(label, f) or _not_equivariant(label, f, mx, my)
-
-
-@dataclass(frozen=True)
-class Row:
-    """A row sub >--> total -->> quotient of structures, with its splitting.
-
-    ``section`` (quotient -> total) and ``retraction`` (total -> sub) split
-    the row in every degree; they need not be chain maps.  ``defect`` says
-    why the row is not split exact.
-    """
-
-    sub: HomotopyStructure
-    total: HomotopyStructure
-    quotient: HomotopyStructure
-    include: ChainMap
-    project: ChainMap
-    section: ChainMap
-    retraction: ChainMap
-
-    @property
-    def maps(self) -> tuple:
-        """``(include, project, section, retraction)``."""
-        return self.include, self.project, self.section, self.retraction
-
-    def defect(self) -> Optional[str]:
-        """Why this is not a split exact row of equivariant chain maps."""
-        i, p, s, r = self.maps
-        sub, total, quot = self.sub, self.total, self.quotient
-        if not _connects(((i, sub, total), (p, total, quot), (s, quot, total), (r, total, sub))):
-            return "row arrows do not connect the named objects"
-        return (_not_chain("row inclusion", i) or _not_chain("row projection", p)
-                or _prefixed("row is not split exact: ", split_defect(i, p, s, r))
-                or _not_equivariant("row inclusion", i, sub, total)
-                or _not_equivariant("row projection", p, total, quot))
-
-
-def iso_defect(f: ChainMap, g: ChainMap, source, target) -> Optional[str]:
-    """Why ``f`` is not an equivariant isomorphism with inverse ``g``."""
-    if not _connects(((f, source, target), (g, target, source))):
-        return "isomorphism does not connect the named objects"
-    return (_not_chain("isomorphism", f)
-            or _prefixed("isomorphism is not invertible: ", inverse_defect(f, g))
-            or _not_equivariant("isomorphism", f, source, target))
 
 
 @dataclass(frozen=True)

@@ -9,13 +9,12 @@ import random
 import time
 
 from homcert.certificates import (
-    check_certificate, disk_transport_certificate, fold_defect_certificate,
-    fold_row_certificates, peel_chain_certificate,
-    structure_independence_certificate,
+    disk_transport_certificate, fold_defect_certificate, fold_row_certificates,
+    peel_chain_certificate, structure_independence_certificate,
 )
 from homcert.complexes import (
     ChainMap, GradedFreeComplex, boundary_map, check_ses, find_contraction,
-    identity_map, inverse_defect, is_contraction,
+    identity_map, is_contraction,
 )
 from homcert.constructions import (
     cone_mixed, cone_same, direct_sum, disk, glue_extension,
@@ -24,6 +23,7 @@ from homcert.constructions import (
 )
 from homcert.exactalg import Matrix, ZZ
 from homcert.fold import disk_fold_iso, fold_general, fold_once
+from homcert.kernel import check_certificate, check_structure, inverse_defect
 from homcert.koszul import (
     counit_map, hodge_star, koszul, koszul_dual, unit_map, word_operator,
 )
@@ -32,8 +32,7 @@ from homcert.randgen import (
     lift_pair_complex, random_structure, split_row,
 )
 from homcert.structures import (
-    check_structure, find_structure, is_equivariant, restrict,
-    structure_from_contraction,
+    find_structure, is_equivariant, restrict, structure_from_contraction,
 )
 
 

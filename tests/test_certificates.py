@@ -12,14 +12,6 @@ from homcert.constructions import (
 )
 from homcert.exactalg import Matrix, QQ, RationalRing, ZZ, Zmod
 from homcert.certificates import (
-    Certificate,
-    ClassExpr,
-    Contractible,
-    ExactRow,
-    Isomorphism,
-    Slot,
-    SuspensionPair,
-    check_certificate,
     disk_transport_certificate,
     fold_defect_certificate,
     fold_identity_certificate,
@@ -27,6 +19,10 @@ from homcert.certificates import (
     peel_chain_certificate,
     structure_independence_certificate,
     sum_certificate,
+)
+from homcert.kernel import (
+    Certificate, ClassExpr, Contractible, ExactRow, Isomorphism, Slot,
+    SuspensionPair, check_certificate,
 )
 from homcert.koszul import koszul
 from homcert.randgen import (

@@ -6,7 +6,7 @@ import pytest
 
 from homcert.complexes import (
     ChainMap, GradedFreeComplex, check_ses, concentrated, find_contraction,
-    identity_map, is_contraction, validate_complex, zero_map,
+    identity_map, is_contraction, zero_map,
 )
 from homcert.constructions import (
     cone_mixed, cone_same, direct_sum, disk, dual, glue_extension,
@@ -15,11 +15,11 @@ from homcert.constructions import (
 )
 from homcert.exactalg import Matrix, QQ, ZZ, Zmod, solve_right
 from homcert.fold import fold_general
+from homcert.kernel import check_structure, validate_complex
 from homcert.koszul import koszul
 from homcert.randgen import contractible_structure, disk_pile, random_structure
 from homcert.structures import (
-    HomotopyStructure, check_structure, find_structure, is_equivariant, restrict,
-    structure_from_contraction,
+    HomotopyStructure, find_structure, is_equivariant, restrict, structure_from_contraction,
 )
 
 

@@ -20,10 +20,10 @@ from homcert.fold import (
     fold_once_match_iso,
     sum_fold_iso,
 )
+from homcert.kernel import check_structure
 from homcert.koszul import koszul
 from homcert.structures import (
-    check_structure, find_structure, is_equivariant, restrict,
-    structure_from_contraction,
+    find_structure, is_equivariant, restrict, structure_from_contraction,
 )
 
 

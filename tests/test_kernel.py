@@ -1,31 +1,37 @@
 """The certificate kernel: witness checks in every ring, degree-named
-rejections, and acceptance that rests on matrix products alone."""
+rejections, and acceptance that rests on matrix products alone, checked at
+run time and from the syntax trees."""
 
+import ast
+import importlib.util
 import random
 import re
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from homcert import complexes, exactalg
+from homcert import certificates, complexes, exactalg, kernel
 from homcert.certificates import (
-    Certificate, ClassExpr, Contractible, ExactRow, Isomorphism, Slot,
-    check_certificate, disk_transport_certificate, extension_certificate,
-    fold_defect_certificate, fold_row_certificates, peel_chain_certificate,
-    structure_independence_certificate, sum_certificate,
+    disk_transport_certificate, extension_certificate, fold_defect_certificate,
+    fold_row_certificates, peel_chain_certificate, structure_independence_certificate,
+    sum_certificate,
 )
 from homcert.complexes import (
     ChainMap, GradedFreeComplex, check_ses, find_contraction, identity_map,
-    split_defect,
 )
-from homcert.constructions import disk, glue_extension, solve_splitting
+from homcert.constructions import disk, glue_extension, solve_splitting, suspend
 from homcert.exactalg import Matrix, QQ, ZZ, Zmod
+from homcert.kernel import (
+    Certificate, ClassExpr, Contractible, ExactRow, Isomorphism, Slot, SuspensionPair,
+    check_certificate, split_defect,
+)
 from homcert.randgen import (
     contractible_structure, corrupt_witness_entry, disk_pile, lift_pair,
     mutate_certificate, random_structure, split_row,
 )
-from homcert.structures import restrict
+from homcert.structures import HomotopyStructure, restrict
 
 P31 = 2 ** 31 - 1
 RINGS = [("Z", ZZ), ("Q", QQ), ("Z7", Zmod(7)), ("Zp31", Zmod(P31)),
@@ -360,3 +366,194 @@ def test_witness_on_the_wrong_objects_rejected():
                    row.retraction, row.section)
     res = check_certificate(Certificate(cert.slot, cert.registry, (bad,), cert.claim))
     assert (res.accepted, res.reason) == (False, "row arrows do not connect the named objects")
+
+
+# -- every rejection reason, with its step --------------------------------------
+
+
+def with_registry(cert, registry):
+    return Certificate(cert.slot, registry, cert.steps, cert.claim)
+
+
+def with_slot(cert, scalars, ceiling):
+    return Certificate(Slot(scalars, ceiling), cert.registry, cert.steps, cert.claim)
+
+
+def with_claim(cert, *pairs):
+    return Certificate(cert.slot, cert.registry, cert.steps, ClassExpr.build(pairs))
+
+
+def one_step(registry, step, ceiling, scalars=(2,)):
+    return Certificate(Slot(scalars, ceiling), registry, (step,), ClassExpr.build(step.terms))
+
+
+def suspension_pair(base, shifted, ceiling):
+    return one_step((("base", base), ("up", shifted)), SuspensionPair("base", "up"), ceiling)
+
+
+def off_axiom_disk():
+    # the operator 3 on the identity complex, with the scalar 2
+    x = disk(ZZ, 1, 2, (2,)).complex
+    return HomotopyStructure(x, (2,), ((Matrix.scalar(ZZ, 1, 3),),))
+
+
+def other_lift_suspended():
+    m1, m2 = lift_pair(random.Random(10), 2)
+    return suspension_pair(m1, suspend(m2), 3)
+
+
+D1, D2 = disk(ZZ, 1, 2, (2,)), disk(ZZ, 2, 2, (2,))
+SUM = two_disk_sum()
+
+
+@pytest.mark.parametrize("build, verdict", [
+    (lambda: with_registry(SUM, (("left", D1), ("left", D1))),
+     (False, "bad or duplicate name 'left'", None)),
+    (lambda: with_registry(SUM, ((1, D1),)), (False, "bad or duplicate name 1", None)),
+    (lambda: with_registry(SUM, (("bad", off_axiom_disk()),)),
+     (False, "bad: generator 0: d e + e d != 2 * id in degree 1", None)),
+    (lambda: with_registry(SUM, (("a", D1), ("b", disk(QQ, 1, 2, (2,))))),
+     (False, "registry mixes ground rings", None)),
+    (lambda: with_registry(SUM, ()), (False, "empty registry", None)),
+    (lambda: Certificate(SUM.slot, SUM.registry, SUM.steps + ("row",), SUM.claim),
+     (False, "unknown step kind str", 1)),
+    (lambda: one_step((("a", D1),), Contractible("ghost", find_contraction(D1.complex)), 2),
+     (False, "contraction references an unregistered name", 0)),
+    (lambda: with_slot(SUM, (3,), 2), (False, "scalars do not match the slot", 0)),
+    (lambda: with_slot(SUM, (2,), 1), (False, "support leaves the slot window", 0)),
+    (lambda: one_step((("a", D1),), Contractible("a", find_contraction(D2.complex)), 2),
+     (False, "contraction does not live on the named object", 0)),
+    (lambda: one_step((("a", D1), ("b", D2)),
+                      Isomorphism("a", "b", identity_map(D1.complex), identity_map(D1.complex)), 2),
+     (False, "isomorphism does not connect the named objects", 0)),
+    (lambda: suspension_pair(D1, suspend(D1), 3), (True, None, None)),
+    # the differential keeps its sign; the degrees do not move; they move by two
+    (lambda: suspension_pair(D1, disk(ZZ, 1, 3, (2,)), 3),
+     (False, "shifted object is not the suspension of the base", 0)),
+    (lambda: suspension_pair(D1, D1, 3),
+     (False, "shifted object is not the suspension of the base", 0)),
+    (lambda: suspension_pair(D1, suspend(D1, 2), 4),
+     (False, "shifted object is not the suspension of the base", 0)),
+    # the suspension of another structure on the same complex
+    (other_lift_suspended, (False, "shifted object is not the suspension of the base", 0)),
+    # a cone that would leave the window means the shifted object already has
+    (lambda: suspension_pair(D1, suspend(D1), 2), (False, "support leaves the slot window", 0)),
+    (lambda: with_claim(SUM, *SUM.claim.terms, ("ghost", 1)),
+     (False, "claim references unregistered 'ghost'", None)),
+    (lambda: with_claim(with_registry(SUM, SUM.registry + (("far", disk(ZZ, 1, 5, (2,))),)),
+                        *SUM.claim.terms, ("far", 1)),
+     (False, "claim term 'far': support leaves the slot window", None)),
+    (lambda: with_claim(SUM, ("sum", 1), ("left", -1)),
+     (False, "accumulated relations do not match the claim", None)),
+])
+def test_every_rejection_reason(build, verdict):
+    res = check_certificate(build())
+    assert (res.accepted, res.reason, res.step) == verdict
+
+
+# -- the kernel's boundary, from the syntax trees ----------------------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "homcert"
+ELIMINATION = {
+    "smith_normal_form", "SmithSolver", "solve_right", "_solve_field", "_row_reduce", "rank",
+    "det", "homology_invariants", "solve_homotopy", "reduce_units", "HomotopySystem",
+    "find_contraction", "check_ses",
+}
+# The classes whose methods the kernel calls on the values it is handed.
+VALUE_CLASSES = {
+    "exactalg": ("Ring", "IntegerRing", "RationalRing", "ModularRing", "Matrix"),
+    "complexes": ("GradedFreeComplex", "ChainMap"),
+    "structures": ("HomotopyStructure",),
+}
+
+
+def module_tree(module: str) -> ast.Module:
+    return ast.parse((SRC / f"{module}.py").read_text())
+
+
+def runtime_homcert_imports(tree: ast.Module) -> set:
+    """(module, name) for every homcert import outside ``if TYPE_CHECKING:``."""
+    typing_only = {id(n) for node in ast.walk(tree)
+                   if isinstance(node, ast.If) and isinstance(node.test, ast.Name)
+                   and node.test.id == "TYPE_CHECKING"
+                   for stmt in node.body for n in ast.walk(stmt)}
+    found = set()
+    for node in ast.walk(tree):
+        if id(node) in typing_only:
+            continue
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("homcert")):
+            found |= {(node.module, a.name) for a in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {(a.name, None) for a in node.names if a.name.startswith("homcert")}
+    return found
+
+
+def kernel_reach() -> dict:
+    """(module, name) -> syntax tree for the kernel module, the value classes,
+    and every module-level function they name, transitively."""
+    trees = {}
+
+    def top(module):
+        if module not in trees:
+            tree = module_tree(module)
+            defs = {n.name: n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+            imported = {a.asname or a.name: (node.module, a.name) for node in tree.body
+                        if isinstance(node, ast.ImportFrom) and node.level for a in node.names}
+            trees[module] = tree, defs, imported
+        return trees[module]
+
+    todo = [("kernel", "*", top("kernel")[0])]
+    todo += [(module, name, top(module)[1][name])
+             for module, names in VALUE_CLASSES.items() for name in names]
+    reach = {}
+    while todo:
+        module, name, node = todo.pop()
+        if (module, name) in reach:
+            continue
+        reach[module, name] = node
+        _, _, imported = top(module)
+        for ref in {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}:
+            owner, attr = imported.get(ref, (module, ref))
+            target = top(owner)[1].get(attr)
+            if isinstance(target, ast.FunctionDef):
+                todo.append((owner, attr, target))
+    return reach
+
+
+def test_kernel_imports_only_matrix():
+    assert runtime_homcert_imports(module_tree("kernel")) == {("exactalg", "Matrix")}
+
+
+def test_kernel_reaches_no_elimination():
+    reach = kernel_reach()
+    # the walk follows calls across modules and into the value classes
+    assert {("exactalg", "is_prime"), ("exactalg", "_tuples"), ("complexes", "ChainMap")} <= set(reach)
+    named = sorted((module, name, n.id) for (module, name), node in reach.items()
+                   for n in ast.walk(node) if isinstance(n, ast.Name) and n.id in ELIMINATION)
+    assert named == []
+
+
+def test_tracer_restores_every_original():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", SRC.parent.parent / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    # every module first, so that install() adds no submodule to the package
+    owners = [importlib.import_module("homcert")] + [
+        importlib.import_module("homcert." + path.stem) for path in sorted(SRC.glob("*.py"))
+        if path.stem not in ("__init__", "__main__")]
+    owners += [exactalg.Matrix, exactalg.SmithSolver, exactalg.ModularRing,
+               complexes.ChainMap, complexes.HomotopySystem]
+    before = [dict(vars(owner)) for owner in owners]
+    original = kernel.check_certificate
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert certificates.check_certificate is not original
+    finally:
+        tracer.uninstall()
+    after = [dict(vars(owner)) for owner in owners]
+    for owner, old, new in zip(owners, before, after):
+        assert old.keys() == new.keys(), owner
+        assert all(new[k] is v for k, v in old.items()), owner
+    assert certificates.check_certificate is kernel.check_certificate

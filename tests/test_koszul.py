@@ -2,14 +2,15 @@
 
 import random
 
-from homcert.complexes import boundary_map, find_contraction, identity_map, inverse_defect
+from homcert.complexes import boundary_map, find_contraction, identity_map
 from homcert.constructions import disk, suspend
 from homcert.exactalg import Matrix, ZZ
+from homcert.kernel import check_structure, inverse_defect
 from homcert.koszul import (
     counit_map, exterior_basis, hodge_star, koszul, koszul_dual, permutation_sign,
     unit_map, word_operator,
 )
-from homcert.structures import check_structure, find_structure, is_equivariant
+from homcert.structures import find_structure, is_equivariant
 from homcert.complexes import GradedFreeComplex
 
 

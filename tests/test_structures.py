@@ -9,9 +9,9 @@ from sympy.matrices.normalforms import invariant_factors
 
 from homcert.complexes import GradedFreeComplex, find_contraction, identity_map
 from homcert.exactalg import Matrix, QQ, ZZ, Zmod
+from homcert.kernel import check_structure
 from homcert.structures import (
-    HomotopyStructure, check_structure, find_structure, is_equivariant,
-    restrict, structure_from_contraction,
+    HomotopyStructure, find_structure, is_equivariant, restrict, structure_from_contraction,
 )
 
 

@@ -126,10 +126,7 @@ def cmd_homotopy_find(args) -> int:
         raise FormatError("expected a complex or structure document", args.file)
     gens = tuple(element_from_json(x.ring, tok.strip(), f"--gens[{i}]")
                  for i, tok in enumerate(args.gens.split(",")))
-    try:
-        res = find_structure(x, gens)
-    except ValueError as e:
-        raise Invalid(str(e)) from None
+    res = find_structure(x, gens)
     report = {
         "command": "homotopy-find",
         "generators": [element_to_str(x.ring, t) for t in gens],
@@ -143,9 +140,10 @@ def cmd_homotopy_find(args) -> int:
         return 0
     report["structure"] = None
     _emit(report)
-    why = ("free homology obstructs every exponent" if any(res.obstructed)
-           else "no power of a generator is null-homotopic")
-    _emit_error("invalid", why)
+    g = res.exponents.index(None)
+    t = report["generators"][g]
+    _emit_error("invalid", f"free homology obstructs every exponent of generator {t}"
+                if res.obstructed[g] else f"no power of generator {t} is null-homotopic")
     return 1
 
 
@@ -156,17 +154,14 @@ def cmd_gamma(args) -> int:
     m = _load_structure(args.file)
     n = m.complex.top_degree
     report = {"command": "gamma", "ceiling": n}
-    try:
-        if args.general or m.ngens != 1:
-            rows = fold_row_certificates(m, n)
-            report["route"] = "general"
-            report["witness_rows"] = [certificate_to_json(c) for c in rows]
-            out = dict(rows[1].registry)["fold"]
-        else:
-            out = fold_once(m, n)
-            report["route"] = "direct"
-    except ValueError as e:
-        raise Invalid(str(e)) from None
+    if args.general or m.ngens != 1:
+        rows = fold_row_certificates(m, n)
+        report["route"] = "general"
+        report["witness_rows"] = [certificate_to_json(c) for c in rows]
+        out = dict(rows[1].registry)["fold"]
+    else:
+        out = fold_once(m, n)
+        report["route"] = "direct"
     report.update(structure_to_json(out))
     _emit(report)
     return 0
@@ -184,10 +179,7 @@ def cmd_cone(args) -> int:
     i = f.chain_defect()
     if i is not None:
         raise Invalid(f"map is not a chain map in degree {i}")
-    try:
-        data = cone_same(f, mx, my) if args.same else cone_mixed(f, mx, my)
-    except ValueError as e:
-        raise Invalid(str(e)) from None
+    data = cone_same(f, mx, my) if args.same else cone_mixed(f, mx, my)
     report = {
         "command": "cone",
         "mode": "same" if args.same else "mixed",
@@ -209,10 +201,7 @@ def cmd_glue(args) -> int:
     proj = _field(doc, "project", chain_map_from_json, args.file)
     m_sub = _field(doc, "sub", structure_from_json, args.file)
     m_quot = _field(doc, "quotient", structure_from_json, args.file)
-    try:
-        glued = glue_extension(incl, proj, m_sub, m_quot)
-    except ValueError as e:
-        raise Invalid(str(e)) from None
+    glued = glue_extension(incl, proj, m_sub, m_quot)
     report = {"command": "glue"}
     report.update(structure_to_json(glued))
     _emit(report)
@@ -221,10 +210,7 @@ def cmd_glue(args) -> int:
 
 def cmd_peel(args) -> int:
     m = _load_structure(args.file)
-    try:
-        cert = peel_chain_certificate(m, m.complex.top_degree)
-    except ValueError as e:
-        raise Invalid(f"structure does not peel: {e}") from None
+    cert = peel_chain_certificate(m, m.complex.top_degree)
     res = check_certificate(cert)
     if not res.accepted:
         raise Invalid(f"peel certificate rejected: {res.reason}")
@@ -427,7 +413,8 @@ def main(argv=None) -> int:
     except FormatError as e:
         _emit_error("malformed", str(e), e.where or None)
         return 2
-    except Invalid as e:
+    except (Invalid, ValueError) as e:
+        # A construction or search refused well-formed input.
         _emit_error("invalid", str(e))
         return 1
     except AssertionError as e:

@@ -8,8 +8,10 @@ boundary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Optional
 
 from .exactalg import (
@@ -226,9 +228,12 @@ class HomotopySystem:
     """The coupled linear system d*e + e*d = c * id on a fixed complex.
 
     Unknowns are the entries of e out of each degree below the top,
-    row-major.  ``solve_homotopy`` needs it only over composite Z/m with a
-    non-unit c, and builds it only on the output of ``reduce_units``, a
-    complex with no unit entry.
+    row-major; equations are the entries of each degree's identity,
+    row-major, so the right-hand side is c times the column ``unit``.
+    The system is factored once, by ``SmithSolver`` (over Z/m its integer
+    lift [S | m*I]), and every ``solve`` reuses that factorisation.
+    ``null_homotopies`` builds it only over composite Z/m, on the output
+    of ``reduce_units``, a complex with no unit entry.
     """
 
     def __init__(self, x: GradedFreeComplex):
@@ -244,18 +249,18 @@ class HomotopySystem:
                       for j, (r, c) in zip(degs, self.shapes)]
             rows.append(Matrix.block([blocks]) if blocks else Matrix.zeros(ring, n_i * n_i, 0))
         self.system = Matrix.block([[m] for m in rows])
+        self.unit = Matrix.from_ints(ring, self.system.rows, 1, tuple(
+            (int(r == s),) for i in degs for r in range(x.rank(i)) for s in range(x.rank(i))))
+        self.solver = SmithSolver(self.system)
 
     def solve(self, c) -> Optional[ChainMap]:
         x, ring = self.x, self.x.ring
-        diag = [r == s for i in x.degrees() for r in range(x.rank(i)) for s in range(x.rank(i))]
-        vec = solve_right(self.system, Matrix.build(ring, len(diag), 1,
-                                                    lambda k, _: c if diag[k] else 0))
+        vec = self.solver.solve(self.unit.scale(c))
         if vec is None:
             return None
         flat = iter(row[0] for row in vec.ints)
-        mats = [Matrix.from_ints(ring, r, c_, tuple(tuple(next(flat) for _ in range(c_))
-                                                    for _ in range(r)), vec.den)
-                for r, c_ in self.shapes]
+        mats = [Matrix.from_ints(ring, r, k, tuple(tuple(islice(flat, k)) for _ in range(r)))
+                for r, k in self.shapes]
         mats.append(Matrix.zeros(ring, 0, x.rank(x.top_degree)))
         return ChainMap(x, x, 1, tuple(mats))
 
@@ -373,18 +378,13 @@ def solve_homotopy(x: GradedFreeComplex, c) -> Optional[ChainMap]:
       boundaries.  Over Z/p the only other c, 0, gets e = 0.
 
     Composite Z/m with a non-unit c, where cycles need not have a
-    complement, first cancels the unit entries (``reduce_units`` gives
-    y, f, g, h), then solves the coupled ``HomotopySystem`` of the smaller
-    complex y and returns e = g e' f + c h.  The verdict is that of x: if
-    d e' + e' d = c on y then d e + e d = c (g f + d h + h d) = c on x, and
-    if e works on x then f e g works on y.
+    complement (Z/4 --2--> Z/4 --2--> Z/4), takes the reduced system of
+    ``null_homotopies``.
     """
     ring = x.ring
     c = ring.normalize(c)
     if isinstance(ring, ModularRing) and not ring.is_field and not ring.is_unit(c):
-        y, f, g, h = reduce_units(x)
-        e = HomotopySystem(y).solve(c)
-        return None if e is None else g.compose(e.compose(f)) + h.scale(c)
+        return null_homotopies(x)[2](c)
     e = Matrix.zeros(ring, x.rank(x.min_degree), 0)  # out of the zero module below
     mats = []
     for i in x.degrees():
@@ -393,6 +393,42 @@ def solve_homotopy(x: GradedFreeComplex, c) -> Optional[ChainMap]:
             return None
         mats.append(e)
     return ChainMap(x, x, 1, tuple(mats))
+
+
+def null_homotopies(x: GradedFreeComplex) -> tuple:
+    """(b, free, solve): c * id is null-homotopic exactly when b | c and
+    (c = 0 or not free); ``solve(c)`` is an e with d*e + e*d = c * id, or None.
+
+    Over Z and fields b is the lcm of the homology's torsion coefficients
+    (1 over a field), free says whether any homology is free, and ``solve``
+    is ``solve_homotopy``.
+
+    Over composite Z/m free is False.  The unit entries are cancelled once
+    (``reduce_units`` gives y, f, g, h) and the ``HomotopySystem`` of y is
+    factored once, U * [S | m*I] * V = D.  Every row of that lift has a
+    nonzero d_i, so c times the identity column v is solvable exactly when
+    b = lcm_i d_i / gcd(d_i, (U v)_i) divides c; b | m.  For a non-unit c,
+    ``solve`` turns the solution e' on y into e = g e' f + c h: if
+    d e' + e' d = c on y then d e + e d = c (g f + d h + h d) = c on x, and
+    if e works on x then f e g works on y.  A unit c is solved on x.
+    """
+    ring = x.ring
+    if not isinstance(ring, ModularRing) or ring.is_field:
+        hom = homology_invariants(x).values()
+        return (math.lcm(1, *(a for h in hom for a in h.torsion)),
+                any(h.free_rank for h in hom), lambda c: solve_homotopy(x, c))
+    y, f, g, h = reduce_units(x)
+    system = HomotopySystem(y)
+    uv = system.solver.u * Matrix.from_ints(ZZ, system.unit.rows, 1, system.unit.ints)
+    b = math.lcm(1, *(d // math.gcd(d, w) for d, (w,) in zip(system.solver.diag, uv.ints)))
+
+    def solve(c):
+        c = ring.normalize(c)
+        if ring.is_unit(c):
+            return solve_homotopy(x, c)
+        e = system.solve(c)
+        return None if e is None else g.compose(e.compose(f)) + h.scale(c)
+    return b, False, solve
 
 
 def is_contraction(h: ChainMap) -> bool:

@@ -654,50 +654,53 @@ def _solve_field(a: Matrix, b: Matrix) -> Optional[Matrix]:
 
 
 class SmithSolver:
-    """Factor A over Z once; then solve A*X = B repeatedly.
+    """Factor A once; then solve A*X = B repeatedly.
 
-    A solution has zero coordinates along ker(A) in the basis of V's
-    columns, so every solution lies in one fixed complement of ker(A).
+    Over Z, U * A * V = D is the Smith form of A.  A solution has zero
+    coordinates along ker(A) in the basis of V's columns, so every
+    solution lies in one fixed complement of ker(A).
+
+    Over Z/m (any m) the factored matrix is the integer lift [A | m*I]:
+    A*X = B mod m exactly when A*X + m*W = B over Z for some W, so a
+    solution of the lift, cut to its first A.cols rows and reduced mod m,
+    solves A*X = B.  ``v`` keeps only those rows of V; ``diag`` and
+    ``rank`` describe the lift, which has full row rank.
     """
 
     def __init__(self, a: Matrix):
-        if a.ring != ZZ:
-            raise ValueError("SmithSolver requires the ring Z")
+        ring = a.ring
+        if ring != ZZ and not isinstance(ring, ModularRing):
+            raise ValueError(f"unsupported ring: {ring}")
         self.a = a
-        self.u, self.d, self.v = smith_normal_form(a)
-        self.diag = [self.d.ints[i][i] for i in range(min(a.rows, a.cols))]
+        lift = a if ring == ZZ else Matrix.from_ints(ZZ, a.rows, a.cols, a.ints).hstack(
+            Matrix.scalar(ZZ, a.rows, ring.modulus))
+        self.u, d, v = smith_normal_form(lift)
+        self.v = v if lift is a else Matrix.from_ints(ZZ, a.cols, lift.cols, v.ints[:a.cols])
+        self.diag = [d.ints[i][i] for i in range(min(lift.rows, lift.cols))]
         self.rank = sum(1 for x in self.diag if x != 0)
 
     def solve(self, b: Matrix) -> Optional[Matrix]:
+        ring = self.a.ring
+        if b.ring != ring:
+            raise ValueError(f"mixed rings: {ring} vs {b.ring}")
         if b.rows != self.a.rows:
             raise ValueError("shape mismatch in solve")
-        cb = self.u * b
-        y_rows = []
-        for i in range(self.a.cols):
-            if i < len(self.diag) and self.diag[i] != 0:
-                di = self.diag[i]
-                row = []
-                for j in range(b.cols):
-                    q, rem = divmod(cb.ints[i][j], di)
-                    if rem:
-                        return None
-                    row.append(q)
-                y_rows.append(row)
-            else:
-                y_rows.append([0] * b.cols)
-        for i in range(self.a.rows):
-            if i >= len(self.diag) or self.diag[i] == 0:
-                if any(cb.ints[i]):
-                    return None
-        return self.v * Matrix.from_ints(ZZ, self.a.cols, b.cols, tuple(map(tuple, y_rows)))
+        # D is nonzero exactly on its first ``rank`` diagonal entries.
+        lift = b if ring == ZZ else Matrix.from_ints(ZZ, b.rows, b.cols, b.ints)
+        cb, r = self.u * lift, self.rank
+        top = tuple(zip(self.diag, cb.ints[:r]))
+        if any(v % d for d, row in top for v in row) or any(map(any, cb.ints[r:])):
+            return None
+        y = tuple(tuple(v // d for v in row) for d, row in top) + ((0,) * b.cols,) * (self.v.cols - r)
+        x = self.v * Matrix.from_ints(ZZ, self.v.cols, b.cols, y)
+        return x if ring == ZZ else Matrix.from_ints(ring, x.rows, x.cols, _tuples(x.ints, ring._mod))
 
 
 def solve_right(a: Matrix, b: Matrix) -> Optional[Matrix]:
     """One solution X of A*X = B, or None when no solution exists.
 
-    Complete over Z (Smith form), over the fields Q and Z/p (the shared
-    Gauss-Jordan elimination), and over composite Z/m (lift to an
-    augmented integer system A*X + m*W = B).
+    Complete over the fields Q and Z/p (the shared Gauss-Jordan
+    elimination) and over Z and composite Z/m (``SmithSolver``).
 
     Example:
         >>> from homcert.exactalg import Matrix, ZZ, solve_right
@@ -711,21 +714,9 @@ def solve_right(a: Matrix, b: Matrix) -> Optional[Matrix]:
         raise ValueError("mixed rings in solve_right")
     if a.rows != b.rows:
         raise ValueError(f"shape mismatch: A has {a.rows} rows, B has {b.rows}")
-    ring = a.ring
-    if ring == ZZ:
-        return SmithSolver(a).solve(b)
-    if ring.is_field:
+    if a.ring.is_field:
         return _solve_field(a, b)
-    if isinstance(ring, ModularRing):
-        m = ring.modulus
-        # Entries are ints, so lifting to Z only changes the ring.
-        lift_a = Matrix.from_ints(ZZ, a.rows, a.cols, a.ints)
-        lift_b = Matrix.from_ints(ZZ, b.rows, b.cols, b.ints)
-        sol = solve_right(lift_a.hstack(Matrix.scalar(ZZ, a.rows, m)), lift_b)
-        if sol is None:
-            return None
-        return Matrix.from_ints(ring, a.cols, b.cols, _tuples(sol.ints[:a.cols], m))
-    raise ValueError(f"unsupported ring: {ring}")
+    return SmithSolver(a).solve(b)
 
 
 def rank(a: Matrix) -> int:

@@ -15,10 +15,8 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .complexes import (
-    ChainMap, GradedFreeComplex, boundary_map, homology_invariants, solve_homotopy,
-)
-from .exactalg import Matrix, ModularRing
+from .complexes import ChainMap, GradedFreeComplex, boundary_map, null_homotopies
+from .exactalg import Matrix
 from .kernel import check_structure, equivariance_defect, validate_complex
 
 
@@ -119,50 +117,35 @@ class StructureSearch:
     obstructed: tuple
 
 
-def _least_power(x: GradedFreeComplex, t, b: int, composite: bool):
-    """(k, t^k, e) for the least k with d e + e d = t^k * id, or None.
-
-    Once gcd(t^k, b) stops growing, solvability cannot change.  Over Z and
-    fields only the k with b | t^k is solved; over composite Z/m each k is.
-    """
-    power, reached = x.ring.one(), 0
+def _least_power(t, b: int) -> Optional[int]:
+    """The least k with b | t^k, or None when gcd(t^k, b) stops growing short of b."""
+    power, reached = 1, 0
     for k in itertools.count(1):
-        power = x.ring.mul(power, t)
-        g = math.gcd(int(power), b)  # b = 1 over fields
+        power *= t
+        g = math.gcd(int(power), b)
+        if g == b:
+            return k
         if g == reached:
             return None
         reached = g
-        if composite or g == b:
-            e = solve_homotopy(x, power)
-            if e is not None:
-                return k, power, e
-            if not composite:
-                raise AssertionError(f"no null-homotopy of {power} * id, "
-                                     "although it kills homology")
 
 
 def find_structure(x: GradedFreeComplex, gens: Sequence,
                    rng: Optional[random.Random] = None) -> StructureSearch:
     """Search, per generator, for the least exponent of a null-homotopy.
 
-    Every verdict is exact: None means that no power of the generator
-    works.  With an ``rng`` each operator e becomes e + d sigma - sigma d,
-    for one random degree +2 operator sigma per call, exhibiting different
-    operator lifts for the same exponent.
+    Every verdict is exact: ``null_homotopies`` says which scalars c have
+    c * id null-homotopic (b | c, and c = 0 or no free homology), so the
+    least exponent is arithmetic on (t, b), and each generator with one is
+    solved once.  With an ``rng`` each operator e becomes
+    e + d sigma - sigma d, for one random degree +2 operator sigma per
+    call, exhibiting different operator lifts for the same exponent.
     """
     problems = validate_complex(x, allow_negative=True)
     if problems:
         raise ValueError("not a complex: " + problems[0])
     ring = x.ring
-    # Over Z and fields c * id is null-homotopic exactly when b | c and
-    # (c = 0 or no homology is free), b the lcm of the torsion coefficients.
-    # Over composite Z/m it depends only on gcd(c, b = m).
-    composite = isinstance(ring, ModularRing) and not ring.is_field
-    if composite:
-        b, free = ring.modulus, False
-    else:
-        hom = homology_invariants(x).values()
-        b, free = math.lcm(1, *(a for h in hom for a in h.torsion)), any(h.free_rank for h in hom)
+    b, free, solve = null_homotopies(x)
     twist = None
     if rng is not None:
         sigma = ChainMap(x, x, 2, tuple(
@@ -173,13 +156,15 @@ def find_structure(x: GradedFreeComplex, gens: Sequence,
     exponents, obstructed, powers, grids = [], [], [], []
     for t in map(ring.normalize, gens):
         obstructed.append(free and not ring.is_zero(t))
-        hit = None if obstructed[-1] else _least_power(x, t, b, composite)
-        if hit is None:
-            exponents.append(None)
-            continue
-        k, power, e = hit
-        e = e if twist is None else e + twist
+        k = None if obstructed[-1] else _least_power(t, b)
         exponents.append(k)
+        if k is None:
+            continue
+        power = ring.normalize(t ** k)
+        e = solve(power)
+        if e is None:
+            raise AssertionError(f"no null-homotopy of {power} * id, although {b} divides it")
+        e = e if twist is None else e + twist
         powers.append(power)
         grids.append(tuple(e.mat(i) for i in list(x.degrees())[:-1]))
     if None in exponents:

@@ -166,7 +166,17 @@ def test_homotopy_find_obstructed(run, tmp_path):
     code, report, err = run("homotopy", "find", path, "--gens", "2")
     assert code == 1
     assert report["obstructed"] == [True]
-    assert "homology" in err["error"]["message"]
+    assert err["error"]["message"] == "free homology obstructs every exponent of generator 2"
+
+
+def test_homotopy_find_names_the_failing_generator(run, tmp_path):
+    r8 = Zmod(8)
+    path = write(tmp_path, "x.json", GradedFreeComplex(r8, 0, (1, 1), (Matrix.from_rows(r8, [[2]]),)))
+    code, report, err = run("homotopy", "find", path, "--gens", "4,3")
+    assert code == 1
+    assert report["exponents"] == [1, None] and report["obstructed"] == [False, False]
+    assert not report["found"] and report["structure"] is None
+    assert err["error"]["message"] == "no power of generator 3 is null-homotopic"
 
 
 def test_homotopy_find_rejects_non_complex(run, tmp_path):

@@ -1,5 +1,6 @@
 """Complex validation, homology, contractions, short exact sequences."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -14,10 +15,11 @@ import homcert.exactalg
 from homcert.complexes import (
     ChainMap, GradedFreeComplex, HomotopySystem, check_ses, concentrated,
     find_contraction, homology_invariants, identity_map, is_contraction, is_exact,
-    reduce_units, solve_homotopy, zero_complex, zero_map,
+    null_homotopies, reduce_units, solve_homotopy, zero_complex, zero_map,
 )
 from homcert.exactalg import Matrix, QQ, ZZ, Zmod
 from homcert.kernel import inverse_defect, validate_complex
+from homcert.structures import find_structure
 
 
 def cx(ranks, diffs, ring=ZZ, min_degree=0):
@@ -339,13 +341,35 @@ def test_reduced_solve_matches_the_unreduced_system(x):
     ring, m = x.ring, x.ring.modulus
     system = HomotopySystem(x)
     solvable = {g % m: system.solve(g) is not None for g in range(1, m + 1) if m % g == 0}
+    b, free, _ = null_homotopies(x)
+    assert m % b == 0 and not free
     for c in range(m):
         e = solve_homotopy(x, c)
-        assert (e is not None) == solvable[math.gcd(c, m) % m]
+        assert (e is not None) == solvable[math.gcd(c, m) % m] == (c % b == 0)
         if e is not None:
             for i in x.degrees():
                 assert (x.diff(i + 1) * e.mat(i) + e.mat(i - 1) * x.diff(i)
                         == Matrix.scalar(ring, x.rank(i), c))
+
+
+def trial_exponent(x, t):
+    """The least k with t^k * id null-homotopic, by solving each k = 1, 2, ...
+    until gcd(t^k, m) stops growing, or None."""
+    m, power, reached = x.ring.modulus, 1, 0
+    for k in itertools.count(1):
+        power = power * t % m
+        g = math.gcd(power, m)
+        if g == reached:
+            return None
+        reached = g
+        if solve_homotopy(x, power) is not None:
+            return k
+
+
+@pytest.mark.parametrize("x", ZMOD_CASES)
+def test_search_exponent_matches_the_per_exponent_trial(x):
+    for t in range(x.ring.modulus):
+        assert find_structure(x, (t,)).exponents == (trial_exponent(x, t),)
 
 
 # -- short exact sequences --------------------------------------------

@@ -286,6 +286,7 @@ def test_peel_factors_once_given_a_contraction(monkeypatch):
 
 def test_composite_search_builds_systems_on_the_reduced_complex(monkeypatch):
     import homcert.complexes as complexes_mod
+    import homcert.exactalg as exactalg_mod
     rng, r9 = random.Random(9), Zmod(9)
 
     def unimodular(n):
@@ -294,16 +295,32 @@ def test_composite_search_builds_systems_on_the_reduced_complex(monkeypatch):
         return up * low
     pieces = Matrix.build(r9, 4, 4, lambda i, j: (2, 4, 6, 8)[i] * (i == j))  # 6: the non-unit
     x = GradedFreeComplex(r9, 0, (4, 4), (unimodular(4) * pieces * unimodular(4),))
-    sizes = []
+    # Z/9 --3--> Z/9 --3--> Z/9, where c * id is null-homotopic only for
+    # c = 0, beside the unit pieces 2 and 4 and a piece 6, in a random basis
+    p = [unimodular(n) for n in (3, 4, 2)]
+    q = [solve_right(m, Matrix.identity(r9, m.rows)) for m in p]
+    d1 = Matrix.from_rows(r9, [[3, 0, 0, 0], [0, 2, 0, 0], [0, 0, 0, 6]])
+    d2 = Matrix.from_rows(r9, [[3, 0], [0, 0], [0, 4], [0, 0]])
+    z = GradedFreeComplex(r9, 0, (3, 4, 2), (p[0] * d1 * q[1], p[1] * d2 * q[2]))
+    sizes, calls = [], {"reduce_units": 0, "smith_normal_form": 0}
     real = complexes_mod.HomotopySystem.__init__
 
     def counted(self, y):
         sizes.append(y.total_rank())
         real(self, y)
     monkeypatch.setattr(complexes_mod.HomotopySystem, "__init__", counted)
-    res = find_structure(x, (3,))
-    assert res.exponents == (1,) and check_structure(res.structure) == []
-    assert sizes and max(sizes) <= 2
+    for mod, name in ((complexes_mod, "reduce_units"), (exactalg_mod, "smith_normal_form")):
+        def tally(*args, real=getattr(mod, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(mod, name, tally)
+    for y, gens, exponents, reduced in ((x, (3,), (1,), 2), (z, (3, 6), (2, 2), 5)):
+        sizes.clear()
+        calls.update(dict.fromkeys(calls, 0))
+        res = find_structure(y, gens)
+        assert res.exponents == exponents and check_structure(res.structure) == []
+        assert calls == {"reduce_units": 1, "smith_normal_form": 1}
+        assert sizes and max(sizes) <= reduced
 
 
 def test_peel_rejects_non_contractible():

@@ -1,5 +1,6 @@
 """Core exact linear algebra: rings, Smith form, solving."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -416,6 +417,21 @@ def test_solve_right_zmod_composite_lifting():
     # 4x = 2 mod 12 has no solution: 4x only hits {0,4,8}
     assert all((4 * x) % 12 != 2 for x in range(12))
     assert solve_right(a, Matrix.from_rows(ring, [[2]])) is None
+    # against exhaustive enumeration of X, through solve_right and through
+    # one SmithSolver reused for every right-hand side
+    rng = random.Random(12)
+    for m in (4, 6, 8, 12):
+        ring = Zmod(m)
+        for cols in (2, 1) * 5:
+            a = random_matrix(rng, ring, 2, cols, 0, m - 1)
+            images = {a * Matrix.from_rows(ring, [[v] for v in xs])
+                      for xs in itertools.product(range(m), repeat=cols)}
+            solver = SmithSolver(a)
+            for b in [random_matrix(rng, ring, 2, 1, 0, m - 1) for _ in range(6)] + sorted(
+                    images, key=lambda img: img.ints)[:3]:
+                for x in (solve_right(a, b), solver.solve(b)):
+                    assert (x is not None) == (b in images)
+                    assert x is None or a * x == b
 
 
 def test_smith_solver_reuse_and_kernel():

@@ -358,19 +358,48 @@ class Matrix:
         return Matrix.from_ints(self.ring, self.rows, self.cols, ints, self.den)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
+        """The product, computed row by row of ``self`` in one of two ways.
+
+        A row with at most half of its entries nonzero is the sum of the
+        rows of ``other`` that its nonzero entries select, each times its
+        entry (a 1 adds the row as it is; an all-zero row gives zeros); a
+        denser row takes a dot product with each column of ``other``, the
+        columns being transposed once, for the first such row.  Both give
+        each entry as the same integer sum of products of stored ints, so the
+        result is exact and identical in every ring: over Z/m each entry is
+        reduced once at the end, and over Q the stored ints share the
+        denominator ``self.den * other.den``, which ``from_ints`` reduces.
+        """
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.ring != other.ring:
             raise ValueError(f"mixed rings: {self.ring} vs {other.ring}")
-        if self.cols != other.rows:
-            raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        cols = tuple(zip(*other.ints)) if other.rows else ((),) * other.cols
-        mul, m = operator.mul, self.ring._mod
-        if m:
-            ints = tuple(tuple(sum(map(mul, row, col)) % m for col in cols) for row in self.ints)
-        else:
-            ints = tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in self.ints)
-        return Matrix.from_ints(self.ring, self.rows, other.cols, ints, self.den * other.den)
+        k, n = self.cols, other.cols
+        if k != other.rows:
+            raise ValueError(f"cannot multiply {self.rows}x{k} by {other.rows}x{n}")
+        b, m, cols, out = other.ints, self.ring._mod, None, []
+        add, mul, zero = operator.add, operator.mul, (0,) * n
+        for row in self.ints:
+            zeros = row.count(0)
+            if zeros == k:
+                out.append(zero)
+            elif 2 * zeros >= k:
+                acc = None
+                for a, brow in zip(row, b):
+                    if a:
+                        term = brow if a == 1 else map(a.__mul__, brow)
+                        # one tuple per term: a chain of lazy maps, one per
+                        # term, overflows the C stack on long rows
+                        acc = term if acc is None else tuple(map(add, acc, term))
+                out.append(tuple(map(m.__rmod__, acc)) if m else tuple(acc))
+            else:
+                if cols is None:
+                    cols = tuple(zip(*b))
+                if m:
+                    out.append(tuple(sum(map(mul, row, col)) % m for col in cols))
+                else:
+                    out.append(tuple(sum(map(mul, row, col)) for col in cols))
+        return Matrix.from_ints(self.ring, self.rows, n, tuple(out), self.den * other.den)
 
     def scale(self, c) -> "Matrix":
         c = self.ring.normalize(c)
@@ -412,11 +441,19 @@ class Matrix:
     def is_zero(self) -> bool:
         return not any(map(any, self.ints))
 
-    def is_identity(self) -> bool:
-        # The identity is stored as 0/1 ints over 1 in every ring.
-        return (self.rows == self.cols and self.den == 1
-                and all(row[i] == 1 and not any(row[:i]) and not any(row[i + 1:])
+    def is_scalar(self, c) -> bool:
+        """True when this is the square matrix c * id, without building it."""
+        # c * id stores the numerator of c on the diagonal over its
+        # denominator; only the 0 x 0 matrix, stored over 1, is c * id for every c.
+        c = self.ring.normalize(c)
+        num, n = c.numerator, self.cols
+        zeros = n - 1 if num else n
+        return (self.rows == n and (self.den == c.denominator or not n)
+                and all(row[i] == num and row.count(0) == zeros
                         for i, row in enumerate(self.ints)))
+
+    def is_identity(self) -> bool:
+        return self.is_scalar(1)
 
     def entry(self, i: int, j: int):
         x = self.ints[i][j]

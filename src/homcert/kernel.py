@@ -20,7 +20,7 @@ nothing from homcert but ``exactalg.Matrix``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from .exactalg import Matrix
 
@@ -55,7 +55,9 @@ def contraction_defect(h: ChainMap) -> Optional[int]:
     return None
 
 
-def _first_non_identity(lo: int, hi: int, products) -> Optional[str]:
+def _first_non_identity(lo: int, hi: int,
+                        products: tuple[tuple[str, Callable[[int], Matrix]], ...],
+                        ) -> Optional[str]:
     """The first ``label`` whose ``product(i)`` is not an identity matrix,
     over degrees lo..hi, as "label ≠ id in degree i"; None if all are."""
     for i in range(lo, hi + 1):
@@ -105,7 +107,7 @@ def check_structure(m: HomotopyStructure, check_complex: bool = True) -> list[st
         s = m.scalars[g]
         for i in x.degrees():
             lhs = x.diff(i + 1) * m.op(g, i) + m.op(g, i - 1) * x.diff(i)
-            if lhs != Matrix.scalar(x.ring, x.rank(i), s):
+            if not lhs.is_scalar(s):
                 problems.append(
                     f"generator {g}: d e + e d != {s} * id in degree {i}")
     return problems

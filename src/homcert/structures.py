@@ -136,30 +136,32 @@ def find_structure(x: GradedFreeComplex, gens: Sequence,
 
     Every verdict is exact: ``null_homotopies`` says which scalars c have
     c * id null-homotopic (b | c, and c = 0 or no free homology), so the
-    least exponent is arithmetic on (t, b), and each generator with one is
-    solved once.  With an ``rng`` each operator e becomes
-    e + d sigma - sigma d, for one random degree +2 operator sigma per
-    call, exhibiting different operator lifts for the same exponent.
+    least exponent is arithmetic on (t, b).  Every exponent is decided
+    before anything is solved, and only when each generator has one is each
+    solved, once.  With an ``rng`` each operator e becomes e + d sigma -
+    sigma d, for one random degree +2 operator sigma per call (drawn even
+    when the search fails), exhibiting different operator lifts for the
+    same exponent.
     """
     problems = validate_complex(x, allow_negative=True)
     if problems:
         raise ValueError("not a complex: " + problems[0])
     ring = x.ring
     b, free, solve = null_homotopies(x)
+    sigma = None if rng is None else ChainMap(x, x, 2, tuple(
+        Matrix.build(ring, x.rank(i + 2), x.rank(i), lambda r, c: rng.randint(-2, 2))
+        for i in x.degrees()))
+    ts = tuple(map(ring.normalize, gens))
+    obstructed = tuple(free and not ring.is_zero(t) for t in ts)
+    exponents = tuple(None if o else _least_power(t, b) for t, o in zip(ts, obstructed))
+    if None in exponents:
+        return StructureSearch(None, exponents, obstructed)
     twist = None
-    if rng is not None:
-        sigma = ChainMap(x, x, 2, tuple(
-            Matrix.build(ring, x.rank(i + 2), x.rank(i), lambda r, c: rng.randint(-2, 2))
-            for i in x.degrees()))
+    if sigma is not None:
         d = boundary_map(x)
         twist = d.compose(sigma) + sigma.compose(d).scale(-1)
-    exponents, obstructed, powers, grids = [], [], [], []
-    for t in map(ring.normalize, gens):
-        obstructed.append(free and not ring.is_zero(t))
-        k = None if obstructed[-1] else _least_power(t, b)
-        exponents.append(k)
-        if k is None:
-            continue
+    powers, grids = [], []
+    for t, k in zip(ts, exponents):
         power = ring.normalize(t ** k)
         e = solve(power)
         if e is None:
@@ -167,10 +169,8 @@ def find_structure(x: GradedFreeComplex, gens: Sequence,
         e = e if twist is None else e + twist
         powers.append(power)
         grids.append(tuple(e.mat(i) for i in list(x.degrees())[:-1]))
-    if None in exponents:
-        return StructureSearch(None, tuple(exponents), tuple(obstructed))
     structure = HomotopyStructure(x, tuple(powers), tuple(grids))
     problems = check_structure(structure, check_complex=False)
     if problems:
         raise AssertionError("search output failed its own check: " + problems[0])
-    return StructureSearch(structure, tuple(exponents), tuple(obstructed))
+    return StructureSearch(structure, exponents, obstructed)

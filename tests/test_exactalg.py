@@ -150,12 +150,22 @@ def reduced(ring, rows):
     return tuple(tuple(row) for row in rows)
 
 
+def unit_entries(ring):
+    """1, -1 and, over Z/m, m - 1: the entries of identity and sign blocks."""
+    return (1, -1) + ((ring.modulus - 1,) if isinstance(ring, ModularRing) else ())
+
+
 @st.composite
 def product_operands(draw, ring):
     """A k x l and an l x n matrix and a second k x l one over ``ring``, and
     a scalar; entries of up to 130 bits, negative ones, zero matrices, and
-    over Q both Fractions (mixed denominators) and plain ints."""
-    r, k, c = (draw(st.integers(0, 4)) for _ in range(3))
+    over Q both Fractions (mixed denominators) and plain ints.  Half the
+    time the shapes go up to 10 and each row has a drawn number of nonzero
+    entries (none, exactly half, one either side of half, all, or any),
+    many of them 1, -1 or m - 1, so that rows on both sides of the switch
+    between summing rows and taking dot products are met."""
+    sparse = draw(st.booleans())
+    r, k, c = (draw(st.integers(0, 10 if sparse else 4)) for _ in range(3))
     ints = st.integers(-2 ** 130, 2 ** 130)
 
     def entry():
@@ -165,11 +175,24 @@ def product_operands(draw, ring):
                                          Fraction(n, draw(st.sampled_from((2, 3, 4, 6)))))))
         return ring.from_int(n)
 
+    def nonzero():
+        if draw(st.booleans()):
+            return draw(st.sampled_from(unit_entries(ring)))
+        e = entry()
+        return e if ring.normalize(e) else 1
+
+    def sparse_row(cols):
+        half = cols // 2
+        count = draw(st.one_of(st.sampled_from((0, half, half + 1, max(half - 1, 0), cols)),
+                               st.integers(0, cols)))
+        at = set(draw(st.permutations(range(cols)))[:count])
+        return tuple(nonzero() if j in at else 0 for j in range(cols))
+
     def matrix(rows, cols):
         if draw(st.integers(0, 5)) == 0:
             return Matrix.zeros(ring, rows, cols)
-        return Matrix(ring, rows, cols, tuple(tuple(entry() for _ in range(cols))
-                                              for _ in range(rows)))
+        row = sparse_row if sparse else lambda cols: tuple(entry() for _ in range(cols))
+        return Matrix(ring, rows, cols, tuple(row(cols) for _ in range(rows)))
     return matrix(r, k), matrix(k, c), matrix(r, k), entry()
 
 
@@ -181,6 +204,8 @@ def test_product_matches_naive_reference(ring, data):
     p = a * b
     assert (p.rows, p.cols) == (a.rows, b.cols)
     assert p.entries == naive_product(a, b)
+    # the transposed product meets the rows of b where a * b meets its columns
+    assert p == (b.transpose() * a.transpose()).transpose()
     for m in (a, b, a2, p):
         assert_canonical(m)
 
@@ -234,6 +259,48 @@ def test_product_empty_and_wide_entries(ring):
     if ring == QQ:
         mixed = Matrix(QQ, 1, 2, ((Fraction(1, 3), 2),))
         assert (mixed * Matrix(QQ, 2, 1, ((3,), (Fraction(-1, 4),)))).entries == ((Fraction(1, 2),),)
+
+
+@pytest.mark.parametrize("ring", PRODUCT_RINGS, ids=str)
+def test_product_at_every_row_density(ring):
+    # row i of a has i nonzero entries, so every count from none to all,
+    # exactly half included, meets both the row sums and the dot products
+    rng = random.Random(13)
+    units = unit_entries(ring)
+    for k in range(11):
+        for n in (1, 3, 10):
+            a = Matrix(ring, k + 1, k, tuple(
+                tuple(rng.choice(units) if j < i else 0 for j in rng.sample(range(k), k))
+                for i in range(k + 1)))
+            b = Matrix.build(ring, k, n, lambda *_: rng.choice(units + (0, 0, rng.randint(-99, 99))))
+            pairs = [(a, b), (a.scale(rng.randint(2, 9)), b), (b.transpose(), a.transpose())]
+            if ring == QQ:
+                pairs.append((a.scale(Fraction(1, 2)), b))
+            for left, right in pairs:
+                p = left * right
+                assert p.entries == naive_product(left, right)
+                assert_canonical(p)
+
+
+@pytest.mark.parametrize("ring", PRODUCT_RINGS, ids=str)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_is_scalar_agrees_with_the_scalar_matrix(ring, data):
+    n = data.draw(st.integers(0, 4))
+    values = st.one_of(st.sampled_from((0, 1, -1, 2)), st.integers(-2 ** 70, 2 ** 70))
+    if ring == QQ:
+        values = st.one_of(values, st.fractions(max_denominator=2 ** 40))
+    c, other = data.draw(values), data.draw(values)
+    candidates = [Matrix.scalar(ring, n, c), Matrix.scalar(ring, n, other),
+                  Matrix.identity(ring, n), Matrix.zeros(ring, n, n), Matrix.zeros(ring, n, n + 1)]
+    if n:
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        candidates.append(Matrix.scalar(ring, n, c).with_entry(i, j, data.draw(values)))
+    candidates.append(data.draw(product_operands(ring))[0])
+    for m in candidates:
+        for s in (c, other, 0, 1):
+            assert m.is_scalar(s) == (m == Matrix.scalar(ring, m.rows, s)), (m, s)
+        assert m.is_identity() == m.is_scalar(1) == (m == Matrix.identity(ring, m.rows))
 
 
 def test_kron_matches_blockwise_definition():

@@ -7,6 +7,7 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import invariant_factors
 
+from homcert import structures
 from homcert.complexes import GradedFreeComplex, find_contraction, identity_map
 from homcert.exactalg import Matrix, QQ, ZZ, Zmod
 from homcert.kernel import check_structure
@@ -111,6 +112,30 @@ def test_find_structure_inconclusive_without_obstruction():
     assert res.exponents == (None,)
     assert res.obstructed == (False,)
     assert res.structure is None
+
+
+def test_find_structure_solves_nothing_once_an_exponent_fails(monkeypatch):
+    solved = []
+    real = structures.null_homotopies
+
+    def counting(x):
+        b, free, solve = real(x)
+        return b, free, lambda c: solved.append(c) or solve(c)
+    monkeypatch.setattr(structures, "null_homotopies", counting)
+    z8 = Zmod(8)
+    # on Z/8 --2--> Z/8 generator 4 has exponent 1 and generator 3 none
+    res = find_structure(two_term(2, ring=z8), (4, 3))
+    assert (res.structure, res.exponents, res.obstructed) == (None, (1, None), (False, False))
+    assert solved == []
+    assert find_structure(two_term(2, ring=z8), (4,)).exponents == (1,) and solved == [4]
+    # sigma is drawn whether or not the search fails, so the rng moves alike
+    x = GradedFreeComplex(z8, 0, (1, 1, 1), (Matrix.from_rows(z8, [[2]]),
+                                             Matrix.from_rows(z8, [[4]])))
+    failed, found = random.Random(5), random.Random(5)
+    assert find_structure(x, (4, 3), rng=failed).exponents == (2, None)
+    assert find_structure(x, (4,), rng=found).exponents == (2,)
+    assert failed.getstate() == found.getstate() != random.Random(5).getstate()
+    assert solved == [4, 0]
 
 
 def test_find_structure_rational_homology_obstruction():

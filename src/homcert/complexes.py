@@ -15,7 +15,7 @@ from itertools import islice
 from typing import Optional
 
 from .exactalg import (
-    Matrix, Ring, ZZ, ModularRing, SmithSolver, rank as matrix_rank, solve_right,
+    Matrix, Ring, ZZ, ModularRing, SmithSolver,
 )
 from .kernel import _first_non_identity, contraction_defect
 
@@ -99,28 +99,25 @@ def homology_invariants(x: GradedFreeComplex) -> dict:
 
     Over Z the summary at degree i is (free rank, invariant factors > 1);
     over Q and Z/p torsion is empty and free_rank is the dimension.
-    Composite Z/m is not supported here.  Each differential is factored
-    once and serves the degrees on both of its sides.
+    Composite Z/m is not supported here.
     """
     ring = x.ring
     if isinstance(ring, ModularRing) and not ring.is_field:
         raise ValueError("homology over composite Z/m is not supported")
+    return _homology(x, [SmithSolver(d) for d in x.diffs])
+
+
+def _homology(x: GradedFreeComplex, solvers: list) -> dict:
+    """Homology from one ``SmithSolver`` per differential, each serving the
+    degrees on both of its sides; over a field its ``diag`` is all ones."""
     # (rank, invariant factors > 1) of diffs[j], the map out of degree min_degree + j + 1
-    facts = [_rank_and_torsion(d) for d in x.diffs] + [(0, ())]
+    facts = [(s.rank, tuple(a for a in s.diag if a > 1)) for s in solvers] + [(0, ())]
     out = {}
     for j, i in enumerate(x.degrees()):
         r_in, torsion = facts[j]
         r_out = facts[j - 1][0] if j else 0
         out[i] = HomologySummary(x.rank(i) - r_in - r_out, torsion)
     return out
-
-
-def _rank_and_torsion(d: Matrix) -> tuple:
-    """Rank and invariant factors > 1 of d: one Smith form over Z, one elimination over a field."""
-    if d.ring != ZZ:
-        return matrix_rank(d), ()
-    smith = SmithSolver(d)
-    return smith.rank, tuple(a for a in smith.diag if a > 1)
 
 
 def is_exact(x: GradedFreeComplex) -> bool:
@@ -362,71 +359,62 @@ def _retraction_defect(f: ChainMap, g: ChainMap, h: ChainMap) -> Optional[str]:
 
 
 def solve_homotopy(x: GradedFreeComplex, c) -> Optional[ChainMap]:
-    """A degree +1 operator e with d*e + e*d = c * id, or None if there is none.
-
-    Solves d_{i+1} e_i = c - e_{i-1} d_i from the bottom degree up.  The
-    right-hand side is always a matrix of cycles, and this order is complete:
-
-    * over Z and Q for every c: ``solve_right`` gives e_i zero coordinates
-      along ker d_{i+1} (in the Smith V basis over Z, as zero free variables
-      over Q), so e_i lands in a complement C of the cycles.  The next
-      right-hand side then sends a cycle z to c z and C to cycles in C, that
-      is to 0; it is made of boundaries exactly when c kills the homology,
-      which c * id being null-homotopic requires.
-    * over any Z/m when c is a unit: c * id is then null-homotopic exactly
-      when the complex is contractible, hence exact, so cycles are
-      boundaries.  Over Z/p the only other c, 0, gets e = 0.
-
-    Composite Z/m with a non-unit c, where cycles need not have a
-    complement (Z/4 --2--> Z/4 --2--> Z/4), takes the reduced system of
-    ``null_homotopies``.
-    """
-    ring = x.ring
-    c = ring.normalize(c)
-    if isinstance(ring, ModularRing) and not ring.is_field and not ring.is_unit(c):
-        return null_homotopies(x)[2](c)
-    e = Matrix.zeros(ring, x.rank(x.min_degree), 0)  # out of the zero module below
-    mats = []
-    for i in x.degrees():
-        e = solve_right(x.diff(i + 1), Matrix.scalar(ring, x.rank(i), c) - e * x.diff(i))
-        if e is None:
-            return None
-        mats.append(e)
-    return ChainMap(x, x, 1, tuple(mats))
+    """A degree +1 operator e with d*e + e*d = c * id, or None if there is none."""
+    return null_homotopies(x)[2](c)
 
 
 def null_homotopies(x: GradedFreeComplex) -> tuple:
     """(b, free, solve): c * id is null-homotopic exactly when b | c and
     (c = 0 or not free); ``solve(c)`` is an e with d*e + e*d = c * id, or None.
 
-    Over Z and fields b is the lcm of the homology's torsion coefficients
-    (1 over a field), free says whether any homology is free, and ``solve``
-    is ``solve_homotopy``.
+    Over Z and fields each differential is factored once, by a
+    ``SmithSolver``; b is the lcm of the homology's torsion coefficients
+    (1 over a field) and free says whether any homology is free.  ``solve``
+    takes d_{i+1} e_i = c - e_{i-1} d_i from the bottom degree up, on the
+    same solvers; in the top degree d_{i+1} = 0, so the right-hand side
+    must vanish and e_top is empty.  The right-hand side is always a matrix
+    of cycles, and this order is complete: each solution e_i lies in one
+    fixed complement C of the cycles (zero coordinates along ker d_{i+1},
+    in the Smith V basis over Z, as zero free variables over a field).  The
+    next right-hand side then sends a cycle z to c z and C to cycles in C,
+    that is to 0; it is made of boundaries exactly when c kills the
+    homology, which c * id being null-homotopic requires.
 
-    Over composite Z/m free is False.  The unit entries are cancelled once
-    (``reduce_units`` gives y, f, g, h) and the ``HomotopySystem`` of y is
-    factored once, U * [S | m*I] * V = D.  Every row of that lift has a
-    nonzero d_i, so c times the identity column v is solvable exactly when
-    b = lcm_i d_i / gcd(d_i, (U v)_i) divides c; b | m.  For a non-unit c,
-    ``solve`` turns the solution e' on y into e = g e' f + c h: if
+    Over composite Z/m cycles need not have a complement (Z/4 --2--> Z/4
+    --2--> Z/4), so the degrees are coupled and free is False.  The unit
+    entries are cancelled once (``reduce_units`` gives y, f, g, h) and the
+    ``HomotopySystem`` of y is factored once, U * [S | m*I] * V = D.  Every
+    row of that lift has a nonzero d_i, so c times the identity column v is
+    solvable exactly when b = lcm_i d_i / gcd(d_i, (U v)_i) divides c;
+    b | m.  ``solve`` turns the solution e' on y into e = g e' f + c h: if
     d e' + e' d = c on y then d e + e d = c (g f + d h + h d) = c on x, and
-    if e works on x then f e g works on y.  A unit c is solved on x.
+    if e works on x then f e g works on y.
     """
     ring = x.ring
     if not isinstance(ring, ModularRing) or ring.is_field:
-        hom = homology_invariants(x).values()
+        solvers = [SmithSolver(d) for d in x.diffs]
+        hom = _homology(x, solvers).values()
+
+        def solve(c):
+            c = ring.normalize(c)
+            e, mats = Matrix.zeros(ring, x.ranks[0], 0), []  # out of the zero module below
+            for i, s in zip(x.degrees(), solvers):
+                e = s.solve(Matrix.scalar(ring, s.a.rows, c) - e * x.diff(i))
+                if e is None:
+                    return None
+                mats.append(e)
+            if not (e * x.diff(x.top_degree)).is_scalar(c):
+                return None
+            return ChainMap(x, x, 1, tuple(mats) + (Matrix.zeros(ring, 0, x.ranks[-1]),))
         return (math.lcm(1, *(a for h in hom for a in h.torsion)),
-                any(h.free_rank for h in hom), lambda c: solve_homotopy(x, c))
+                any(h.free_rank for h in hom), solve)
     y, f, g, h = reduce_units(x)
     system = HomotopySystem(y)
     uv = system.solver.u * Matrix.from_ints(ZZ, system.unit.rows, 1, system.unit.ints)
     b = math.lcm(1, *(d // math.gcd(d, w) for d, (w,) in zip(system.solver.diag, uv.ints)))
 
     def solve(c):
-        c = ring.normalize(c)
-        if ring.is_unit(c):
-            return solve_homotopy(x, c)
-        e = system.solve(c)
+        e = system.solve(ring.normalize(c))
         return None if e is None else g.compose(e.compose(f)) + h.scale(c)
     return b, False, solve
 
@@ -439,7 +427,7 @@ def find_contraction(x: GradedFreeComplex) -> Optional[ChainMap]:
     """A degree +1 operator h with d*h + h*d = id, or None.
 
     None is a complete verdict over Z, Q and every Z/m (see
-    ``solve_homotopy``; 1 is a unit).
+    ``null_homotopies``).
     """
     h = solve_homotopy(x, x.ring.one())
     if h is not None and not is_contraction(h):

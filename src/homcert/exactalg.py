@@ -697,7 +697,12 @@ class SmithSolver:
     coordinates along ker(A) in the basis of V's columns, so every
     solution lies in one fixed complement of ker(A).
 
-    Over Z/m (any m) the factored matrix is the integer lift [A | m*I]:
+    Over a field (Q, Z/p) the Smith form is diag(1, ..., 1, 0, ...), so
+    only the rank is kept, by one elimination, and ``diag`` is ``rank``
+    ones; each solve is the Gauss-Jordan of ``solve_right``, whose zero
+    free variables put every solution in one fixed complement of ker(A).
+
+    Over composite Z/m the factored matrix is the integer lift [A | m*I]:
     A*X = B mod m exactly when A*X + m*W = B over Z for some W, so a
     solution of the lift, cut to its first A.cols rows and reduced mod m,
     solves A*X = B.  ``v`` keeps only those rows of V; ``diag`` and
@@ -706,9 +711,12 @@ class SmithSolver:
 
     def __init__(self, a: Matrix):
         ring = a.ring
-        if ring != ZZ and not isinstance(ring, ModularRing):
-            raise ValueError(f"unsupported ring: {ring}")
         self.a = a
+        if ring.is_field:
+            self.rank = len(_row_reduce(ring, [list(map(ring.normalize, row)) for row in a.ints],
+                                        a.cols))
+            self.diag = [1] * self.rank
+            return
         lift = a if ring == ZZ else Matrix.from_ints(ZZ, a.rows, a.cols, a.ints).hstack(
             Matrix.scalar(ZZ, a.rows, ring.modulus))
         self.u, d, v = smith_normal_form(lift)
@@ -722,6 +730,8 @@ class SmithSolver:
             raise ValueError(f"mixed rings: {ring} vs {b.ring}")
         if b.rows != self.a.rows:
             raise ValueError("shape mismatch in solve")
+        if ring.is_field:
+            return _solve_field(self.a, b)
         # D is nonzero exactly on its first ``rank`` diagonal entries.
         lift = b if ring == ZZ else Matrix.from_ints(ZZ, b.rows, b.cols, b.ints)
         cb, r = self.u * lift, self.rank
@@ -757,11 +767,7 @@ def solve_right(a: Matrix, b: Matrix) -> Optional[Matrix]:
 
 
 def rank(a: Matrix) -> int:
-    """Rank over Z (via Smith form) or over a field (via elimination)."""
-    ring = a.ring
-    if ring == ZZ:
-        return SmithSolver(a).rank
-    if ring.is_field:
-        return len(_row_reduce(ring, [list(map(ring.normalize, row)) for row in a.ints], a.cols))
-    raise ValueError(f"rank is not supported over {ring}")
-
+    """Rank over Z (its Smith form) or over a field (one elimination): ``SmithSolver``'s."""
+    if isinstance(a.ring, ModularRing) and not a.ring.is_field:
+        raise ValueError(f"rank is not supported over {a.ring}")
+    return SmithSolver(a).rank

@@ -1,8 +1,10 @@
 """The certificate kernel: witness checks in every ring, degree-named
-rejections, and acceptance that rests on matrix products alone, checked at
-run time and from the syntax trees."""
+rejections, acceptance that rests on matrix products alone, checked at
+run time and from the syntax trees, and accepted Z claims that balance the
+per-prime homology lengths."""
 
 import ast
+import dataclasses
 import importlib.util
 import random
 import re
@@ -10,7 +12,9 @@ import sys
 from pathlib import Path
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
+from sympy.matrices.normalforms import invariant_factors
 
 from homcert import certificates, complexes, exactalg, kernel
 from homcert.certificates import (
@@ -102,7 +106,8 @@ def test_kernel_only_multiplies(monkeypatch):
         raise AssertionError("the kernel must not eliminate")
 
     originals = [getattr(exactalg, name)
-                 for name in ("smith_normal_form", "_row_reduce", "solve_right", "det")]
+                 for name in ("smith_normal_form", "_row_reduce", "solve_right", "det",
+                                  "SmithSolver")]
     originals.append(complexes.homology_invariants)
     patched = 0
     for mod_name, mod in list(sys.modules.items()):
@@ -167,6 +172,46 @@ def test_witness_check_matches_homology(ring_at, seed, data):
         assert check_ses(include, project) == []
         for row in ((bad, project), (drop_top_generator(include), project)):
             assert (check_ses(*row) == []) == has_splitting(*row)
+
+
+# -- per-prime homology lengths balance every accepted Z claim ------------------
+
+
+PRIMES = (2, 3, 5)
+
+
+def chi_p(m: HomotopyStructure) -> tuple:
+    """(chi_p for p in PRIMES), chi_p = sum_i (-1)^i length_p(H_i), from
+    sympy's invariant factors; the nonzero scalar makes H finite, so
+    H_i is the sum of Z/a over the nonzero invariant factors a of d_{i+1}."""
+    x = m.complex
+    factors = [[int(a) for a in invariant_factors(sympy.Matrix(d.entries)) if a]
+               if d.rows and d.cols else [] for d in x.diffs] + [[]]
+    for j, n in enumerate(x.ranks):
+        assert n == len(factors[j]) + (len(factors[j - 1]) if j else 0), "H is not finite"
+    return tuple(sum((-1) ** (x.min_degree + j) * sum(sympy.multiplicity(p, a) for a in f)
+                     for j, f in enumerate(factors)) for p in PRIMES)
+
+
+def chi_balance(claim: ClassExpr, chi: dict) -> tuple:
+    return tuple(sum(n * chi[name][k] for name, n in claim.terms) for k in range(len(PRIMES)))
+
+
+@pytest.mark.parametrize("seed", [3, 5, 8])
+def test_accepted_z_claims_balance_per_prime_lengths(seed):
+    moved = 0
+    for cert in ring_certificates(ZZ, seed):
+        assert check_certificate(cert).accepted
+        chi = {name: chi_p(m) for name, m in cert.registry}
+        assert chi_balance(cert.claim, chi) == (0, 0, 0)
+        name = next((name for name, c in chi.items() if any(c)), None)
+        if name is None:
+            continue
+        claim = ClassExpr.build(cert.claim.terms + ((name, 1),))
+        assert chi_balance(claim, chi) != (0, 0, 0)
+        assert not check_certificate(dataclasses.replace(cert, claim=claim)).accepted
+        moved += 1
+    assert moved
 
 
 # -- extension certificates ----------------------------------------------------

@@ -4,17 +4,21 @@
 the identity are null-homotopic and solves them; ``structures.py`` only
 does arithmetic on its answer.  This walks the syntax tree of
 ``structures.py`` and checks that it names none of the ring-specific
-machinery behind that answer.
+machinery behind that answer, and the tree of ``null_homotopies`` to check
+that it answers from its own factorisations, through none of the one-shot
+routes (a solve per call, a homology, a rank).
 """
 
 import ast
 from pathlib import Path
 
-STRUCTURES = Path(__file__).resolve().parent.parent / "src" / "homcert" / "structures.py"
+SRC = Path(__file__).resolve().parent.parent / "src" / "homcert"
+STRUCTURES = SRC / "structures.py"
 RING_SPECIFIC = {
     "ModularRing", "is_field", "homology_invariants", "HomotopySystem", "reduce_units",
     "solve_right", "SmithSolver",
 }
+ONE_SHOT = {"solve_right", "homology_invariants", "solve_homotopy", "_solve_field", "rank"}
 
 
 def named(source: str) -> set:
@@ -40,3 +44,17 @@ def test_named_sees_imports_aliases_and_attributes():
 
 def test_structures_names_no_ring_specific_machinery():
     assert named(STRUCTURES.read_text()) & RING_SPECIFIC == set()
+
+
+def function_source(path: Path, name: str) -> str:
+    """The source of the top-level function ``name`` in the file at ``path``."""
+    source = path.read_text()
+    node = next(n for n in ast.parse(source).body
+                if isinstance(n, ast.FunctionDef) and n.name == name)
+    return ast.get_source_segment(source, node)
+
+
+def test_null_homotopies_names_no_one_shot_solver():
+    source = function_source(SRC / "complexes.py", "null_homotopies")
+    assert "SmithSolver" in named(source)
+    assert named(source) & ONE_SHOT == set()

@@ -7,7 +7,7 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import invariant_factors
 
-from homcert import structures
+from homcert import exactalg, structures
 from homcert.complexes import GradedFreeComplex, find_contraction, identity_map
 from homcert.exactalg import Matrix, QQ, ZZ, Zmod
 from homcert.kernel import check_structure
@@ -288,3 +288,45 @@ def test_find_structure_fixed_exponents():
     check_search(two_term(2 ** 20), 2, 20, False)
     check_search(two_term(2), 3, None, False)
     check_search(two_term(0), 2, None, True)
+
+
+def count_eliminations(monkeypatch) -> dict:
+    """Count the Smith forms and field eliminations from here on, by name."""
+    calls = {"smith_normal_form": 0, "_row_reduce": 0}
+    for name in calls:
+        real = getattr(exactalg, name)
+
+        def counting(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(exactalg, name, counting)
+    return calls
+
+
+def test_find_structure_factors_each_z_differential_once(monkeypatch):
+    x = GradedFreeComplex(ZZ, 0, (2, 3, 1), (Matrix.from_rows(ZZ, [[4, 0, 0], [0, 1, 0]]),
+                                             Matrix.from_rows(ZZ, [[0], [0], [2]])))
+    calls = count_eliminations(monkeypatch)
+    res = find_structure(x, (2, 6))
+    assert res.exponents == (2, 2) and res.structure is not None
+    assert calls == {"smith_normal_form": 2, "_row_reduce": 0}
+
+
+def test_find_structure_solves_composite_units_on_the_reduced_system(monkeypatch):
+    z8 = Zmod(8)
+    x = GradedFreeComplex(z8, 0, (2, 3, 1), (Matrix.from_rows(z8, [[1, 2, 0], [0, 0, 1]]),
+                                             Matrix.from_rows(z8, [[6], [1], [0]])))
+    calls = count_eliminations(monkeypatch)
+    res = find_structure(x, (3, 2))
+    assert res.exponents == (1, 1) and res.structure is not None
+    assert calls == {"smith_normal_form": 1, "_row_reduce": 0}
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ], ids=["Z", "Q"])
+def test_single_degree_is_obstructed_without_elimination(monkeypatch, ring):
+    # No differential: nothing is factored, and the top degree's n x 0
+    # differential, whose Smith form would need an n x n U, is never built.
+    calls = count_eliminations(monkeypatch)
+    res = find_structure(GradedFreeComplex(ring, 0, (100_000,), ()), (2,))
+    assert (res.structure, res.exponents, res.obstructed) == (None, (None,), (True,))
+    assert calls == {"smith_normal_form": 0, "_row_reduce": 0}

@@ -2,10 +2,10 @@
 
 The ambient group for a certificate is spanned by structures with a fixed
 tuple of homotopy scalars, supported in degrees ``[0, ceiling]``, modulo
-the relations generated by short exact rows, contractible objects,
-equivariant isomorphisms and suspension pairs.  A certificate names its
-objects in a registry, lists evidence steps, and claims that a particular
-integer combination of registered classes is zero.
+the relations generated by short exact rows, contractible objects and
+equivariant isomorphisms.  A certificate names its objects in a registry,
+lists evidence steps, and claims that a particular integer combination of
+registered classes is zero.
 
 Each builder returns a Certificate that ``kernel.check_certificate``
 accepts, re-exported here; none of them is trusted by the checker.
@@ -24,8 +24,7 @@ from .fold import (
     squared_scalars,
 )
 from .kernel import (
-    Certificate, ClassExpr, Contractible, ExactRow, Isomorphism, Slot,
-    SuspensionPair, check_certificate,
+    Certificate, ClassExpr, Contractible, ExactRow, Isomorphism, Slot, check_certificate,
 )
 from .structures import HomotopyStructure, restrict
 
@@ -115,10 +114,17 @@ def fold_defect_certificate(m: HomotopyStructure, n: int) -> Certificate:
     if h is None:
         raise AssertionError("top disk has no contraction")
     steps.append(Contractible("top_disk", h, mult=1))
+    # [block_up_j] = -[block_up_{j+1}] through the cone of the identity,
+    # which is contractible: block_up_j >--> cone_up_j -->> block_up_{j+1}.
     coeff = 1
     for j in range(n - d - 2, -1, -1):
-        steps.append(SuspensionPair(f"block_up_{j}", f"block_up_{j + 1}",
-                                    mult=-coeff))
+        b = shifts[j]
+        cone = cone_same(identity_map(b.complex), b, b)
+        registry.append((f"cone_up_{j}", cone.total))
+        steps += [ExactRow(f"block_up_{j}", f"cone_up_{j}", f"block_up_{j + 1}",
+                           *cone.maps, mult=coeff),
+                  Contractible(f"cone_up_{j}", identity_cone_contraction(b.complex),
+                               mult=-coeff)]
         coeff = -coeff
     claim = ClassExpr.build([("base", 1), ("fold", -1), ("block_up_0", coeff)])
     return Certificate(Slot(squared_scalars(m), n), tuple(registry),

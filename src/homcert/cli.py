@@ -23,6 +23,7 @@ from .certificates import (
     disk_transport_certificate, fold_defect_certificate, fold_row_certificates,
     peel_chain_certificate, structure_independence_certificate,
 )
+from .complexes import ChainMap
 from .constructions import cone_mixed, cone_same, dual, glue_extension, suspend
 from .exactalg import ZZ
 from .fold import fold_once
@@ -63,6 +64,13 @@ def _checked(m: HomotopyStructure, what: str = "") -> HomotopyStructure:
     if problems:
         raise Invalid(f"{what}not a structure: " + problems[0])
     return m
+
+
+def _chain(f: ChainMap, what: str) -> ChainMap:
+    i = f.chain_defect()
+    if i is not None:
+        raise Invalid(f"{what} is not a chain map in degree {i}")
+    return f
 
 
 def _load_structure(path: str) -> HomotopyStructure:
@@ -176,9 +184,7 @@ def cmd_cone(args) -> int:
     my = _checked(_field(doc, "target", structure_from_json, args.file), "target is ")
     if f.source != mx.complex or f.target != my.complex:
         raise Invalid("map endpoints do not match the given structures")
-    i = f.chain_defect()
-    if i is not None:
-        raise Invalid(f"map is not a chain map in degree {i}")
+    _chain(f, "map")
     data = cone_same(f, mx, my) if args.same else cone_mixed(f, mx, my)
     report = {
         "command": "cone",
@@ -197,10 +203,10 @@ def cmd_glue(args) -> int:
     doc = _load_doc(args.file)
     if not isinstance(doc, dict):
         raise FormatError("expected an object", args.file)
-    incl = _field(doc, "include", chain_map_from_json, args.file)
-    proj = _field(doc, "project", chain_map_from_json, args.file)
-    m_sub = _field(doc, "sub", structure_from_json, args.file)
-    m_quot = _field(doc, "quotient", structure_from_json, args.file)
+    incl = _chain(_field(doc, "include", chain_map_from_json, args.file), "include")
+    proj = _chain(_field(doc, "project", chain_map_from_json, args.file), "project")
+    m_sub = _checked(_field(doc, "sub", structure_from_json, args.file), "sub is ")
+    m_quot = _checked(_field(doc, "quotient", structure_from_json, args.file), "quotient is ")
     glued = glue_extension(incl, proj, m_sub, m_quot)
     report = {"command": "glue"}
     report.update(structure_to_json(glued))
@@ -315,7 +321,10 @@ def cmd_demo(args) -> int:
                         "reason": res.reason, "steps": len(cert.steps)})
         ok = ok and res.accepted
     out = args.out or f"demo_{args.name}_seed{args.seed}.certificate.json"
-    Path(out).write_text(dumps(certs[0][1]))
+    try:
+        Path(out).write_text(dumps(certs[0][1]))
+    except OSError as e:
+        raise FormatError(f"cannot write {out}: {e.strerror or e}", out) from None
     report = {
         "command": "demo",
         "name": args.name,

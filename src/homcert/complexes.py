@@ -70,7 +70,7 @@ class GradedFreeComplex:
         return sum(self.ranks)
 
     def euler_characteristic(self) -> int:
-        return sum((-1) ** i * self.rank(i) for i in self.degrees())
+        return sum(-self.rank(i) if i % 2 else self.rank(i) for i in self.degrees())
 
     def is_zero(self) -> bool:
         return all(r == 0 for r in self.ranks)
@@ -156,7 +156,7 @@ class ChainMap:
     def chain_defect(self) -> Optional[int]:
         """The first source degree i with d_target f_i != (-1)^shift f_{i-1} d_i,
         or None for a chain map."""
-        sgn = (-1) ** self.shift
+        sgn = self.target.ring.from_int(-1 if self.shift % 2 else 1)
         for i in range(min(self.source.min_degree, self.target.min_degree - self.shift) - 1,
                        max(self.source.top_degree, self.target.top_degree - self.shift) + 2):
             lhs = self.target.diff(i + self.shift) * self.mat(i)

@@ -2,15 +2,18 @@
 
 ``check_certificate`` trusts nothing: every structure is re-validated and
 every arrow is re-checked, and the claim is accepted only if it equals the
-exact accumulation of the verified relations.  Each step carries the
-witnesses its check needs, so acceptance rests on matrix products and
-equality alone, the same in Z, Q, Z/p and composite Z/m: a row carries a
-section s and a retraction r with r·i = id, p·s = id and i·r + s·p = id
-(degreewise split exact), an isomorphism carries its inverse g with
-f·g = id and g·f = id, and a contraction satisfies d h + h d = id.  No
-Smith form, elimination, homology or determinant runs here.  The check is
-one-sided: acceptance proves the identity, rejection carries no
-information beyond the recorded reason.
+exact accumulation of the verified relations.  There are three relations:
+split exact rows, contractible objects and isomorphisms; a suspension
+[ΣX] = -[X] is the cone row X >--> cone(id) -->> ΣX plus a contraction of
+its middle, not a relation of its own.  Each step carries the witnesses
+its check needs, so acceptance rests on matrix products and equality
+alone, the same in Z, Q, Z/p and composite Z/m: a row carries a section s
+and a retraction r with r·i = id, p·s = id and i·r + s·p = id (degreewise
+split exact), an isomorphism carries its inverse g with f·g = id and
+g·f = id, and a contraction satisfies d h + h d = id.  No Smith form,
+elimination, homology or determinant runs here.  The check is one-sided:
+acceptance proves the identity, rejection carries no information beyond
+the recorded reason.
 
 Every step is checked in the certificate's one slot, by the checks the
 constructions run on their own output.  At run time this module imports
@@ -282,24 +285,6 @@ class Isomorphism:
 
 
 @dataclass(frozen=True)
-class SuspensionPair:
-    """shifted == suspend(base); adds mult * ([shifted] + [base]).
-
-    Sound because base >--> cone(id) -->> shifted is exact with a
-    contractible middle, and the cone is supported on the union of the
-    supports of base and shifted, so it fits in the slot when both do.
-    """
-
-    base: str
-    shifted: str
-    mult: int = 1
-
-    @property
-    def terms(self) -> tuple:
-        return ((self.base, self.mult), (self.shifted, self.mult))
-
-
-@dataclass(frozen=True)
 class Certificate:
     slot: Slot
     registry: tuple  # ((name, HomotopyStructure), ...)
@@ -339,16 +324,6 @@ def _check_contraction(step: Contractible, m) -> Optional[str]:
     return None if i is None else f"contraction identity fails in degree {i}"
 
 
-def _check_suspension(step: SuspensionPair, base, shifted) -> Optional[str]:
-    """The fields ``constructions.suspend(base, 1)`` sets: degrees one up,
-    the same ranks and scalars, and every differential and operator negated."""
-    x, y = base.complex, shifted.complex
-    same = ((y.ring, y.min_degree, y.ranks, y.diffs, shifted.scalars, shifted.ops)
-            == (x.ring, x.min_degree + 1, x.ranks, tuple(-d for d in x.diffs), base.scalars,
-                tuple(tuple(-e for e in grid) for grid in base.ops)))
-    return None if same else "shifted object is not the suspension of the base"
-
-
 # Each step kind with its name in reasons and its check on the objects its
 # ``terms`` name, in that order; an accepted step adds its terms to the sum.
 _RELATIONS = {
@@ -357,7 +332,6 @@ _RELATIONS = {
     Contractible: ("contraction", _check_contraction),
     Isomorphism: ("isomorphism", lambda step, source, target: iso_defect(
         step.iso, step.inverse, source, target)),
-    SuspensionPair: ("suspension", _check_suspension),
 }
 
 

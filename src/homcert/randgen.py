@@ -17,10 +17,7 @@ from .constructions import (
     module_tensor, suspend,
 )
 from .exactalg import Matrix, ZZ
-from .kernel import (
-    Certificate, ClassExpr, Contractible, ExactRow, Isomorphism,
-    SuspensionPair,
-)
+from .kernel import Certificate, ClassExpr, Contractible, ExactRow, Isomorphism
 from .koszul import koszul
 from .structures import (
     HomotopyStructure, find_structure, restrict, structure_from_contraction,
@@ -147,7 +144,7 @@ def lift_pair(rng, t: int, tries: int = 12):
 
 def _mutable_steps(cert):
     return [i for i, s in enumerate(cert.steps)
-            if isinstance(s, (ExactRow, Contractible, Isomorphism, SuspensionPair))
+            if isinstance(s, (ExactRow, Contractible, Isomorphism))
             and s.mult != 0]
 
 

@@ -33,10 +33,7 @@ from fractions import Fraction
 
 from .complexes import ChainMap, GradedFreeComplex
 from .exactalg import Matrix, ModularRing, QQ, Ring, ZZ, Zmod
-from .kernel import (
-    Certificate, ClassExpr, Contractible, ExactRow, Isomorphism, Slot,
-    SuspensionPair,
-)
+from .kernel import Certificate, ClassExpr, Contractible, ExactRow, Isomorphism, Slot
 from .structures import HomotopyStructure
 
 
@@ -305,7 +302,6 @@ _MAP_STEPS = {
     "ISO": (Isomorphism, ("source", "target"),
             (("map", "iso", "source", "target", 0),
              ("inverse", "inverse", "target", "source", 0))),
-    "SUSPEND": (SuspensionPair, ("base", "shifted"), ()),
 }
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from homcert.complexes import ChainMap, GradedFreeComplex, find_contraction, identity_map
 from homcert.constructions import (
-    disk, identity_cone_contraction, mapping_cone, module_tensor, suspend,
+    cone_same, disk, identity_cone_contraction, mapping_cone, module_tensor, suspend,
 )
 from homcert.exactalg import Matrix, QQ, RationalRing, ZZ, Zmod
 from homcert.certificates import (
@@ -21,8 +21,7 @@ from homcert.certificates import (
     sum_certificate,
 )
 from homcert.kernel import (
-    Certificate, ClassExpr, Contractible, ExactRow, Isomorphism, Slot,
-    SuspensionPair, check_certificate,
+    Certificate, ClassExpr, Contractible, ExactRow, Isomorphism, Slot, check_certificate,
 )
 from homcert.koszul import koszul
 from homcert.randgen import (
@@ -117,16 +116,19 @@ def test_isomorphism_step_requires_invertibility():
 
 
 def test_suspension_pair_window_guard():
+    # [up] = -[base] through the contractible cone of the identity, which
+    # spans the supports of both
     base = disk(ZZ, 1, 2, (2,))
-    up = suspend(base, 1)
-    registry = (("base", base), ("up", up))
-    step = SuspensionPair("base", "up")
+    cone = cone_same(identity_map(base.complex), base, base)
+    registry = (("base", base), ("cone", cone.total), ("up", suspend(base, 1)))
+    steps = (ExactRow("base", "cone", "up", *cone.maps, mult=-1),
+             Contractible("cone", identity_cone_contraction(base.complex)))
     claim = ClassExpr.build([("up", 1), ("base", 1)])
-    ok = Certificate(Slot(base.scalars, 3), registry, (step,), claim)
+    ok = Certificate(Slot(base.scalars, 3), registry, steps, claim)
     assert check_certificate(ok).accepted
-    tight = Certificate(Slot(base.scalars, 2), registry, (step,), claim)
+    tight = Certificate(Slot(base.scalars, 2), registry, steps, claim)
     res = check_certificate(tight)
-    assert not res.accepted and "window" in res.reason
+    assert (res.accepted, res.reason, res.step) == (False, "support leaves the slot window", 0)
 
 
 def test_fold_row_certificates_accepted():

@@ -291,6 +291,38 @@ def test_glue_rejects_middle_complex_that_is_not_a_complex(run, tmp_path):
     assert err["error"]["code"] == "invalid" and "d_1 * d_2 != 0" in err["error"]["message"]
 
 
+def test_glue_checks_its_inputs(run, tmp_path):
+    ring = Zmod(4)
+    good = disk(ring, 1, 2, (2,))
+    # the disk with its operator zeroed: d e + e d = 0, not 2
+    off = HomotopyStructure(good.complex, (2,), ((Matrix.zeros(ring, 1, 1),),))
+    incl, proj = split_row(random.Random(0), ring, good, good)
+    # the inclusion with its degree 2 matrix zeroed
+    broken = ChainMap(incl.source, incl.target, 0, (incl.mats[0], incl.mats[1].scale(0)))
+    cases = [
+        (dict(sub=off), "sub is not a structure: generator 0: d e + e d != 2 * id in degree 1"),
+        (dict(quotient=off), "quotient is not a structure: generator 0"),
+        (dict(include=broken), "include is not a chain map in degree 2"),
+        (dict(project=broken.transpose()), "project is not a chain map in degree"),
+    ]
+    for edit, why in cases:
+        doc = {"include": incl, "project": proj, "sub": good, "quotient": good}
+        doc.update(edit)
+        glue_in = write(tmp_path, "glue.json", {key: to_json(v) for key, v in doc.items()})
+        code, report, err = run("glue", glue_in)
+        assert code == 1 and report is None
+        assert err["error"]["code"] == "invalid" and err["error"]["message"].startswith(why)
+
+
+@pytest.mark.parametrize("target", ["missing/w.json", "."])
+def test_demo_unwritable_out_is_exit_2(run, tmp_path, target):
+    out = str(tmp_path / target)
+    code, report, err = run("demo", "wij", "--seed", "1", "--out", out)
+    assert code == 2 and report is None
+    assert err["error"]["code"] == "malformed" and err["error"]["where"] == out
+    assert err["error"]["message"].startswith(f"cannot write {out}: ")
+
+
 def test_peel_emits_accepted_certificate(run, tmp_path):
     m = contractible_structure(random.Random(5), ZZ, 3, (6,))
     path = write(tmp_path, "m.json", m)
@@ -424,11 +456,11 @@ def test_pre_witness_certificate_is_malformed(run, tmp_path, build, kind, field)
     # the earlier layout, where each step map embedded its complexes
     (lambda step, cert: step.update(include=to_json(cert.steps[0].include)),
      "certificate.steps[0].include"),
-    # step kinds the kernel does not have
+    # step kinds the kernel does not have; a suspension is a cone row
     (lambda step, cert: step.update(kind="RESTRICT"), "certificate.steps[0].kind"),
     (lambda step, cert: step.update(kind="WIDEN"), "certificate.steps[0].kind"),
     (lambda step, cert: step.update(kind="SUSPEND", base="nowhere", shifted="left"),
-     "certificate.steps[0].base"),
+     "certificate.steps[0].kind"),
 ])
 def test_step_maps_off_the_registry_are_malformed(run, tmp_path, edit, where):
     cert = sum_certificate(disk(ZZ, 1, 2, (2,)), disk(ZZ, 2, 2, (2,)), 2)
@@ -446,10 +478,10 @@ FUZZ_BASES = [
     to_json(disk_transport_certificate(Zmod(4), 1, 3, (3,))),
     to_json(fold_row_certificates(disk(ZZ, 1, 2, (3,)), 2)[0]),
     to_json(peel_chain_certificate(disk(ZZ, 1, 2, (2,)), 2)),
-    # carries SUSPEND and ACYCLIC steps
+    # carries a cone row of the identity and its contraction
     to_json(fold_defect_certificate(disk(ZZ, 1, 3, (2,)), 3)),
 ]
-NAME_KEYS = ("sub", "total", "quotient", "source", "target", "name", "base", "shifted")
+NAME_KEYS = ("sub", "total", "quotient", "source", "target", "name")
 WITNESS_KEYS = ("include", "project", "section", "retraction", "map", "inverse", "contraction")
 OTHER_TYPES = (None, 7, "7", [], {}, True, 1.5)
 

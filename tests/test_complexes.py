@@ -13,7 +13,7 @@ from sympy.polys.matrices import DomainMatrix
 import homcert.complexes
 import homcert.exactalg
 from homcert.complexes import (
-    ChainMap, GradedFreeComplex, HomotopySystem, check_ses, concentrated,
+    ChainMap, GradedFreeComplex, HomotopySystem, boundary_map, check_ses, concentrated,
     find_contraction, homology_invariants, identity_map, is_contraction, is_exact,
     null_homotopies, reduce_units, solve_homotopy, zero_complex, zero_map,
 )
@@ -88,6 +88,18 @@ def test_validate_negative_degrees():
     x = GradedFreeComplex(ZZ, -1, (1, 1), (Matrix.from_rows(ZZ, [[3]]),))
     assert validate_complex(x) != []
     assert validate_complex(x, allow_negative=True) == []
+
+
+def test_signs_in_negative_degrees_are_integers(monkeypatch):
+    chi = concentrated(ZZ, -1, 2).euler_characteristic()
+    assert chi == -2 and type(chi) is int
+    signs = []
+    real = Matrix.scale
+    monkeypatch.setattr(Matrix, "scale", lambda m, c: signs.append(c) or real(m, c))
+    # the differential as a map of shift -1 checks with the sign -1
+    x = GradedFreeComplex(ZZ, -2, (1, 1), (Matrix.from_rows(ZZ, [[3]]),))
+    assert boundary_map(x).chain_defect() is None
+    assert signs and all(c == -1 and type(c) is int for c in signs)
 
 
 def test_rank_and_diff_accessors_off_window():

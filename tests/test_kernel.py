@@ -25,16 +25,19 @@ from homcert.certificates import (
 from homcert.complexes import (
     ChainMap, GradedFreeComplex, check_ses, find_contraction, identity_map,
 )
-from homcert.constructions import disk, glue_extension, solve_splitting, suspend
+from homcert.constructions import (
+    cone_same, disk, glue_extension, identity_cone_contraction, solve_splitting, suspend,
+)
 from homcert.exactalg import Matrix, QQ, ZZ, Zmod
 from homcert.kernel import (
-    Certificate, ClassExpr, Contractible, ExactRow, Isomorphism, Slot, SuspensionPair,
-    check_certificate, split_defect,
+    Certificate, ClassExpr, Contractible, ExactRow, Isomorphism, Slot, check_certificate,
+    split_defect,
 )
 from homcert.randgen import (
     contractible_structure, corrupt_witness_entry, disk_pile, lift_pair,
     mutate_certificate, random_structure, split_row,
 )
+from homcert.serialize import dumps, loads
 from homcert.structures import HomotopyStructure, restrict
 
 P31 = 2 ** 31 - 1
@@ -212,6 +215,28 @@ def test_accepted_z_claims_balance_per_prime_lengths(seed):
         assert not check_certificate(dataclasses.replace(cert, claim=claim)).accepted
         moved += 1
     assert moved
+
+
+# -- fold defects: a suspension is a cone row and a contraction ------------------
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, Zmod(7), Zmod(12)], ids=["Z", "Q", "Z7", "Z12"])
+def test_fold_defect_cone_rows_in_every_ring(ring):
+    for seed in range(3):
+        cert = fold_defect_certificate(random_structure(random.Random(seed), ring, 5, (2,)), 5)
+        cones = [step for step in cert.steps if isinstance(step, ExactRow)
+                 and step.total.startswith("cone_up_")]
+        assert len(cones) == 3
+        res = check_certificate(cert)
+        assert res.accepted, (res.reason, res.step)
+        assert loads(dumps(cert)) == cert
+        # the claim the suspension pairs gave: [base] - [fold] - [block_up_0] = 0
+        assert cert.claim.terms == (("base", 1), ("block_up_0", -1), ("fold", -1))
+        mutant, where = corrupt_witness_entry(random.Random(seed), cert)
+        assert not check_certificate(mutant).accepted, where
+        if ring == ZZ:
+            chi = {name: chi_p(m) for name, m in cert.registry}
+            assert chi_balance(cert.claim, chi) == (0, 0, 0)
 
 
 # -- extension certificates ----------------------------------------------------
@@ -433,7 +458,13 @@ def one_step(registry, step, ceiling, scalars=(2,)):
 
 
 def suspension_pair(base, shifted, ceiling):
-    return one_step((("base", base), ("up", shifted)), SuspensionPair("base", "up"), ceiling)
+    """[base] + [shifted] = 0 as the row base >--> cone(id) -->> shifted plus
+    the cone's contraction; ``shifted`` need not be the cone's quotient."""
+    cone = cone_same(identity_map(base.complex), base, base)
+    steps = (ExactRow("base", "cone", "up", *cone.maps, mult=-1),
+             Contractible("cone", identity_cone_contraction(base.complex)))
+    return Certificate(Slot((2,), ceiling), (("base", base), ("cone", cone.total), ("up", shifted)),
+                       steps, ClassExpr.build([("base", 1), ("up", 1)]))
 
 
 def off_axiom_disk():
@@ -474,14 +505,15 @@ SUM = two_disk_sum()
     (lambda: suspension_pair(D1, suspend(D1), 3), (True, None, None)),
     # the differential keeps its sign; the degrees do not move; they move by two
     (lambda: suspension_pair(D1, disk(ZZ, 1, 3, (2,)), 3),
-     (False, "shifted object is not the suspension of the base", 0)),
+     (False, "row arrows do not connect the named objects", 0)),
     (lambda: suspension_pair(D1, D1, 3),
-     (False, "shifted object is not the suspension of the base", 0)),
+     (False, "row arrows do not connect the named objects", 0)),
     (lambda: suspension_pair(D1, suspend(D1, 2), 4),
-     (False, "shifted object is not the suspension of the base", 0)),
+     (False, "row arrows do not connect the named objects", 0)),
     # the suspension of another structure on the same complex
-    (other_lift_suspended, (False, "shifted object is not the suspension of the base", 0)),
-    # a cone that would leave the window means the shifted object already has
+    (other_lift_suspended,
+     (False, "row projection is not equivariant for generator 0 in degree 1", 0)),
+    # the cone spans the supports of both ends, so it leaves the window first
     (lambda: suspension_pair(D1, suspend(D1), 2), (False, "support leaves the slot window", 0)),
     (lambda: with_claim(SUM, *SUM.claim.terms, ("ghost", 1)),
      (False, "claim references unregistered 'ghost'", None)),

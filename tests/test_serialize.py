@@ -222,7 +222,7 @@ def test_writer_rejects_maps_off_the_named_objects():
 def test_unknown_step_kind_rejected():
     m = disk(ZZ, 1, 2, (2,))
     doc = to_json(sum_certificate(m, m, 3))
-    for kind in ("SNAP", "RESTRICT", "WIDEN"):
+    for kind in ("SNAP", "RESTRICT", "WIDEN", "SUSPEND"):
         doc["steps"][0]["kind"] = kind
         with pytest.raises(FormatError) as e:
             from_json(doc)

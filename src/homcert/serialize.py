@@ -3,10 +3,12 @@
 Conventions shared by every document kind:
 
 * ring tags are ``"Z"``, ``"Q"``, or ``{"Zmod": m}``;
-* matrix entries are decimal strings (``"-7"``, ``"3/4"``); plain JSON
-  integers are accepted on input but never emitted;
+* a matrix is ``{"entries": rows}`` over the document's ring, in the shape
+  its ranks fix (earlier ``ring``, ``rows`` and ``cols`` keys are ignored);
+  entries are decimal strings (``"-7"``, ``"3/4"``), and JSON integers or
+  decimals (``"1.5"``) are read but never written, exponents never read;
 * a complex stores ``diffs[j]`` as the differential out of degree
-  ``min_degree + j + 1`` into ``min_degree + j``;
+  ``min_degree + j + 1`` into ``min_degree + j``, each rank <= ``RANK_LIMIT``;
 * a standalone chain map embeds its source and target so the file stands
   alone;
 * a certificate states each complex once, in its registry: every map a step
@@ -35,6 +37,9 @@ from .complexes import ChainMap, GradedFreeComplex
 from .exactalg import Matrix, ModularRing, QQ, Ring, ZZ, Zmod
 from .kernel import Certificate, ClassExpr, Contractible, ExactRow, Isomorphism, Slot
 from .structures import HomotopyStructure
+
+
+RANK_LIMIT = 1000  # a rank costs a few bytes, yet checks build rank x rank zero blocks
 
 
 class FormatError(ValueError):
@@ -114,10 +119,13 @@ def element_to_str(ring: Ring, a) -> str:
 
 
 def _parse_rational(v: str):
-    """An int when ``v`` is a decimal integer, else a Fraction (``"3/4"``, ``"1.5"``)."""
+    """An int when ``v`` is a decimal integer, else a Fraction (``"3/4"``, ``"1.5"``);
+    not an exponent form, whose every digit Fraction would write out."""
     try:
         return int(v, 10)
     except ValueError:
+        if "e" in v or "E" in v:
+            raise
         return Fraction(v)
 
 
@@ -156,27 +164,16 @@ def _ratio_writer(den: int):
 
 def matrix_to_json(a: Matrix) -> dict:
     write = str if a.den == 1 else _ratio_writer(a.den)
-    return {
-        "ring": ring_to_json(a.ring),
-        "rows": a.rows,
-        "cols": a.cols,
-        "entries": [list(map(write, row)) for row in a.ints],
-    }
+    return {"entries": [list(map(write, row)) for row in a.ints]}
 
 
-def matrix_from_json(doc, where: str = "matrix", ring: Ring = None) -> Matrix:
+def matrix_from_json(doc, where: str, ring: Ring, rows: int, cols: int) -> Matrix:
+    """``doc`` as a ``rows`` x ``cols`` matrix over ``ring``; its document fixes all three."""
     doc = _dict(doc, where)
-    got = ring_from_json(_get(doc, "ring", where), where + ".ring")
-    if ring is not None and got != ring:
-        _fail(f"ring mismatch: {got!r} inside a {ring!r} document", where + ".ring")
-    rows = _int(_get(doc, "rows", where), where + ".rows")
-    cols = _int(_get(doc, "cols", where), where + ".cols")
-    if rows < 0 or cols < 0:
-        _fail("negative matrix shape", where)
     raw = _list(_get(doc, "entries", where), where + ".entries")
     if len(raw) != rows:
         _fail(f"expected {rows} rows, got {len(raw)}", where + ".entries")
-    read = _element_reader(got)
+    read = _element_reader(ring)
     tens = (10,) * cols
     ents, integral = [], True
     for i, r in enumerate(raw):
@@ -195,14 +192,23 @@ def matrix_from_json(doc, where: str = "matrix", ring: Ring = None) -> Matrix:
         except (ValueError, ZeroDivisionError, TypeError):
             # Rare path: find the first bad entry and name it.
             for j, x in enumerate(r):
-                element_from_json(got, x, f"{where}.entries[{i}][{j}]")
+                element_from_json(ring, x, f"{where}.entries[{i}][{j}]")
             raise
-    if got == QQ and not integral:
-        return Matrix(got, rows, cols, ents)
-    if isinstance(got, ModularRing):
-        m = got.modulus
+    if ring == QQ and not integral:
+        return Matrix(ring, rows, cols, ents)
+    if isinstance(ring, ModularRing):
+        m = ring.modulus
         ents = [tuple(x % m for x in row) for row in ents]
-    return Matrix.from_ints(got, rows, cols, tuple(ents))
+    return Matrix.from_ints(ring, rows, cols, tuple(ents))
+
+
+def _matrices(raw, where: str, ring: Ring, shapes: list) -> tuple:
+    """``raw`` as a list of matrices over ``ring``, one per (rows, cols) in ``shapes``."""
+    raw = _list(raw, where)
+    if len(raw) != len(shapes):
+        _fail(f"expected {len(shapes)} matrices, got {len(raw)}", where)
+    return tuple(matrix_from_json(m, f"{where}[{i}]", ring, rows, cols)
+                 for i, (m, (rows, cols)) in enumerate(zip(raw, shapes)))
 
 
 # -- complexes ---------------------------------------------------------
@@ -221,12 +227,12 @@ def complex_from_json(doc, where: str = "complex") -> GradedFreeComplex:
     doc = _dict(doc, where)
     ring = ring_from_json(_get(doc, "ring", where), where + ".ring")
     min_degree = _int(_get(doc, "min_degree", where), where + ".min_degree")
-    ranks = tuple(_int(r, f"{where}.ranks[{i}]")
-                  for i, r in enumerate(_list(_get(doc, "ranks", where), where + ".ranks")))
-    if any(r < 0 for r in ranks):
-        _fail("negative rank", where + ".ranks")
-    diffs = tuple(matrix_from_json(d, f"{where}.diffs[{i}]", ring)
-                  for i, d in enumerate(_list(_get(doc, "diffs", where), where + ".diffs")))
+    ranks = tuple(_list(_get(doc, "ranks", where), where + ".ranks"))
+    for i, r in enumerate(ranks):
+        if not 0 <= _int(r, f"{where}.ranks[{i}]") <= RANK_LIMIT:
+            _fail(f"rank must be between 0 and {RANK_LIMIT}", f"{where}.ranks[{i}]")
+    diffs = _matrices(_get(doc, "diffs", where), where + ".diffs", ring,
+                      list(zip(ranks, ranks[1:])))
     try:
         return GradedFreeComplex(ring, min_degree, ranks, diffs)
     except ValueError as e:
@@ -250,12 +256,19 @@ def chain_map_from_json(doc, where: str = "map") -> ChainMap:
     shift = _int(_get(doc, "shift", where), where + ".shift")
     source = complex_from_json(_get(doc, "source", where), where + ".source")
     target = complex_from_json(_get(doc, "target", where), where + ".target")
-    mats = tuple(matrix_from_json(m, f"{where}.mats[{i}]", source.ring)
-                 for i, m in enumerate(_list(_get(doc, "mats", where), where + ".mats")))
+    return _map_from_json(doc, "mats", source, target, shift, where)
+
+
+def _map_from_json(doc: dict, key: str, source: GradedFreeComplex,
+                   target: GradedFreeComplex, shift: int, where: str) -> ChainMap:
+    """A map stored as its matrices, one per source degree."""
+    at = f"{where}.{key}"
+    mats = _matrices(_get(doc, key, where), at, source.ring,
+                     [(target.rank(i + shift), source.rank(i)) for i in source.degrees()])
     try:
         return ChainMap(source, target, shift, mats)
     except ValueError as e:
-        _fail(str(e), where)
+        _fail(str(e), at)
 
 
 # -- structures --------------------------------------------------------
@@ -276,13 +289,11 @@ def structure_from_json(doc, where: str = "structure") -> HomotopyStructure:
     scalars = tuple(
         element_from_json(x.ring, s, f"{where}.scalars[{g}]")
         for g, s in enumerate(_list(_get(doc, "scalars", where), where + ".scalars")))
-    ops = []
-    for g, grid in enumerate(_list(_get(doc, "ops", where), where + ".ops")):
-        grid = _list(grid, f"{where}.ops[{g}]")
-        ops.append(tuple(matrix_from_json(e, f"{where}.ops[{g}][{j}]", x.ring)
-                         for j, e in enumerate(grid)))
+    shapes = list(zip(x.ranks[1:], x.ranks))
+    ops = tuple(_matrices(grid, f"{where}.ops[{g}]", x.ring, shapes)
+                for g, grid in enumerate(_list(_get(doc, "ops", where), where + ".ops")))
     try:
-        return HomotopyStructure(x, scalars, tuple(ops))
+        return HomotopyStructure(x, scalars, ops)
     except ValueError as e:
         _fail(str(e), where)
 
@@ -303,18 +314,6 @@ _MAP_STEPS = {
             (("map", "iso", "source", "target", 0),
              ("inverse", "inverse", "target", "source", 0))),
 }
-
-
-def _map_from_json(doc: dict, key: str, source: GradedFreeComplex,
-                   target: GradedFreeComplex, shift: int, where: str) -> ChainMap:
-    """A step map stored as its matrices, one per source degree."""
-    at = f"{where}.{key}"
-    mats = tuple(matrix_from_json(m, f"{at}[{i}]", source.ring)
-                 for i, m in enumerate(_list(_get(doc, key, where), at)))
-    try:
-        return ChainMap(source, target, shift, mats)
-    except ValueError as e:
-        _fail(str(e), at)
 
 
 def _step_to_json(step, complexes: dict, where: str) -> dict:
@@ -436,8 +435,6 @@ def to_json(obj):
         return chain_map_to_json(obj)
     if isinstance(obj, GradedFreeComplex):
         return complex_to_json(obj)
-    if isinstance(obj, Matrix):
-        return matrix_to_json(obj)
     raise ValueError(f"no JSON form for {type(obj).__name__}")
 
 

@@ -9,7 +9,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from homcert import cli
+from homcert import cli, serialize
 from homcert.certificates import (
     disk_transport_certificate, fold_defect_certificate, fold_row_certificates,
     peel_chain_certificate, sum_certificate,
@@ -104,6 +104,29 @@ def test_too_large_modulus_is_exit_2(run, tmp_path):
     code, report, err = run("validate", write(tmp_path, "x.json", doc))
     assert code == 2 and report is None
     assert err["error"]["code"] == "malformed" and err["error"]["where"].endswith("ring.Zmod")
+
+
+@pytest.mark.parametrize("doc, where", [
+    # Fraction would write out the 4,000,001 digits of 10^4000000
+    (lambda: {"ring": "Q", "min_degree": 0, "ranks": [1, 1],
+              "diffs": [{"entries": [["1e4000000"]]}]},
+     "complex.diffs[0].entries[0][0]"),
+    # validate would build a zero matrix with one row per unit of rank
+    (lambda: {"ring": "Z", "min_degree": 0, "ranks": [serialize.RANK_LIMIT + 1], "diffs": []},
+     "complex.ranks[0]"),
+    # and here multiply the zero blocks below and above the windows into a
+    # rank x rank matrix
+    (lambda: {"shift": 0, "mats": [{"entries": []}],
+              "source": {"ring": "Z", "min_degree": 1, "ranks": [serialize.RANK_LIMIT + 1],
+                         "diffs": []},
+              "target": {"ring": "Z", "min_degree": 0, "ranks": [serialize.RANK_LIMIT],
+                         "diffs": []}},
+     "chain_map.source.ranks[0]"),
+])
+def test_small_document_asking_for_huge_work_is_exit_2(run, tmp_path, doc, where):
+    code, report, err = run("validate", write(tmp_path, "x.json", doc()))
+    assert code == 2 and report is None
+    assert err["error"]["code"] == "malformed" and err["error"]["where"] == where
 
 
 def _digits_doc():
@@ -451,8 +474,9 @@ def test_pre_witness_certificate_is_malformed(run, tmp_path, build, kind, field)
 
 @pytest.mark.parametrize("edit, where", [
     (lambda step, cert: step.update(sub="nowhere"), "certificate.steps[0].sub"),
-    # left is a rank 1 disk and right a rank 2 disk: include cannot start at right
-    (lambda step, cert: step.update(sub="right"), "certificate.steps[0].include"),
+    # left is a rank 1 disk and right a rank 2 disk: include cannot start at
+    # right, so its first matrix has too few columns
+    (lambda step, cert: step.update(sub="right"), "certificate.steps[0].include[0].entries[0]"),
     # the earlier layout, where each step map embedded its complexes
     (lambda step, cert: step.update(include=to_json(cert.steps[0].include)),
      "certificate.steps[0].include"),
@@ -518,6 +542,12 @@ def _mutate(doc, move, pick):
             rows.pop(pick(len(rows)))
         else:
             rows.append(list(rows[0]) if rows else ["1"])
+    elif move == "rank":
+        cands = [p for p in paths if p and p[-1] == "ranks"]
+        ranks = _at(doc, cands[pick(len(cands))])
+        i = pick(len(ranks))
+        new = [0, ranks[i] + 1, max(ranks[i] - 1, 0), serialize.RANK_LIMIT + 1]
+        ranks[i] = new[pick(len(new))]
     elif move == "rename":
         cands = [(i, k) for i, step in enumerate(doc["steps"]) for k in NAME_KEYS if k in step]
         i, k = cands[pick(len(cands))]
@@ -536,7 +566,8 @@ def fuzz_dir(tmp_path_factory):
 
 @settings(max_examples=150, deadline=None)
 @given(base=st.integers(0, len(FUZZ_BASES) - 1),
-       move=st.sampled_from(("delete_key", "retype", "matrix_rows", "rename", "truncate")),
+       move=st.sampled_from(("delete_key", "retype", "matrix_rows", "rank", "rename",
+                             "truncate")),
        data=st.data())
 def test_certify_survives_json_mutants(fuzz_dir, base, move, data):
     doc = json.loads(json.dumps(FUZZ_BASES[base]))

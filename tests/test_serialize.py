@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from homcert import kernel, serialize
+from homcert.cli import main
 from homcert.certificates import (
     disk_transport_certificate, fold_defect_certificate, fold_identity_certificate,
     fold_row_certificates, peel_chain_certificate, structure_independence_certificate,
@@ -52,35 +53,37 @@ def test_matrix_round_trip_all_rings():
     ]
     for a in mats:
         doc = matrix_to_json(a)
-        assert matrix_from_json(doc) == a
+        assert list(doc) == ["entries"]
+        assert matrix_from_json(doc, "m", a.ring, a.rows, a.cols) == a
     doc = matrix_to_json(mats[1])
     assert doc["entries"][0] == ["3/4", "-5"]
 
 
 def test_matrix_accepts_int_entries():
-    a = matrix_from_json({"ring": "Z", "rows": 1, "cols": 2,
-                          "entries": [[4, "-2"]]})
+    a = matrix_from_json({"entries": [[4, "-2"]]}, "m", ZZ, 1, 2)
     assert a == Matrix.from_rows(ZZ, [[4, -2]])
     # Q rows of decimal integers and rows with fractions or decimals read
     # as the values Fraction gives; Z/m entries are reduced.
     raw = [["+3", "-0", " 2 ", "10"], ["3/4", "1.5", 7, "-10/4"]]
-    q = matrix_from_json({"ring": "Q", "rows": 2, "cols": 4, "entries": raw})
+    q = matrix_from_json({"entries": raw}, "m", QQ, 2, 4)
     assert q == Matrix.from_rows(QQ, [[Fraction(x) for x in row] for row in raw])
     assert (q.ints, q.den) == (((12, 0, 8, 40), (3, 6, 28, -10)), 4)
-    z = matrix_from_json({"ring": {"Zmod": 5}, "rows": 1, "cols": 3, "entries": [["-1", 12, "7"]]})
+    z = matrix_from_json({"entries": [["-1", 12, "7"]]}, "m", Zmod(5), 1, 3)
     assert z.ints == ((4, 2, 2),)
 
 
 def test_matrix_shape_errors_carry_breadcrumbs():
     with pytest.raises(FormatError) as e:
-        matrix_from_json({"ring": "Z", "rows": 2, "cols": 1, "entries": [["1"]]},
-                         "m")
+        matrix_from_json({"entries": [["1"]]}, "m", ZZ, 2, 1)
     assert "m.entries" in e.value.where
     with pytest.raises(FormatError) as e:
-        matrix_from_json({"ring": "Z", "rows": 1, "cols": 1, "entries": [[True]]})
+        matrix_from_json({"entries": [["1", "2"]]}, "m", ZZ, 1, 1)
+    assert e.value.where == "m.entries[0]"
+    with pytest.raises(FormatError) as e:
+        matrix_from_json({"entries": [[True]]}, "m", ZZ, 1, 1)
     assert "entries[0][0]" in e.value.where
     with pytest.raises(FormatError):
-        matrix_from_json({"ring": "Q", "rows": 1, "cols": 1, "entries": [["1/0"]]})
+        matrix_from_json({"entries": [["1/0"]]}, "m", QQ, 1, 1)
 
 
 @pytest.mark.parametrize("ring, bad, message", [
@@ -88,11 +91,12 @@ def test_matrix_shape_errors_carry_breadcrumbs():
     ("Q", "1/0", "not a ring element: '1/0'"),
     ({"Zmod": 7}, True, "expected a ring element"),
     ("Q", 1.5, "expected a ring element"),
+    # Fraction would write out every digit of an exponent form
+    ("Q", "-2.5E-4000000", "not a ring element: '-2.5E-4000000'"),
 ])
 def test_bad_entry_in_nested_matrix_is_named(ring, bad, message):
     entries = [["1", "2", "3"], ["4", "5", bad]]
-    doc = {"ring": ring, "min_degree": 0, "ranks": [2, 3],
-           "diffs": [{"ring": ring, "rows": 2, "cols": 3, "entries": entries}]}
+    doc = {"ring": ring, "min_degree": 0, "ranks": [2, 3], "diffs": [{"entries": entries}]}
     with pytest.raises(FormatError) as e:
         complex_from_json(doc)
     assert e.value.where == "complex.diffs[0].entries[1][2]"
@@ -117,8 +121,7 @@ def test_complex_round_trip_and_determinism():
 def test_complex_rejects_bad_shapes():
     with pytest.raises(FormatError):
         from_json({"ring": "Z", "min_degree": 0, "ranks": [1, 1],
-                   "diffs": [{"ring": "Z", "rows": 2, "cols": 1,
-                              "entries": [["1"], ["0"]]}]})
+                   "diffs": [{"entries": [["1"], ["0"]]}]})
     with pytest.raises(FormatError):
         from_json({"ring": "Z", "min_degree": 0, "ranks": [1, -1], "diffs": []})
 
@@ -183,6 +186,7 @@ CERTIFICATE_BUILDERS = [
 def test_certificate_round_trip_and_reaccept(build):
     cert = build()
     text = dumps(cert)
+    assert _matrix_key_sets(text) == {("entries",)}
     back = loads(text)
     assert back == cert
     assert dumps(back) == text
@@ -253,6 +257,21 @@ def test_loads_rejects_unreadable_text(text):
 LAYOUT_RINGS = [(ZZ, 2), (QQ, Fraction(2, 3)), (Zmod(7), 3), (Zmod(12), 5)]
 
 
+def _matrix_key_sets(text):
+    """The sorted keys of each matrix object in a written document: every
+    object with an ``entries``, ``rows`` or ``cols`` key."""
+    found, todo = set(), [json.loads(text)]
+    while todo:
+        v = todo.pop()
+        if isinstance(v, dict):
+            if {"entries", "rows", "cols"} & set(v):
+                found.add(tuple(sorted(v)))
+            todo.extend(v.values())
+        elif isinstance(v, list):
+            todo.extend(v)
+    return found
+
+
 def _one_of_each_kind(ring, s):
     """A complex, a structure, a chain map and a certificate over ``ring``
     whose entries involve the scalar ``s``."""
@@ -262,7 +281,7 @@ def _one_of_each_kind(ring, s):
 
 
 @pytest.mark.parametrize("ring, s", LAYOUT_RINGS)
-def test_every_document_is_one_line(ring, s):
+def test_every_document_is_one_line(ring, s, tmp_path, capsys):
     texts = []
     for obj in _one_of_each_kind(ring, s):
         text = dumps(obj)
@@ -272,6 +291,41 @@ def test_every_document_is_one_line(ring, s):
         texts.append(text)
     if ring == QQ:  # all but the complex carry non-integral entries
         assert all('2/3"' in t for t in texts[1:])
+    # CLI reports: a folded structure with its two witness certificates, and
+    # a structured cone with its two maps
+    (tmp_path / "m.json").write_text(texts[1])
+    (tmp_path / "f.json").write_text(json.dumps(
+        {"map": json.loads(texts[2]), "source": json.loads(texts[1]),
+         "target": json.loads(texts[1])}))
+    for argv in (["gamma", "--general", str(tmp_path / "m.json")],
+                 ["cone", str(tmp_path / "f.json")]):
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        texts.append(text)
+        report = json.loads(text)
+        parts = report.get("witness_rows", []) + [report.get("include"), report]
+        for doc in filter(None, parts):
+            back = to_json(from_json(doc))
+            assert back == {key: doc[key] for key in back}
+    for text in texts:
+        assert _matrix_key_sets(text) == {("entries",)}
+
+
+def _earlier_matrix_to_json(a):
+    """A matrix as earlier versions wrote it, stating its ring and shape."""
+    return {"ring": ring_to_json(a.ring), "rows": a.rows, "cols": a.cols,
+            "entries": matrix_to_json(a)["entries"]}
+
+
+@pytest.mark.parametrize("ring, s", LAYOUT_RINGS)
+def test_earlier_matrix_layout_still_loads(ring, s, monkeypatch):
+    objs = _one_of_each_kind(ring, s)
+    monkeypatch.setattr(serialize, "matrix_to_json", _earlier_matrix_to_json)
+    olds = [dumps(obj) for obj in objs]
+    monkeypatch.undo()
+    for obj, old in zip(objs, olds):
+        assert _matrix_key_sets(old) == {("cols", "entries", "ring", "rows")}
+        assert loads(old) == obj
 
 
 @pytest.mark.parametrize("ring, s", LAYOUT_RINGS)
@@ -298,6 +352,7 @@ def test_random_documents_round_trip(ring_s, seed):
     ring, s = ring_s
     for obj, twin in zip(_random_documents(ring, s, seed), _random_documents(ring, s, seed)):
         text = dumps(obj)
+        assert _matrix_key_sets(text) == {("entries",)}
         assert loads(text) == obj
         assert dumps(loads(text)) == text == dumps(twin)
         if ring == QQ:

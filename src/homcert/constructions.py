@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .complexes import (
-    ChainMap, GradedFreeComplex, find_contraction, identity_map, is_contraction,
+    ChainMap, GradedFreeComplex, find_contraction, identity_map, is_contraction, zero_map,
 )
 from .exactalg import Matrix, ZZ, smith_normal_form, solve_right
 from .kernel import Row, check_structure, split_defect
@@ -79,44 +79,18 @@ class DirectSum:
 
 
 def direct_sum(ma: HomotopyStructure, mb: HomotopyStructure) -> DirectSum:
-    """Blockwise sum of two structures with the same scalars."""
+    """Blockwise sum of two structures with the same scalars.
+
+    A + B is the same-scalar cone of the zero map from the desuspension of
+    B to A: the desuspension and the cone each negate d_B and e_B, so the
+    blocks are diagonal with the original matrices, and the transposes that
+    split the cone's row are the other inclusion and projection.
+    """
     if ma.scalars != mb.scalars:
         raise ValueError("direct sum needs matching scalar tuples")
-    a, b = ma.complex, mb.complex
-    ring = a.ring
-    lo = min(a.min_degree, b.min_degree)
-    hi = max(a.top_degree, b.top_degree)
-    ranks = tuple(a.rank(i) + b.rank(i) for i in range(lo, hi + 1))
-    diffs = tuple(
-        Matrix.block([
-            [a.diff(i), Matrix.zeros(ring, a.rank(i - 1), b.rank(i))],
-            [Matrix.zeros(ring, b.rank(i - 1), a.rank(i)), b.diff(i)]])
-        for i in range(lo + 1, hi + 1))
-    total = GradedFreeComplex(ring, lo, ranks, diffs)
-    ops = tuple(
-        tuple(Matrix.block([
-            [ma.op(g, i), Matrix.zeros(ring, a.rank(i + 1), b.rank(i))],
-            [Matrix.zeros(ring, b.rank(i + 1), a.rank(i)), mb.op(g, i)]])
-            for i in range(lo, hi))
-        for g in range(ma.ngens))
-    structure = HomotopyStructure(total, ma.scalars, ops)
-    ia = ChainMap(a, total, 0, tuple(
-        Matrix.block([[Matrix.identity(ring, a.rank(i))],
-                      [Matrix.zeros(ring, b.rank(i), a.rank(i))]])
-        for i in a.degrees()))
-    ib = ChainMap(b, total, 0, tuple(
-        Matrix.block([[Matrix.zeros(ring, a.rank(i), b.rank(i))],
-                      [Matrix.identity(ring, b.rank(i))]])
-        for i in b.degrees()))
-    pa = ChainMap(total, a, 0, tuple(
-        Matrix.block([[Matrix.identity(ring, a.rank(i)),
-                       Matrix.zeros(ring, a.rank(i), b.rank(i))]])
-        for i in total.degrees()))
-    pb = ChainMap(total, b, 0, tuple(
-        Matrix.block([[Matrix.zeros(ring, b.rank(i), a.rank(i)),
-                       Matrix.identity(ring, b.rank(i))]])
-        for i in total.degrees()))
-    return DirectSum(structure, (ia, ib), (pa, pb))
+    mx = desuspend(mb)
+    row = _cone_same(zero_map(mx.complex, ma.complex), mx, ma)
+    return DirectSum(row.total, (row.include, row.section), (row.retraction, row.project))
 
 
 # -- mapping cones ----------------------------------------------------
@@ -187,12 +161,18 @@ def cone_same(f: ChainMap, mx: HomotopyStructure, my: HomotopyStructure) -> Row:
     as the total of its canonical row (see ``cone_mixed``).
 
     The diagonal operator [[e_Y, 0], [0, -e_X]] keeps the original scalars
-    instead of squaring them; the map must intertwine the operators.
+    instead of squaring them; the map must intertwine the operators.  The
+    cone of the zero map is the direct sum (see ``direct_sum``).
     """
     if mx.scalars != my.scalars:
         raise ValueError("cone_same needs equal scalar tuples")
     if not is_equivariant(f, mx, my):
         raise ValueError("cone_same needs an equivariant map")
+    return _cone_same(f, mx, my)
+
+
+def _cone_same(f: ChainMap, mx: HomotopyStructure, my: HomotopyStructure) -> Row:
+    """``cone_same`` without its input checks."""
     x, y = f.source, f.target
     ring = y.ring
     cone, incl, proj = mapping_cone(f)

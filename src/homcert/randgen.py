@@ -26,6 +26,8 @@ from .structures import (
 
 def disk_pile(rng, ring, top, scalars, summands=3):
     """Direct sum of a few disks with the given scalars, topped at ``top``."""
+    if top < 1:
+        raise ValueError(f"disk_pile needs top >= 1, got top={top}")
     total = disk(ring, rng.randint(1, 2), top, scalars)
     for _ in range(summands - 1):
         deg = rng.randint(max(1, top - 3), top)
@@ -46,6 +48,8 @@ def offset_cone(rng, ring, top, s, t):
 
 def contractible_structure(rng, ring, top, scalars):
     """Operators s_g . h on the cone of an identity map."""
+    if top < 2:
+        raise ValueError(f"contractible_structure needs top >= 2, got top={top}")
     base = disk_pile(rng, ring, top - 1, tuple(ring.one() for _ in scalars),
                      summands=2).complex
     cone, _, _ = mapping_cone(identity_map(base))
@@ -56,7 +60,7 @@ def contractible_structure(rng, ring, top, scalars):
 def random_structure(rng, ring, top, scalars):
     """A structure with the given scalars supported up to degree ``top``."""
     d = len(scalars)
-    kinds = [0, 1, 3]
+    kinds = [0, 1, 3] if top >= 2 else [0, 3]
     if top >= d:
         kinds.append(2)
     kind = rng.choice(kinds)
@@ -124,13 +128,16 @@ def lift_pair_complex(t: int) -> GradedFreeComplex:
     return GradedFreeComplex(ZZ, 0, (2, 3, 1), (d1, d2))
 
 
-def lift_pair(rng, t: int, tries: int = 12):
+_LIFT_TRIES = 12
+
+
+def lift_pair(rng, t: int):
     """Two structures with the same scalar on the same complex, distinct ops."""
     x = lift_pair_complex(t)
     first = find_structure(x, (t,), rng=rng)
     if first.structure is None:
         raise AssertionError("expected a structure on the pair complex")
-    for _ in range(tries):
+    for _ in range(_LIFT_TRIES):
         second = find_structure(x, (t,), rng=rng)
         if second.structure is not None and second.structure.ops != first.structure.ops:
             return first.structure, second.structure

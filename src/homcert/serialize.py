@@ -8,7 +8,9 @@ Conventions shared by every document kind:
   entries are decimal strings (``"-7"``, ``"3/4"``), and JSON integers or
   decimals (``"1.5"``) are read but never written, exponents never read;
 * a complex stores ``diffs[j]`` as the differential out of degree
-  ``min_degree + j + 1`` into ``min_degree + j``, each rank <= ``RANK_LIMIT``;
+  ``min_degree + j + 1`` into ``min_degree + j``, each rank <= ``RANK_LIMIT``
+  and |min_degree| <= ``DEGREE_LIMIT`` (the writer refuses a complex past
+  that bound, which it could not read back);
 * a standalone chain map embeds its source and target so the file stands
   alone;
 * a certificate states each complex once, in its registry: every map a step
@@ -40,6 +42,7 @@ from .structures import HomotopyStructure
 
 
 RANK_LIMIT = 1000  # a rank costs a few bytes, yet checks build rank x rank zero blocks
+DEGREE_LIMIT = 1000  # |min_degree| bound: checks loop over every degree between two windows
 
 
 class FormatError(ValueError):
@@ -215,6 +218,9 @@ def _matrices(raw, where: str, ring: Ring, shapes: list) -> tuple:
 
 
 def complex_to_json(x: GradedFreeComplex) -> dict:
+    if abs(x.min_degree) > DEGREE_LIMIT:
+        raise ValueError(f"min_degree {x.min_degree} is past the bound {DEGREE_LIMIT} "
+                         "that the reader enforces")
     return {
         "ring": ring_to_json(x.ring),
         "min_degree": x.min_degree,
@@ -227,6 +233,9 @@ def complex_from_json(doc, where: str = "complex") -> GradedFreeComplex:
     doc = _dict(doc, where)
     ring = ring_from_json(_get(doc, "ring", where), where + ".ring")
     min_degree = _int(_get(doc, "min_degree", where), where + ".min_degree")
+    if abs(min_degree) > DEGREE_LIMIT:
+        _fail(f"min_degree must be between -{DEGREE_LIMIT} and {DEGREE_LIMIT}",
+              where + ".min_degree")
     ranks = tuple(_list(_get(doc, "ranks", where), where + ".ranks"))
     for i, r in enumerate(ranks):
         if not 0 <= _int(r, f"{where}.ranks[{i}]") <= RANK_LIMIT:

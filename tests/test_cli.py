@@ -122,11 +122,43 @@ def test_too_large_modulus_is_exit_2(run, tmp_path):
               "target": {"ring": "Z", "min_degree": 0, "ranks": [serialize.RANK_LIMIT],
                          "diffs": []}},
      "chain_map.source.ranks[0]"),
+    # every check loops over the degrees between the windows it compares
+    (lambda: {"ring": "Z", "min_degree": -serialize.DEGREE_LIMIT - 1, "ranks": [1],
+              "diffs": []},
+     "complex.min_degree"),
+    (lambda: {"shift": 0, "mats": [{"entries": []}],
+              "source": {"ring": "Z", "min_degree": 0, "ranks": [1], "diffs": []},
+              "target": {"ring": "Z", "min_degree": serialize.DEGREE_LIMIT + 1, "ranks": [1],
+                         "diffs": []}},
+     "chain_map.target.min_degree"),
+    (lambda: _far_quotient_certificate(serialize.DEGREE_LIMIT + 1),
+     "certificate.registry[1][1].complex.min_degree"),
 ])
 def test_small_document_asking_for_huge_work_is_exit_2(run, tmp_path, doc, where):
     code, report, err = run("validate", write(tmp_path, "x.json", doc()))
     assert code == 2 and report is None
     assert err["error"]["code"] == "malformed" and err["error"]["where"] == where
+
+
+def _far_quotient_certificate(degree):
+    """[0 + 0] = [0] + [0] on zero structures, the quotient moved to ``degree``;
+    every map is a list of 0 x 0 matrices, so the document stays well formed."""
+    zero = disk(ZZ, 0, 1, ())
+    doc = to_json(sum_certificate(zero, zero, 3))
+    doc["registry"][1][1]["complex"]["min_degree"] = degree
+    return doc
+
+
+def test_suspend_past_the_degree_limit_is_refused(run, tmp_path):
+    """homcert writes no document that it would refuse to read."""
+    path = write(tmp_path, "m.json", disk(ZZ, 1, 1, (2,)))
+    code, report, err = run("suspend", path, "--by", str(serialize.DEGREE_LIMIT + 1))
+    assert code == 1 and report is None
+    assert err["error"]["code"] == "invalid" and "bound" in err["error"]["message"]
+    code, up, _ = run("suspend", path, "--by", str(serialize.DEGREE_LIMIT))
+    assert code == 0 and up["complex"]["min_degree"] == serialize.DEGREE_LIMIT
+    code, _, _ = run("validate", write(tmp_path, "up.json", up))
+    assert code == 0
 
 
 def _digits_doc():

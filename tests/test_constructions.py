@@ -15,7 +15,7 @@ from homcert.constructions import (
 )
 from homcert.exactalg import Matrix, QQ, ZZ, Zmod, solve_right
 from homcert.fold import fold_general
-from homcert.kernel import check_structure, validate_complex
+from homcert.kernel import Row, check_structure, validate_complex
 from homcert.koszul import koszul
 from homcert.randgen import contractible_structure, disk_pile, random_structure
 from homcert.structures import (
@@ -78,6 +78,21 @@ def test_disk_shape_and_contractibility():
     assert m.op(1, 4) == Matrix.scalar(ZZ, 3, 7)
 
 
+@pytest.mark.parametrize("ring", [ZZ, QQ, Zmod(7)], ids=["Z", "Q", "Z7"])
+def test_random_structure_at_top_one(ring):
+    for seed in range(50):
+        rng = random.Random(seed)
+        scalars = tuple(ring.from_int(s) for s in rng.choice(((2,), (3,), (2, 3))))
+        m = random_structure(rng, ring, 1, scalars)
+        assert check_structure(m) == []
+        x = m.complex
+        assert all(x.rank(i) == 0 for i in x.degrees() if not 0 <= i <= 1)
+    with pytest.raises(ValueError, match="top=0"):
+        disk_pile(random.Random(0), ring, 0, (2,))
+    with pytest.raises(ValueError, match="top=1"):
+        contractible_structure(random.Random(0), ring, 1, (2,))
+
+
 # -- direct sums ------------------------------------------------------
 
 
@@ -94,6 +109,54 @@ def test_direct_sum_structure_and_ses():
     assert is_equivariant(pb, s.structure, b)
     assert check_ses(ia, pb) == []
     assert check_ses(ib, pa) == []
+
+
+def _block_sum(ma, mb):
+    """A + B written out block by block: [[d_A, 0], [0, d_B]], diag(e_A, e_B),
+    the inclusions [I; 0], [0; I] and the projections [I 0], [0 I]."""
+    a, b = ma.complex, mb.complex
+    ring = a.ring
+    lo, hi = min(a.min_degree, b.min_degree), max(a.top_degree, b.top_degree)
+
+    def diag(p, q):
+        return Matrix.block([[p, Matrix.zeros(ring, p.rows, q.cols)],
+                             [Matrix.zeros(ring, q.rows, p.cols), q]])
+
+    total = GradedFreeComplex(ring, lo, tuple(a.rank(i) + b.rank(i) for i in range(lo, hi + 1)),
+                              tuple(diag(a.diff(i), b.diff(i)) for i in range(lo + 1, hi + 1)))
+    ops = tuple(tuple(diag(ma.op(g, i), mb.op(g, i)) for i in range(lo, hi))
+                for g in range(ma.ngens))
+
+    def unit(r, before, after):  # [0 I 0] with I of size r
+        return Matrix.block([[Matrix.zeros(ring, r, before), Matrix.identity(ring, r),
+                              Matrix.zeros(ring, r, after)]])
+
+    include = (ChainMap(a, total, 0, tuple(unit(a.rank(i), 0, b.rank(i)).transpose()
+                                           for i in a.degrees())),
+               ChainMap(b, total, 0, tuple(unit(b.rank(i), a.rank(i), 0).transpose()
+                                           for i in b.degrees())))
+    project = (ChainMap(total, a, 0, tuple(unit(a.rank(i), 0, b.rank(i))
+                                           for i in total.degrees())),
+               ChainMap(total, b, 0, tuple(unit(b.rank(i), a.rank(i), 0)
+                                           for i in total.degrees())))
+    return HomotopyStructure(total, ma.scalars, ops), include, project
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, Zmod(7), Zmod(12)], ids=["Z", "Q", "Z7", "Z12"])
+def test_direct_sum_is_the_block_layout(ring):
+    """The layout ``fold.sum_fold_iso`` relies on, in windows that differ
+    and reach below degree 0."""
+    rng = random.Random(20)
+    for _ in range(6):
+        scalars = (ring.from_int(rng.choice((2, 3, 5))),)
+        ma = suspend(random_structure(rng, ring, rng.randint(2, 4), scalars), rng.randint(-4, 1))
+        mb = suspend(disk_pile(rng, ring, rng.randint(1, 4), scalars), rng.randint(-4, 1))
+        s = direct_sum(ma, mb)
+        structure, include, project = _block_sum(ma, mb)
+        assert s.structure == structure
+        assert s.include == include and s.project == project
+        row = Row(ma, s.structure, mb, s.include[0], s.project[1], s.include[1], s.project[0])
+        assert row.defect() is None
 
 
 def test_direct_sum_rejects_mismatched_scalars():

@@ -17,7 +17,7 @@ from typing import Optional
 from .exactalg import (
     Matrix, Ring, ZZ, ModularRing, SmithSolver,
 )
-from .kernel import _first_non_identity, contraction_defect
+from .kernel import _degrees_from, _first_non_identity, contraction_defect
 
 
 @dataclass(frozen=True)
@@ -153,14 +153,19 @@ class ChainMap:
             return self.mats[j]
         return Matrix.zeros(self.source.ring, self.target.rank(i + self.shift), self.source.rank(i))
 
-    def chain_defect(self) -> Optional[int]:
+    def chain_defect(self, *, start: Optional[int] = None) -> Optional[int]:
         """The first source degree i with d_target f_i != (-1)^shift f_{i-1} d_i,
-        or None for a chain map."""
-        sgn = self.target.ring.from_int(-1 if self.shift % 2 else 1)
-        for i in range(min(self.source.min_degree, self.target.min_degree - self.shift) - 1,
-                       max(self.source.top_degree, self.target.top_degree - self.shift) + 2):
-            lhs = self.target.diff(i + self.shift) * self.mat(i)
-            rhs = (self.mat(i - 1) * self.source.diff(i)).scale(sgn)
+        or None for a chain map.  A degree where both sides are empty (no
+        source generators in degree i, or no target generators in degree
+        i + shift - 1) is skipped, and with ``start`` so is every degree
+        below it (see ``kernel.map_defect``)."""
+        x, y, k = self.source, self.target, self.shift
+        sgn = y.ring.from_int(-1 if k % 2 else 1)
+        for i in _degrees_from(x, start=start):
+            if not (x.rank(i) and y.rank(i + k - 1)):
+                continue
+            lhs = y.diff(i + k) * self.mat(i)
+            rhs = (self.mat(i - 1) * x.diff(i)).scale(sgn)
             if lhs != rhs:
                 return i
         return None

@@ -145,21 +145,19 @@ class FoldData:
         return self.disk_row.quotient
 
 
-def _desuspended(row: Row, total: HomotopyStructure) -> Row:
-    """``row`` one degree down, around its already desuspended ``total``;
-    desuspending moves every object, and the arrows keep their matrices."""
-    sub, quotient = desuspend(row.sub), desuspend(row.quotient)
-    ends = ((sub, total), (total, quotient), (quotient, total), (total, sub))
-    return Row(sub, total, quotient, *(ChainMap(a.complex, b.complex, 0, f.mats)
-                                       for f, (a, b) in zip(row.maps, ends)))
-
-
 def fold_general(m: HomotopyStructure, n: int) -> FoldData:
     """Fold ``m`` below the ceiling ``n`` through the comparison-cone route.
 
     Requires ``n >= d`` (for ``d`` homotopy generators) and that the
     complex is concentrated in degrees at most ``n``.  For ``n == d`` the
     output reaches degree ``-1``.
+
+    The fold is the quotient of the desuspended cone by its top disk, built
+    on the cone's own matrices: below degree n - 2 its differentials and
+    operators are the cone's ``Matrix`` objects, and the fold projection is
+    the identity.  So the cone is checked in every degree, and the fold and
+    its projection only from degree n - 2 up, where they differ from the
+    cone; every law below that uses the cone's matrices alone.
     """
     x = m.complex
     ring = x.ring
@@ -173,62 +171,55 @@ def fold_general(m: HomotopyStructure, n: int) -> FoldData:
 
     f, coeff = counit_map(m, ambient=n)
     cone = cone_mixed(f, m, coeff)
-    c = cone.total
+    c = desuspend(cone.total)
     cx = c.complex
     p = x.rank(n)
 
-    # Canonical disk through the top of the cone: degree n + 1 is the
-    # suspended top of the input, and its boundary lands as [I; -d_n].
-    dsk = disk(ring, p, n + 1, squared_scalars(m))
+    # Canonical disk through the top of the cone: degree n holds the top of
+    # the input, and its boundary lands as [I; -d_n].
+    dsk = desuspend(disk(ring, p, n + 1, squared_scalars(m)))
     incl_n = Matrix.vstack(Matrix.identity(ring, p),
                            x.diff(n).scale(ring.neg(ring.one())))
     disk_incl = ChainMap(dsk.complex, cx, 0,
-                         (incl_n, Matrix.identity(ring, cx.rank(n + 1))))
+                         (incl_n, Matrix.identity(ring, cx.rank(n))))
 
-    # Quotient of the cone by the disk: drop degree n + 1 and the
-    # coefficient block in degree n.
+    # Quotient of the cone by the disk: drop degree n and the coefficient
+    # block in degree n - 1.
     lo = cx.min_degree
     keep = Matrix.vstack(Matrix.zeros(ring, p, x.rank(n - 1)),
                          Matrix.identity(ring, x.rank(n - 1)))
     q_top = Matrix.hstack(x.diff(n), Matrix.identity(ring, x.rank(n - 1)))
-    ranks = tuple(cx.rank(i) for i in range(lo, n)) + (x.rank(n - 1),)
-    diffs = tuple(cx.diff(i) for i in range(lo + 1, n)) + (cx.diff(n) * keep,)
+    ranks = tuple(cx.rank(i) for i in range(lo, n - 1)) + (x.rank(n - 1),)
+    diffs = tuple(cx.diff(i) for i in range(lo + 1, n - 1)) + (cx.diff(n - 1) * keep,)
     qx = GradedFreeComplex(ring, lo, ranks, diffs)
-    ops = []
-    for g in range(d):
-        col = [c.op(g, i) for i in range(lo, n - 1)]
-        col.append(q_top * c.op(g, n - 1))
-        ops.append(tuple(col))
-    q = HomotopyStructure(qx, c.scalars, tuple(ops))
-    proj_mats = []
-    for i in cx.degrees():
-        if i < n:
-            proj_mats.append(Matrix.identity(ring, cx.rank(i)))
-        elif i == n:
-            proj_mats.append(q_top)
-        else:
-            proj_mats.append(Matrix.zeros(ring, 0, cx.rank(i)))
-    proj = ChainMap(cx, qx, 0, tuple(proj_mats))
+    ops = tuple(tuple(c.op(g, i) for i in range(lo, n - 2)) + (q_top * c.op(g, n - 2),)
+                for g in range(d))
+    q = HomotopyStructure(qx, c.scalars, ops)
+    proj = ChainMap(cx, qx, 0, tuple(
+        Matrix.identity(ring, cx.rank(i)) if i < n - 1
+        else q_top if i == n - 1
+        else Matrix.zeros(ring, 0, cx.rank(i)) for i in cx.degrees()))
     # The disk row splits by [0; I] against q_top = [d_n | I] and by [I, 0]
     # against [I; -d_n]; elsewhere its blocks are identities or empty.
     section = ChainMap(qx, cx, 0, tuple(
-        keep if i == n else Matrix.identity(ring, cx.rank(i)) for i in qx.degrees()))
+        keep if i == n - 1 else Matrix.identity(ring, cx.rank(i)) for i in qx.degrees()))
     retraction = ChainMap(cx, dsk.complex, 0, tuple(
-        Matrix.hstack(Matrix.identity(ring, p), Matrix.zeros(ring, p, x.rank(n - 1))) if i == n
-        else Matrix.identity(ring, p) if i == n + 1
+        Matrix.hstack(Matrix.identity(ring, p), Matrix.zeros(ring, p, x.rank(n - 1)))
+        if i == n - 1
+        else Matrix.identity(ring, p) if i == n
         else Matrix.zeros(ring, 0, cx.rank(i)) for i in cx.degrees()))
 
-    cone_end = desuspend(c)
-    data = FoldData(
-        _desuspended(cone, cone_end),
-        _desuspended(Row(dsk, c, q, disk_incl, proj, section, retraction), cone_end))
-    for name, struct in (("fold", data.structure), ("cone", cone_end)):
-        problems = check_structure(struct)
+    sub, quotient = desuspend(cone.sub), desuspend(cone.quotient)
+    coefficient_row = Row(sub, c, quotient, *(
+        ChainMap(a.complex, b.complex, 0, arrow.mats)
+        for arrow, (a, b) in zip(cone.maps, ((sub, c), (c, quotient), (quotient, c), (c, sub)))))
+    data = FoldData(coefficient_row, Row(dsk, c, q, disk_incl, proj, section, retraction))
+    for name, struct, start in (("cone", c, None), ("fold", q, n - 2)):
+        problems = check_structure(struct, start=start)
         if problems:
             raise AssertionError(f"{name} is not a structure: " + problems[0])
-    disk_row = data.disk_row
-    why = (map_defect("disk inclusion", disk_row.include, disk_row.sub, cone_end)
-           or map_defect("fold projection", disk_row.project, cone_end, data.structure))
+    why = (map_defect("disk inclusion", disk_incl, dsk, c)
+           or map_defect("fold projection", proj, c, q, start=n - 2))
     if why:
         raise AssertionError(why)
     return data

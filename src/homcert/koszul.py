@@ -10,10 +10,12 @@ the comparison maps between a structured complex and these models.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations
 from math import comb
+from operator import mul
 
-from .complexes import ChainMap, GradedFreeComplex, identity_map
+from .complexes import ChainMap, GradedFreeComplex
 from .constructions import module_tensor, suspend, tensor_module
 from .exactalg import Matrix
 from .structures import HomotopyStructure
@@ -129,16 +131,24 @@ def hodge_star(ring, scalars) -> ChainMap:
     return ChainMap(kx, ox, 0, tuple(mats))
 
 
+def word_matrix(m: HomotopyStructure, word, i: int) -> Matrix:
+    """The matrix of ``word_operator(m, word)`` out of degree ``i``: the
+    product of the k operator matrices it passes through, and nothing more."""
+    x = m.complex
+    k = len(word)
+    if not k:
+        return Matrix.identity(x.ring, x.rank(i))
+    return reduce(mul, (m.op(letter - 1, i + k - 1 - a) for a, letter in enumerate(word)))
+
+
 def word_operator(m: HomotopyStructure, word) -> ChainMap:
     """Compose generator operators, rightmost letter applied first.
 
     ``word`` holds 1-based generator indices; repeats are allowed.  The
     empty word gives the identity.
     """
-    result = identity_map(m.complex)
-    for letter in word:
-        result = result.compose(m.op_map(letter - 1))
-    return result
+    x = m.complex
+    return ChainMap(x, x, len(word), tuple(word_matrix(m, word, i) for i in x.degrees()))
 
 
 def unit_map(m: HomotopyStructure):
@@ -156,7 +166,7 @@ def unit_map(m: HomotopyStructure):
     source = suspend(tensor_module(koszul(ring, m.scalars), p), lo)
     mats = []
     for k in range(d + 1):
-        blocks = [word_operator(m, sub).mat(lo) for sub in exterior_basis(d, k)]
+        blocks = [word_matrix(m, sub, lo) for sub in exterior_basis(d, k)]
         sign = ring.from_int(-1 if (lo * k) % 2 else 1)
         mats.append(Matrix.block([blocks]).scale(sign))
     return ChainMap(source.complex, x, 0, tuple(mats)), source
@@ -185,7 +195,7 @@ def counit_map(m: HomotopyStructure, ambient=None):
             mats.append(Matrix.zeros(ring, target.complex.rank(i), x.rank(i)))
             continue
         basis = exterior_basis(d, k)
-        words = [word_operator(m, sub).mat(i) for sub in basis]
+        words = [word_matrix(m, sub, i) for sub in basis]
         sign = -1 if ((n - d) * k) % 2 else 1
 
         def entry(r, c, words=words, nb=len(basis), sign=sign):

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, report schemas, round trips, demos."""
 
 import contextlib
+import dataclasses
 import importlib
 import io
 import json
@@ -138,6 +139,41 @@ def test_small_document_asking_for_huge_work_is_exit_2(run, tmp_path, doc, where
     code, report, err = run("validate", write(tmp_path, "x.json", doc()))
     assert code == 2 and report is None
     assert err["error"]["code"] == "malformed" and err["error"]["where"] == where
+
+
+def _long_in_step(key):
+    """The zero sum certificate with its first step's ``key`` 3,000 characters long."""
+    def make():
+        doc = _far_quotient_certificate(0)
+        doc["steps"][0][key] = key[0] * 3000
+        return doc
+    return make
+
+
+@pytest.mark.parametrize("doc, where", [
+    (lambda: {"ring": "Z", "min_degree": 0, "ranks": [1, 1],
+              "diffs": [{"entries": [["9" * 5000]]}]},
+     "complex.diffs[0].entries[0][0]"),
+    (_long_in_step("sub"), "certificate.steps[0].sub"),
+    (_long_in_step("kind"), "certificate.steps[0].kind"),
+])
+def test_long_document_values_are_not_echoed_whole(capsys, tmp_path, doc, where):
+    code = main(["validate", write(tmp_path, "x.json", doc())])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err.count("\n") == 1 and len(out.err.encode()) < 300
+    err = json.loads(out.err)["error"]
+    assert err["code"] == "malformed" and err["where"] == where
+    assert "characters)" in err["message"]
+
+
+def test_writer_names_long_registry_names_briefly():
+    zero = disk(ZZ, 0, 1, ())
+    cert = sum_certificate(zero, zero, 3)
+    stray = dataclasses.replace(cert.steps[0], sub="s" * 3000)
+    with pytest.raises(ValueError) as raised:
+        to_json(dataclasses.replace(cert, steps=(stray,) + cert.steps[1:]))
+    assert len(str(raised.value)) < 300 and "3000 characters" in str(raised.value)
 
 
 def _far_quotient_certificate(degree):

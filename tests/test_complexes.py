@@ -96,8 +96,10 @@ def test_signs_in_negative_degrees_are_integers(monkeypatch):
     signs = []
     real = Matrix.scale
     monkeypatch.setattr(Matrix, "scale", lambda m, c: signs.append(c) or real(m, c))
-    # the differential as a map of shift -1 checks with the sign -1
-    x = GradedFreeComplex(ZZ, -2, (1, 1), (Matrix.from_rows(ZZ, [[3]]),))
+    # the differential as a map of shift -1 checks with the sign -1, in
+    # degree -1, the one degree where both sides are nonempty
+    x = GradedFreeComplex(ZZ, -3, (1, 1, 1), (Matrix.from_rows(ZZ, [[3]]),
+                                               Matrix.from_rows(ZZ, [[0]])))
     assert boundary_map(x).chain_defect() is None
     assert signs and all(c == -1 and type(c) is int for c in signs)
 

@@ -1,5 +1,7 @@
 """Fold construction: direct model, cone route, disk identification, sums."""
 
+import dataclasses
+import importlib
 import random
 
 import pytest
@@ -23,8 +25,10 @@ from homcert.fold import (
 from homcert.kernel import check_structure
 from homcert.koszul import koszul
 from homcert.structures import (
-    find_structure, is_equivariant, restrict, structure_from_contraction,
+    HomotopyStructure, find_structure, is_equivariant, restrict, structure_from_contraction,
 )
+
+fold_module = importlib.import_module("homcert.fold")  # the package exports a function `fold`
 
 
 def two_term(entry, scalar, bottom=0):
@@ -140,6 +144,73 @@ def test_fold_general_exact_rows():
         assert data.coefficient_row.sub == suspend(
             coefficient_block(ZZ, p, m.scalars), n - d - 1)
         assert data.coefficient_row.quotient == restrict(m, m.scalars)
+
+
+def fold_inputs():
+    rng = random.Random(11)
+    return [disk_pile(rng, ZZ, 3, (2,)), shifted_cone(rng, ZZ, 4, 3, 2),
+            suspend(koszul(ZZ, (2, 3)), 2), koszul(Zmod(12), (2, 3, 5))]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_fold_is_the_cone_below_degree_n_minus_2(case):
+    """What lets fold_general check the fold and its projection only from
+    degree n - 2 up: every law below it uses matrices of the cone, which is
+    checked in full.  The differentials out of degrees <= n - 2 and the
+    operators out of degrees < n - 2 are the cone's own objects, and the
+    projection is the identity there."""
+    m = fold_inputs()[case]
+    n = m.complex.top_degree
+    data = fold_general(m, n)
+    fold_, cone, proj = data.structure, data.disk_row.total, data.disk_row.project
+    gx, cx = fold_.complex, cone.complex
+    assert gx.min_degree == cx.min_degree <= n - 2
+    for i in range(gx.min_degree, n - 1):
+        assert gx.rank(i) == cx.rank(i) and proj.mat(i).is_identity()
+        assert i == gx.min_degree or gx.diff(i) is cx.diff(i)
+        if i < n - 2:
+            assert all(fold_.op(g, i) is cone.op(g, i) for g in range(m.ngens))
+
+
+def bump(e: Matrix) -> Matrix:
+    return e.with_entry(0, 0, e.ring.add(e.entry(0, 0), e.ring.one()))
+
+
+def test_fold_rejects_a_corrupt_cone_operator_below_the_top(monkeypatch):
+    """An operator the fold shares with the cone is caught by the cone's check."""
+    m, n = suspend(koszul(ZZ, (2, 3)), 2), 4
+    real = fold_module.cone_mixed
+
+    def corrupt(f, mx, my):
+        row = real(f, mx, my)
+        c = row.total
+        grid = c.ops[0]
+        j = next(j for j, e in enumerate(grid) if e.rows and e.cols)
+        assert c.complex.min_degree + j - 1 < n - 2  # shared with the fold once desuspended
+        ops = (grid[:j] + (bump(grid[j]),) + grid[j + 1:],) + c.ops[1:]
+        return dataclasses.replace(row, total=HomotopyStructure(c.complex, c.scalars, ops))
+
+    monkeypatch.setattr(fold_module, "cone_mixed", corrupt)
+    with pytest.raises(AssertionError, match="cone is not a structure"):
+        fold_general(m, n)
+
+
+def test_fold_rejects_a_corrupt_top_operator(monkeypatch):
+    """The fold's own top operator is caught by the checks from degree n - 2 up."""
+    m, n = suspend(koszul(ZZ, (2, 3)), 2), 4
+    real = fold_module.HomotopyStructure
+    tops = []
+
+    def corrupt(x, scalars, ops):
+        grid = ops[0]
+        tops.append((x.top_degree, grid[-1].rows * grid[-1].cols))
+        return real(x, scalars, (grid[:-1] + (bump(grid[-1]),),) + ops[1:])
+
+    monkeypatch.setattr(fold_module, "HomotopyStructure", corrupt)
+    with pytest.raises(AssertionError) as raised:
+        fold_general(m, n)
+    assert len(tops) == 1 and tops[0][0] == n - 1 and tops[0][1] > 0  # a nonempty top operator
+    assert str(raised.value).startswith("fold")
 
 
 def test_fold_general_below_ceiling_is_rescaling():

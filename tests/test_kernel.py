@@ -31,7 +31,7 @@ from homcert.constructions import (
 from homcert.exactalg import Matrix, QQ, ZZ, Zmod
 from homcert.kernel import (
     Certificate, ClassExpr, Contractible, ExactRow, Isomorphism, Slot, check_certificate,
-    split_defect,
+    check_structure, equivariance_defect, map_defect, split_defect,
 )
 from homcert.randgen import (
     contractible_structure, corrupt_witness_entry, disk_pile, lift_pair,
@@ -528,6 +528,116 @@ def test_every_rejection_reason(build, verdict):
     assert (res.accepted, res.reason, res.step) == verdict
 
 
+# -- checks that skip degrees agree with checks over every degree ---------------
+
+CHECK_RINGS = [("Z", ZZ), ("Q", QQ), ("Z7", Zmod(7)), ("Z12", Zmod(12))]
+
+
+def bumped(rng, mats: tuple) -> tuple:
+    """``mats`` with one entry of one nonempty matrix moved by 1, if there is one."""
+    spots = [j for j, m in enumerate(mats) if m.rows and m.cols]
+    if not spots:
+        return mats
+    j = rng.choice(spots)
+    m = mats[j]
+    r, c = rng.randrange(m.rows), rng.randrange(m.cols)
+    return mats[:j] + (m.with_entry(r, c, m.ring.add(m.entry(r, c), m.ring.one())),) + mats[j + 1:]
+
+
+def every_degree(*windows) -> range:
+    """The hull of the windows with two degrees to spare on each side."""
+    return range(min(x.min_degree for x in windows) - 2, max(x.top_degree for x in windows) + 3)
+
+
+def chain_failures(f: ChainMap) -> list:
+    """Every source degree where f is not a chain map, checked one by one."""
+    x, y, k = f.source, f.target, f.shift
+    sgn = y.ring.from_int(-1 if k % 2 else 1)
+    shifted = GradedFreeComplex(y.ring, y.min_degree - k, y.ranks, y.diffs)
+    return [i for i in every_degree(x, shifted)
+            if y.diff(i + k) * f.mat(i) != (f.mat(i - 1) * x.diff(i)).scale(sgn)]
+
+
+def equivariance_failures(f: ChainMap, mx, my) -> list:
+    return [(g, i) for g in range(mx.ngens) for i in every_degree(f.source, f.target)
+            if f.mat(i + 1) * mx.op(g, i) != my.op(g, i) * f.mat(i)]
+
+
+def structure_failures(m) -> list:
+    """(degree, problem) for every law that fails, in ``check_structure``'s order."""
+    x = m.complex
+    return ([(i, f"d_{i} * d_{i + 1} != 0") for i in every_degree(x)
+             if not (x.diff(i) * x.diff(i + 1)).is_zero()]
+            + [(i, f"generator {g}: d e + e d != {s} * id in degree {i}")
+               for g, s in enumerate(m.scalars) for i in every_degree(x)
+               if not (x.diff(i + 1) * m.op(g, i) + m.op(g, i - 1) * x.diff(i)).is_scalar(s)])
+
+
+def from_degree(start, failures, degree=lambda found: found):
+    """The failures in degrees >= ``start`` (all of them when it is None)."""
+    return [found for found in failures if start is None or degree(found) >= start]
+
+
+def perturbed(rng, m: HomotopyStructure) -> HomotopyStructure:
+    """``m``, or ``m`` with one differential or operator entry moved."""
+    x, ops = m.complex, m.ops
+    move = rng.randrange(3)
+    if move == 1:
+        x = GradedFreeComplex(x.ring, x.min_degree, x.ranks, bumped(rng, x.diffs))
+    elif move == 2:
+        g = rng.randrange(m.ngens)
+        ops = ops[:g] + (bumped(rng, ops[g]),) + ops[g + 1:]
+    return HomotopyStructure(x, m.scalars, ops)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ring=st.sampled_from(CHECK_RINGS), seed=st.integers(0, 10 ** 6),
+       shift=st.integers(-3, 3), gap=st.sampled_from((0, 0, 1, -2, 40, -40)),
+       aligned=st.booleans())
+def test_checks_from_a_degree_agree_with_every_degree(ring, seed, shift, gap, aligned):
+    """``chain_defect``, ``equivariance_defect`` and ``check_structure``,
+    which skip empty products and, given ``start``, every lower degree,
+    find for each ``start`` what a check of every degree finds from
+    ``start`` up; and without ``start`` what it finds anywhere."""
+    _, ring = ring
+    rng = random.Random(seed)
+    scalars = tuple(ring.from_int(rng.choice((1, 2, 3))) for _ in range(rng.randint(1, 2)))
+    mx = perturbed(rng, suspend(random_structure(rng, ring, rng.randint(2, 3), scalars),
+                                rng.randint(-4, 2)))
+    x = mx.complex
+    failures = structure_failures(mx)
+    for k in (None, *every_degree(x)):
+        kept = from_degree(k, failures, lambda found: found[0])
+        assert check_structure(mx, start=k) == [why for _, why in kept]
+
+    # a map of degree ``shift``: identities onto the suspension when aligned,
+    # else small random entries onto a structure ``gap`` degrees away
+    y = (suspend(mx, shift) if aligned else
+         suspend(random_structure(rng, ring, 3, scalars), gap)).complex
+    mats = tuple(Matrix.identity(ring, x.rank(i)) if aligned else
+                 Matrix.build(ring, y.rank(i + shift), x.rank(i),
+                              lambda r, c: ring.from_int(rng.choice((0, 0, 1, -1))))
+                 for i in x.degrees())
+    f = ChainMap(x, y, shift, bumped(rng, mats) if rng.random() < 0.5 else mats)
+    failures = chain_failures(f)
+    for k in (None, *every_degree(x, y)):
+        assert f.chain_defect(start=k) == next(iter(from_degree(k, failures)), None)
+
+    # a degree 0 map onto a structure with the same generator count
+    my = perturbed(rng, mx) if aligned else suspend(random_structure(rng, ring, 3, scalars), gap)
+    mats = tuple(Matrix.identity(ring, x.rank(i)) if aligned else
+                 Matrix.build(ring, my.complex.rank(i), x.rank(i),
+                              lambda r, c: ring.from_int(rng.choice((0, 1))))
+                 for i in x.degrees())
+    f = ChainMap(x, my.complex, 0, bumped(rng, mats) if rng.random() < 0.5 else mats)
+    chain, equivariance = chain_failures(f), equivariance_failures(f, mx, my)
+    for k in (None, *every_degree(x, my.complex)):
+        bad = from_degree(k, equivariance, lambda found: found[1])
+        assert equivariance_defect(f, mx, my, start=k) == next(iter(bad), None)
+        assert (map_defect("f", f, mx, my, start=k) is None) == (
+            not from_degree(k, chain) and not bad)
+
+
 # -- the kernel's boundary, from the syntax trees ----------------------------------
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "homcert"
@@ -608,6 +718,27 @@ def test_kernel_reaches_no_elimination():
     named = sorted((module, name, n.id) for (module, name), node in reach.items()
                    for n in ast.walk(node) if isinstance(n, ast.Name) and n.id in ELIMINATION)
     assert named == []
+
+
+def test_kernel_chooses_no_start():
+    """Certificate acceptance checks every degree: in the kernel a ``start``
+    is keyword-only, and a call passes one only to forward its caller's own,
+    so no call inside the kernel chooses a degree to start from."""
+    tree = module_tree("kernel")
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        args = fn.args
+        assert "start" not in {a.arg for a in args.posonlyargs + args.args}, fn.name
+        own = "start" in {a.arg for a in args.kwonlyargs}
+        assert not own or fn.name not in ("check_certificate", "defect", "iso_defect")
+        for call in ast.walk(fn):
+            if isinstance(call, ast.Call):
+                for kw in call.keywords:
+                    assert kw.arg is not None, f"{fn.name} passes **kwargs"
+                    if kw.arg == "start":
+                        assert own and isinstance(kw.value, ast.Name) and kw.value.id == "start", \
+                            f"{fn.name} chooses a start"
 
 
 def test_tracer_restores_every_original():

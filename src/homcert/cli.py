@@ -27,7 +27,7 @@ from .complexes import ChainMap
 from .constructions import cone_mixed, cone_same, dual, glue_extension, suspend
 from .exactalg import ZZ
 from .fold import fold_once
-from .kernel import check_certificate, check_structure, validate_complex
+from .kernel import brief, check_certificate, check_structure, validate_complex
 from .randgen import lift_pair, random_structure
 from .serialize import (
     FormatError, certificate_from_json, certificate_to_json,
@@ -260,7 +260,7 @@ def cmd_certify(args) -> int:
         "reason": res.reason,
         "failing_step": res.step,
         "steps": len(cert.steps),
-        "claim": [[name, coeff] for name, coeff in cert.claim.terms],
+        "claim": [[brief(name, str), coeff] for name, coeff in cert.claim.terms],
     }
     _emit(report)
     if not res.accepted:

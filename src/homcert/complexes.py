@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import islice
 from typing import Optional
 
@@ -118,10 +117,6 @@ def _homology(x: GradedFreeComplex, solvers: list) -> dict:
         r_out = facts[j - 1][0] if j else 0
         out[i] = HomologySummary(x.rank(i) - r_in - r_out, torsion)
     return out
-
-
-def is_exact(x: GradedFreeComplex) -> bool:
-    return all(h.is_trivial() for h in homology_invariants(x).values())
 
 
 @dataclass(frozen=True)
@@ -267,10 +262,8 @@ class HomotopySystem:
         return ChainMap(x, x, 1, tuple(mats))
 
 
-def _unit_inverse(ring: Ring, a):
-    if isinstance(ring, ModularRing):
-        return pow(a, -1, ring.modulus)
-    return ring.normalize(1 / Fraction(a))
+def _unit_inverse(ring: ModularRing, a: int) -> int:
+    return pow(a, -1, ring.modulus)
 
 
 def reduce_units(x: GradedFreeComplex) -> tuple:
@@ -279,7 +272,8 @@ def reduce_units(x: GradedFreeComplex) -> tuple:
     Returns (y, f, g, h): the reduced complex y, chain maps f: x -> y and
     g: y -> x with f g = 1, and a degree +1 operator h on x with
     g f + d h + h d = 1, so y is homotopy equivalent to x (Kaczynski,
-    Mrozek and Ślusarek 1998; Sköldberg 2006).
+    Mrozek and Ślusarek 1998; Sköldberg 2006).  Only Z/m is supported (the
+    search calls this for composite m); any other ring raises ``ValueError``.
 
     A unit a = d_i[r][s] splits X_i = <s> + B and X_{i-1} = <r> + A.  With
     gamma = d_i[A, s] and delta = d_i[r, B], the pair r, s is cancelled by
@@ -290,7 +284,9 @@ def reduce_units(x: GradedFreeComplex) -> tuple:
     composes into the running ones by f <- f' f, g <- g g',
     h <- h + g h' f.  Cancelling in d_i only deletes rows and columns of
     its neighbours, so one pass over the differentials finds every unit.
-    The output is checked once; a failed check raises ``AssertionError``.
+    The elimination runs on the stored residues: an entry a is a unit when
+    gcd(a, m) = 1, and every new entry is reduced mod m once.  The output
+    is checked once; a failed check raises ``AssertionError``.
 
     Example:
         >>> from homcert.complexes import GradedFreeComplex, reduce_units
@@ -303,8 +299,11 @@ def reduce_units(x: GradedFreeComplex) -> tuple:
         >>> h.mat(0).entries
         ((3, 0), (0, 0))
     """
-    ring, norm, n = x.ring, x.ring.normalize, len(x.ranks)
-    d = [[list(row) for row in m.entries] for m in x.diffs]
+    ring, n = x.ring, len(x.ranks)
+    if not isinstance(ring, ModularRing):
+        raise ValueError(f"unit reduction runs over Z/m only, not over {ring}")
+    m, gcd = ring.modulus, math.gcd
+    d = [list(map(list, a.ints)) for a in x.diffs]
     # f[j]: the rows of f out of slot j (degree min_degree + j); g[j]: the
     # columns of g into slot j; h[j]: h out of slot j.
     f = [[[int(p == q) for q in range(r)] for p in range(r)] for r in x.ranks]
@@ -313,21 +312,21 @@ def reduce_units(x: GradedFreeComplex) -> tuple:
     for j in range(n - 1):  # d[j] maps slot j + 1 to slot j
         while True:
             pivot = next(((r, s) for r, row in enumerate(d[j]) for s, a in enumerate(row)
-                          if ring.is_unit(a)), None)
+                          if gcd(a, m) == 1), None)
             if pivot is None:
                 break
             r, s = pivot
             inv = _unit_inverse(ring, d[j][r][s])
-            delta = [norm(inv * v) for v in d[j][r]]  # a^-1 row r: 1 at s, a^-1 delta on B
+            delta = [inv * v % m for v in d[j][r]]  # a^-1 row r: 1 at s, a^-1 delta on B
             gamma = [row[s] for row in d[j]]
-            f_r = [norm(inv * v) for v in f[j][r]]
+            f_r = [inv * v % m for v in f[j][r]]
             g_s = g[j + 1][s]
-            h[j] = [[norm(v + c * w) for v, w in zip(row, f_r)] for row, c in zip(h[j], g_s)]
-            d[j] = [[norm(v - c * w) for k, (v, w) in enumerate(zip(row, delta)) if k != s]
+            h[j] = [[(v + c * w) % m for v, w in zip(row, f_r)] for row, c in zip(h[j], g_s)]
+            d[j] = [[(v - c * w) % m for k, (v, w) in enumerate(zip(row, delta)) if k != s]
                     for q, (row, c) in enumerate(zip(d[j], gamma)) if q != r]
-            f[j] = [[norm(v - c * w) for v, w in zip(row, f_r)]
+            f[j] = [[(v - c * w) % m for v, w in zip(row, f_r)]
                     for q, (row, c) in enumerate(zip(f[j], gamma)) if q != r]
-            g[j + 1] = [[norm(v - t * w) for v, w in zip(col, g_s)]
+            g[j + 1] = [[(v - t * w) % m for v, w in zip(col, g_s)]
                         for k, (col, t) in enumerate(zip(g[j + 1], delta)) if k != s]
             del f[j + 1][s], g[j][r]
             if j + 1 < n - 1:
@@ -335,13 +334,16 @@ def reduce_units(x: GradedFreeComplex) -> tuple:
             if j:
                 for row in d[j - 1]:
                     del row[r]
+
+    def mat(rows: int, cols: int, ints: list) -> Matrix:
+        return Matrix.from_ints(ring, rows, cols, tuple(map(tuple, ints)))
+
     ranks = tuple(map(len, f))
     y = GradedFreeComplex(ring, x.min_degree, ranks, tuple(
-        Matrix(ring, ranks[j], ranks[j + 1], d[j]) for j in range(n - 1)))
-    fm = ChainMap(x, y, 0, tuple(Matrix(ring, ranks[j], x.ranks[j], f[j]) for j in range(n)))
-    gm = ChainMap(y, x, 0, tuple(Matrix(ring, ranks[j], x.ranks[j], g[j]).transpose()
-                                 for j in range(n)))
-    hm = ChainMap(x, x, 1, tuple(Matrix(ring, len(h[j]), x.ranks[j], h[j]) for j in range(n)))
+        mat(ranks[j], ranks[j + 1], d[j]) for j in range(n - 1)))
+    fm = ChainMap(x, y, 0, tuple(mat(ranks[j], x.ranks[j], f[j]) for j in range(n)))
+    gm = ChainMap(y, x, 0, tuple(mat(ranks[j], x.ranks[j], g[j]).transpose() for j in range(n)))
+    hm = ChainMap(x, x, 1, tuple(mat(len(h[j]), x.ranks[j], h[j]) for j in range(n)))
     problem = _retraction_defect(fm, gm, hm)
     if problem is not None:
         raise AssertionError("unit reduction failed its own check: " + problem)

@@ -634,14 +634,21 @@ def det(a: Matrix):
 
 
 def _row_reduce(ring: Ring, m: list, ncols: int) -> list:
-    """Gauss-Jordan elimination over Q or Z/p, in place on the rows ``m``.
+    """Gauss-Jordan elimination over Q or Z/p, in place on the int rows ``m``.
 
     Pivots are taken in the first ``ncols`` columns only (the rest is an
     augmented part); returns the pivot columns, and afterwards row k holds a
-    1 in column pivots[k] and every other row a 0 there.  Entries must be
-    canonical: Fractions over Q, ints in 0..p-1 over Z/p.
+    nonzero pivot value in column pivots[k] and every other row a 0 there.
+    Over Z/p the entries are residues 0..p-1 and each pivot value is 1.
+    Over Q the entries are integers (a rational system times a common
+    denominator) and the elimination is fraction-free (Bareiss 1968): a
+    row is cleared by cross-multiplying it with the pivot row, and then
+    divided by the gcd of its entries instead of by the previous pivot.
+    Every row stays a nonzero multiple of the row that Gauss-Jordan on
+    Fractions would hold, so a pivot value is any nonzero integer, and no
+    Fraction is made.
     """
-    p = ring.modulus if isinstance(ring, ModularRing) else None
+    p = ring._mod
     n = len(m)
     pivots = []
     for col in range(ncols):
@@ -650,21 +657,23 @@ def _row_reduce(ring: Ring, m: list, ncols: int) -> list:
         if sel is None:
             continue
         m[rk], m[sel] = m[sel], m[rk]
-        # Entries left of col are zero in the pivot row, so rows change from col on.
-        piv = m[rk][col:]
-        if p is None:
-            f = 1 / piv[0]
-            piv = m[rk][col:] = [f * x for x in piv]
-        else:
-            f = pow(piv[0], -1, p)
-            piv = m[rk][col:] = [f * x % p for x in piv]
-        for i in range(n):
-            g = m[i][col]
-            if i != rk and g:
-                if p is None:
-                    m[i][col:] = [x - g * y for x, y in zip(m[i][col:], piv)]
-                else:
+        piv = m[rk]
+        if p:
+            # Entries left of col are zero in the pivot row, so rows change from col on.
+            f = pow(piv[col], -1, p)
+            piv = m[rk][col:] = [f * x % p for x in piv[col:]]
+            for i in range(n):
+                g = m[i][col]
+                if i != rk and g:
                     m[i][col:] = [(x - g * y) % p for x, y in zip(m[i][col:], piv)]
+        else:
+            a = piv[col]
+            for i in range(n):
+                g = m[i][col]
+                if i != rk and g:
+                    row = [a * x - g * y for x, y in zip(m[i], piv)]
+                    c = math.gcd(*row)
+                    m[i] = [x // c for x in row] if c > 1 else row
         pivots.append(col)
         if rk + 1 == n:
             break
@@ -672,22 +681,27 @@ def _row_reduce(ring: Ring, m: list, ncols: int) -> list:
 
 
 def _solve_field(a: Matrix, b: Matrix) -> Optional[Matrix]:
-    """Gauss-Jordan over Q or Z/p; free variables are left zero."""
+    """Gauss-Jordan over Q or Z/p on stored ints; free variables are left zero.
+
+    [A | B] times a.den * b.den has the same solutions and integer
+    entries (residues over Z/p, where both denominators are 1).  Over Q a
+    pivot row holds its pivot value v, so its row of X is the row's
+    augmented part over v; X is written over the lcm of the pivot values.
+    """
     ring = a.ring
     c, k = a.cols, b.cols
-    # [A | B] times a.den * b.den has the same solutions and integer
-    # entries; normalize makes them Fractions over Q, residues over Z/p.
     da, db = a.den, b.den
-    aug = [list(map(ring.normalize, (*map(db.__mul__, row_a), *map(da.__mul__, row_b))))
+    aug = [[*map(db.__mul__, row_a), *map(da.__mul__, row_b)]
            for row_a, row_b in zip(a.ints, b.ints)]
     pivots = _row_reduce(ring, aug, c)
     if any(any(row[c:]) for row in aug[len(pivots):]):
         return None
-    zero = (ring.zero(),) * k
-    x = [zero] * c
-    for row, col in zip(aug, pivots):
-        x[col] = tuple(row[c:])
-    return Matrix(ring, c, k, tuple(x))
+    values = [row[col] for row, col in zip(aug, pivots)]
+    den = math.lcm(*values)
+    x = [(0,) * k] * c
+    for row, col, v in zip(aug, pivots, values):
+        x[col] = tuple(row[c:]) if v == den else tuple(map((den // v).__mul__, row[c:]))
+    return Matrix.from_ints(ring, c, k, tuple(x), den)
 
 
 class SmithSolver:
@@ -713,8 +727,7 @@ class SmithSolver:
         ring = a.ring
         self.a = a
         if ring.is_field:
-            self.rank = len(_row_reduce(ring, [list(map(ring.normalize, row)) for row in a.ints],
-                                        a.cols))
+            self.rank = len(_row_reduce(ring, list(map(list, a.ints)), a.cols))
             self.diag = [1] * self.rank
             return
         lift = a if ring == ZZ else Matrix.from_ints(ZZ, a.rows, a.cols, a.ints).hstack(

@@ -357,16 +357,25 @@ _RELATIONS = {
 }
 
 
+def brief(v, show: Callable = repr) -> str:
+    """``show(v)`` for a message; a string past 40 characters becomes its
+    first 24 and its length, so that one reason or error line stays short
+    whatever a document holds."""
+    if not isinstance(v, str) or len(v) <= 40:
+        return show(v)
+    return f"{show(v[:24])}... ({len(v)} characters)"
+
+
 def check_certificate(cert: Certificate) -> CheckResult:
     """Accept when every structure and step checks and the steps sum to the claim."""
     reg: dict = {}
     ring = None
     for name, m in cert.registry:
         if not isinstance(name, str) or name in reg:
-            return CheckResult(False, f"bad or duplicate name {name!r}")
+            return CheckResult(False, f"bad or duplicate name {brief(name)}")
         problems = check_structure(m)
         if problems:
-            return CheckResult(False, f"{name}: {problems[0]}")
+            return CheckResult(False, f"{brief(name, str)}: {problems[0]}")
         if ring is None:
             ring = m.complex.ring
         elif m.complex.ring != ring:
@@ -394,10 +403,10 @@ def check_certificate(cert: Certificate) -> CheckResult:
 
     for name, coeff in cert.claim.terms:
         if name not in reg:
-            return CheckResult(False, f"claim references unregistered {name!r}")
+            return CheckResult(False, f"claim references unregistered {brief(name)}")
         why = _fits(reg[name], slot, ring)
         if why:
-            return CheckResult(False, f"claim term {name!r}: {why}")
+            return CheckResult(False, f"claim term {brief(name)}: {why}")
     got = {name: coeff for name, coeff in expr.items() if coeff}
     if got != cert.claim.as_dict():
         return CheckResult(False, "accumulated relations do not match the claim")

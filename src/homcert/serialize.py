@@ -37,7 +37,7 @@ from fractions import Fraction
 
 from .complexes import ChainMap, GradedFreeComplex
 from .exactalg import Matrix, ModularRing, QQ, Ring, ZZ, Zmod
-from .kernel import Certificate, ClassExpr, Contractible, ExactRow, Isomorphism, Slot
+from .kernel import Certificate, ClassExpr, Contractible, ExactRow, Isomorphism, Slot, brief
 from .structures import HomotopyStructure
 
 
@@ -55,14 +55,6 @@ class FormatError(ValueError):
 
 def _fail(message: str, where: str):
     raise FormatError(message, where)
-
-
-def _echo(v) -> str:
-    """``repr(v)`` for a message; a long string becomes a short prefix and
-    its length, so that one error line stays short whatever a document holds."""
-    if not isinstance(v, str) or len(v) <= 40:
-        return repr(v)
-    return f"{v[:24]!r}... ({len(v)} characters)"
 
 
 def _dict(v, where: str) -> dict:
@@ -159,7 +151,7 @@ def element_from_json(ring: Ring, v, where: str):
     try:
         return ring.normalize(_element_reader(ring)(v))
     except (ValueError, ZeroDivisionError):
-        _fail(f"not a ring element: {_echo(v)}", where)
+        _fail(f"not a ring element: {brief(v)}", where)
     except TypeError:
         _fail("expected a ring element", where)
 
@@ -343,7 +335,7 @@ def _step_to_json(step, complexes: dict, where: str) -> dict:
                 if (f.source, f.target, f.shift) != (
                         complexes.get(doc[src]), complexes.get(doc[tgt]), shift):
                     raise ValueError(f"{where}: {key} is not a degree {shift} map "
-                                     f"from {_echo(doc[src])} to {_echo(doc[tgt])}")
+                                     f"from {brief(doc[src])} to {brief(doc[tgt])}")
                 doc[key] = [matrix_to_json(m) for m in f.mats]
             return doc
     raise ValueError(f"unknown step type {type(step).__name__}")
@@ -358,12 +350,12 @@ def _step_from_json(doc, complexes: dict, where: str):
         for key in names:
             args[key] = _str(_get(doc, key, where), f"{where}.{key}")
             if args[key] not in complexes:
-                _fail(f"unregistered name {_echo(args[key])}", f"{where}.{key}")
+                _fail(f"unregistered name {brief(args[key])}", f"{where}.{key}")
         for key, attr, src, tgt, shift in maps:
             args[attr] = _map_from_json(doc, key, complexes[args[src]],
                                         complexes[args[tgt]], shift, where)
         return cls(**args, mult=_int(doc.get("mult", 1), where + ".mult"))
-    _fail(f"unknown step kind {_echo(kind)}; expected one of {tuple(_MAP_STEPS)}", where + ".kind")
+    _fail(f"unknown step kind {brief(kind)}; expected one of {tuple(_MAP_STEPS)}", where + ".kind")
 
 
 def certificate_to_json(cert: Certificate) -> dict:

@@ -176,6 +176,41 @@ def test_writer_names_long_registry_names_briefly():
     assert len(str(raised.value)) < 300 and "3000 characters" in str(raised.value)
 
 
+def _long_name_certificate(site):
+    """A sum certificate that the kernel rejects at ``site`` on a
+    3,000-character name."""
+    zero = disk(ZZ, 0, 1, ())
+    doc = to_json(sum_certificate(zero, zero, 3))
+    name, entry = "n" * 3000, doc["registry"][0][1]
+    if site == "duplicate":
+        doc["registry"] += [[name, entry], [name, entry]]
+    elif site == "registry":
+        bad = {"complex": {"ring": "Z", "min_degree": 0, "ranks": [1, 1, 1],
+                           "diffs": [{"entries": [[1]]}, {"entries": [[1]]}]},  # d·d = 1
+               "scalars": [], "ops": []}
+        doc["registry"].insert(0, [name, bad])
+    elif site == "unregistered":
+        doc["claim"][0][0] = name
+    else:  # a registered claim term that leaves the slot window
+        far = {"complex": {"ring": "Z", "min_degree": 5, "ranks": [1], "diffs": []},
+               "scalars": [], "ops": []}
+        doc["registry"].append([name, far])
+        doc["claim"].append([name, 1])
+    return doc
+
+
+@pytest.mark.parametrize("site", ["duplicate", "registry", "unregistered", "claim_term"])
+def test_kernel_names_long_names_briefly(capsys, tmp_path, site):
+    code = main(["certify", write(tmp_path, "c.json", _long_name_certificate(site))])
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.err.count("\n") == 1 and len(out.err.encode()) < 300
+    assert len(out.out.encode()) < 1024
+    report = json.loads(out.out)
+    assert not report["accepted"] and "(3000 characters)" in report["reason"]
+    assert json.loads(out.err)["error"]["message"] == report["reason"]
+
+
 def _far_quotient_certificate(degree):
     """[0 + 0] = [0] + [0] on zero structures, the quotient moved to ``degree``;
     every map is a list of 0 x 0 matrices, so the document stays well formed."""

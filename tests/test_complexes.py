@@ -3,10 +3,12 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
@@ -14,10 +16,10 @@ import homcert.complexes
 import homcert.exactalg
 from homcert.complexes import (
     ChainMap, GradedFreeComplex, HomotopySystem, boundary_map, check_ses, concentrated,
-    find_contraction, homology_invariants, identity_map, is_contraction, is_exact,
-    null_homotopies, reduce_units, solve_homotopy, zero_complex, zero_map,
+    find_contraction, homology_invariants, identity_map, is_contraction, null_homotopies,
+    reduce_units, solve_homotopy, zero_complex, zero_map,
 )
-from homcert.exactalg import Matrix, QQ, ZZ, Zmod
+from homcert.exactalg import Matrix, ModularRing, QQ, ZZ, Zmod
 from homcert.kernel import inverse_defect, validate_complex
 from homcert.structures import find_structure
 
@@ -25,6 +27,11 @@ from homcert.structures import find_structure
 def cx(ranks, diffs, ring=ZZ, min_degree=0):
     return GradedFreeComplex(ring, min_degree, tuple(ranks),
                              tuple(Matrix.from_rows(ring, d) if d or True else d for d in diffs))
+
+
+def is_exact(x):
+    """Every homology group vanishes (the homology-based reference)."""
+    return all(h.is_trivial() for h in homology_invariants(x).values())
 
 
 def two_term(entry, ring=ZZ):
@@ -346,6 +353,108 @@ def test_reduce_units_checks_its_output(monkeypatch):
                         lambda ring, a: ring.mul(2, real(ring, a)))
     with pytest.raises(AssertionError, match="unit reduction failed its own check"):
         reduce_units(x)
+
+
+def reference_reduce_units(x):
+    """Unit reduction on ring elements: ``ring.is_unit`` finds each pivot and
+    ``ring.normalize`` reduces every new entry (the library runs the same
+    elimination on stored residues, and must give the same y, f, g, h)."""
+    ring, norm, n = x.ring, x.ring.normalize, len(x.ranks)
+    d = [[list(row) for row in m.entries] for m in x.diffs]
+    f = [[[int(p == q) for q in range(r)] for p in range(r)] for r in x.ranks]
+    g = [[row[:] for row in fj] for fj in f]
+    h = [[[0] * x.ranks[j] for _ in range(x.rank(x.min_degree + j + 1))] for j in range(n)]
+    for j in range(n - 1):
+        while True:
+            pivot = next(((r, s) for r, row in enumerate(d[j]) for s, a in enumerate(row)
+                          if ring.is_unit(a)), None)
+            if pivot is None:
+                break
+            r, s = pivot
+            inv = pow(d[j][r][s], -1, ring.modulus)
+            delta = [norm(inv * v) for v in d[j][r]]
+            gamma = [row[s] for row in d[j]]
+            f_r = [norm(inv * v) for v in f[j][r]]
+            g_s = g[j + 1][s]
+            h[j] = [[norm(v + c * w) for v, w in zip(row, f_r)] for row, c in zip(h[j], g_s)]
+            d[j] = [[norm(v - c * w) for k, (v, w) in enumerate(zip(row, delta)) if k != s]
+                    for q, (row, c) in enumerate(zip(d[j], gamma)) if q != r]
+            f[j] = [[norm(v - c * w) for v, w in zip(row, f_r)]
+                    for q, (row, c) in enumerate(zip(f[j], gamma)) if q != r]
+            g[j + 1] = [[norm(v - t * w) for v, w in zip(col, g_s)]
+                        for k, (col, t) in enumerate(zip(g[j + 1], delta)) if k != s]
+            del f[j + 1][s], g[j][r]
+            if j + 1 < n - 1:
+                del d[j + 1][s]
+            if j:
+                for row in d[j - 1]:
+                    del row[r]
+    ranks = tuple(map(len, f))
+    y = GradedFreeComplex(ring, x.min_degree, ranks, tuple(
+        Matrix(ring, ranks[j], ranks[j + 1], d[j]) for j in range(n - 1)))
+    fm = ChainMap(x, y, 0, tuple(Matrix(ring, ranks[j], x.ranks[j], f[j]) for j in range(n)))
+    gm = ChainMap(y, x, 0, tuple(Matrix(ring, ranks[j], x.ranks[j], g[j]).transpose()
+                                 for j in range(n)))
+    hm = ChainMap(x, x, 1, tuple(Matrix(ring, len(h[j]), x.ranks[j], h[j]) for j in range(n)))
+    return y, fm, gm, hm
+
+
+@st.composite
+def small_zmod_complexes(draw):
+    """A complex over Z/4, Z/8, Z/9, Z/12 or Z/36 with two to four degrees
+    and ranks at most 6: split pieces in a random basis, or arbitrary
+    entries in every other differential and zeros in the rest."""
+    mod = draw(st.sampled_from((4, 8, 9, 12, 36)))
+    ring, length = Zmod(mod), draw(st.integers(2, 4))
+    entry = st.integers(0, mod - 1)
+    if draw(st.booleans()):
+        pieces = [draw(st.lists(entry, max_size=2)) for _ in range(length - 1)]
+        return random_split_complex(random.Random(draw(st.integers(0, 9999))), ring, length,
+                                    pieces)
+    ranks = draw(st.lists(st.integers(0, 6), min_size=length, max_size=length))
+    diffs = []
+    for j in range(length - 1):
+        r, c = ranks[j], ranks[j + 1]
+        flat = [0] * (r * c) if j % 2 else draw(st.lists(entry, min_size=r * c, max_size=r * c))
+        diffs.append(Matrix.from_ints(ring, r, c, tuple(tuple(flat[i * c:(i + 1) * c])
+                                                        for i in range(r))))
+    return GradedFreeComplex(ring, draw(st.integers(-2, 2)), tuple(ranks), tuple(diffs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_zmod_complexes())
+def test_reduce_units_matches_the_element_reference(x):
+    assert reduce_units(x) == reference_reduce_units(x)
+
+
+def test_reduce_units_eliminates_on_residues(monkeypatch):
+    """No ``normalize`` or ``is_unit`` call outside the output check, whose
+    ``Matrix.scale`` and ``is_identity`` normalize their scalars."""
+    check = homcert.complexes._retraction_defect.__code__
+    inside, outside = [], []
+
+    def counted(name, real):
+        def wrapper(self, *args):
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code is not check:
+                frame = frame.f_back
+            (outside if frame is None else inside).append(name)
+            return real(self, *args)
+        return wrapper
+
+    cases = [zmod_pieces_complex(random.Random(100 * mod + k), mod)
+             for mod in (4, 8, 9, 12, 36) for k in range(5)]
+    for name in ("normalize", "is_unit"):
+        monkeypatch.setattr(ModularRing, name, counted(name, getattr(ModularRing, name)))
+    for x in cases:
+        reduce_units(x)
+    assert outside == [] and "normalize" in inside
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ], ids=str)
+def test_reduce_units_refuses_rings_other_than_z_mod_m(ring):
+    with pytest.raises(ValueError, match="Z/m only"):
+        reduce_units(two_term(1, ring=ring))
 
 
 @pytest.mark.parametrize("x", ZMOD_CASES)

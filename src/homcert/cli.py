@@ -86,6 +86,12 @@ def _field(doc: dict, key: str, decode, path: str):
     return decode(doc[key], key)
 
 
+def _failing_step(res) -> str | None:
+    """Where a rejected certificate failed: its step, or None for the
+    registry and the claim."""
+    return None if res.step is None else f"certificate.steps[{res.step}]"
+
+
 # -- validate ----------------------------------------------------------
 
 
@@ -94,6 +100,7 @@ def cmd_validate(args) -> int:
     kind = detect_kind(doc)
     obj = from_json(doc)
     report = {"command": "validate", "kind": kind}
+    where = None
     if kind == "complex":
         problems = validate_complex(obj)
         report["min_degree"] = obj.min_degree
@@ -111,11 +118,12 @@ def cmd_validate(args) -> int:
         res = check_certificate(obj)
         problems = [] if res.accepted else [res.reason]
         report["steps"] = len(obj.steps)
+        where = _failing_step(res)
     report["valid"] = not problems
     report["problems"] = problems
     _emit(report)
     if problems:
-        _emit_error("invalid", problems[0])
+        _emit_error("invalid", problems[0], where)
         return 1
     return 0
 
@@ -264,8 +272,7 @@ def cmd_certify(args) -> int:
     }
     _emit(report)
     if not res.accepted:
-        _emit_error("reject", res.reason or "certificate rejected",
-                    None if res.step is None else f"certificate.steps[{res.step}]")
+        _emit_error("reject", res.reason or "certificate rejected", _failing_step(res))
         return 1
     return 0
 

@@ -155,12 +155,14 @@ class ChainMap:
         i + shift - 1) is skipped, and with ``start`` so is every degree
         below it (see ``kernel.map_defect``)."""
         x, y, k = self.source, self.target, self.shift
-        sgn = y.ring.from_int(-1 if k % 2 else 1)
+        minus = y.ring.from_int(-1)
         for i in _degrees_from(x, start=start):
             if not (x.rank(i) and y.rank(i + k - 1)):
                 continue
             lhs = y.diff(i + k) * self.mat(i)
-            rhs = (self.mat(i - 1) * x.diff(i)).scale(sgn)
+            rhs = self.mat(i - 1) * x.diff(i)
+            if k % 2:
+                rhs = rhs.scale(minus)
             if lhs != rhs:
                 return i
         return None

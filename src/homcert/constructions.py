@@ -378,44 +378,6 @@ def peel_to_disks(m: HomotopyStructure) -> list:
 # -- tensor products --------------------------------------------------
 
 
-def tensor_complexes(x: GradedFreeComplex, y: GradedFreeComplex) -> GradedFreeComplex:
-    """Total complex of the product, left factor first and sign (-1)^i on
-    the right differential; summands are ordered by ascending left degree."""
-    ring = x.ring
-    lo = x.min_degree + y.min_degree
-    hi = x.top_degree + y.top_degree
-
-    def summands(n):
-        return [(i, n - i) for i in x.degrees() if y.min_degree <= n - i <= y.top_degree]
-
-    ranks = tuple(sum(x.rank(i) * y.rank(j) for i, j in summands(n))
-                  for n in range(lo, hi + 1))
-    diffs = []
-    for n in range(lo + 1, hi + 1):
-        rows_ix = summands(n - 1)
-        cols_ix = summands(n)
-        if not rows_ix or not cols_ix:
-            diffs.append(Matrix.zeros(ring, sum(x.rank(i) * y.rank(j) for i, j in rows_ix),
-                                      sum(x.rank(i) * y.rank(j) for i, j in cols_ix)))
-            continue
-        grid = []
-        for (ri, rj) in rows_ix:
-            row = []
-            for (ci, cj) in cols_ix:
-                shape = (x.rank(ri) * y.rank(rj), x.rank(ci) * y.rank(cj))
-                if (ri, rj) == (ci - 1, cj):
-                    row.append(x.diff(ci).kron(Matrix.identity(ring, y.rank(cj))))
-                elif (ri, rj) == (ci, cj - 1):
-                    sgn = ring.from_int(-1 if ci % 2 else 1)
-                    row.append(Matrix.identity(ring, x.rank(ci))
-                               .kron(y.diff(cj)).scale(sgn))
-                else:
-                    row.append(Matrix.zeros(ring, *shape))
-            grid.append(row)
-        diffs.append(Matrix.block(grid))
-    return GradedFreeComplex(ring, lo, ranks, tuple(diffs))
-
-
 def module_tensor(rank: int, m: HomotopyStructure) -> HomotopyStructure:
     """R^rank (x) M for a degree-0 module: every matrix becomes I (x) mat."""
     x = m.complex

@@ -8,9 +8,9 @@ cone, and divides out a canonical disk.  The two split exact rows through
 that cone, each a ``Row`` with its arrows and degreewise splitting, are
 returned alongside the fold itself.
 
-For a single homotopy generator there is also a small direct model built from
-explicit block matrices; ``fold_once_match_iso`` exhibits the canonical
-isomorphism between the two.
+For a single homotopy generator there is also a small direct model,
+``fold_once``, built from explicit block matrices; the tests tie it to the
+general fold by the canonical isomorphism between the two.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .complexes import ChainMap, GradedFreeComplex
 from .constructions import (
     cone_mixed,
     desuspend,
-    direct_sum,
     disk,
     suspend,
     tensor_module,
@@ -275,46 +274,6 @@ def fold_map(phi: ChainMap, fold_x: FoldData, fold_y: FoldData, n: int) -> Chain
     return out
 
 
-def _check_permutation_iso(iso: ChainMap, source: HomotopyStructure,
-                           target: HomotopyStructure, label: str):
-    """Self-check of a built isomorphism: a chain map, inverted by its
-    transpose, and equivariant from ``source`` to ``target``."""
-    why = iso_defect(iso, iso.transpose(), source, target)
-    if why:
-        raise AssertionError(f"{label}: {why}")
-
-
-def fold_once_match_iso(m: HomotopyStructure, n: int) -> ChainMap:
-    """Equivariant isomorphism from the general fold onto the direct model.
-
-    Only defined for a single homotopy generator with the complex reaching
-    the ceiling: the general fold stores the folded top block first with a
-    parity sign, the direct model stores it last.
-    """
-    x = m.complex
-    ring = x.ring
-    if m.ngens != 1 or x.top_degree != n:
-        raise ValueError("match iso needs one generator reaching the ceiling")
-    gen = fold_general(m, n).structure
-    small = fold_once(m, n)
-    gx, sx = gen.complex, small.complex
-    sign = ring.one() if n % 2 == 0 else ring.neg(ring.one())
-    mats = []
-    for i in gx.degrees():
-        if i == n - 2:
-            pn = x.rank(n)
-            pl = x.rank(n - 2)
-            mats.append(Matrix.block([
-                [Matrix.zeros(ring, pl, pn), Matrix.identity(ring, pl)],
-                [Matrix.identity(ring, pn).scale(sign), Matrix.zeros(ring, pn, pl)],
-            ]))
-        else:
-            mats.append(Matrix.identity(ring, gx.rank(i)))
-    iso = ChainMap(gx, sx, 0, tuple(mats))
-    _check_permutation_iso(iso, gen, small, "match iso")
-    return iso
-
-
 def coefficient_block(ring, rank: int, scalars: tuple) -> HomotopyStructure:
     """Exterior-coefficient columns on a rank ``rank`` module, rescaled.
 
@@ -360,50 +319,8 @@ def disk_fold_iso(ring, rank: int, n: int, scalars: tuple):
 
         mats.append(Matrix.build(ring, high * rank, rank * nb, entry))
     iso = ChainMap(gx, tx, 0, tuple(mats))
-    _check_permutation_iso(iso, data.structure, target, "disk fold iso")
+    # self-check: a chain map, inverted by its transpose, and equivariant
+    why = iso_defect(iso, iso.transpose(), data.structure, target)
+    if why:
+        raise AssertionError(f"disk fold iso: {why}")
     return data, target, iso
-
-
-def sum_fold_iso(ma: HomotopyStructure, mb: HomotopyStructure, n: int) -> ChainMap:
-    """Identify the fold of a direct sum with the sum of the folds.
-
-    Returns the basis-permutation isomorphism from ``fold(ma + mb)`` onto
-    ``fold(ma) + fold(mb)``; no signs are involved.
-    """
-    summed = direct_sum(ma, mb)
-    fab = fold_general(summed.structure, n)
-    fa = fold_general(ma, n)
-    fb = fold_general(mb, n)
-    target = direct_sum(fa.structure, fb.structure)
-    ring = ma.complex.ring
-    d = ma.ngens
-    pa = ma.complex.rank(n)
-    pb = mb.complex.rank(n)
-    gx = fab.structure.complex
-    tx = target.structure.complex
-    mats = []
-    for i in gx.degrees():
-        if i == n - 1:
-            mats.append(Matrix.identity(ring, gx.rank(i)))
-            continue
-        w = len(exterior_basis(d, n - 1 - i))
-        ra = ma.complex.rank(i)
-        rb = mb.complex.rank(i)
-
-        def entry(r, c, w=w, ra=ra, rb=rb):
-            # source columns: [A_n ⊗ coeff | B_n ⊗ coeff | A_i | B_i]
-            # target rows:    [A_n ⊗ coeff | A_i | B_n ⊗ coeff | B_i]
-            if r < pa * w:
-                src = r
-            elif r < pa * w + ra:
-                src = (pa + pb) * w + (r - pa * w)
-            elif r < (pa + pb) * w + ra:
-                src = pa * w + (r - pa * w - ra)
-            else:
-                src = r
-            return ring.one() if src == c else ring.zero()
-
-        mats.append(Matrix.build(ring, tx.rank(i), gx.rank(i), entry))
-    iso = ChainMap(gx, tx, 0, tuple(mats))
-    _check_permutation_iso(iso, fab.structure, target.structure, "sum fold iso")
-    return iso

@@ -1,19 +1,21 @@
 """The trusted certificate kernel: ``check_certificate`` and the checks it runs.
 
-``check_certificate`` trusts nothing: every structure is re-validated and
-every arrow is re-checked, and the claim is accepted only if it equals the
-exact accumulation of the verified relations.  There are three relations:
-split exact rows, contractible objects and isomorphisms; a suspension
-[ΣX] = -[X] is the cone row X >--> cone(id) -->> ΣX plus a contraction of
-its middle, not a relation of its own.  Each step carries the witnesses
-its check needs, so acceptance rests on matrix products and equality
-alone, the same in Z, Q, Z/p and composite Z/m: a row carries a section s
-and a retraction r with r·i = id, p·s = id and i·r + s·p = id (degreewise
-split exact), an isomorphism carries its inverse g with f·g = id and
-g·f = id, and a contraction satisfies d h + h d = id.  No Smith form,
-elimination, homology or determinant runs here.  The check is one-sided:
-acceptance proves the identity, rejection carries no information beyond
-the recorded reason.
+``check_certificate`` trusts nothing: every arrow is re-checked, every
+structure is shown to satisfy the structure law, directly or through a
+split row that it ends (see ``check_certificate``), and the claim is
+accepted only if it equals the exact accumulation of the verified
+relations.  There are three relations: split exact rows, contractible
+objects and isomorphisms; a suspension [ΣX] = -[X] is the cone row
+X >--> cone(id) -->> ΣX plus a contraction of its middle, not a relation
+of its own.  Each step carries the witnesses its check needs, so
+acceptance rests on matrix products and equality alone, the same in Z, Q,
+Z/p and composite Z/m: a row carries a section s and a retraction r with
+r·i = id, p·s = id and i·r + s·p = id (degreewise split exact), an
+isomorphism carries its inverse g with f·g = id and g·f = id, and a
+contraction satisfies d h + h d = id.  No Smith form, elimination,
+homology or determinant runs here.  The check is one-sided: acceptance
+proves the identity, rejection carries no information beyond the recorded
+reason.
 
 Every step is checked in the certificate's one slot, by the checks the
 constructions run on their own output.  At run time this module imports
@@ -328,12 +330,12 @@ def _support(m: HomotopyStructure):
     return min(degs), max(degs)
 
 
-def _fits(m: HomotopyStructure, slot: Slot, ring) -> Optional[str]:
-    want = tuple(ring.normalize(s) for s in slot.scalars)
-    if m.scalars != want:
+def _fits(m: HomotopyStructure, scalars: tuple, ceiling: int) -> Optional[str]:
+    """Why ``m`` is not in the slot of the normalized ``scalars`` and ``ceiling``."""
+    if m.scalars != scalars:
         return "scalars do not match the slot"
     span = _support(m)
-    if span is not None and (span[0] < 0 or span[1] > slot.ceiling):
+    if span is not None and (span[0] < 0 or span[1] > ceiling):
         return "support leaves the slot window"
     return None
 
@@ -367,13 +369,31 @@ def brief(v, show: Callable = repr) -> str:
 
 
 def check_certificate(cert: Certificate) -> CheckResult:
-    """Accept when every structure and step checks and the steps sum to the claim."""
+    """Accept when every structure and step checks and the steps sum to the claim.
+
+    The registry pass checks the structure law of every object except the
+    derived ones: the sub or quotient of some ``ExactRow`` step that is the
+    total of none.  Acceptance checks every row, so each derived end A or C
+    of a row A >-i-> B -p->> C has a total B checked directly, and the row
+    gives its law.  ``_fits`` puts A, B and C in the one slot, so they share
+    the scalars s; i and p are equivariant chain maps with r·i = id and
+    p·s' = id for the row's retraction r and section s'.  Write L_X for
+    d e + e d on X (per generator and degree).  Then i·L_A = L_B·i = s·i,
+    so L_A = r·i·L_A = s·id, and i·d_A² = d_B²·i = 0 gives d_A² = 0.  Dually
+    L_C·p = p·L_B = s·p gives L_C = L_C·p·s' = s·id, and d_C²·p = 0 gives
+    d_C² = 0.  A total is never derived, so no derivation leans on another,
+    and a row A >--> A -->> 0 still checks A.  A derived end that breaks
+    the law is rejected at a row step, not in the registry pass.
+    """
+    rows = [step for step in cert.steps if type(step) is ExactRow]
+    derived = ({name for row in rows for name in (row.sub, row.quotient)}
+               - {row.total for row in rows})
     reg: dict = {}
     ring = None
     for name, m in cert.registry:
         if not isinstance(name, str) or name in reg:
             return CheckResult(False, f"bad or duplicate name {brief(name)}")
-        problems = check_structure(m)
+        problems = [] if name in derived else check_structure(m)
         if problems:
             return CheckResult(False, f"{brief(name, str)}: {problems[0]}")
         if ring is None:
@@ -384,7 +404,7 @@ def check_certificate(cert: Certificate) -> CheckResult:
     if ring is None:
         return CheckResult(False, "empty registry")
 
-    slot = cert.slot
+    scalars, ceiling = tuple(map(ring.normalize, cert.slot.scalars)), cert.slot.ceiling
     expr: dict = {}
     for idx, step in enumerate(cert.steps):
         if type(step) not in _RELATIONS:
@@ -394,7 +414,7 @@ def check_certificate(cert: Certificate) -> CheckResult:
         if any(name not in reg for name in names):
             return CheckResult(False, f"{kind} references an unregistered name", idx)
         objs = [reg[name] for name in names]
-        why = next(filter(None, (_fits(m, slot, ring) for m in objs)), None)
+        why = next(filter(None, (_fits(m, scalars, ceiling) for m in objs)), None)
         why = why or check(step, *objs)
         if why:
             return CheckResult(False, why, idx)
@@ -404,7 +424,7 @@ def check_certificate(cert: Certificate) -> CheckResult:
     for name, coeff in cert.claim.terms:
         if name not in reg:
             return CheckResult(False, f"claim references unregistered {brief(name)}")
-        why = _fits(reg[name], slot, ring)
+        why = _fits(reg[name], scalars, ceiling)
         if why:
             return CheckResult(False, f"claim term {brief(name)}: {why}")
     got = {name: coeff for name, coeff in expr.items() if coeff}

@@ -13,7 +13,7 @@ import dataclasses
 
 from .complexes import ChainMap, GradedFreeComplex, identity_map
 from .constructions import (
-    cone_mixed, direct_sum, disk, identity_cone_contraction, mapping_cone,
+    direct_sum, disk, identity_cone_contraction, mapping_cone,
     module_tensor, suspend,
 )
 from .exactalg import Matrix, ZZ
@@ -33,17 +33,6 @@ def disk_pile(rng, ring, top, scalars, summands=3):
         deg = rng.randint(max(1, top - 3), top)
         total = direct_sum(total, disk(ring, rng.randint(1, 2), deg, scalars)).structure
     return total
-
-
-def offset_cone(rng, ring, top, s, t):
-    """Cone over a map of adjacent disks; the product scalar is s * t."""
-    r = rng.randint(1, 2)
-    a = disk(ring, r, top - 1, (s,))
-    b = disk(ring, r, top, (t,))
-    mat = Matrix.build(ring, r, r,
-                       lambda i, j: ring.from_int(rng.randint(-2, 2)))
-    arrow = ChainMap(a.complex, b.complex, 0, (Matrix.zeros(ring, 0, r), mat))
-    return cone_mixed(arrow, a, b).total
 
 
 def contractible_structure(rng, ring, top, scalars):

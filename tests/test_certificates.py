@@ -8,7 +8,7 @@ import pytest
 
 from homcert.complexes import ChainMap, GradedFreeComplex, find_contraction, identity_map
 from homcert.constructions import (
-    cone_same, disk, identity_cone_contraction, mapping_cone, module_tensor, suspend,
+    cone_mixed, cone_same, disk, identity_cone_contraction, mapping_cone, module_tensor, suspend,
 )
 from homcert.exactalg import Matrix, QQ, RationalRing, ZZ, Zmod
 from homcert.certificates import (
@@ -30,7 +30,6 @@ from homcert.randgen import (
     disk_pile,
     lift_pair,
     mutate_certificate,
-    offset_cone,
     random_structure,
 )
 from homcert.serialize import dumps, loads
@@ -129,6 +128,17 @@ def test_suspension_pair_window_guard():
     tight = Certificate(Slot(base.scalars, 2), registry, steps, claim)
     res = check_certificate(tight)
     assert (res.accepted, res.reason, res.step) == (False, "support leaves the slot window", 0)
+
+
+def offset_cone(rng, ring, top, s, t):
+    """Cone over a map of adjacent disks; the product scalar is s * t."""
+    r = rng.randint(1, 2)
+    a = disk(ring, r, top - 1, (s,))
+    b = disk(ring, r, top, (t,))
+    mat = Matrix.build(ring, r, r,
+                       lambda i, j: ring.from_int(rng.randint(-2, 2)))
+    arrow = ChainMap(a.complex, b.complex, 0, (Matrix.zeros(ring, 0, r), mat))
+    return cone_mixed(arrow, a, b).total
 
 
 def test_fold_row_certificates_accepted():

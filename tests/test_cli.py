@@ -502,6 +502,27 @@ def test_certify_reject_reports_step(run, tmp_path):
                             "where": "certificate.steps[0]"}
 
 
+def off_axiom_right_sum_doc():
+    """A sum of two disks whose ``right`` end carries the operator 3, not 2."""
+    m = disk(ZZ, 1, 2, (2,))
+    cert = sum_certificate(m, m, 2)
+    bad = HomotopyStructure(m.complex, (2,), ((Matrix.scalar(ZZ, 1, 3),),))
+    registry = tuple((name, bad if name == "right" else s) for name, s in cert.registry)
+    return to_json(dataclasses.replace(cert, registry=registry))
+
+
+@pytest.mark.parametrize("command", ["certify", "validate"])
+def test_off_axiom_row_end_names_its_row(capsys, tmp_path, command):
+    # a row end is checked through its row, so the rejection names step 0
+    code = main([command, write(tmp_path, "c.json", off_axiom_right_sum_doc())])
+    out = capsys.readouterr()
+    assert code == 1 and out.err.count("\n") == 1
+    assert json.loads(out.err)["error"] == {
+        "code": "reject" if command == "certify" else "invalid",
+        "message": "row projection is not equivariant for generator 0 in degree 1",
+        "where": "certificate.steps[0]"}
+
+
 def test_certify_requires_certificate(run, tmp_path):
     path = write(tmp_path, "m.json", disk(ZZ, 1, 2, (2,)))
     code, report, err = run("certify", path)

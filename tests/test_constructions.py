@@ -11,7 +11,7 @@ from homcert.complexes import (
 from homcert.constructions import (
     cone_mixed, cone_same, direct_sum, disk, dual, glue_extension,
     identity_cone_contraction, mapping_cone, module_tensor, peel_to_disks,
-    peel_top, suspend, suspend_complex, tensor_complexes, tensor_module,
+    peel_top, suspend, suspend_complex, tensor_module,
 )
 from homcert.exactalg import Matrix, QQ, ZZ, Zmod, solve_right
 from homcert.fold import fold_general
@@ -144,8 +144,8 @@ def _block_sum(ma, mb):
 
 @pytest.mark.parametrize("ring", [ZZ, QQ, Zmod(7), Zmod(12)], ids=["Z", "Q", "Z7", "Z12"])
 def test_direct_sum_is_the_block_layout(ring):
-    """The layout ``fold.sum_fold_iso`` relies on, in windows that differ
-    and reach below degree 0."""
+    """The layout that ``sum_fold_iso`` (in test_fold.py) relies on, in
+    windows that differ and reach below degree 0."""
     rng = random.Random(20)
     for _ in range(6):
         scalars = (ring.from_int(rng.choice((2, 3, 5))),)
@@ -394,6 +394,44 @@ def test_peel_rejects_non_contractible():
 
 
 # -- tensor products --------------------------------------------------
+
+
+def tensor_complexes(x, y):
+    """Total complex of the product, left factor first and sign (-1)^i on
+    the right differential; summands are ordered by ascending left degree."""
+    ring = x.ring
+    lo = x.min_degree + y.min_degree
+    hi = x.top_degree + y.top_degree
+
+    def summands(n):
+        return [(i, n - i) for i in x.degrees() if y.min_degree <= n - i <= y.top_degree]
+
+    ranks = tuple(sum(x.rank(i) * y.rank(j) for i, j in summands(n))
+                  for n in range(lo, hi + 1))
+    diffs = []
+    for n in range(lo + 1, hi + 1):
+        rows_ix = summands(n - 1)
+        cols_ix = summands(n)
+        if not rows_ix or not cols_ix:
+            diffs.append(Matrix.zeros(ring, sum(x.rank(i) * y.rank(j) for i, j in rows_ix),
+                                      sum(x.rank(i) * y.rank(j) for i, j in cols_ix)))
+            continue
+        grid = []
+        for (ri, rj) in rows_ix:
+            row = []
+            for (ci, cj) in cols_ix:
+                shape = (x.rank(ri) * y.rank(rj), x.rank(ci) * y.rank(cj))
+                if (ri, rj) == (ci - 1, cj):
+                    row.append(x.diff(ci).kron(Matrix.identity(ring, y.rank(cj))))
+                elif (ri, rj) == (ci, cj - 1):
+                    sgn = ring.from_int(-1 if ci % 2 else 1)
+                    row.append(Matrix.identity(ring, x.rank(ci))
+                               .kron(y.diff(cj)).scale(sgn))
+                else:
+                    row.append(Matrix.zeros(ring, *shape))
+            grid.append(row)
+        diffs.append(Matrix.block(grid))
+    return GradedFreeComplex(ring, lo, ranks, tuple(diffs))
 
 
 def test_tensor_two_by_two_frozen():

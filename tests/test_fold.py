@@ -19,11 +19,9 @@ from homcert.fold import (
     fold_general,
     fold_map,
     fold_once,
-    fold_once_match_iso,
-    sum_fold_iso,
 )
-from homcert.kernel import check_structure
-from homcert.koszul import koszul
+from homcert.kernel import check_structure, iso_defect
+from homcert.koszul import exterior_basis, koszul
 from homcert.structures import (
     HomotopyStructure, find_structure, is_equivariant, restrict, structure_from_contraction,
 )
@@ -101,6 +99,37 @@ def test_fold_once_axioms_many():
         assert g.scalars[0] == ZZ.mul(m.scalars[0], m.scalars[0])
         assert g.complex.rank(n - 2) == (m.complex.rank(n - 2)
                                          + m.complex.rank(n))
+
+
+def fold_once_match_iso(m, n):
+    """Equivariant isomorphism from the general fold onto the direct model.
+
+    Only defined for a single homotopy generator with the complex reaching
+    the ceiling: the general fold stores the folded top block first with a
+    parity sign, the direct model stores it last.
+    """
+    x = m.complex
+    ring = x.ring
+    if m.ngens != 1 or x.top_degree != n:
+        raise ValueError("match iso needs one generator reaching the ceiling")
+    gen = fold_general(m, n).structure
+    small = fold_once(m, n)
+    gx, sx = gen.complex, small.complex
+    sign = ring.one() if n % 2 == 0 else ring.neg(ring.one())
+    mats = []
+    for i in gx.degrees():
+        if i == n - 2:
+            pn = x.rank(n)
+            pl = x.rank(n - 2)
+            mats.append(Matrix.block([
+                [Matrix.zeros(ring, pl, pn), Matrix.identity(ring, pl)],
+                [Matrix.identity(ring, pn).scale(sign), Matrix.zeros(ring, pn, pl)],
+            ]))
+        else:
+            mats.append(Matrix.identity(ring, gx.rank(i)))
+    iso = ChainMap(gx, sx, 0, tuple(mats))
+    assert iso_defect(iso, iso.transpose(), gen, small) is None
+    return iso
 
 
 def test_fold_general_matches_direct_model():
@@ -294,6 +323,51 @@ def test_fold_map_composes():
     back = proj.compose(incl)
     for i in fa.structure.complex.degrees():
         assert back.mat(i) == Matrix.identity(ZZ, fa.structure.complex.rank(i))
+
+
+def sum_fold_iso(ma, mb, n):
+    """Identify the fold of a direct sum with the sum of the folds.
+
+    Returns the basis-permutation isomorphism from ``fold(ma + mb)`` onto
+    ``fold(ma) + fold(mb)``; no signs are involved.
+    """
+    summed = direct_sum(ma, mb)
+    fab = fold_general(summed.structure, n)
+    fa = fold_general(ma, n)
+    fb = fold_general(mb, n)
+    target = direct_sum(fa.structure, fb.structure)
+    ring = ma.complex.ring
+    d = ma.ngens
+    pa = ma.complex.rank(n)
+    pb = mb.complex.rank(n)
+    gx = fab.structure.complex
+    tx = target.structure.complex
+    mats = []
+    for i in gx.degrees():
+        if i == n - 1:
+            mats.append(Matrix.identity(ring, gx.rank(i)))
+            continue
+        w = len(exterior_basis(d, n - 1 - i))
+        ra = ma.complex.rank(i)
+        rb = mb.complex.rank(i)
+
+        def entry(r, c, w=w, ra=ra, rb=rb):
+            # source columns: [A_n ⊗ coeff | B_n ⊗ coeff | A_i | B_i]
+            # target rows:    [A_n ⊗ coeff | A_i | B_n ⊗ coeff | B_i]
+            if r < pa * w:
+                src = r
+            elif r < pa * w + ra:
+                src = (pa + pb) * w + (r - pa * w)
+            elif r < (pa + pb) * w + ra:
+                src = pa * w + (r - pa * w - ra)
+            else:
+                src = r
+            return ring.one() if src == c else ring.zero()
+
+        mats.append(Matrix.build(ring, tx.rank(i), gx.rank(i), entry))
+    iso = ChainMap(gx, tx, 0, tuple(mats))
+    assert iso_defect(iso, iso.transpose(), fab.structure, target.structure) is None
+    return iso
 
 
 def test_sum_fold_iso_permutes():

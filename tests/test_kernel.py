@@ -30,8 +30,8 @@ from homcert.constructions import (
 )
 from homcert.exactalg import Matrix, QQ, ZZ, Zmod
 from homcert.kernel import (
-    Certificate, ClassExpr, Contractible, ExactRow, Isomorphism, Slot, check_certificate,
-    check_structure, equivariance_defect, map_defect, split_defect,
+    Certificate, CheckResult, ClassExpr, Contractible, ExactRow, Isomorphism, Slot,
+    check_certificate, check_structure, equivariance_defect, map_defect, split_defect,
 )
 from homcert.randgen import (
     contractible_structure, corrupt_witness_entry, disk_pile, lift_pair,
@@ -636,6 +636,185 @@ def test_checks_from_a_degree_agree_with_every_degree(ring, seed, shift, gap, al
         assert equivariance_defect(f, mx, my, start=k) == next(iter(bad), None)
         assert (map_defect("f", f, mx, my, start=k) is None) == (
             not from_degree(k, chain) and not bad)
+
+
+# -- derived row ends: the verdicts of checking every structure ------------------
+
+
+def reference_check(cert: Certificate) -> CheckResult:
+    """The kernel as it was when the registry pass checked every structure.
+
+    The steps and the claim run through the kernel's own ``_RELATIONS`` and
+    ``_support``, with the slot scalars normalized for every object."""
+    reg: dict = {}
+    ring = None
+    for name, m in cert.registry:
+        if not isinstance(name, str) or name in reg:
+            return CheckResult(False, f"bad or duplicate name {kernel.brief(name)}")
+        problems = check_structure(m)
+        if problems:
+            return CheckResult(False, f"{kernel.brief(name, str)}: {problems[0]}")
+        if ring is None:
+            ring = m.complex.ring
+        elif m.complex.ring != ring:
+            return CheckResult(False, "registry mixes ground rings")
+        reg[name] = m
+    if ring is None:
+        return CheckResult(False, "empty registry")
+
+    def fits(m):
+        if m.scalars != tuple(ring.normalize(s) for s in cert.slot.scalars):
+            return "scalars do not match the slot"
+        span = kernel._support(m)
+        if span is not None and (span[0] < 0 or span[1] > cert.slot.ceiling):
+            return "support leaves the slot window"
+        return None
+
+    expr: dict = {}
+    for idx, step in enumerate(cert.steps):
+        if type(step) not in kernel._RELATIONS:
+            return CheckResult(False, f"unknown step kind {type(step).__name__}", idx)
+        kind, check = kernel._RELATIONS[type(step)]
+        names = [name for name, _ in step.terms]
+        if any(name not in reg for name in names):
+            return CheckResult(False, f"{kind} references an unregistered name", idx)
+        objs = [reg[name] for name in names]
+        why = next(filter(None, map(fits, objs)), None) or check(step, *objs)
+        if why:
+            return CheckResult(False, why, idx)
+        for name, coeff in step.terms:
+            expr[name] = expr.get(name, 0) + coeff
+    for name, coeff in cert.claim.terms:
+        if name not in reg:
+            return CheckResult(False, f"claim references unregistered {kernel.brief(name)}")
+        why = fits(reg[name])
+        if why:
+            return CheckResult(False, f"claim term {kernel.brief(name)}: {why}")
+    got = {name: coeff for name, coeff in expr.items() if coeff}
+    if got != cert.claim.as_dict():
+        return CheckResult(False, "accumulated relations do not match the claim")
+    return CheckResult(True)
+
+
+def derived_ends(cert) -> set:
+    """The names that end some row and are the total of none."""
+    rows = [step for step in cert.steps if isinstance(step, ExactRow)]
+    return {n for row in rows for n in (row.sub, row.quotient)} - {row.total for row in rows}
+
+
+def rehomed(step, old, new):
+    """``step`` with every arrow from or to the complex ``old`` moved onto ``new``."""
+    moved = {}
+    for field in dataclasses.fields(step):
+        f = getattr(step, field.name)
+        if isinstance(f, ChainMap) and old in (f.source, f.target):
+            moved[field.name] = ChainMap(new if f.source == old else f.source,
+                                         new if f.target == old else f.target, f.shift, f.mats)
+    return dataclasses.replace(step, **moved)
+
+
+def with_row_end_bumped(rng, cert, part):
+    """``cert`` with one entry of a row end's operators (``part`` "op") or
+    differentials ("diff") moved by 1; the arrows that touch a moved complex
+    move with it, so that only the end's laws can catch the change.  None
+    when there is no row, or the chosen end has no such entry."""
+    ends = sorted({n for s in cert.steps if isinstance(s, ExactRow) for n in (s.sub, s.quotient)})
+    if not ends:
+        return None
+    name = rng.choice(ends)
+    m = dict(cert.registry)[name]
+    x, ops = m.complex, m.ops
+    if part == "op":
+        g = rng.randrange(m.ngens)
+        ops = ops[:g] + (bumped(rng, ops[g]),) + ops[g + 1:]
+        if ops == m.ops:
+            return None
+        steps = cert.steps
+    else:
+        x = GradedFreeComplex(x.ring, x.min_degree, x.ranks, bumped(rng, x.diffs))
+        if x == m.complex:
+            return None
+        steps = tuple(rehomed(step, m.complex, x) for step in cert.steps)
+    registry = tuple((n, HomotopyStructure(x, m.scalars, ops) if n == name else s)
+                     for n, s in cert.registry)
+    return Certificate(cert.slot, registry, steps, cert.claim)
+
+
+@pytest.mark.parametrize("ring", [r for _, r in RINGS], ids=[n for n, _ in RINGS])
+def test_derived_ends_keep_every_verdict(ring):
+    """Skipping the registry check of derived row ends accepts exactly what
+    checking every structure accepts, and rejects for the same reason at the
+    same step unless the reference blamed a derived end's structure law;
+    such an end is then rejected at a row step.  The cases are the
+    ``ring_certificates`` of 20 seeds, each as built, under
+    ``mutate_certificate`` and ``corrupt_witness_entry``, and with an entry
+    of a row end's operators or differentials moved."""
+    blamed = 0
+    for seed in range(20):
+        rng = random.Random(1000 + seed)
+        for cert in ring_certificates(ring, seed):
+            cases = [cert, mutate_certificate(rng, cert)[0], corrupt_witness_entry(rng, cert)[0],
+                     with_row_end_bumped(rng, cert, "op"), with_row_end_bumped(rng, cert, "diff")]
+            for case in filter(None, cases):
+                want, got = reference_check(case), check_certificate(case)
+                assert got.accepted == want.accepted, (want, got)
+                derived = derived_ends(case)
+                if want.reason and want.step is None and any(
+                        want.reason.startswith(f"{n}: ") for n in derived):
+                    blamed += 1
+                    assert not got.accepted and got.step is not None, (want, got)
+                else:
+                    assert (got.reason, got.step) == (want.reason, want.step)
+    assert blamed
+
+
+def identity_row(m):
+    """m >--id--> m -->> 0, with its splitting: m is both sub and total."""
+    x = m.complex
+    zero = HomotopyStructure(GradedFreeComplex(x.ring, 0, (0,), ()), m.scalars,
+                             tuple(() for _ in m.scalars))
+    into = ChainMap(x, zero.complex, 0, tuple(Matrix.zeros(x.ring, 0, r) for r in x.ranks))
+    out = ChainMap(zero.complex, x, 0, (Matrix.zeros(x.ring, x.rank(0), 0),))
+    step = ExactRow("a", "a", "zero", identity_map(x), into, out, identity_map(x))
+    return one_step((("a", m), ("zero", zero)), step, x.top_degree, m.scalars)
+
+
+def test_identity_row_still_checks_its_total():
+    assert check_certificate(identity_row(D1)).accepted
+    res = check_certificate(identity_row(off_axiom_disk()))
+    assert (res.accepted, res.reason, res.step) == (
+        False, "a: generator 0: d e + e d != 2 * id in degree 1", None)
+
+
+def test_peel_chain_checks_every_stage(monkeypatch):
+    """Each stage of a peel is the quotient of one row and the total of the
+    next, so it reaches ``check_structure``; only the disks and the last
+    stage are derived."""
+    cert = peel_chain_certificate(contractible_structure(random.Random(4), ZZ, 4, (2,)), 4)
+    rows = [step for step in cert.steps if isinstance(step, ExactRow)]
+    assert len(rows) >= 2
+    checked = []
+    real = kernel.check_structure
+    monkeypatch.setattr(kernel, "check_structure",
+                        lambda m, *args, **kwargs: checked.append(m) or real(m, *args, **kwargs))
+    assert check_certificate(cert).accepted
+    names = [name for name, m in cert.registry if any(m is c for c in checked)]
+    assert names == [f"stage_{k}" for k in range(len(rows))]
+    assert len(checked) == len(rows)
+
+
+def off_axiom_right_sum():
+    """A valid sum of two disks whose ``right`` end carries the operator 3."""
+    return with_registry(SUM, tuple((name, off_axiom_disk() if name == "right" else m)
+                                    for name, m in SUM.registry))
+
+
+def test_off_axiom_row_end_is_rejected_at_its_row():
+    assert reference_check(off_axiom_right_sum()).reason == \
+        "right: generator 0: d e + e d != 2 * id in degree 1"
+    res = check_certificate(off_axiom_right_sum())
+    assert (res.accepted, res.reason, res.step) == (
+        False, "row projection is not equivariant for generator 0 in degree 1", 0)
 
 
 # -- the kernel's boundary, from the syntax trees ----------------------------------

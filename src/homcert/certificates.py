@@ -8,7 +8,8 @@ lists evidence steps, and claims that a particular integer combination of
 registered classes is zero.
 
 Each builder returns a Certificate that ``kernel.check_certificate``
-accepts, re-exported here; none of them is trusted by the checker.
+accepts, re-exported here, or raises a ValueError on input that leaves the
+window (``sum_certificate`` does not look); none is trusted by the checker.
 """
 
 from __future__ import annotations
@@ -18,11 +19,7 @@ from .constructions import (
     cone_same, direct_sum, glue_extension, identity_cone_contraction,
     peel_to_disks, peel_top, solve_splitting, suspend,
 )
-from .exactalg import Matrix
-from .fold import (
-    coefficient_block, disk_fold_iso, fold_block_map, fold_general, fold_map,
-    squared_scalars,
-)
+from .fold import disk_fold_iso, fold_block_map, fold_general, fold_map, squared_scalars
 from .kernel import (
     Certificate, ClassExpr, Contractible, ExactRow, Isomorphism, Slot, check_certificate,
 )
@@ -31,6 +28,23 @@ from .structures import HomotopyStructure, restrict
 __all__ = ["check_certificate", "disk_transport_certificate", "extension_certificate",
            "fold_defect_certificate", "fold_identity_certificate", "fold_row_certificates",
            "peel_chain_certificate", "structure_independence_certificate", "sum_certificate"]
+
+
+def _in_window(ceiling: int, *structures: HomotopyStructure) -> None:
+    """Refuse a structure supported outside [0, ceiling]: the kernel rejects it."""
+    for m in structures:
+        span = [i for i in m.complex.degrees() if m.complex.rank(i)]
+        if span and (span[0] < 0 or span[-1] > ceiling):
+            raise ValueError(f"support {span[0]}..{span[-1]} leaves the window [0, {ceiling}]")
+
+
+def _fold_window(m: HomotopyStructure, n: int) -> None:
+    """Refuse a fold below ``n`` whose rows leave the window [0, n]: the input
+    must lie in it, and the coefficient block starts in degree n - d - 1."""
+    if n <= m.ngens:
+        raise ValueError(f"a fold's ceiling must be above the number d of "
+                         f"generators, got ceiling {n} with d = {m.ngens}")
+    _in_window(n, m)
 
 
 def sum_certificate(ma: HomotopyStructure, mb: HomotopyStructure,
@@ -54,6 +68,7 @@ def extension_certificate(include: ChainMap, project: ChainMap,
     The splitting is solved here (``solve_splitting``); a row without one
     raises a ValueError naming the degree.
     """
+    _in_window(ceiling, m_sub, m_total, m_quot)
     registry = (("sub", m_sub), ("total", m_total), ("quotient", m_quot))
     row = ExactRow("sub", "total", "quotient", include, project,
                    *solve_splitting(include, project))
@@ -66,8 +81,9 @@ def fold_row_certificates(m: HomotopyStructure, n: int):
 
     First the coefficient row (shifted exterior block into the comparison
     cone onto the rescaled input), then the disk row (top disk into the
-    comparison cone onto the fold).
+    comparison cone onto the fold).  Requires n > d and the input in [0, n].
     """
+    _fold_window(m, n)
     data = fold_general(m, n)
     slot = Slot(squared_scalars(m), n)
     certs = []
@@ -86,25 +102,18 @@ def fold_defect_certificate(m: HomotopyStructure, n: int) -> Certificate:
     Works for any structure supported in degrees within [0, n] with n > d;
     the coefficient block is taken on the degree n part of the input.
     """
-    x = m.complex
-    ring = x.ring
     d = m.ngens
-    if n <= d:
-        raise ValueError(f"fold defect needs a ceiling n above the number d of "
-                         f"generators, got n = {n}, d = {d}")
+    _fold_window(m, n)
     data = fold_general(m, n)
     coeff_row, disk_row = data.coefficient_row, data.disk_row
-    p = x.rank(n)
-    block = coefficient_block(ring, p, m.scalars)
-    shifts = [suspend(block, j) for j in range(n - d)]
+    # the coefficient row's sub is the block shifted up by n - d - 1
+    shifts = [suspend(coeff_row.sub, j - (n - d - 1)) for j in range(n - d)]
     top_name = f"block_up_{n - d - 1}"
     registry = [("base", coeff_row.quotient),
                 ("fold", data.structure),
                 ("cone", coeff_row.total),
                 ("top_disk", disk_row.sub)]
     registry += [(f"block_up_{j}", shifts[j]) for j in range(n - d)]
-    if shifts[n - d - 1] != coeff_row.sub:
-        raise AssertionError("coefficient row is not the expected shift")
 
     steps = [
         ExactRow(top_name, "cone", "base", *coeff_row.maps, mult=-1),
@@ -137,17 +146,11 @@ def fold_identity_certificate(m: HomotopyStructure, n: int) -> Certificate:
     Requires the input to be supported in degrees within [0, n - 1]; the
     certificate lives one ceiling lower than the fold was taken at.
     """
-    x = m.complex
-    ring = x.ring
-    if x.rank(n) != 0:
-        raise ValueError("input reaches the ceiling; no identity holds")
+    _in_window(n - 1, m)
     data = fold_general(m, n)
     base = restrict(m, m.scalars)
     g = data.structure.complex
-    mats = tuple(Matrix.build(ring, base.complex.rank(i), g.rank(i),
-                              lambda r, c: ring.one() if r == c else ring.zero())
-                 for i in range(g.min_degree, g.min_degree + len(g.ranks)))
-    iso = ChainMap(g, base.complex, 0, mats)
+    iso = ChainMap(g, base.complex, 0, identity_map(g).mats)
     registry = (("fold", data.structure), ("base", base))
     step = Isomorphism("fold", "base", iso, iso.transpose())
     claim = ClassExpr.build([("fold", 1), ("base", -1)])
@@ -178,10 +181,10 @@ def peel_chain_certificate(m: HomotopyStructure, ceiling: int) -> Certificate:
     the telescoping sum expresses [input] as the sum of the disk classes
     once the zero-ranked remainder is discharged.
     """
+    _in_window(ceiling, m)
     steps = []
-    registry = []
+    registry = [("stage_0", m)]
     chain = peel_to_disks(m)
-    registry.append(("stage_0", m))
     claim_terms = [("stage_0", 1)]
     for k, peel in enumerate(chain):
         registry.append((f"disk_{k}", peel.sub))
@@ -213,10 +216,9 @@ def structure_independence_certificate(m1: HomotopyStructure,
         raise ValueError("the structures must live on the same complex")
     if m1.scalars != m2.scalars:
         raise ValueError("the structures must share their scalars")
-    if x.min_degree < 0 or x.top_degree > n:
-        raise ValueError("complex leaves the slot window")
     s = m1.scalars
     ceiling = n + 1
+    _in_window(n, m1)
 
     left = restrict(m1, s)
     right = restrict(m2, s)
@@ -250,6 +252,7 @@ def structure_independence_certificate(m1: HomotopyStructure,
         ("tail_glued", f_tail_g.structure),
         ("tail_cone", f_tail_p.structure),
     )
+    _in_window(n, *(struct for _, struct in registry))  # a fold may reach degree n - d
 
     def folded_row(names, arrows, folds, mult):
         # The splitting goes through the same block formula as the arrows.

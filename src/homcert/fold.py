@@ -2,15 +2,15 @@
 
 Given a null-homotopy structure on a complex concentrated in degrees at most
 ``n``, the fold removes the degree ``n`` part at the cost of squaring every
-homotopy scalar.  The general construction runs through the coevaluation
-comparison map into a shifted exterior-coefficient complex, takes its mapping
-cone, and divides out a canonical disk.  The two split exact rows through
-that cone, each a ``Row`` with its arrows and degreewise splitting, are
-returned alongside the fold itself.
+homotopy scalar.  The general construction takes the mapping cone of the
+coevaluation comparison map into a shifted exterior-coefficient complex,
+built one degree down where the fold sits, and divides out a canonical disk;
+each object is built once, and the two split exact rows through that cone
+are returned alongside the fold itself.
 
-For a single homotopy generator there is also a small direct model,
-``fold_once``, built from explicit block matrices; the tests tie it to the
-general fold by the canonical isomorphism between the two.
+For a single generator reaching the ceiling there is also a small direct
+model, ``fold_once``, built from explicit block matrices; the tests tie it
+to the general fold by the canonical isomorphism between the two.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .constructions import (
     module_tensor,
 )
 from .exactalg import Matrix
-from .koszul import counit_map, exterior_basis, hodge_star, koszul, koszul_dual
+from .koszul import counit_map, exterior_basis, hodge_star, interleave_rows, koszul, koszul_dual
 from .kernel import Row, check_structure, iso_defect, map_defect
 from .structures import HomotopyStructure, restrict
 
@@ -37,35 +37,13 @@ def squared_scalars(m: HomotopyStructure) -> tuple:
     return tuple(ring.mul(s, s) for s in m.scalars)
 
 
-def _padded_restrict(m: HomotopyStructure, n: int) -> HomotopyStructure:
-    """Scale by the structure scalars and extend the window up to n - 1.
-
-    Used when the input already lives strictly below the ceiling: the fold
-    does nothing except square the scalars, but the ambient construction
-    still reports the window [n - d - 1, n - 1], so zero-rank degrees are
-    appended to keep every code path shape-uniform.
-    """
-    x = m.complex
-    d = m.ngens
-    scaled = restrict(m, m.scalars)
-    lo = min(x.min_degree, n - d - 1)
-    hi = max(x.top_degree, n - 1)
-    ranks = tuple(x.rank(i) for i in range(lo, hi + 1))
-    diffs = tuple(x.diff(i) for i in range(lo + 1, hi + 1))
-    cx = GradedFreeComplex(x.ring, lo, ranks, diffs)
-    ops = tuple(
-        tuple(scaled.op(g, i) for i in range(lo, hi))
-        for g in range(d)
-    )
-    return HomotopyStructure(cx, scaled.scalars, ops)
-
-
 def fold_once(m: HomotopyStructure, n: int) -> HomotopyStructure:
     """Direct single-generator fold below the ceiling ``n``.
 
     The degree ``n`` part is folded onto degree ``n - 2`` using the homotopy
     operator itself as the connecting differential.  Requires exactly one
-    homotopy generator; the resulting structure has scalar ``s**2``.
+    homotopy generator; the result has scalar ``s**2``.  Below the ceiling
+    there is nothing to fold, and the result is ``fold(m, n)``.
     """
     if m.ngens != 1:
         raise ValueError("direct fold needs exactly one homotopy generator")
@@ -77,7 +55,7 @@ def fold_once(m: HomotopyStructure, n: int) -> HomotopyStructure:
     if top > n:
         raise ValueError("complex exceeds the fold ceiling")
     if top < n:
-        return _padded_restrict(m, n)
+        return fold(m, n)
 
     s = m.scalars[0]
     lo = min(x.min_degree, n - 2)
@@ -124,8 +102,8 @@ def fold_once(m: HomotopyStructure, n: int) -> HomotopyStructure:
 class FoldData:
     """The general fold together with its two split exact rows.
 
-    Both rows share their total, the (desuspended) mapping cone of the
-    comparison map::
+    Both rows share their total, the mapping cone of minus the comparison
+    map between the desuspended ends::
 
         coefficient block >--> cone -->> rescaled input   (coefficient_row)
         top disk          >--> cone -->> fold             (disk_row)
@@ -151,12 +129,13 @@ def fold_general(m: HomotopyStructure, n: int) -> FoldData:
     complex is concentrated in degrees at most ``n``.  For ``n == d`` the
     output reaches degree ``-1``.
 
-    The fold is the quotient of the desuspended cone by its top disk, built
-    on the cone's own matrices: below degree n - 2 its differentials and
-    operators are the cone's ``Matrix`` objects, and the fold projection is
-    the identity.  So the cone is checked in every degree, and the fold and
-    its projection only from degree n - 2 up, where they differ from the
-    cone; every law below that uses the cone's matrices alone.
+    The cone sits where the fold uses it: the desuspended cone of the
+    comparison f is the cone of -f between the desuspended ends, and its
+    ``cone_mixed`` row is the coefficient row.  The fold is its quotient by
+    the top disk, on the cone's own matrices: below degree n - 2 its
+    differentials and operators are the cone's ``Matrix`` objects, and the
+    fold projection is the identity.  So the cone is checked in every
+    degree, and the fold and its projection only from degree n - 2 up.
     """
     x = m.complex
     ring = x.ring
@@ -169,16 +148,17 @@ def fold_general(m: HomotopyStructure, n: int) -> FoldData:
         raise ValueError("fold ceiling must be at least the generator count")
 
     f, coeff = counit_map(m, ambient=n)
-    cone = cone_mixed(f, m, coeff)
-    c = desuspend(cone.total)
+    mx, my = desuspend(m), desuspend(coeff)
+    coefficient_row = cone_mixed(
+        ChainMap(mx.complex, my.complex, 0, tuple(-a for a in f.mats)), mx, my)
+    c = coefficient_row.total
     cx = c.complex
     p = x.rank(n)
 
     # Canonical disk through the top of the cone: degree n holds the top of
     # the input, and its boundary lands as [I; -d_n].
     dsk = desuspend(disk(ring, p, n + 1, squared_scalars(m)))
-    incl_n = Matrix.vstack(Matrix.identity(ring, p),
-                           x.diff(n).scale(ring.neg(ring.one())))
+    incl_n = Matrix.vstack(Matrix.identity(ring, p), -x.diff(n))
     disk_incl = ChainMap(dsk.complex, cx, 0,
                          (incl_n, Matrix.identity(ring, cx.rank(n))))
 
@@ -208,10 +188,6 @@ def fold_general(m: HomotopyStructure, n: int) -> FoldData:
         else Matrix.identity(ring, p) if i == n
         else Matrix.zeros(ring, 0, cx.rank(i)) for i in cx.degrees()))
 
-    sub, quotient = desuspend(cone.sub), desuspend(cone.quotient)
-    coefficient_row = Row(sub, c, quotient, *(
-        ChainMap(a.complex, b.complex, 0, arrow.mats)
-        for arrow, (a, b) in zip(cone.maps, ((sub, c), (c, quotient), (quotient, c), (c, sub)))))
     data = FoldData(coefficient_row, Row(dsk, c, q, disk_incl, proj, section, retraction))
     for name, struct, start in (("cone", c, None), ("fold", q, n - 2)):
         problems = check_structure(struct, start=start)
@@ -299,26 +275,12 @@ def disk_fold_iso(ring, rank: int, n: int, scalars: tuple):
         raise AssertionError("disk fold differs from the shifted coefficient block")
     target = suspend(restrict(tensor_module(koszul(ring, scalars), rank), scalars),
                      n - d - 1)
-    star = hodge_star(ring, scalars)
-    gx = data.structure.complex
-    tx = target.complex
-    mats = []
-    for i in gx.degrees():
-        k = i - gx.min_degree
-        unstar = star.mat(k).transpose()  # a signed permutation
-        low = exterior_basis(d, d - k)
-        nb = len(low)
-        high = len(exterior_basis(d, k))
-
-        def entry(r, c, unstar=unstar, nb=nb, high=high):
-            i_idx, j_row = divmod(r, rank)
-            j_col, jj = divmod(c, nb)
-            if j_row != j_col:
-                return ring.zero()
-            return unstar.entry(i_idx, jj)
-
-        mats.append(Matrix.build(ring, high * rank, rank * nb, entry))
-    iso = ChainMap(gx, tx, 0, tuple(mats))
+    # Row (a, j) of the iso is row (j, a) of id (x) unstar, where unstar, the
+    # transposed star in that degree, is a signed permutation.
+    ident = Matrix.identity(ring, rank)
+    iso = ChainMap(data.structure.complex, target.complex, 0, tuple(
+        interleave_rows(ident.kron(star.transpose()), star.cols)
+        for star in hodge_star(ring, scalars).mats))
     # self-check: a chain map, inverted by its transpose, and equivariant
     why = iso_defect(iso, iso.transpose(), data.structure, target)
     if why:

@@ -11,7 +11,7 @@ the comparison maps between a structured complex and these models.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 from operator import mul
 
@@ -131,6 +131,13 @@ def hodge_star(ring, scalars) -> ChainMap:
     return ChainMap(kx, ox, 0, tuple(mats))
 
 
+def interleave_rows(a: Matrix, height: int) -> Matrix:
+    """The rows of a stack of blocks ``height`` rows tall, reordered from
+    (block, row) to (row, block): row j of block b moves to j * blocks + b."""
+    ints = tuple(chain.from_iterable(a.ints[j::height] for j in range(height)))
+    return Matrix.from_ints(a.ring, a.rows, a.cols, ints, a.den)
+
+
 def word_matrix(m: HomotopyStructure, word, i: int) -> Matrix:
     """The matrix of ``word_operator(m, word)`` out of degree ``i``: the
     product of the k operator matrices it passes through, and nothing more."""
@@ -194,14 +201,7 @@ def counit_map(m: HomotopyStructure, ambient=None):
         if k < 0 or k > d:
             mats.append(Matrix.zeros(ring, target.complex.rank(i), x.rank(i)))
             continue
-        basis = exterior_basis(d, k)
-        words = [word_matrix(m, sub, i) for sub in basis]
-        sign = -1 if ((n - d) * k) % 2 else 1
-
-        def entry(r, c, words=words, nb=len(basis), sign=sign):
-            j, idx = divmod(r, nb)
-            v = words[idx].entry(j, c)
-            return v if sign == 1 else ring.neg(v)
-
-        mats.append(Matrix.build(ring, p * len(basis), x.rank(i), entry))
+        words = Matrix.block([[word_matrix(m, sub, i)] for sub in exterior_basis(d, k)])
+        block = interleave_rows(words, p)
+        mats.append(-block if ((n - d) * k) % 2 else block)
     return ChainMap(x, target.complex, 0, tuple(mats)), target

@@ -9,7 +9,7 @@ registered classes is zero.
 
 Each builder returns a Certificate that ``kernel.check_certificate``
 accepts, re-exported here, or raises a ValueError on input that leaves the
-window (``sum_certificate`` does not look); none is trusted by the checker.
+window; none is trusted by the checker.
 """
 
 from __future__ import annotations
@@ -19,7 +19,9 @@ from .constructions import (
     cone_same, direct_sum, glue_extension, identity_cone_contraction,
     peel_to_disks, peel_top, solve_splitting, suspend,
 )
-from .fold import disk_fold_iso, fold_block_map, fold_general, fold_map, squared_scalars
+from .fold import (
+    disk_fold_iso, fold, fold_block_map, fold_general, fold_map, squared_scalars,
+)
 from .kernel import (
     Certificate, ClassExpr, Contractible, ExactRow, Isomorphism, Slot, check_certificate,
 )
@@ -50,6 +52,7 @@ def _fold_window(m: HomotopyStructure, n: int) -> None:
 def sum_certificate(ma: HomotopyStructure, mb: HomotopyStructure,
                     ceiling: int) -> Certificate:
     """[A + B] = [A] + [B] through the split exact row."""
+    _in_window(ceiling, ma, mb)
     ds = direct_sum(ma, mb)
     registry = (("left", ma), ("right", mb), ("sum", ds.structure))
     row = ExactRow("left", "sum", "right", ds.include[0], ds.project[1],
@@ -147,11 +150,11 @@ def fold_identity_certificate(m: HomotopyStructure, n: int) -> Certificate:
     certificate lives one ceiling lower than the fold was taken at.
     """
     _in_window(n - 1, m)
-    data = fold_general(m, n)
+    folded = fold(m, n)
     base = restrict(m, m.scalars)
-    g = data.structure.complex
+    g = folded.complex
     iso = ChainMap(g, base.complex, 0, identity_map(g).mats)
-    registry = (("fold", data.structure), ("base", base))
+    registry = (("fold", folded), ("base", base))
     step = Isomorphism("fold", "base", iso, iso.transpose())
     claim = ClassExpr.build([("fold", 1), ("base", -1)])
     return Certificate(Slot(squared_scalars(m), n - 1), registry, (step,), claim)
@@ -209,7 +212,11 @@ def structure_independence_certificate(m1: HomotopyStructure,
     Claims [restrict(m1, s^3)] = [restrict(m2, s^3)] at ceiling ``n``.  Both
     sides are glued onto the contractible cone of the identity, folded below
     ``n + 1``, and compared through the shared quotient; the folded cones
-    are then emptied out against the same folded top disk.
+    are then emptied out against the same folded top disk.  No row of a
+    fold is used, so each object folds through ``fold``: the four that stop
+    below degree n + 1 are rescaled directly, and only those that reach it
+    (at n = top(X): the shared quotient, both cones and the top disk) build
+    the comparison cone.
     """
     x = m1.complex
     if m2.complex != x:
@@ -227,30 +234,30 @@ def structure_independence_certificate(m1: HomotopyStructure,
     plain = cone_same(identity_map(x), right, right)
     glued = glue_extension(plain.include, plain.project, m1, suspend(m2))
 
-    f_left = fold_general(left, ceiling)
-    f_right = fold_general(right, ceiling)
-    f_shared = fold_general(shared, ceiling)
-    f_glued = fold_general(glued, ceiling)
-    f_plain = fold_general(plain.total, ceiling)
+    f_left = fold(left, ceiling)
+    f_right = fold(right, ceiling)
+    f_shared = fold(shared, ceiling)
+    f_glued = fold(glued, ceiling)
+    f_plain = fold(plain.total, ceiling)
 
     h_cone = identity_cone_contraction(x)
     peel_g = peel_top(glued, h_cone)
     peel_p = peel_top(plain.total, h_cone)
     if peel_g.sub != peel_p.sub:
         raise AssertionError("the two peels disagree on the top disk")
-    f_disk = fold_general(peel_g.sub, ceiling)
-    f_tail_g = fold_general(peel_g.quotient, ceiling)
-    f_tail_p = fold_general(peel_p.quotient, ceiling)
+    f_disk = fold(peel_g.sub, ceiling)
+    f_tail_g = fold(peel_g.quotient, ceiling)
+    f_tail_p = fold(peel_p.quotient, ceiling)
 
     registry = (
-        ("left_end", f_left.structure),
-        ("right_end", f_right.structure),
-        ("shared_quotient", f_shared.structure),
-        ("glued_fold", f_glued.structure),
-        ("cone_fold", f_plain.structure),
-        ("disk_fold", f_disk.structure),
-        ("tail_glued", f_tail_g.structure),
-        ("tail_cone", f_tail_p.structure),
+        ("left_end", f_left),
+        ("right_end", f_right),
+        ("shared_quotient", f_shared),
+        ("glued_fold", f_glued),
+        ("cone_fold", f_plain),
+        ("disk_fold", f_disk),
+        ("tail_glued", f_tail_g),
+        ("tail_cone", f_tail_p),
     )
     _in_window(n, *(struct for _, struct in registry))  # a fold may reach degree n - d
 
@@ -273,13 +280,12 @@ def structure_independence_certificate(m1: HomotopyStructure,
         folded_row(("disk_fold", "cone_fold", "tail_cone"), peel_p.maps,
                    (f_disk, f_plain, f_tail_p), -1),
     ]
-    for name, struct, mult in (("tail_glued", f_tail_g.structure, 1),
-                               ("tail_cone", f_tail_p.structure, -1)):
+    for name, struct, mult in (("tail_glued", f_tail_g, 1), ("tail_cone", f_tail_p, -1)):
         h = find_contraction(struct.complex)
         if h is None:
             raise AssertionError(f"{name} has no contraction")
         steps.append(Contractible(name, h, mult=mult))
 
     claim = ClassExpr.build([("left_end", 1), ("right_end", -1)])
-    return Certificate(Slot(f_left.structure.scalars, n), tuple(registry),
+    return Certificate(Slot(f_left.scalars, n), tuple(registry),
                        tuple(steps), claim)

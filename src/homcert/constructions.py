@@ -105,18 +105,18 @@ def mapping_cone(f: ChainMap):
     lo = min(y.min_degree, x.min_degree + 1)
     hi = max(y.top_degree, x.top_degree + 1)
     ranks = tuple(y.rank(i) + x.rank(i - 1) for i in range(lo, hi + 1))
-    neg = ring.from_int(-1)
+    # The -d_X block is the differential of the suspended source.
+    sx = suspend_complex(x)
     diffs = tuple(
         Matrix.block([
             [y.diff(i), f.mat(i - 1)],
-            [Matrix.zeros(ring, x.rank(i - 2), y.rank(i)), x.diff(i - 1).scale(neg)]])
+            [Matrix.zeros(ring, x.rank(i - 2), y.rank(i)), sx.diff(i)]])
         for i in range(lo + 1, hi + 1))
     cone = GradedFreeComplex(ring, lo, ranks, diffs)
     incl = ChainMap(y, cone, 0, tuple(
         Matrix.block([[Matrix.identity(ring, y.rank(i))],
                       [Matrix.zeros(ring, x.rank(i - 1), y.rank(i))]])
         for i in y.degrees()))
-    sx = suspend_complex(x)
     proj = ChainMap(cone, sx, 0, tuple(
         Matrix.block([[Matrix.zeros(ring, x.rank(i - 1), y.rank(i)),
                        Matrix.identity(ring, x.rank(i - 1))]])
@@ -130,7 +130,8 @@ def cone_mixed(f: ChainMap, mx: HomotopyStructure, my: HomotopyStructure) -> Row
 
     Generator g acts by [[t_g e_Y, e_Y f e_X], [0, -s_g e_X]] where s_g,
     t_g are the scalars on the target and the source; the cone carries the
-    product scalars s_g * t_g, and the ends are rescaled to match.  The
+    product scalars s_g * t_g, and the ends are rescaled to match: their
+    operators are the diagonal blocks t_g e_Y and -s_g e_X themselves.  The
     transposes split the row: the section x -> (0, x) and the retraction
     (y, x) -> y.
     """
@@ -139,20 +140,21 @@ def cone_mixed(f: ChainMap, mx: HomotopyStructure, my: HomotopyStructure) -> Row
     x, y = f.source, f.target
     ring = y.ring
     cone, incl, proj = mapping_cone(f)
-    ops = []
+    degrees = list(cone.degrees())[:-1]
+    ops, sub_ops, quot_ops = [], [], []
     for g in range(mx.ngens):
         t, s = mx.scalars[g], my.scalars[g]
-        grid = []
-        for i in list(cone.degrees())[:-1]:
-            ey, ex = my.op(g, i), mx.op(g, i - 1)
-            grid.append(Matrix.block([
-                [ey.scale(t), my.op(g, i) * f.mat(i) * mx.op(g, i - 1)],
-                [Matrix.zeros(ring, x.rank(i), y.rank(i)),
-                 ex.scale(ring.neg(s))]]))
-        ops.append(tuple(grid))
+        ey = {i: my.op(g, i).scale(t) for i in degrees}
+        ex = {i: mx.op(g, i - 1).scale(ring.neg(s)) for i in degrees}
+        ops.append(tuple(Matrix.block([
+            [ey[i], my.op(g, i) * f.mat(i) * mx.op(g, i - 1)],
+            [Matrix.zeros(ring, x.rank(i), y.rank(i)), ex[i]]]) for i in degrees))
+        sub_ops.append(tuple(ey[i] for i in list(my.complex.degrees())[:-1]))
+        quot_ops.append(tuple(ex[i] for i in list(proj.target.degrees())[:-1]))
     scalars = tuple(ring.mul(my.scalars[g], mx.scalars[g]) for g in range(mx.ngens))
-    structure = HomotopyStructure(cone, scalars, tuple(ops))
-    return Row(restrict(my, mx.scalars), structure, restrict(suspend(mx), my.scalars),
+    return Row(HomotopyStructure(my.complex, scalars, tuple(sub_ops)),
+               HomotopyStructure(cone, scalars, tuple(ops)),
+               HomotopyStructure(proj.target, scalars, tuple(quot_ops)),
                incl, proj, proj.transpose(), incl.transpose())
 
 
@@ -172,19 +174,23 @@ def cone_same(f: ChainMap, mx: HomotopyStructure, my: HomotopyStructure) -> Row:
 
 
 def _cone_same(f: ChainMap, mx: HomotopyStructure, my: HomotopyStructure) -> Row:
-    """``cone_same`` without its input checks."""
+    """``cone_same`` without its input checks; the -e_X blocks are the
+    operators of the suspended source, the quotient."""
     x, y = f.source, f.target
     ring = y.ring
     cone, incl, proj = mapping_cone(f)
-    ops = tuple(
-        tuple(Matrix.block([
+    degrees = list(cone.degrees())[:-1]
+    neg = ring.from_int(-1)
+    ops, quot_ops = [], []
+    for g in range(mx.ngens):
+        ex = {i: mx.op(g, i - 1).scale(neg) for i in degrees}
+        ops.append(tuple(Matrix.block([
             [my.op(g, i), Matrix.zeros(ring, y.rank(i + 1), x.rank(i - 1))],
-            [Matrix.zeros(ring, x.rank(i), y.rank(i)),
-             mx.op(g, i - 1).scale(ring.from_int(-1))]])
-            for i in list(cone.degrees())[:-1])
-        for g in range(mx.ngens))
-    structure = HomotopyStructure(cone, mx.scalars, ops)
-    return Row(my, structure, suspend(mx), incl, proj, proj.transpose(), incl.transpose())
+            [Matrix.zeros(ring, x.rank(i), y.rank(i)), ex[i]]]) for i in degrees))
+        quot_ops.append(tuple(ex[i] for i in list(proj.target.degrees())[:-1]))
+    return Row(my, HomotopyStructure(cone, mx.scalars, tuple(ops)),
+               HomotopyStructure(proj.target, mx.scalars, tuple(quot_ops)),
+               incl, proj, proj.transpose(), incl.transpose())
 
 
 def identity_cone_contraction(x: GradedFreeComplex) -> ChainMap:

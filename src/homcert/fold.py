@@ -8,6 +8,12 @@ built one degree down where the fold sits, and divides out a canonical disk;
 each object is built once, and the two split exact rows through that cone
 are returned alongside the fold itself.
 
+Below the ceiling (top degree < n) the degree ``n`` part is zero and the
+fold is the input rescaled by its own scalars, on a window widened down to
+degree n - d - 1.  ``fold`` builds that case directly and checks it once,
+instead of building the cone and both rows; ``fold_general`` builds the
+rows on either side of the ceiling, for the certificates that carry them.
+
 For a single generator reaching the ceiling there is also a small direct
 model, ``fold_once``, built from explicit block matrices; the tests tie it
 to the general fold by the canonical isomorphism between the two.
@@ -27,7 +33,9 @@ from .constructions import (
     module_tensor,
 )
 from .exactalg import Matrix
-from .koszul import counit_map, exterior_basis, hodge_star, interleave_rows, koszul, koszul_dual
+from .koszul import (
+    counit_map, exterior_basis, interleave_rows, koszul, koszul_dual, star_matrices,
+)
 from .kernel import Row, check_structure, iso_defect, map_defect
 from .structures import HomotopyStructure, restrict
 
@@ -43,7 +51,8 @@ def fold_once(m: HomotopyStructure, n: int) -> HomotopyStructure:
     The degree ``n`` part is folded onto degree ``n - 2`` using the homotopy
     operator itself as the connecting differential.  Requires exactly one
     homotopy generator; the result has scalar ``s**2``.  Below the ceiling
-    there is nothing to fold, and the result is ``fold(m, n)``.
+    there is nothing to fold, and the result is ``fold(m, n)``, the
+    rescaled input.
     """
     if m.ngens != 1:
         raise ValueError("direct fold needs exactly one homotopy generator")
@@ -136,16 +145,13 @@ def fold_general(m: HomotopyStructure, n: int) -> FoldData:
     differentials and operators are the cone's ``Matrix`` objects, and the
     fold projection is the identity.  So the cone is checked in every
     degree, and the fold and its projection only from degree n - 2 up.
+    A caller that needs no row folds through ``fold``, which skips the cone
+    below the ceiling.
     """
     x = m.complex
     ring = x.ring
     d = m.ngens
-    if d == 0:
-        raise ValueError("fold needs at least one homotopy generator")
-    if x.top_degree > n:
-        raise ValueError("complex exceeds the fold ceiling")
-    if n < d:
-        raise ValueError("fold ceiling must be at least the generator count")
+    _refuse_fold(m, n)
 
     f, coeff = counit_map(m, ambient=n)
     mx, my = desuspend(m), desuspend(coeff)
@@ -200,25 +206,60 @@ def fold_general(m: HomotopyStructure, n: int) -> FoldData:
     return data
 
 
+def _refuse_fold(m: HomotopyStructure, n: int) -> None:
+    """Refuse input no fold below ``n`` takes, with the same message on
+    either route."""
+    if m.ngens == 0:
+        raise ValueError("fold needs at least one homotopy generator")
+    if m.complex.top_degree > n:
+        raise ValueError("complex exceeds the fold ceiling")
+    if n < m.ngens:
+        raise ValueError("fold ceiling must be at least the generator count")
+
+
 def fold(m: HomotopyStructure, n: int) -> HomotopyStructure:
-    """The fold below ``n`` (general route), without its rows."""
-    return fold_general(m, n).structure
+    """The fold below ``n``, without its rows.
+
+    At the ceiling (top degree n) it is ``fold_general(m, n).structure``.
+    Below it the fold is the input rescaled by its own scalars, built
+    directly: the window is [min(min_degree, n - d - 1), n - 1], the
+    differentials are the input's, each operator is multiplied by its own
+    scalar and the scalars are squared.  That is the general route's fold
+    matrix for matrix, and it is checked once, in full.
+    """
+    x = m.complex
+    if x.top_degree >= n:
+        return fold_general(m, n).structure
+    _refuse_fold(m, n)
+    lo = min(x.min_degree, n - m.ngens - 1)
+    cx = GradedFreeComplex(x.ring, lo, tuple(x.rank(i) for i in range(lo, n)),
+                           tuple(x.diff(i) for i in range(lo + 1, n)))
+    ops = tuple(tuple(m.op(g, i).scale(s) for i in range(lo, n - 1))
+                for g, s in enumerate(m.scalars))
+    folded = HomotopyStructure(cx, squared_scalars(m), ops)
+    problems = check_structure(folded)
+    if problems:
+        raise AssertionError("fold output is not a structure: " + problems[0])
+    return folded
 
 
-def fold_block_map(phi: ChainMap, fold_x: FoldData, fold_y: FoldData, n: int) -> ChainMap:
+def fold_block_map(phi: ChainMap, fold_x: HomotopyStructure, fold_y: HomotopyStructure,
+                   n: int) -> ChainMap:
     """The degree 0 map the fold below ``n`` induces from ``phi``, unchecked.
 
-    In degree n - 1 it is phi itself, and below it the block sum of
-    phi_n (x) id on the coefficient columns and phi_i.  The formula is
-    additive, multiplicative and unital degree by degree, so it carries
-    splitting identities over, also for maps that are not chain maps.
+    ``fold_x`` and ``fold_y`` are the folds of the source and the target
+    (``fold``, or a ``FoldData.structure``).  In degree n - 1 it is phi
+    itself, and below it the block sum of phi_n (x) id on the coefficient
+    columns and phi_i.  The formula is additive, multiplicative and unital
+    degree by degree, so it carries splitting identities over, also for
+    maps that are not chain maps.
     """
-    gx = fold_x.structure.complex
-    gy = fold_y.structure.complex
+    gx = fold_x.complex
+    gy = fold_y.complex
     ring = gx.ring
     x, y = phi.source, phi.target
-    d = len(fold_x.structure.scalars)
-    if len(fold_y.structure.scalars) != d:
+    d = fold_x.ngens
+    if fold_y.ngens != d:
         raise ValueError("folds have different generator counts")
     top_mat = phi.mat(n)
     mats = []
@@ -236,15 +277,17 @@ def fold_block_map(phi: ChainMap, fold_x: FoldData, fold_y: FoldData, n: int) ->
     return ChainMap(gx, gy, 0, tuple(mats))
 
 
-def fold_map(phi: ChainMap, fold_x: FoldData, fold_y: FoldData, n: int) -> ChainMap:
+def fold_map(phi: ChainMap, fold_x: HomotopyStructure, fold_y: HomotopyStructure,
+             n: int) -> ChainMap:
     """Push an equivariant degree 0 map through the fold below ``n``.
 
-    ``phi`` must be a chain map between the inputs of the two folds that
-    commutes with every homotopy operator; the result commutes with the
-    folded operators.
+    ``fold_x`` and ``fold_y`` are the folds of the source and the target
+    (see ``fold_block_map``).  ``phi`` must be a chain map between the
+    inputs of the two folds that commutes with every homotopy operator; the
+    result commutes with the folded operators, and is checked to.
     """
     out = fold_block_map(phi, fold_x, fold_y, n)
-    why = map_defect("folded map", out, fold_x.structure, fold_y.structure)
+    why = map_defect("folded map", out, fold_x, fold_y)
     if why:
         raise AssertionError(why)
     return out
@@ -268,10 +311,9 @@ def disk_fold_iso(ring, rank: int, n: int, scalars: tuple):
     ``iso`` is an equivariant isomorphism from the fold onto it.
     """
     d = len(scalars)
-    dsk = disk(ring, rank, n, scalars)
-    data = fold_general(dsk, n)
-    expected = suspend(coefficient_block(ring, rank, scalars), n - d - 1)
-    if data.structure != expected:
+    data = fold_general(disk(ring, rank, n, scalars), n)
+    # The coefficient row's sub is the shifted coefficient block, built once.
+    if data.structure != data.coefficient_row.sub:
         raise AssertionError("disk fold differs from the shifted coefficient block")
     target = suspend(restrict(tensor_module(koszul(ring, scalars), rank), scalars),
                      n - d - 1)
@@ -280,7 +322,7 @@ def disk_fold_iso(ring, rank: int, n: int, scalars: tuple):
     ident = Matrix.identity(ring, rank)
     iso = ChainMap(data.structure.complex, target.complex, 0, tuple(
         interleave_rows(ident.kron(star.transpose()), star.cols)
-        for star in hodge_star(ring, scalars).mats))
+        for star in star_matrices(ring, d)))
     # self-check: a chain map, inverted by its transpose, and equivariant
     why = iso_defect(iso, iso.transpose(), data.structure, target)
     if why:

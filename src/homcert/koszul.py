@@ -114,9 +114,14 @@ def hodge_star(ring, scalars) -> ChainMap:
     In degree k it sends e_I to (-1)^(k(d-k)) sgn(I, I^c) e_{I^c}; it is an
     equivariant chain isomorphism between koszul and koszul_dual.
     """
-    d = len(scalars)
     kx = koszul(ring, scalars).complex
     ox = koszul_dual(ring, scalars).complex
+    return ChainMap(kx, ox, 0, star_matrices(ring, len(scalars)))
+
+
+def star_matrices(ring, d: int) -> tuple:
+    """The matrices of ``hodge_star`` for ``d`` scalars, degree 0 to d,
+    without building the two complexes; they do not depend on the scalars."""
     mats = []
     for k in range(d + 1):
         src = exterior_basis(d, k)
@@ -128,7 +133,7 @@ def hodge_star(ring, scalars) -> ChainMap:
             val = outer * permutation_sign(sub + complement)
             mat[rows[complement]][col] = ring.from_int(val)
         mats.append(Matrix.from_rows(ring, mat))
-    return ChainMap(kx, ox, 0, tuple(mats))
+    return tuple(mats)
 
 
 def interleave_rows(a: Matrix, height: int) -> Matrix:

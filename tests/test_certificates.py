@@ -8,7 +8,8 @@ import pytest
 
 from homcert.complexes import ChainMap, GradedFreeComplex, find_contraction, identity_map
 from homcert.constructions import (
-    cone_mixed, cone_same, disk, identity_cone_contraction, mapping_cone, module_tensor, suspend,
+    cone_mixed, cone_same, direct_sum, disk, identity_cone_contraction, mapping_cone,
+    module_tensor, suspend,
 )
 from homcert.exactalg import Matrix, QQ, RationalRing, ZZ, Zmod
 from homcert.certificates import (
@@ -69,13 +70,33 @@ def test_kernel_rejects_scalar_mismatch():
     assert res.step == 0
 
 
+def sum_by_hand(ma, mb, ceiling):
+    """The certificate ``sum_certificate`` builds, without its window check."""
+    ds = direct_sum(ma, mb)
+    return Certificate(
+        Slot(ma.scalars, ceiling), (("left", ma), ("right", mb), ("sum", ds.structure)),
+        (ExactRow("left", "sum", "right", ds.include[0], ds.project[1],
+                  ds.include[1], ds.project[0]),),
+        ClassExpr.build([("sum", 1), ("left", -1), ("right", -1)]))
+
+
 def test_kernel_rejects_support_above_ceiling():
     rng = random.Random(4)
-    cert = sum_certificate(disk_pile(rng, ZZ, 4, (2,)),
-                           disk_pile(rng, ZZ, 4, (2,)), 3)
+    cert = sum_by_hand(disk_pile(rng, ZZ, 4, (2,)),
+                       disk_pile(rng, ZZ, 4, (2,)), 3)
     res = check_certificate(cert)
     assert not res.accepted
     assert "window" in res.reason
+
+
+def test_sum_certificate_refuses_support_outside_the_window():
+    rng = random.Random(4)
+    high, low = disk_pile(rng, ZZ, 4, (2,)), disk_pile(rng, ZZ, 2, (2,))
+    assert sum_by_hand(low, low, 3) == sum_certificate(low, low, 3)
+    for ma, mb in ((high, high), (low, high), (suspend(low, -2), low)):
+        with pytest.raises(ValueError, match=r"leaves the window \[0, 3\]"):
+            sum_certificate(ma, mb, 3)
+        assert not check_certificate(sum_by_hand(ma, mb, 3)).accepted
 
 
 def test_contractible_step_and_tamper():
@@ -272,6 +293,16 @@ def test_structure_independence_certificate_accepted():
     cert = structure_independence_certificate(m1, m2, 3)
     res = check_certificate(cert)
     assert res.accepted, (res.reason, res.step)
+
+
+@pytest.mark.parametrize("t", (2, 3))
+def test_structure_independence_certificate_at_the_tight_ceiling(t):
+    # n = top(X): four of the eight folds reach the fold ceiling n + 1
+    for seed in range(3):
+        m1, m2 = lift_pair(random.Random(seed), t)
+        cert = structure_independence_certificate(m1, m2, m1.complex.top_degree)
+        res = check_certificate(cert)
+        assert res.accepted, (res.reason, res.step)
 
 
 def test_mutations_rejected_smoke():

@@ -303,9 +303,9 @@ def test_fold_map_identity_and_inclusion():
     summed = direct_sum(ma, mb)
     fa = fold_general(ma, 3)
     fab = fold_general(summed.structure, 3)
-    pushed = fold_map(summed.include[0], fa, fab, 3)
+    pushed = fold_map(summed.include[0], fa.structure, fab.structure, 3)
     assert pushed.is_chain_map()
-    ident = fold_map(identity_map(ma.complex), fa, fa, 3)
+    ident = fold_map(identity_map(ma.complex), fa.structure, fa.structure, 3)
     for i in fa.structure.complex.degrees():
         assert ident.mat(i) == Matrix.identity(ZZ, fa.structure.complex.rank(i))
 
@@ -318,8 +318,8 @@ def test_fold_map_composes():
     summed = direct_sum(ma, mb)
     fa = fold_general(ma, 3)
     fab = fold_general(summed.structure, 3)
-    incl = fold_map(summed.include[0], fa, fab, 3)
-    proj = fold_map(summed.project[0], fab, fa, 3)
+    incl = fold_map(summed.include[0], fa.structure, fab.structure, 3)
+    proj = fold_map(summed.project[0], fab.structure, fa.structure, 3)
     back = proj.compose(incl)
     for i in fa.structure.complex.degrees():
         assert back.mat(i) == Matrix.identity(ZZ, fa.structure.complex.rank(i))

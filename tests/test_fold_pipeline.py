@@ -14,7 +14,10 @@ from fractions import Fraction
 
 import pytest
 
-from homcert.certificates import fold_defect_certificate
+from homcert.certificates import (
+    disk_transport_certificate, fold_defect_certificate, fold_identity_certificate,
+    structure_independence_certificate,
+)
 from homcert.complexes import ChainMap, GradedFreeComplex
 from homcert.constructions import (
     cone_mixed, desuspend, direct_sum, disk, module_tensor, suspend, tensor_module,
@@ -25,7 +28,7 @@ from homcert.kernel import Row
 from homcert.koszul import (
     counit_map, exterior_basis, hodge_star, koszul, koszul_dual, word_matrix,
 )
-from homcert.randgen import random_structure
+from homcert.randgen import lift_pair, random_structure
 from homcert.structures import HomotopyStructure, restrict
 
 fold_module = importlib.import_module("homcert.fold")  # the package exports a function `fold`
@@ -135,13 +138,32 @@ def cases(rname: str, tops=range(1, 5), gens=range(1, 5)):
 
 @pytest.mark.parametrize("rname", RINGS)
 def test_fold_below_the_ceiling_is_the_padded_rescaling(rname):
-    below = [(m, n) for m, n in cases(rname) if m.complex.top_degree < n]
+    pairs = cases(rname)
+    below = [(m, n) for m, n in pairs if m.complex.top_degree < n]
+    assert 0 < len(below) < len(pairs)
     for m, n in below:
         assert fold(m, n) == padded_restrict_reference(m, n)
+    for m, n in pairs:
+        assert fold(m, n) == fold_general(m, n).structure
     once = [(m, n) for m, n in below if m.ngens == 1 and n >= 2]
     assert once
     for m, n in once:
         assert fold_once(m, n) == padded_restrict_reference(m, n)
+
+
+def refusal(build, m, n) -> str:
+    with pytest.raises(ValueError) as err:
+        build(m, n)
+    return str(err.value)
+
+
+def test_fold_refuses_what_fold_general_refuses():
+    rng = random.Random(6)
+    low, high = (random_structure(rng, ZZ, top, (2, 3, 5)) for top in (1, 2))
+    no_gens = HomotopyStructure(low.complex, (), ())
+    # d = 0 and n < d, each below the ceiling and at it; then above it
+    for m, n in ((no_gens, 2), (no_gens, 1), (low, 2), (high, 2), (high, 1)):
+        assert refusal(fold, m, n) == refusal(fold_general, m, n)
 
 
 @pytest.mark.parametrize("rname", RINGS)
@@ -207,3 +229,26 @@ def test_comparison_and_disk_iso_fill_no_entry_one_at_a_time(monkeypatch):
     disk_fold_iso(ZZ, 2, 3, (2, 3))
     disk_fold_iso(QQ, 1, 4, (Fraction(1, 2), 3, 5))
     assert calls == {"build": 0, "entry": 0}
+
+
+def test_disk_transport_builds_each_exterior_model_once(monkeypatch):
+    calls = count_calls(monkeypatch, [
+        (module, name) for module in (koszul_module, fold_module)
+        for name in ("koszul", "koszul_dual") if hasattr(module, name)])
+    disk_transport_certificate(ZZ, 2, 4, (2, 3))
+    assert calls == {"koszul": 1, "koszul_dual": 1}
+
+
+def test_only_folds_that_reach_the_ceiling_build_the_comparison_cone(monkeypatch):
+    calls = count_calls(monkeypatch, [(fold_module, "fold_general"),
+                                      (certificates_module, "fold_general")])
+    m1, m2 = lift_pair(random.Random(10), 2)
+    # At n = top(X) = 2 the shared quotient, both cones and the top disk
+    # reach the ceiling n + 1; above it every fold is a rescaling.
+    for n, general in ((2, 4), (3, 0), (4, 0)):
+        calls["fold_general"] = 0
+        structure_independence_certificate(m1, m2, n)
+        assert calls == {"fold_general": general}
+    calls["fold_general"] = 0
+    fold_identity_certificate(m1, 3)
+    assert calls == {"fold_general": 0}

@@ -26,7 +26,6 @@ from .certificates import (
 from .complexes import ChainMap
 from .constructions import cone_mixed, cone_same, dual, glue_extension, suspend
 from .exactalg import ZZ
-from .fold import fold_once
 from .kernel import brief, check_certificate, check_structure, validate_complex
 from .randgen import lift_pair, random_structure
 from .serialize import (
@@ -169,16 +168,10 @@ def cmd_homotopy_find(args) -> int:
 def cmd_gamma(args) -> int:
     m = _load_structure(args.file)
     n = m.complex.top_degree
-    report = {"command": "gamma", "ceiling": n}
-    if args.general or m.ngens != 1:
-        rows = fold_row_certificates(m, n)
-        report["route"] = "general"
-        report["witness_rows"] = [certificate_to_json(c) for c in rows]
-        out = dict(rows[1].registry)["fold"]
-    else:
-        out = fold_once(m, n)
-        report["route"] = "direct"
-    report.update(structure_to_json(out))
+    rows = fold_row_certificates(m, n)
+    report = {"command": "gamma", "ceiling": n, "route": "general",
+              "witness_rows": [certificate_to_json(c) for c in rows]}
+    report.update(structure_to_json(dict(rows[1].registry)["fold"]))
     _emit(report)
     return 0
 
@@ -376,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("gamma", help="fold a structure below its top degree")
     q.add_argument("file")
     q.add_argument("--general", action="store_true",
-                   help="force the comparison-cone route (with witness rows)")
+                   help="no effect; every fold takes the comparison-cone route")
     q.set_defaults(fn=cmd_gamma)
 
     q = sub.add_parser("cone", help="structured mapping cone")

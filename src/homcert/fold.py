@@ -13,10 +13,6 @@ fold is the input rescaled by its own scalars, on a window widened down to
 degree n - d - 1.  ``fold`` builds that case directly and checks it once,
 instead of building the cone and both rows; ``fold_general`` builds the
 rows on either side of the ceiling, for the certificates that carry them.
-
-For a single generator reaching the ceiling there is also a small direct
-model, ``fold_once``, built from explicit block matrices; the tests tie it
-to the general fold by the canonical isomorphism between the two.
 """
 
 from __future__ import annotations
@@ -30,11 +26,10 @@ from .constructions import (
     disk,
     suspend,
     tensor_module,
-    module_tensor,
 )
 from .exactalg import Matrix
 from .koszul import (
-    counit_map, exterior_basis, interleave_rows, koszul, koszul_dual, star_matrices,
+    counit_map, exterior_basis, interleave_rows, koszul, star_matrices,
 )
 from .kernel import Row, check_structure, iso_defect, map_defect
 from .structures import HomotopyStructure, restrict
@@ -46,65 +41,17 @@ def squared_scalars(m: HomotopyStructure) -> tuple:
 
 
 def fold_once(m: HomotopyStructure, n: int) -> HomotopyStructure:
-    """Direct single-generator fold below the ceiling ``n``.
+    """The fold of a single-generator structure below the ceiling ``n``.
 
-    The degree ``n`` part is folded onto degree ``n - 2`` using the homotopy
-    operator itself as the connecting differential.  Requires exactly one
-    homotopy generator; the result has scalar ``s**2``.  Below the ceiling
-    there is nothing to fold, and the result is ``fold(m, n)``, the
-    rescaled input.
+    Refuses a generator count other than one and a ceiling below 2; it is
+    otherwise ``fold(m, n)``, with scalar ``s**2``, and so folds through the
+    comparison cone when the complex reaches ``n``.
     """
     if m.ngens != 1:
         raise ValueError("direct fold needs exactly one homotopy generator")
-    x = m.complex
-    ring = x.ring
-    top = x.top_degree
     if n < 2:
         raise ValueError("fold ceiling must be at least 2")
-    if top > n:
-        raise ValueError("complex exceeds the fold ceiling")
-    if top < n:
-        return fold(m, n)
-
-    s = m.scalars[0]
-    lo = min(x.min_degree, n - 2)
-    ranks = []
-    for i in range(lo, n):
-        if i == n - 2:
-            ranks.append(x.rank(n - 2) + x.rank(n))
-        else:
-            ranks.append(x.rank(i))
-    diffs = []
-    for i in range(lo + 1, n):
-        if i == n - 1:
-            diffs.append(Matrix.vstack(x.diff(n - 1), m.op(0, n - 1)))
-        elif i == n - 2:
-            diffs.append(Matrix.hstack(
-                x.diff(n - 2),
-                Matrix.zeros(ring, x.rank(n - 3), x.rank(n))))
-        else:
-            diffs.append(x.diff(i))
-    ops = []
-    for i in range(lo, n - 1):
-        if i == n - 2:
-            corner = (m.op(0, n - 2).scale(s)
-                      - m.op(0, n - 2) * m.op(0, n - 3) * x.diff(n - 2))
-            ops.append(Matrix.hstack(corner, x.diff(n).scale(s)))
-        elif i == n - 3:
-            ops.append(Matrix.vstack(
-                m.op(0, n - 3).scale(s),
-                Matrix.zeros(ring, x.rank(n), x.rank(n - 3))))
-        else:
-            ops.append(m.op(0, i).scale(s))
-    folded = HomotopyStructure(
-        GradedFreeComplex(ring, lo, tuple(ranks), tuple(diffs)),
-        (ring.mul(s, s),),
-        (tuple(ops),),
-    )
-    problems = check_structure(folded)
-    if problems:
-        raise AssertionError("fold output is not a structure: " + problems[0])
-    return folded
+    return fold(m, n)
 
 
 @dataclass(frozen=True)
@@ -291,16 +238,6 @@ def fold_map(phi: ChainMap, fold_x: HomotopyStructure, fold_y: HomotopyStructure
     if why:
         raise AssertionError(why)
     return out
-
-
-def coefficient_block(ring, rank: int, scalars: tuple) -> HomotopyStructure:
-    """Exterior-coefficient columns on a rank ``rank`` module, rescaled.
-
-    This is the unshifted model of the coefficient end of the fold: the
-    dual exterior complex tensored on the right of the module, with each
-    homotopy operator rescaled by its own scalar.
-    """
-    return restrict(module_tensor(rank, koszul_dual(ring, scalars)), scalars)
 
 
 def disk_fold_iso(ring, rank: int, n: int, scalars: tuple):

@@ -318,16 +318,20 @@ def test_gamma_direct_output_revalidates(run, tmp_path):
     m = disk_pile(random.Random(1), ZZ, 3, (2,))
     path = write(tmp_path, "m.json", m)
     code, report, err = run("gamma", path)
-    assert code == 0 and report["route"] == "direct"
+    assert code == 0 and report["route"] == "general"
     out = from_json(report)
     assert out.scalars == (4,)
     back = write(tmp_path, "fold.json", report)
     assert run("validate", back)[0] == 0
+    assert len(report["witness_rows"]) == 2
+    for i, row in enumerate(report["witness_rows"]):
+        p = write(tmp_path, f"row{i}.json", row)
+        assert run("certify", p)[0] == 0
 
 
 def test_failed_self_check_is_internal_error(run, tmp_path, monkeypatch):
     fold_mod = importlib.import_module("homcert.fold")  # the package exports a function `fold`
-    monkeypatch.setattr(fold_mod, "check_structure", lambda m: ["forced failure"])
+    monkeypatch.setattr(fold_mod, "check_structure", lambda m, **kw: ["forced failure"])
     path = write(tmp_path, "m.json", disk_pile(random.Random(1), ZZ, 3, (2,)))
     code, report, err = run("gamma", path)
     assert code == 1 and report is None

@@ -33,9 +33,9 @@ def round_trip_inputs():
 
 @pytest.mark.parametrize("argv", [("gamma",), ("gamma", "--general"), ("peel",)])
 def test_emitted_certificates_certify_or_the_command_refuses(capsys, tmp_path, argv):
-    """Every certificate that gamma (either route) or peel prints is
-    accepted by certify; otherwise the command exits 1 with one JSON error
-    line."""
+    """Every certificate that gamma (with or without --general) or peel
+    prints is accepted by certify; otherwise the command exits 1 with one
+    JSON error line."""
     refused = emitted = 0
     for k, m in enumerate(round_trip_inputs()):
         path = tmp_path / f"m{k}.json"
@@ -56,4 +56,17 @@ def test_emitted_certificates_certify_or_the_command_refuses(capsys, tmp_path, a
             assert code == 0, (k, j, capsys.readouterr().err)
             capsys.readouterr()
             emitted += 1
-    assert refused and (emitted or argv == ("gamma",))
+    assert refused and emitted
+
+
+def test_gamma_ignores_general(capsys, tmp_path):
+    """``--general`` is a no-op: every fold takes the comparison-cone route."""
+    for k, m in enumerate(round_trip_inputs()):
+        path = tmp_path / f"m{k}.json"
+        path.write_text(dumps(m))
+        runs = []
+        for extra in ((), ("--general",)):
+            code = main(["gamma", str(path), *extra])
+            out = capsys.readouterr()
+            runs.append((code, out.out, out.err))
+        assert runs[0] == runs[1], k

@@ -1,4 +1,4 @@
-"""Fold construction: direct model, cone route, disk identification, sums."""
+"""Fold construction: cone route, direct reference model, disk identification, sums."""
 
 import dataclasses
 import importlib
@@ -9,11 +9,10 @@ import pytest
 from homcert.complexes import ChainMap, GradedFreeComplex, check_ses, identity_map
 from homcert.constructions import (
     cone_mixed, direct_sum, disk, identity_cone_contraction, mapping_cone,
-    suspend,
+    module_tensor, suspend,
 )
-from homcert.exactalg import Matrix, ZZ, Zmod
+from homcert.exactalg import Matrix, QQ, ZZ, Zmod
 from homcert.fold import (
-    coefficient_block,
     disk_fold_iso,
     fold,
     fold_general,
@@ -21,7 +20,7 @@ from homcert.fold import (
     fold_once,
 )
 from homcert.kernel import check_structure, iso_defect
-from homcert.koszul import exterior_basis, koszul
+from homcert.koszul import exterior_basis, koszul, koszul_dual
 from homcert.structures import (
     HomotopyStructure, find_structure, is_equivariant, restrict, structure_from_contraction,
 )
@@ -101,6 +100,58 @@ def test_fold_once_axioms_many():
                                          + m.complex.rank(n))
 
 
+def direct_fold_reference(m, n):
+    """Single-generator fold at the ceiling ``n``, from explicit block matrices.
+
+    The degree ``n`` part is folded onto degree ``n - 2`` using the homotopy
+    operator itself as the connecting differential; the result has scalar
+    ``s**2`` and is checked to be a structure.
+    """
+    x = m.complex
+    ring = x.ring
+    if m.ngens != 1 or n < 2 or x.top_degree != n:
+        raise ValueError("direct fold needs one generator reaching a ceiling >= 2")
+    s = m.scalars[0]
+    lo = min(x.min_degree, n - 2)
+    ranks = []
+    for i in range(lo, n):
+        if i == n - 2:
+            ranks.append(x.rank(n - 2) + x.rank(n))
+        else:
+            ranks.append(x.rank(i))
+    diffs = []
+    for i in range(lo + 1, n):
+        if i == n - 1:
+            diffs.append(Matrix.vstack(x.diff(n - 1), m.op(0, n - 1)))
+        elif i == n - 2:
+            diffs.append(Matrix.hstack(
+                x.diff(n - 2),
+                Matrix.zeros(ring, x.rank(n - 3), x.rank(n))))
+        else:
+            diffs.append(x.diff(i))
+    ops = []
+    for i in range(lo, n - 1):
+        if i == n - 2:
+            corner = (m.op(0, n - 2).scale(s)
+                      - m.op(0, n - 2) * m.op(0, n - 3) * x.diff(n - 2))
+            ops.append(Matrix.hstack(corner, x.diff(n).scale(s)))
+        elif i == n - 3:
+            ops.append(Matrix.vstack(
+                m.op(0, n - 3).scale(s),
+                Matrix.zeros(ring, x.rank(n), x.rank(n - 3))))
+        else:
+            ops.append(m.op(0, i).scale(s))
+    folded = HomotopyStructure(
+        GradedFreeComplex(ring, lo, tuple(ranks), tuple(diffs)),
+        (ring.mul(s, s),),
+        (tuple(ops),),
+    )
+    problems = check_structure(folded)
+    if problems:
+        raise AssertionError("fold output is not a structure: " + problems[0])
+    return folded
+
+
 def fold_once_match_iso(m, n):
     """Equivariant isomorphism from the general fold onto the direct model.
 
@@ -113,7 +164,7 @@ def fold_once_match_iso(m, n):
     if m.ngens != 1 or x.top_degree != n:
         raise ValueError("match iso needs one generator reaching the ceiling")
     gen = fold_general(m, n).structure
-    small = fold_once(m, n)
+    small = direct_fold_reference(m, n)
     gx, sx = gen.complex, small.complex
     sign = ring.one() if n % 2 == 0 else ring.neg(ring.one())
     mats = []
@@ -133,17 +184,28 @@ def fold_once_match_iso(m, n):
 
 
 def test_fold_general_matches_direct_model():
-    rng = random.Random(5)
-    for trial in range(10):
-        n = rng.randint(2, 4)
-        s = rng.choice([2, 3, -2])
-        if trial % 2 == 0:
-            m = disk_pile(rng, ZZ, n, (s,))
-        else:
-            m = shifted_cone(rng, ZZ, n, s, 3)
-        iso = fold_once_match_iso(m, n)
-        assert iso.source == fold_general(m, n).structure.complex
-        assert iso.target == fold_once(m, n).complex
+    for ring in (ZZ, QQ, Zmod(7), Zmod(12)):
+        rng = random.Random(5)
+        for trial in range(10):
+            n = rng.randint(2, 4)
+            s = ring.from_int(rng.choice([2, 3, -2]))
+            if trial % 2 == 0:
+                m = disk_pile(rng, ring, n, (s,))
+            else:
+                m = shifted_cone(rng, ring, n, s, ring.from_int(3))
+            iso = fold_once_match_iso(m, n)
+            assert iso.source == fold_general(m, n).structure.complex
+            assert iso.target == direct_fold_reference(m, n).complex
+
+
+def coefficient_block(ring, rank: int, scalars: tuple) -> HomotopyStructure:
+    """Exterior-coefficient columns on a rank ``rank`` module, rescaled.
+
+    This is the unshifted model of the coefficient end of the fold: the
+    dual exterior complex tensored on the right of the module, with each
+    homotopy operator rescaled by its own scalar.
+    """
+    return restrict(module_tensor(rank, koszul_dual(ring, scalars)), scalars)
 
 
 def test_fold_general_exact_rows():

@@ -23,7 +23,8 @@ from .fold import (
     disk_fold_iso, fold, fold_block_map, fold_general, fold_map, squared_scalars,
 )
 from .kernel import (
-    Certificate, ClassExpr, Contractible, ExactRow, Isomorphism, Slot, check_certificate,
+    Certificate, ClassExpr, Contractible, ExactRow, Isomorphism, Slot, _support,
+    check_certificate,
 )
 from .structures import HomotopyStructure, restrict
 
@@ -35,9 +36,9 @@ __all__ = ["check_certificate", "disk_transport_certificate", "extension_certifi
 def _in_window(ceiling: int, *structures: HomotopyStructure) -> None:
     """Refuse a structure supported outside [0, ceiling]: the kernel rejects it."""
     for m in structures:
-        span = [i for i in m.complex.degrees() if m.complex.rank(i)]
-        if span and (span[0] < 0 or span[-1] > ceiling):
-            raise ValueError(f"support {span[0]}..{span[-1]} leaves the window [0, {ceiling}]")
+        span = _support(m)
+        if span and (span[0] < 0 or span[1] > ceiling):
+            raise ValueError(f"support {span[0]}..{span[1]} leaves the window [0, {ceiling}]")
 
 
 def _fold_window(m: HomotopyStructure, n: int) -> None:

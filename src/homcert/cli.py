@@ -23,7 +23,7 @@ from .certificates import (
     disk_transport_certificate, fold_defect_certificate, fold_row_certificates,
     peel_chain_certificate, structure_independence_certificate,
 )
-from .complexes import ChainMap
+from .complexes import ChainMap, GradedFreeComplex
 from .constructions import cone_mixed, cone_same, dual, glue_extension, suspend
 from .exactalg import ZZ
 from .kernel import brief, check_certificate, check_structure, validate_complex
@@ -94,6 +94,13 @@ def _failing_step(res) -> str | None:
 # -- validate ----------------------------------------------------------
 
 
+def _negative_degrees(x: GradedFreeComplex) -> list[str]:
+    """Documents live in degrees >= 0; the kernel's checks allow lower ones."""
+    if any(map(x.rank, range(x.min_degree, 0))):
+        return ["nonzero module in negative degree"]
+    return []
+
+
 def cmd_validate(args) -> int:
     doc = _load_doc(args.file)
     kind = detect_kind(doc)
@@ -101,11 +108,11 @@ def cmd_validate(args) -> int:
     report = {"command": "validate", "kind": kind}
     where = None
     if kind == "complex":
-        problems = validate_complex(obj)
+        problems = _negative_degrees(obj) + validate_complex(obj)
         report["min_degree"] = obj.min_degree
         report["ranks"] = list(obj.ranks)
     elif kind == "structure":
-        problems = validate_complex(obj.complex) + check_structure(obj, check_complex=False)
+        problems = _negative_degrees(obj.complex) + check_structure(obj)
         report["min_degree"] = obj.complex.min_degree
         report["ranks"] = list(obj.complex.ranks)
         report["scalars"] = [element_to_str(obj.complex.ring, s) for s in obj.scalars]

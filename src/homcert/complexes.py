@@ -16,7 +16,7 @@ from typing import Optional
 from .exactalg import (
     Matrix, Ring, ZZ, ModularRing, SmithSolver,
 )
-from .kernel import _degrees_from, _first_non_identity, contraction_defect
+from .kernel import _first_non_identity, contraction_defect
 
 
 @dataclass(frozen=True)
@@ -148,15 +148,14 @@ class ChainMap:
             return self.mats[j]
         return Matrix.zeros(self.source.ring, self.target.rank(i + self.shift), self.source.rank(i))
 
-    def chain_defect(self, *, start: Optional[int] = None) -> Optional[int]:
+    def chain_defect(self) -> Optional[int]:
         """The first source degree i with d_target f_i != (-1)^shift f_{i-1} d_i,
         or None for a chain map.  A degree where both sides are empty (no
         source generators in degree i, or no target generators in degree
-        i + shift - 1) is skipped, and with ``start`` so is every degree
-        below it (see ``kernel.map_defect``)."""
+        i + shift - 1) is skipped."""
         x, y, k = self.source, self.target, self.shift
         minus = y.ring.from_int(-1)
-        for i in _degrees_from(x, start=start):
+        for i in x.degrees():
             if not (x.rank(i) and y.rank(i + k - 1)):
                 continue
             lhs = y.diff(i + k) * self.mat(i)

@@ -134,6 +134,12 @@ def cone_mixed(f: ChainMap, mx: HomotopyStructure, my: HomotopyStructure) -> Row
     operators are the diagonal blocks t_g e_Y and -s_g e_X themselves.  The
     transposes split the row: the section x -> (0, x) and the retraction
     (y, x) -> y.
+
+    No self-check: the ends' laws and f being a chain map prove the
+    output.  D = [[d_Y, f], [0, -d_X]] squares to zero, the diagonal blocks
+    of D E + E D are t_g s_g, and substituting d_Y e_Y = s_g - e_Y d_Y,
+    e_X d_X = t_g - d_X e_X and d_Y f = f d_X turns the off-diagonal block
+    d_Y e_Y f e_X - e_Y f e_X d_X + t_g e_Y f - s_g f e_X into zero.
     """
     if mx.ngens != my.ngens:
         raise ValueError("source and target need the same number of generators")

@@ -6,7 +6,8 @@ homotopy scalar.  The general construction takes the mapping cone of the
 coevaluation comparison map into a shifted exterior-coefficient complex,
 built one degree down where the fold sits, and divides out a canonical disk;
 each object is built once, and the two split exact rows through that cone
-are returned alongside the fold itself.
+are returned alongside the fold itself.  The fold is checked through the
+disk row it is the quotient of, as the kernel checks a derived row end.
 
 Below the ceiling (top degree < n) the degree ``n`` part is zero and the
 fold is the input rescaled by its own scalars, on a window widened down to
@@ -90,10 +91,10 @@ def fold_general(m: HomotopyStructure, n: int) -> FoldData:
     ``cone_mixed`` row is the coefficient row.  The fold is its quotient by
     the top disk, on the cone's own matrices: below degree n - 2 its
     differentials and operators are the cone's ``Matrix`` objects, and the
-    fold projection is the identity.  So the cone is checked in every
-    degree, and the fold and its projection only from degree n - 2 up.
-    A caller that needs no row folds through ``fold``, which skips the cone
-    below the ceiling.
+    fold projection is the identity.  The cone is checked in full, then
+    the disk row and its one scalar tuple; the fold's law follows, as for a
+    derived row end in ``check_certificate``.  A caller that needs no row
+    folds through ``fold``, which skips the cone below the ceiling.
     """
     x = m.complex
     ring = x.ring
@@ -142,14 +143,14 @@ def fold_general(m: HomotopyStructure, n: int) -> FoldData:
         else Matrix.zeros(ring, 0, cx.rank(i)) for i in cx.degrees()))
 
     data = FoldData(coefficient_row, Row(dsk, c, q, disk_incl, proj, section, retraction))
-    for name, struct, start in (("cone", c, None), ("fold", q, n - 2)):
-        problems = check_structure(struct, start=start)
-        if problems:
-            raise AssertionError(f"{name} is not a structure: " + problems[0])
-    why = (map_defect("disk inclusion", disk_incl, dsk, c)
-           or map_defect("fold projection", proj, c, q, start=n - 2))
+    problems = check_structure(c)
+    if problems:
+        raise AssertionError("fold cone is not a structure: " + problems[0])
+    if not dsk.scalars == c.scalars == q.scalars:
+        raise AssertionError("fold disk, cone and fold differ in scalars")
+    why = data.disk_row.defect()
     if why:
-        raise AssertionError(why)
+        raise AssertionError("fold disk " + why)
     return data
 
 

@@ -34,29 +34,10 @@ if TYPE_CHECKING:
     from .structures import HomotopyStructure
 
 
-def _degrees_from(x: GradedFreeComplex, *, start: Optional[int]) -> range:
-    """The window degrees of ``x``, from ``start`` up when it is given."""
-    return x.degrees() if start is None else range(max(start, x.min_degree), x.top_degree + 1)
-
-
-def validate_complex(x: GradedFreeComplex, allow_negative: bool = False, *,
-                     start: Optional[int] = None) -> list[str]:
-    """Diagnostics for the complex laws; empty list means valid.
-
-    ``allow_negative`` permits nonzero modules in negative degrees, which
-    internal desuspensions need; external inputs keep the default.  With
-    ``start`` only d_i d_(i+1) = 0 for i >= start is checked (see
-    ``check_structure``).
-    """
-    report = []
-    if not allow_negative and x.min_degree < 0:
-        if any(x.rank(i) > 0 for i in range(x.min_degree, 0)):
-            report.append("nonzero module in negative degree")
-    for i in _degrees_from(x, start=start):
-        prod = x.diff(i) * x.diff(i + 1)
-        if not prod.is_zero():
-            report.append(f"d_{i} * d_{i + 1} != 0")
-    return report
+def validate_complex(x: GradedFreeComplex) -> list[str]:
+    """Diagnostics for d_i d_(i+1) = 0; an empty list means ``x`` is a complex."""
+    return [f"d_{i} * d_{i + 1} != 0" for i in x.degrees()
+            if not (x.diff(i) * x.diff(i + 1)).is_zero()]
 
 
 def contraction_defect(h: ChainMap) -> Optional[int]:
@@ -110,34 +91,21 @@ def inverse_defect(f: ChainMap, g: ChainMap) -> Optional[str]:
          ("g·f", lambda k: g.mat(k) * f.mat(k))))
 
 
-def check_structure(m: HomotopyStructure, check_complex: bool = True, *,
-                    start: Optional[int] = None) -> list[str]:
-    """Report every violated axiom; an empty list means the structure is valid.
-
-    With ``start`` only the laws in degrees ``>= start`` are checked.  It
-    is for a construction that shares every matrix below ``start`` with a
-    structure it has already checked in full; the kernel never passes it.
-    """
-    problems = []
+def check_structure(m: HomotopyStructure) -> list[str]:
+    """Report every violated axiom; an empty list means the structure is valid."""
     x = m.complex
-    if check_complex:
-        problems.extend(validate_complex(x, allow_negative=True, start=start))
-    for g in range(m.ngens):
-        s = m.scalars[g]
-        for i in _degrees_from(x, start=start):
-            lhs = x.diff(i + 1) * m.op(g, i) + m.op(g, i - 1) * x.diff(i)
-            if not lhs.is_scalar(s):
-                problems.append(
-                    f"generator {g}: d e + e d != {s} * id in degree {i}")
-    return problems
+    return validate_complex(x) + [
+        f"generator {g}: d e + e d != {s} * id in degree {i}"
+        for g, s in enumerate(m.scalars) for i in x.degrees()
+        if not (x.diff(i + 1) * m.op(g, i) + m.op(g, i - 1) * x.diff(i)).is_scalar(s)]
 
 
-def equivariance_defect(f: ChainMap, mx: HomotopyStructure, my: HomotopyStructure, *,
-                        start: Optional[int] = None) -> Optional[tuple]:
+def equivariance_defect(f: ChainMap, mx: HomotopyStructure,
+                        my: HomotopyStructure) -> Optional[tuple]:
     """The first (generator, degree) where f e_X != e_Y f, or None when the
     chain map intertwines every generator's operator.  The structures must
     have the same number of generators.  A degree where either side is
-    empty is skipped, and with ``start`` so is every degree below it."""
+    empty is skipped."""
     if f.shift != 0:
         raise ValueError("equivariance is only defined for degree 0 maps")
     if f.source != mx.complex or f.target != my.complex:
@@ -145,7 +113,7 @@ def equivariance_defect(f: ChainMap, mx: HomotopyStructure, my: HomotopyStructur
     if mx.ngens != my.ngens:
         raise ValueError("structures have different generator counts")
     x, y = f.source, f.target
-    degrees = [i for i in _degrees_from(x, start=start) if x.rank(i) and y.rank(i + 1)]
+    degrees = [i for i in x.degrees() if x.rank(i) and y.rank(i + 1)]
     for g in range(mx.ngens):
         for i in degrees:
             if f.mat(i + 1) * mx.op(g, i) != my.op(g, i) * f.mat(i):
@@ -163,27 +131,20 @@ def _prefixed(prefix: str, why: Optional[str]) -> Optional[str]:
     return why and prefix + why
 
 
-def _not_chain(label: str, f: ChainMap, *, start: Optional[int] = None) -> Optional[str]:
-    i = f.chain_defect(start=start)
+def _not_chain(label: str, f: ChainMap) -> Optional[str]:
+    i = f.chain_defect()
     return None if i is None else f"{label} is not a chain map in degree {i}"
 
 
-def _not_equivariant(label: str, f: ChainMap, mx, my, *,
-                     start: Optional[int] = None) -> Optional[str]:
-    bad = equivariance_defect(f, mx, my, start=start)
+def _not_equivariant(label: str, f: ChainMap, mx, my) -> Optional[str]:
+    bad = equivariance_defect(f, mx, my)
     return None if bad is None else \
         f"{label} is not equivariant for generator {bad[0]} in degree {bad[1]}"
 
 
-def map_defect(label: str, f: ChainMap, mx, my, *, start: Optional[int] = None) -> Optional[str]:
-    """Why ``f`` is not an equivariant chain map from ``mx`` to ``my``.
-
-    With ``start`` only degrees ``>= start`` are checked, as in
-    ``check_structure``: for a construction whose map is the identity
-    between shared matrices below it.  The kernel never passes it.
-    """
-    return (_not_chain(label, f, start=start)
-            or _not_equivariant(label, f, mx, my, start=start))
+def map_defect(label: str, f: ChainMap, mx, my) -> Optional[str]:
+    """Why ``f`` is not an equivariant chain map from ``mx`` to ``my``."""
+    return _not_chain(label, f) or _not_equivariant(label, f, mx, my)
 
 
 @dataclass(frozen=True)
@@ -323,11 +284,10 @@ class CheckResult:
     step: Optional[int] = None
 
 
-def _support(m: HomotopyStructure):
-    degs = [i for i in m.complex.degrees() if m.complex.rank(i) > 0]
-    if not degs:
-        return None
-    return min(degs), max(degs)
+def _support(m: HomotopyStructure) -> Optional[tuple]:
+    """The lowest and highest degree with a nonzero module, or None."""
+    degs = [i for i in m.complex.degrees() if m.complex.rank(i)]
+    return (degs[0], degs[-1]) if degs else None
 
 
 def _fits(m: HomotopyStructure, scalars: tuple, ceiling: int) -> Optional[str]:

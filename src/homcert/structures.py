@@ -143,7 +143,7 @@ def find_structure(x: GradedFreeComplex, gens: Sequence,
     when the search fails), exhibiting different operator lifts for the
     same exponent.
     """
-    problems = validate_complex(x, allow_negative=True)
+    problems = validate_complex(x)
     if problems:
         raise ValueError("not a complex: " + problems[0])
     ring = x.ring
@@ -170,7 +170,7 @@ def find_structure(x: GradedFreeComplex, gens: Sequence,
         powers.append(power)
         grids.append(tuple(e.mat(i) for i in list(x.degrees())[:-1]))
     structure = HomotopyStructure(x, tuple(powers), tuple(grids))
-    problems = check_structure(structure, check_complex=False)
+    problems = check_structure(structure)
     if problems:
         raise AssertionError("search output failed its own check: " + problems[0])
     return StructureSearch(structure, exponents, obstructed)

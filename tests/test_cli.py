@@ -75,6 +75,24 @@ def test_validate_rejects_broken_structure(run, tmp_path):
     assert err["error"]["code"] == "invalid"
 
 
+def test_validate_rejects_negative_degrees_first(run, tmp_path):
+    """``validate`` owns the rule that a document has no module in a
+    negative degree, and reports it before the laws."""
+    one = Matrix.from_rows(ZZ, [[1]])
+    x = GradedFreeComplex(ZZ, -1, (1, 1, 1), (one, one))
+    m = to_json(disk(ZZ, 1, 0, (2,)))
+    m["scalars"] = ["5"]
+    for obj, problems in [
+            (x, ["nonzero module in negative degree", "d_0 * d_1 != 0"]),
+            (m, ["nonzero module in negative degree",
+                 "generator 0: d e + e d != 5 * id in degree -1",
+                 "generator 0: d e + e d != 5 * id in degree 0"])]:
+        code, report, err = run("validate", write(tmp_path, "doc.json", obj))
+        assert code == 1 and not report["valid"] and report["min_degree"] == -1
+        assert report["problems"] == problems
+        assert err == {"error": {"code": "invalid", "message": problems[0], "where": None}}
+
+
 @pytest.mark.parametrize("argv", [("gamma",), ("gamma", "--general"), ("peel",),
                                   ("dual",), ("suspend",)])
 def test_axiom_violating_structure_is_invalid(run, tmp_path, argv):
@@ -331,7 +349,7 @@ def test_gamma_direct_output_revalidates(run, tmp_path):
 
 def test_failed_self_check_is_internal_error(run, tmp_path, monkeypatch):
     fold_mod = importlib.import_module("homcert.fold")  # the package exports a function `fold`
-    monkeypatch.setattr(fold_mod, "check_structure", lambda m, **kw: ["forced failure"])
+    monkeypatch.setattr(fold_mod, "check_structure", lambda m: ["forced failure"])
     path = write(tmp_path, "m.json", disk_pile(random.Random(1), ZZ, 3, (2,)))
     code, report, err = run("gamma", path)
     assert code == 1 and report is None

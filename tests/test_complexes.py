@@ -92,9 +92,10 @@ def test_validate_examples():
 
 
 def test_validate_negative_degrees():
+    """``validate_complex`` checks d² = 0 alone; ``homcert validate`` owns
+    the negative-degree rule for documents."""
     x = GradedFreeComplex(ZZ, -1, (1, 1), (Matrix.from_rows(ZZ, [[3]]),))
-    assert validate_complex(x) != []
-    assert validate_complex(x, allow_negative=True) == []
+    assert validate_complex(x) == []
 
 
 def test_signs_in_negative_degrees_are_integers(monkeypatch):

@@ -245,11 +245,9 @@ def fold_inputs():
 
 @pytest.mark.parametrize("case", range(4))
 def test_fold_is_the_cone_below_degree_n_minus_2(case):
-    """What lets fold_general check the fold and its projection only from
-    degree n - 2 up: every law below it uses matrices of the cone, which is
-    checked in full.  The differentials out of degrees <= n - 2 and the
-    operators out of degrees < n - 2 are the cone's own objects, and the
-    projection is the identity there."""
+    """The fold is built on the cone's own matrices: the differentials out
+    of degrees <= n - 2 and the operators out of degrees < n - 2 are the
+    cone's objects, and the projection is the identity there."""
     m = fold_inputs()[case]
     n = m.complex.top_degree
     data = fold_general(m, n)
@@ -287,7 +285,7 @@ def test_fold_rejects_a_corrupt_cone_operator_below_the_top(monkeypatch):
 
 
 def test_fold_rejects_a_corrupt_top_operator(monkeypatch):
-    """The fold's own top operator is caught by the checks from degree n - 2 up."""
+    """The fold's own top operator is caught by the disk row's check."""
     m, n = suspend(koszul(ZZ, (2, 3)), 2), 4
     real = fold_module.HomotopyStructure
     tops = []
@@ -302,6 +300,35 @@ def test_fold_rejects_a_corrupt_top_operator(monkeypatch):
         fold_general(m, n)
     assert len(tops) == 1 and tops[0][0] == n - 1 and tops[0][1] > 0  # a nonempty top operator
     assert str(raised.value).startswith("fold")
+
+
+@pytest.mark.parametrize("witness", ["section", "retraction"])
+def test_fold_rejects_a_corrupt_disk_row_splitting(monkeypatch, witness):
+    """The disk row's section and retraction are checked with the row: one
+    entry moved breaks a split identity, since i is injective and p onto."""
+    m, n = suspend(koszul(ZZ, (2, 3)), 2), 4
+    real = fold_module.Row
+
+    def corrupt(*parts):
+        row = real(*parts)
+        f = getattr(row, witness)
+        j = next(j for j, e in enumerate(f.mats) if e.rows and e.cols)
+        mats = f.mats[:j] + (bump(f.mats[j]),) + f.mats[j + 1:]
+        return dataclasses.replace(row, **{witness: ChainMap(f.source, f.target, 0, mats)})
+
+    monkeypatch.setattr(fold_module, "Row", corrupt)
+    with pytest.raises(AssertionError, match="^fold disk row is not split exact: "):
+        fold_general(m, n)
+
+
+def test_fold_rejects_a_disk_in_other_scalars(monkeypatch):
+    """``Row.defect`` compares no scalars, and below the ceiling the disk is
+    empty, so only the fold's own scalar check sees a wrong disk."""
+    real = fold_module.disk
+    monkeypatch.setattr(fold_module, "disk", lambda ring, rank, top, scalars: real(
+        ring, rank, top, tuple(ring.add(s, s) for s in scalars)))
+    with pytest.raises(AssertionError, match="^fold disk, cone and fold differ in scalars$"):
+        fold_general(two_term(2, 2), 4)
 
 
 def test_fold_general_below_ceiling_is_rescaling():

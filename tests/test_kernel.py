@@ -6,6 +6,7 @@ per-prime homology lengths."""
 import ast
 import dataclasses
 import importlib.util
+import inspect
 import random
 import re
 import sys
@@ -564,18 +565,13 @@ def equivariance_failures(f: ChainMap, mx, my) -> list:
 
 
 def structure_failures(m) -> list:
-    """(degree, problem) for every law that fails, in ``check_structure``'s order."""
+    """Every law that fails, in ``check_structure``'s order."""
     x = m.complex
-    return ([(i, f"d_{i} * d_{i + 1} != 0") for i in every_degree(x)
+    return ([f"d_{i} * d_{i + 1} != 0" for i in every_degree(x)
              if not (x.diff(i) * x.diff(i + 1)).is_zero()]
-            + [(i, f"generator {g}: d e + e d != {s} * id in degree {i}")
+            + [f"generator {g}: d e + e d != {s} * id in degree {i}"
                for g, s in enumerate(m.scalars) for i in every_degree(x)
                if not (x.diff(i + 1) * m.op(g, i) + m.op(g, i - 1) * x.diff(i)).is_scalar(s)])
-
-
-def from_degree(start, failures, degree=lambda found: found):
-    """The failures in degrees >= ``start`` (all of them when it is None)."""
-    return [found for found in failures if start is None or degree(found) >= start]
 
 
 def perturbed(rng, m: HomotopyStructure) -> HomotopyStructure:
@@ -594,21 +590,16 @@ def perturbed(rng, m: HomotopyStructure) -> HomotopyStructure:
 @given(ring=st.sampled_from(CHECK_RINGS), seed=st.integers(0, 10 ** 6),
        shift=st.integers(-3, 3), gap=st.sampled_from((0, 0, 1, -2, 40, -40)),
        aligned=st.booleans())
-def test_checks_from_a_degree_agree_with_every_degree(ring, seed, shift, gap, aligned):
+def test_checks_agree_with_a_check_of_every_degree(ring, seed, shift, gap, aligned):
     """``chain_defect``, ``equivariance_defect`` and ``check_structure``,
-    which skip empty products and, given ``start``, every lower degree,
-    find for each ``start`` what a check of every degree finds from
-    ``start`` up; and without ``start`` what it finds anywhere."""
+    which skip empty products, find what a check of every degree finds."""
     _, ring = ring
     rng = random.Random(seed)
     scalars = tuple(ring.from_int(rng.choice((1, 2, 3))) for _ in range(rng.randint(1, 2)))
     mx = perturbed(rng, suspend(random_structure(rng, ring, rng.randint(2, 3), scalars),
                                 rng.randint(-4, 2)))
     x = mx.complex
-    failures = structure_failures(mx)
-    for k in (None, *every_degree(x)):
-        kept = from_degree(k, failures, lambda found: found[0])
-        assert check_structure(mx, start=k) == [why for _, why in kept]
+    assert check_structure(mx) == structure_failures(mx)
 
     # a map of degree ``shift``: identities onto the suspension when aligned,
     # else small random entries onto a structure ``gap`` degrees away
@@ -619,9 +610,7 @@ def test_checks_from_a_degree_agree_with_every_degree(ring, seed, shift, gap, al
                               lambda r, c: ring.from_int(rng.choice((0, 0, 1, -1))))
                  for i in x.degrees())
     f = ChainMap(x, y, shift, bumped(rng, mats) if rng.random() < 0.5 else mats)
-    failures = chain_failures(f)
-    for k in (None, *every_degree(x, y)):
-        assert f.chain_defect(start=k) == next(iter(from_degree(k, failures)), None)
+    assert f.chain_defect() == next(iter(chain_failures(f)), None)
 
     # a degree 0 map onto a structure with the same generator count
     my = perturbed(rng, mx) if aligned else suspend(random_structure(rng, ring, 3, scalars), gap)
@@ -631,11 +620,8 @@ def test_checks_from_a_degree_agree_with_every_degree(ring, seed, shift, gap, al
                  for i in x.degrees())
     f = ChainMap(x, my.complex, 0, bumped(rng, mats) if rng.random() < 0.5 else mats)
     chain, equivariance = chain_failures(f), equivariance_failures(f, mx, my)
-    for k in (None, *every_degree(x, my.complex)):
-        bad = from_degree(k, equivariance, lambda found: found[1])
-        assert equivariance_defect(f, mx, my, start=k) == next(iter(bad), None)
-        assert (map_defect("f", f, mx, my, start=k) is None) == (
-            not from_degree(k, chain) and not bad)
+    assert equivariance_defect(f, mx, my) == next(iter(equivariance), None)
+    assert (map_defect("f", f, mx, my) is None) == (not chain and not equivariance)
 
 
 # -- derived row ends: the verdicts of checking every structure ------------------
@@ -899,25 +885,21 @@ def test_kernel_reaches_no_elimination():
     assert named == []
 
 
-def test_kernel_chooses_no_start():
-    """Certificate acceptance checks every degree: in the kernel a ``start``
-    is keyword-only, and a call passes one only to forward its caller's own,
-    so no call inside the kernel chooses a degree to start from."""
-    tree = module_tree("kernel")
-    for fn in ast.walk(tree):
-        if not isinstance(fn, ast.FunctionDef):
-            continue
-        args = fn.args
-        assert "start" not in {a.arg for a in args.posonlyargs + args.args}, fn.name
-        own = "start" in {a.arg for a in args.kwonlyargs}
-        assert not own or fn.name not in ("check_certificate", "defect", "iso_defect")
-        for call in ast.walk(fn):
-            if isinstance(call, ast.Call):
-                for kw in call.keywords:
-                    assert kw.arg is not None, f"{fn.name} passes **kwargs"
-                    if kw.arg == "start":
-                        assert own and isinstance(kw.value, ast.Name) and kw.value.id == "start", \
-                            f"{fn.name} chooses a start"
+def test_kernel_checks_take_no_options():
+    """Every kernel check, and ``ChainMap.chain_defect``, is a plain function
+    of its inputs: no parameter has a default or is keyword-only, so no
+    caller can narrow a check to some of the degrees."""
+    # ``brief`` shortens values in messages; it checks nothing
+    checks = [fn for fn in vars(kernel).values() if inspect.isfunction(fn)
+              and fn.__module__ == kernel.__name__ and fn is not kernel.brief]
+    checks += [kernel.Row.defect, complexes.ChainMap.chain_defect]
+    assert {fn.__name__ for fn in checks} >= {
+        "validate_complex", "check_structure", "equivariance_defect", "map_defect",
+        "_not_chain", "_not_equivariant", "check_certificate", "defect", "chain_defect"}
+    for fn in checks:
+        for param in inspect.signature(fn).parameters.values():
+            assert param.default is param.empty, f"{fn.__name__}({param.name}=...)"
+            assert param.kind is not param.KEYWORD_ONLY, f"{fn.__name__}(*, {param.name})"
 
 
 def test_tracer_restores_every_original():

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress
 from typing import Callable, Optional
 
 
@@ -88,6 +88,8 @@ class IntegerRing(Ring):
         return a in (1, -1)
 
     def normalize(self, a):
+        if type(a) is int:
+            return a
         if isinstance(a, Fraction):
             if a.denominator != 1:
                 raise ValueError(f"not an integer: {a}")
@@ -193,6 +195,8 @@ class ModularRing(Ring):
         return math.gcd(int(a), self.modulus) == 1
 
     def normalize(self, a):
+        if type(a) is int:
+            return a % self.modulus
         if isinstance(a, Fraction):
             if a.denominator != 1:
                 raise ValueError(f"not an integer: {a}")
@@ -233,6 +237,38 @@ def _tuples(rows, m: int) -> tuple:
 
 def _times(ints: tuple, f: int) -> tuple:
     return ints if f == 1 else tuple(tuple(map(f.__mul__, row)) for row in ints)
+
+
+# The stored ints of the n x n identity, one tuple per n: every identity
+# shares it, so ``Matrix.__mul__`` recognises an identity factor by ``is``.
+_EYE: dict[int, tuple] = {}
+
+
+def _eye(n: int) -> tuple:
+    ints = _EYE.get(n)
+    if ints is None:
+        ints = _EYE[n] = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    return ints
+
+
+def _column_gather(cols: tuple, k: int, m: int):
+    """The map taking a row of length ``k`` to its products with ``cols``,
+    as a gather, when each column has at most one nonzero; else None.
+
+    A column whose one nonzero v sits at index j contributes row[j] * v; an
+    all-zero column contributes row[0] * 0.  Needs at least two columns,
+    because ``itemgetter`` of one index returns an entry, not a tuple.
+    """
+    if not all(c.count(0) >= k - 1 for c in cols):
+        return None
+    vals = tuple(next(filter(None, c), 0) for c in cols)
+    pick = operator.itemgetter(*[c.index(v) if v else 0 for c, v in zip(cols, vals)])
+    if vals.count(1) == len(vals):
+        return pick
+    mul = operator.mul
+    if m:
+        return lambda row: tuple(map(m.__rmod__, map(mul, pick(row), vals)))
+    return lambda row: tuple(map(mul, pick(row), vals))
 
 
 class Matrix:
@@ -298,8 +334,9 @@ class Matrix:
     def scalar(ring: Ring, n: int, c) -> "Matrix":
         c = ring.normalize(c)
         num = c.numerator
-        return Matrix.from_ints(ring, n, n, tuple(tuple(num if i == j else 0 for j in range(n))
-                                                  for i in range(n)), c.denominator)
+        ints = _eye(n) if num == 1 else tuple(tuple(num if i == j else 0 for j in range(n))
+                                               for i in range(n))
+        return Matrix.from_ints(ring, n, n, ints, c.denominator)
 
     @staticmethod
     def build(ring: Ring, rows: int, cols: int, fn: Callable[[int, int], object]) -> "Matrix":
@@ -332,7 +369,7 @@ class Matrix:
     # -- arithmetic ----------------------------------------------------
 
     def _check_same_shape(self, other: "Matrix"):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise ValueError(f"mixed rings: {self.ring} vs {other.ring}")
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
@@ -358,44 +395,79 @@ class Matrix:
         return Matrix.from_ints(self.ring, self.rows, self.cols, ints, self.den)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
-        """The product, computed row by row of ``self`` in one of two ways.
+        """The product: the other factor when one factor is the identity,
+        and otherwise computed row by row of ``self``.
 
-        A row with at most half of its entries nonzero is the sum of the
-        rows of ``other`` that its nonzero entries select, each times its
-        entry (a 1 adds the row as it is; an all-zero row gives zeros); a
-        denser row takes a dot product with each column of ``other``, the
-        columns being transposed once, for the first such row.  Both give
-        each entry as the same integer sum of products of stored ints, so the
-        result is exact and identical in every ring: over Z/m each entry is
-        reduced once at the end, and over Q the stored ints share the
-        denominator ``self.den * other.den``, which ``from_ints`` reduces.
+        A factor is the identity when it stores the shared identity ints
+        (``_eye``) over denominator 1.  A row of ``self`` that is all zeros
+        gives zeros; a row with one nonzero a, at index t, gives row t of
+        ``other`` times a (as it is for a = 1); a row with at most half of
+        its entries nonzero sums the rows of ``other`` that its nonzero
+        entries select, each times its entry; a denser row takes a dot
+        product with each column of ``other``, the columns being transposed
+        once, for the first such row.  If each column then has at most one
+        nonzero, dense rows gather instead (``_column_gather``).
+
+        Exactness: entry (i, j) of the product of the stored ints is the
+        sum S of A[i][t] * B[t][j] over the t with A[i][t] != 0, and every
+        route computes S on the stored ints.  An all-zero row has no term
+        and a row with one nonzero has one; a sparse row adds its terms row
+        by row; a dot product adds all k products, the zero ones included.
+        A column of ``other`` with one nonzero v, at index t, makes S the
+        one term A[i][t] * v, and an all-zero column makes it 0, which the
+        gather computes as A[i][0] * 0.  An identity factor makes S the
+        other factor's stored entry.  So the result is exact and identical
+        in every ring: over Z/m each entry is reduced once at the end (a
+        term times 1, and the other factor of an identity, are stored
+        residues already), and over Q the stored ints share the
+        denominator ``self.den * other.den``, which ``from_ints`` reduces
+        (an identity's is 1).
         """
         if not isinstance(other, Matrix):
             return NotImplemented
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise ValueError(f"mixed rings: {self.ring} vs {other.ring}")
         k, n = self.cols, other.cols
         if k != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{k} by {other.rows}x{n}")
+        # Each lookup is keyed by the factor's column count, so a 0 x n
+        # matrix, whose ints are the empty tuple, is the identity only for n = 0.
+        if other.ints is _EYE.get(n) and other.den == 1:
+            return self
+        if self.ints is _EYE.get(k) and self.den == 1:
+            return other
         b, m, cols, out = other.ints, self.ring._mod, None, []
         add, mul, zero = operator.add, operator.mul, (0,) * n
         for row in self.ints:
             zeros = row.count(0)
             if zeros == k:
                 out.append(zero)
+            elif zeros == k - 1:
+                a = next(filter(None, row))
+                brow = b[row.index(a)]
+                if a == 1:
+                    out.append(brow)
+                elif m:
+                    out.append(tuple(map(m.__rmod__, map(a.__mul__, brow))))
+                else:
+                    out.append(tuple(map(a.__mul__, brow)))
             elif 2 * zeros >= k:
                 acc = None
-                for a, brow in zip(row, b):
-                    if a:
-                        term = brow if a == 1 else map(a.__mul__, brow)
-                        # one tuple per term: a chain of lazy maps, one per
-                        # term, overflows the C stack on long rows
-                        acc = term if acc is None else tuple(map(add, acc, term))
+                for a, brow in compress(zip(row, b), row):
+                    term = brow if a == 1 else map(a.__mul__, brow)
+                    # one tuple per term: a chain of lazy maps, one per
+                    # term, overflows the C stack on long rows
+                    acc = term if acc is None else tuple(map(add, acc, term))
                 out.append(tuple(map(m.__rmod__, acc)) if m else tuple(acc))
             else:
                 if cols is None:
                     cols = tuple(zip(*b))
-                if m:
+                    # a dense first or last column rules the gather out cheaply
+                    gather = (n > 1 and cols[0].count(0) >= k - 1
+                              and cols[-1].count(0) >= k - 1 and _column_gather(cols, k, m))
+                if gather:
+                    out.append(gather(row))
+                elif m:
                     out.append(tuple(sum(map(mul, row, col)) % m for col in cols))
                 else:
                     out.append(tuple(sum(map(mul, row, col)) for col in cols))
@@ -403,6 +475,8 @@ class Matrix:
 
     def scale(self, c) -> "Matrix":
         c = self.ring.normalize(c)
+        if c == 1:
+            return self
         ints = _tuples((map(c.numerator.__mul__, row) for row in self.ints), self.ring._mod)
         return Matrix.from_ints(self.ring, self.rows, self.cols, ints, self.den * c.denominator)
 

@@ -200,7 +200,8 @@ def fold_block_map(phi: ChainMap, fold_x: HomotopyStructure, fold_y: HomotopyStr
     itself, and below it the block sum of phi_n (x) id on the coefficient
     columns and phi_i.  The formula is additive, multiplicative and unital
     degree by degree, so it carries splitting identities over, also for
-    maps that are not chain maps.
+    maps that are not chain maps.  When both inputs stop below n, phi_n
+    is 0 x 0 and the block sum is phi_i itself in every degree.
     """
     gx = fold_x.complex
     gy = fold_y.complex
@@ -210,6 +211,8 @@ def fold_block_map(phi: ChainMap, fold_x: HomotopyStructure, fold_y: HomotopyStr
     if fold_y.ngens != d:
         raise ValueError("folds have different generator counts")
     top_mat = phi.mat(n)
+    if not (top_mat.rows or top_mat.cols):
+        return ChainMap(gx, gy, 0, tuple(phi.mat(i) for i in gx.degrees()))
     mats = []
     for i in gx.degrees():
         if i == n - 1:

@@ -202,7 +202,13 @@ def matrix_from_json(doc, where: str, ring: Ring, rows: int, cols: int) -> Matri
     if isinstance(ring, ModularRing):
         m = ring.modulus
         ents = [tuple(x % m for x in row) for row in ents]
-    return Matrix.from_ints(ring, rows, cols, tuple(ents))
+    ents = tuple(ents)
+    if rows == cols:
+        # an identity shares the identity's ints, which products skip
+        eye = Matrix.identity(ring, rows)
+        if ents == eye.ints:
+            return eye
+    return Matrix.from_ints(ring, rows, cols, ents)
 
 
 def _matrices(raw, where: str, ring: Ring, shapes: list) -> tuple:

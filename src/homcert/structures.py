@@ -17,7 +17,11 @@ from typing import Optional, Sequence
 
 from .complexes import ChainMap, GradedFreeComplex, boundary_map, null_homotopies
 from .exactalg import Matrix
-from .kernel import check_structure, equivariance_defect, validate_complex
+from .kernel import check_law, check_structure, equivariance_defect, validate_complex
+
+# check_structure stays importable from here, beside the type it checks.
+__all__ = ["HomotopyStructure", "StructureSearch", "check_structure", "find_structure",
+           "is_equivariant", "restrict", "structure_from_contraction"]
 
 
 @dataclass(frozen=True)
@@ -170,7 +174,8 @@ def find_structure(x: GradedFreeComplex, gens: Sequence,
         powers.append(power)
         grids.append(tuple(e.mat(i) for i in list(x.degrees())[:-1]))
     structure = HomotopyStructure(x, tuple(powers), tuple(grids))
-    problems = check_structure(structure)
+    # d² = 0 was checked on entry; the law is all that is left.
+    problems = check_law(structure)
     if problems:
         raise AssertionError("search output failed its own check: " + problems[0])
     return StructureSearch(structure, exponents, obstructed)

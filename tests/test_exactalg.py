@@ -303,6 +303,106 @@ def test_is_scalar_agrees_with_the_scalar_matrix(ring, data):
         assert m.is_identity() == m.is_scalar(1) == (m == Matrix.identity(ring, m.rows))
 
 
+GATHER_RINGS = [ZZ, QQ, Zmod(7), Zmod(12), Zmod(2 ** 31 - 1)]
+
+
+def plain_product(a, b):
+    """Reference A * B: a triple loop on int/Fraction values, reduced into the ring."""
+    va, vb = a.entries, b.entries
+    return reduced(a.ring, [[sum(va[i][t] * vb[t][j] for t in range(a.cols))
+                             for j in range(b.cols)] for i in range(a.rows)])
+
+
+@st.composite
+def structured_matrix(draw, ring, rows, cols):
+    """A ``rows`` x ``cols`` matrix that is, by draw: the identity or a
+    permutation (square shapes only), a selection with zero rows or columns,
+    rows or columns with at most one scaled nonzero, a scalar matrix, all
+    zeros, or dense."""
+    values = st.one_of(st.sampled_from(unit_entries(ring) + (2, 3)),
+                       st.integers(-2 ** 70, 2 ** 70))
+    if ring == QQ:
+        values = st.one_of(values, st.fractions(max_denominator=2 ** 20))
+    kinds = ["selection", "one per row", "one per column", "zeros", "dense"]
+    if rows == cols:
+        kinds += ["identity", "permutation", "scalar"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "identity":
+        return Matrix.identity(ring, rows)
+    if kind == "scalar":
+        return Matrix.scalar(ring, rows, draw(values))
+    if kind == "zeros":
+        return Matrix.zeros(ring, rows, cols)
+    if kind == "dense":
+        return Matrix(ring, rows, cols, [[draw(values) for _ in range(cols)] for _ in range(rows)])
+    grid = [[0] * cols for _ in range(rows)]
+    if kind == "permutation":
+        for i, j in enumerate(draw(st.permutations(range(cols)))):
+            grid[i][j] = 1
+    elif kind == "selection":
+        # a partial injection: [I; 0], [0 I] and their permuted kin
+        targets = draw(st.permutations(range(cols)))
+        for i in range(rows):
+            if i < cols and draw(st.booleans()):
+                grid[i][targets[i]] = 1
+    else:
+        per_row = kind == "one per row"
+        span = cols if per_row else rows
+        for t in range(rows if per_row else cols):
+            if span and draw(st.integers(0, 3)):
+                at = draw(st.integers(0, span - 1))
+                i, j = (t, at) if per_row else (at, t)
+                grid[i][j] = draw(values)
+    return Matrix(ring, rows, cols, grid)
+
+
+@pytest.mark.parametrize("ring", GATHER_RINGS, ids=str)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_structured_products_match_a_plain_reference(ring, data):
+    r, k, c = (data.draw(st.integers(0, 6)) for _ in range(3))
+    if data.draw(st.booleans()):
+        k = r  # square left factors: identities, permutations, scalars
+    a = data.draw(structured_matrix(ring, r, k))
+    b = data.draw(structured_matrix(ring, k, c))
+    for left, right in ((a, b), (b.transpose(), a.transpose())):
+        p = left * right
+        assert (p.rows, p.cols) == (left.rows, right.cols)
+        assert p.entries == plain_product(left, right)
+        assert_canonical(p)
+
+
+@pytest.mark.parametrize("ring", GATHER_RINGS, ids=str)
+def test_identity_products_at_the_edges(ring):
+    rng = random.Random(7)
+    for n in (0, 1, 3):
+        eye = Matrix.identity(ring, n)
+        assert eye.ints is Matrix.identity(QQ, n).ints  # one tuple per size, in every ring
+        for m in (0, 2, 3):
+            wide = Matrix.build(ring, n, m, lambda *_: ring.from_int(rng.randint(-5, 5)))
+            assert eye * wide == wide and wide.transpose() * eye == wide.transpose()
+            # a 0 x n matrix stores the empty tuple, like the 0 x 0 identity
+            for left, right in ((Matrix.zeros(ring, 0, n), wide),
+                                (Matrix.zeros(ring, m, 0), Matrix.zeros(ring, 0, n)),
+                                (Matrix.identity(ring, m), Matrix.zeros(ring, m, 0)),
+                                (Matrix.zeros(ring, m, 0), Matrix.identity(ring, 0))):
+                p = left * right
+                assert (p.rows, p.cols) == (left.rows, right.cols)
+                assert p.entries == plain_product(left, right)
+        with pytest.raises(ValueError, match="cannot multiply"):
+            eye * Matrix.zeros(ring, n + 1, 2)
+    if ring == QQ:
+        half = Matrix.scalar(QQ, 3, Fraction(1, 2))  # the identity's ints over 2
+        x = Matrix.build(QQ, 3, 3, lambda i, j: Fraction(i - j, 3))
+        assert (half * x).entries == (x * half).entries == plain_product(x, half)
+    other = ZZ if ring != ZZ else QQ
+    for left, right in ((Matrix.identity(ring, 2), Matrix.identity(other, 2)),
+                        (Matrix.identity(ring, 2), Matrix.zeros(other, 2, 3)),
+                        (Matrix.zeros(other, 3, 2), Matrix.identity(ring, 2))):
+        with pytest.raises(ValueError, match="mixed rings"):
+            left * right
+
+
 def test_kron_matches_blockwise_definition():
     rng = random.Random(5)
     a = random_matrix(rng, ZZ, 2, 3)

@@ -15,6 +15,7 @@ from homcert.exactalg import Matrix, QQ, ZZ, Zmod
 from homcert.fold import (
     disk_fold_iso,
     fold,
+    fold_block_map,
     fold_general,
     fold_map,
     fold_once,
@@ -412,6 +413,41 @@ def test_fold_map_composes():
     back = proj.compose(incl)
     for i in fa.structure.complex.degrees():
         assert back.mat(i) == Matrix.identity(ZZ, fa.structure.complex.rank(i))
+
+
+def block_formula(phi, fold_x, n):
+    """``fold_block_map``'s block sum, built in every degree of the fold."""
+    ring, d = phi.source.ring, fold_x.ngens
+    top = phi.mat(n)
+    mats = []
+    for i in fold_x.complex.degrees():
+        if i == n - 1:
+            mats.append(phi.mat(i))
+            continue
+        w = len(exterior_basis(d, n - 1 - i))
+        mats.append(Matrix.block([
+            [top.kron(Matrix.identity(ring, w)),
+             Matrix.zeros(ring, top.rows * w, phi.source.rank(i))],
+            [Matrix.zeros(ring, phi.target.rank(i), top.cols * w), phi.mat(i)]]))
+    return mats
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, Zmod(7), Zmod(12)], ids=str)
+def test_fold_block_map_below_the_ceiling_is_phi(ring):
+    rng = random.Random(31)
+    # (scalars, top of A, top of B, n): both below n, at n, and A at n with B below
+    for scalars, top_a, top_b, n in (((2,), 2, 2, 4), ((3, 2), 2, 1, 3), ((5,), 3, 3, 3),
+                                     ((2,), 3, 2, 3)):
+        ma = disk_pile(rng, ring, top_a, scalars, length=2)
+        mb = disk_pile(rng, ring, top_b, scalars, length=2)
+        summed = direct_sum(ma, mb)
+        fa, fb, fab = fold(ma, n), fold(mb, n), fold(summed.structure, n)
+        for phi, fx, fy in ((summed.include[0], fa, fab), (summed.project[0], fab, fa),
+                            (summed.include[1], fb, fab), (summed.project[1], fab, fb)):
+            got = fold_block_map(phi, fx, fy, n)
+            assert list(got.mats) == block_formula(phi, fx, n)
+            if max(phi.source.top_degree, phi.target.top_degree) < n:
+                assert all(got.mat(i) == phi.mat(i) for i in fx.complex.degrees())
 
 
 def sum_fold_iso(ma, mb, n):

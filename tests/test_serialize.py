@@ -59,6 +59,20 @@ def test_matrix_round_trip_all_rings():
     assert doc["entries"][0] == ["3/4", "-5"]
 
 
+@pytest.mark.parametrize("ring", [ZZ, QQ, Zmod(7)], ids=str)
+def test_read_identities_share_the_identity_ints(ring):
+    for n in (0, 1, 3):
+        eye = Matrix.identity(ring, n)
+        read = matrix_from_json(matrix_to_json(eye), "m", ring, n, n)
+        assert read == eye and read.ints is eye.ints
+    # over Z/7, 8 is 1: the residues decide
+    raw = {"entries": [["8", "0"], ["0", "1"]]}
+    assert (matrix_from_json(raw, "m", Zmod(7), 2, 2).ints is Matrix.identity(ZZ, 2).ints)
+    for rows in ([["1", "0"], ["0", "2"]], [["0", "1"], ["1", "0"]]):
+        read = matrix_from_json({"entries": rows}, "m", ring, 2, 2)
+        assert read.ints is not Matrix.identity(ring, 2).ints
+
+
 def test_matrix_accepts_int_entries():
     a = matrix_from_json({"entries": [[4, "-2"]]}, "m", ZZ, 1, 2)
     assert a == Matrix.from_rows(ZZ, [[4, -2]])

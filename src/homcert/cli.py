@@ -176,9 +176,11 @@ def cmd_gamma(args) -> int:
     m = _load_structure(args.file)
     n = m.complex.top_degree
     rows = fold_row_certificates(m, n)
+    witness_rows = [certificate_to_json(c) for c in rows]
     report = {"command": "gamma", "ceiling": n, "route": "general",
-              "witness_rows": [certificate_to_json(c) for c in rows]}
-    report.update(structure_to_json(dict(rows[1].registry)["fold"]))
+              "witness_rows": witness_rows}
+    # the fold as the second row's registry already encodes it
+    report.update(dict(witness_rows[1]["registry"])["fold"])
     _emit(report)
     return 0
 

@@ -665,10 +665,15 @@ def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
             d[k] = [-x for x in d[k]]
             u[k] = [-x for x in u[k]]
 
-    U = Matrix.from_ints(ZZ, r, r, tuple(map(tuple, u)))
-    V = Matrix.from_ints(ZZ, c, c, tuple(map(tuple, v)))
     D = Matrix.from_ints(ZZ, r, c, tuple(map(tuple, d)))
-    return U, D, V
+    return _unimodular(u), D, _unimodular(v)
+
+
+def _unimodular(rows: list) -> Matrix:
+    """A square Smith multiplier; one left as the identity shares the
+    identity's ints, so the products of ``SmithSolver.solve`` skip it."""
+    n, ints = len(rows), tuple(map(tuple, rows))
+    return Matrix.identity(ZZ, n) if ints == _eye(n) else Matrix.from_ints(ZZ, n, n, ints)
 
 
 def det(a: Matrix):

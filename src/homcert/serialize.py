@@ -5,8 +5,13 @@ Conventions shared by every document kind:
 * ring tags are ``"Z"``, ``"Q"``, or ``{"Zmod": m}``;
 * a matrix is ``{"entries": rows}`` over the document's ring, in the shape
   its ranks fix (earlier ``ring``, ``rows`` and ``cols`` keys are ignored);
-  entries are decimal strings (``"-7"``, ``"3/4"``), and JSON integers or
-  decimals (``"1.5"``) are read but never written, exponents never read;
+  entries are JSON integers (``-7``) of any size, and only a Q matrix with
+  a non-integral entry writes its entries as strings (``"3/4"``, ``"-5"``);
+  the decimal strings earlier versions wrote (``"-7"``) and decimals
+  (``"1.5"``) are still read, exponents never.  A reader that maps JSON
+  numbers to doubles loses precision past 2^53, and Z witnesses reach
+  hundreds of bits, so such documents need an exact JSON reader;
+* scalars are decimal strings (``"2"``, ``"1/2"``);
 * a complex stores ``diffs[j]`` as the differential out of degree
   ``min_degree + j + 1`` into ``min_degree + j``, each rank <= ``RANK_LIMIT``
   and |min_degree| <= ``DEGREE_LIMIT`` (the writer refuses a complex past
@@ -166,8 +171,16 @@ def _ratio_writer(den: int):
 
 
 def matrix_to_json(a: Matrix) -> dict:
-    write = str if a.den == 1 else _ratio_writer(a.den)
+    if a.den == 1:
+        # Z, Z/m and integral Q: the stored ints are the entries.
+        return {"entries": list(map(list, a.ints))}
+    write = _ratio_writer(a.den)
     return {"entries": [list(map(write, row)) for row in a.ints]}
+
+
+# True when every entry of a row is exactly an int (a JSON integer; not a
+# bool, which is an int subclass).
+_all_ints = frozenset((int,)).issuperset
 
 
 def matrix_from_json(doc, where: str, ring: Ring, rows: int, cols: int) -> Matrix:
@@ -183,9 +196,13 @@ def matrix_from_json(doc, where: str, ring: Ring, rows: int, cols: int) -> Matri
         if not isinstance(r, list) or len(r) != cols:
             r = _list(r, f"{where}.entries[{i}]")
             _fail(f"expected {cols} columns, got {len(r)}", f"{where}.entries[{i}]")
+        if _all_ints(map(type, r)):
+            # A row of JSON integers, the form the writer emits.
+            ents.append(tuple(r))
+            continue
         try:
-            # A row of decimal integer strings, the only form the writers
-            # emit; int with a base raises TypeError on anything but a string.
+            # A row of decimal integer strings, as earlier versions wrote;
+            # int with a base raises TypeError on anything but a string.
             ents.append(tuple(map(int, r, tens)))
             continue
         except (ValueError, TypeError):
@@ -201,7 +218,7 @@ def matrix_from_json(doc, where: str, ring: Ring, rows: int, cols: int) -> Matri
         return Matrix(ring, rows, cols, ents)
     if isinstance(ring, ModularRing):
         m = ring.modulus
-        ents = [tuple(x % m for x in row) for row in ents]
+        ents = [tuple(map(m.__rmod__, row)) for row in ents]
     ents = tuple(ents)
     if rows == cols:
         # an identity shares the identity's ints, which products skip

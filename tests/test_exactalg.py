@@ -478,6 +478,22 @@ def test_snf_frozen_cases():
     assert check_snf_contract(mat([[4, 6], [6, 9]])) == minors_gcd_divisors(mat([[4, 6], [6, 9]]))
 
 
+def test_snf_of_a_divisibility_chain_keeps_identity_multipliers():
+    # Already diagonal with d_1 | d_2 | ... and trailing zeros: elimination
+    # moves nothing, so U and V hold the shared identity ints.
+    for rows in ([[1, 0, 0], [0, 2, 0]], [[2, 0], [0, 6], [0, 0]], [[3]], [[0, 0]]):
+        a = mat(rows)
+        u, d, v = smith_normal_form(a)
+        assert d == a
+        assert u.ints is Matrix.identity(ZZ, a.rows).ints
+        assert v.ints is Matrix.identity(ZZ, a.cols).ints
+    # a broken chain or a negative entry moves U
+    for rows in ([[2, 0], [0, 3]], [[-1, 0], [0, 2]]):
+        u, d, v = smith_normal_form(mat(rows))
+        assert u.ints is not Matrix.identity(ZZ, 2).ints and not u.is_identity()
+        check_snf_contract(mat(rows))
+
+
 def test_snf_random_vs_sympy():
     rng = random.Random(23)
     for _ in range(60):

@@ -57,6 +57,10 @@ def test_matrix_round_trip_all_rings():
         assert matrix_from_json(doc, "m", a.ring, a.rows, a.cols) == a
     doc = matrix_to_json(mats[1])
     assert doc["entries"][0] == ["3/4", "-5"]
+    # Z, Z/m and integral Q write JSON integers, as plain lists
+    assert matrix_to_json(mats[0]) == {"entries": [[-7, 0], [3, 12]]}
+    assert matrix_to_json(mats[2]) == {"entries": [[8], [2]]}
+    assert matrix_to_json(Matrix.from_rows(QQ, [[2, -4]])) == {"entries": [[2, -4]]}
 
 
 @pytest.mark.parametrize("ring", [ZZ, QQ, Zmod(7)], ids=str)
@@ -66,8 +70,8 @@ def test_read_identities_share_the_identity_ints(ring):
         read = matrix_from_json(matrix_to_json(eye), "m", ring, n, n)
         assert read == eye and read.ints is eye.ints
     # over Z/7, 8 is 1: the residues decide
-    raw = {"entries": [["8", "0"], ["0", "1"]]}
-    assert (matrix_from_json(raw, "m", Zmod(7), 2, 2).ints is Matrix.identity(ZZ, 2).ints)
+    for raw in ({"entries": [["8", "0"], ["0", "1"]]}, {"entries": [[8, 0], [0, -6]]}):
+        assert (matrix_from_json(raw, "m", Zmod(7), 2, 2).ints is Matrix.identity(ZZ, 2).ints)
     for rows in ([["1", "0"], ["0", "2"]], [["0", "1"], ["1", "0"]]):
         read = matrix_from_json({"entries": rows}, "m", ring, 2, 2)
         assert read.ints is not Matrix.identity(ring, 2).ints
@@ -107,14 +111,18 @@ def test_matrix_shape_errors_carry_breadcrumbs():
     ("Q", 1.5, "expected a ring element"),
     # Fraction would write out every digit of an exponent form
     ("Q", "-2.5E-4000000", "not a ring element: '-2.5E-4000000'"),
+    ("Z", True, "expected a ring element"),
+    ("Z", None, "expected a ring element"),
 ])
 def test_bad_entry_in_nested_matrix_is_named(ring, bad, message):
-    entries = [["1", "2", "3"], ["4", "5", bad]]
-    doc = {"ring": ring, "min_degree": 0, "ranks": [2, 3], "diffs": [{"entries": entries}]}
-    with pytest.raises(FormatError) as e:
-        complex_from_json(doc)
-    assert e.value.where == "complex.diffs[0].entries[1][2]"
-    assert str(e.value) == message
+    # the good entries as decimal strings (earlier documents) or JSON integers
+    for row in (str, int):
+        entries = [list(map(row, (1, 2, 3))), [*map(row, (4, 5)), bad]]
+        doc = {"ring": ring, "min_degree": 0, "ranks": [2, 3], "diffs": [{"entries": entries}]}
+        with pytest.raises(FormatError) as e:
+            complex_from_json(doc)
+        assert e.value.where == "complex.diffs[0].entries[1][2]"
+        assert str(e.value) == message
 
 
 def test_modulus_beyond_primality_bound_is_format_error():
@@ -340,6 +348,32 @@ def test_earlier_matrix_layout_still_loads(ring, s, monkeypatch):
     for obj, old in zip(objs, olds):
         assert _matrix_key_sets(old) == {("cols", "entries", "ring", "rows")}
         assert loads(old) == obj
+
+
+def _with_string_entries(v):
+    """``v`` with every integer matrix entry as a decimal string, the layout
+    earlier versions wrote."""
+    if isinstance(v, dict):
+        return {k: [[str(x) if type(x) is int else x for x in row] for row in w]
+                if k == "entries" else _with_string_entries(w) for k, w in v.items()}
+    if isinstance(v, list):
+        return list(map(_with_string_entries, v))
+    return v
+
+
+@pytest.mark.parametrize("ring, s", [
+    (ZZ, 2), (QQ, 2), (QQ, Fraction(2, 3)), (Zmod(7), 3), (Zmod(12), 5),
+    (Zmod(2 ** 31 - 1), 3),
+], ids=["Z", "Q-integral", "Q", "Z7", "Z12", "Zp31"])
+def test_decimal_string_entries_still_load(ring, s):
+    wide = GradedFreeComplex(ring, 0, (1, 2), (Matrix.from_rows(ring, [[2 ** 200 + 1, -3]]),))
+    for obj in _one_of_each_kind(ring, s) + [wide]:
+        text = dumps(obj)
+        new = json.loads(text)
+        old = _with_string_entries(new)
+        assert old != new  # some entries were integers
+        assert loads(json.dumps(old)) == obj
+        assert dumps(from_json(old)) == text
 
 
 @pytest.mark.parametrize("ring, s", LAYOUT_RINGS)

@@ -65,18 +65,11 @@ class GradedFreeComplex:
             return self.diffs[j]
         return Matrix.zeros(self.ring, self.rank(i - 1), self.rank(i))
 
-    def total_rank(self) -> int:
-        return sum(self.ranks)
-
     def euler_characteristic(self) -> int:
         return sum(-self.rank(i) if i % 2 else self.rank(i) for i in self.degrees())
 
     def is_zero(self) -> bool:
         return all(r == 0 for r in self.ranks)
-
-
-def zero_complex(ring: Ring, degree: int = 0) -> GradedFreeComplex:
-    return GradedFreeComplex(ring, degree, (0,), ())
 
 
 def concentrated(ring: Ring, degree: int, rank: int) -> GradedFreeComplex:

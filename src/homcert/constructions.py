@@ -300,15 +300,49 @@ def glue_extension(incl: ChainMap, proj: ChainMap, m_sub: HomotopyStructure,
 # -- peeling the top disk ---------------------------------------------
 
 
+def split_top_disk(m: HomotopyStructure, dsk: HomotopyStructure, include: Matrix,
+                   retract: Matrix, basis: Matrix, q: Matrix) -> Row:
+    """The row dsk >--> m -->> quotient that splits a disk off the top of
+    ``m``, unchecked.
+
+    ``dsk`` sits in degrees n - 1, n and is all of ``m`` in degree n.  In
+    degree n - 1 it enters by ``include`` and leaves by ``retract``, and
+    ``basis`` and ``q`` span the complement: include retract + basis q = id.
+    The quotient keeps every matrix below n - 1; its differential into
+    degree n - 1 is d_(n-1) basis, and its operators out of n - 2 are q e.
+    """
+    x = m.complex
+    ring = x.ring
+    n, lo = dsk.complex.top_degree, x.min_degree
+    qx = GradedFreeComplex(ring, lo, tuple(x.rank(i) for i in range(lo, n - 1)) + (q.rows,),
+                           tuple(x.diff(i) * basis if i == n - 1 else x.diff(i)
+                                 for i in range(lo + 1, n)))
+    quotient = HomotopyStructure(qx, m.scalars, tuple(
+        tuple(q * m.op(g, i) if i == n - 2 else m.op(g, i) for i in range(lo, n - 1))
+        for g in range(m.ngens)))
+    top = Matrix.identity(ring, x.rank(n))
+    incl = ChainMap(dsk.complex, x, 0, (include, top))
+    proj = ChainMap(x, qx, 0, tuple(
+        Matrix.identity(ring, x.rank(i)) if i < n - 1 else q if i == n - 1
+        else Matrix.zeros(ring, 0, x.rank(i)) for i in x.degrees()))
+    section = ChainMap(qx, x, 0, tuple(
+        basis if i == n - 1 else Matrix.identity(ring, x.rank(i)) for i in qx.degrees()))
+    retraction = ChainMap(x, dsk.complex, 0, tuple(
+        retract if i == n - 1 else top if i == n
+        else Matrix.zeros(ring, 0, x.rank(i)) for i in x.degrees()))
+    return Row(dsk, m, quotient, incl, proj, section, retraction)
+
+
 def peel_top(m: HomotopyStructure,
              contraction: Optional[ChainMap] = None) -> Row:
     """Split the top degree of a contractible structure off as a disk: the
     row disk >--> input -->> quotient, with its splitting.
 
     Uses a contraction h to form the idempotent id - d h on the next
-    degree, splits its image off over Z with one Smith form, and carries
-    the operators over; the complement is the included disk on the top
-    rank.  Needs at least a two-degree window.
+    degree and splits its image off over Z with one Smith form; that image
+    is the complement of the disk, which enters by d_n and leaves by h.
+    ``split_top_disk`` builds the row, which is then checked.  Needs at
+    least a two-degree window.
     """
     x = m.complex
     if x.ring != ZZ:
@@ -332,38 +366,13 @@ def peel_top(m: HomotopyStructure,
         raise ValueError("idempotent image is not a direct summand")
     basis = Matrix.from_ints(ring, compl.rows, r, tuple(row[:r] for row in (compl * v).ints))
     q = Matrix.from_ints(ring, r, compl.cols, (u * compl).ints[:r])
-
-    top_disk = disk(ring, x.rank(n), n, m.scalars)
-    incl = ChainMap(top_disk.complex, x, 0, (dn, Matrix.identity(ring, x.rank(n))))
-
-    ranks = x.ranks[:-2] + (r,)
-    diffs = list(x.diffs[:-2])
-    if len(x.ranks) >= 3:
-        diffs.append(x.diff(n - 1) * basis)
-    quot_cx = GradedFreeComplex(ring, x.min_degree, ranks, tuple(diffs))
-    grids = []
-    for g in range(m.ngens):
-        grid = list(m.ops[g][:-1])
-        if grid:
-            grid[-1] = q * grid[-1]
-        grids.append(tuple(grid))
-    quotient = HomotopyStructure(quot_cx, m.scalars, tuple(grids))
-    proj_mats = [Matrix.identity(ring, x.rank(i)) for i in range(x.min_degree, n - 1)]
-    proj_mats.append(q)
-    proj_mats.append(Matrix.zeros(ring, 0, x.rank(n)))
-    proj = ChainMap(x, quot_cx, 0, tuple(proj_mats))
     # In degree n - 1, h d_n = id (the contraction at the top) and
-    # d_n h + basis q = id split the row; above and below it is trivial.
-    section = ChainMap(quot_cx, x, 0, tuple(
-        basis if i == n - 1 else Matrix.identity(ring, x.rank(i)) for i in quot_cx.degrees()))
-    retraction = ChainMap(x, top_disk.complex, 0, tuple(
-        h.mat(i) if i == n - 1 else Matrix.identity(ring, x.rank(n)) if i == n
-        else Matrix.zeros(ring, 0, x.rank(i)) for i in x.degrees()))
+    # d_n h + basis q = id split the row.
+    row = split_top_disk(m, disk(ring, x.rank(n), n, m.scalars), dn, h.mat(n - 1), basis, q)
 
-    bad = check_structure(quotient)
+    bad = check_structure(row.quotient)
     if bad:
         raise AssertionError("peeled quotient lost the axiom: " + bad[0])
-    row = Row(top_disk, m, quotient, incl, proj, section, retraction)
     why = row.defect()
     if why:
         raise AssertionError("peel " + why)

@@ -251,26 +251,6 @@ def _eye(n: int) -> tuple:
     return ints
 
 
-def _column_gather(cols: tuple, k: int, m: int):
-    """The map taking a row of length ``k`` to its products with ``cols``,
-    as a gather, when each column has at most one nonzero; else None.
-
-    A column whose one nonzero v sits at index j contributes row[j] * v; an
-    all-zero column contributes row[0] * 0.  Needs at least two columns,
-    because ``itemgetter`` of one index returns an entry, not a tuple.
-    """
-    if not all(c.count(0) >= k - 1 for c in cols):
-        return None
-    vals = tuple(next(filter(None, c), 0) for c in cols)
-    pick = operator.itemgetter(*[c.index(v) if v else 0 for c, v in zip(cols, vals)])
-    if vals.count(1) == len(vals):
-        return pick
-    mul = operator.mul
-    if m:
-        return lambda row: tuple(map(m.__rmod__, map(mul, pick(row), vals)))
-    return lambda row: tuple(map(mul, pick(row), vals))
-
-
 class Matrix:
     """Immutable dense matrix over an exact ring.
 
@@ -405,23 +385,19 @@ class Matrix:
         its entries nonzero sums the rows of ``other`` that its nonzero
         entries select, each times its entry; a denser row takes a dot
         product with each column of ``other``, the columns being transposed
-        once, for the first such row.  If each column then has at most one
-        nonzero, dense rows gather instead (``_column_gather``).
+        once, for the first such row.
 
         Exactness: entry (i, j) of the product of the stored ints is the
         sum S of A[i][t] * B[t][j] over the t with A[i][t] != 0, and every
         route computes S on the stored ints.  An all-zero row has no term
         and a row with one nonzero has one; a sparse row adds its terms row
         by row; a dot product adds all k products, the zero ones included.
-        A column of ``other`` with one nonzero v, at index t, makes S the
-        one term A[i][t] * v, and an all-zero column makes it 0, which the
-        gather computes as A[i][0] * 0.  An identity factor makes S the
-        other factor's stored entry.  So the result is exact and identical
-        in every ring: over Z/m each entry is reduced once at the end (a
-        term times 1, and the other factor of an identity, are stored
-        residues already), and over Q the stored ints share the
-        denominator ``self.den * other.den``, which ``from_ints`` reduces
-        (an identity's is 1).
+        An identity factor makes S the other factor's stored entry.  So the
+        result is exact and identical in every ring: over Z/m each entry is
+        reduced once at the end (a term times 1, and the other factor of an
+        identity, are stored residues already), and over Q the stored ints
+        share the denominator ``self.den * other.den``, which ``from_ints``
+        reduces (an identity's is 1).
         """
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -462,12 +438,7 @@ class Matrix:
             else:
                 if cols is None:
                     cols = tuple(zip(*b))
-                    # a dense first or last column rules the gather out cheaply
-                    gather = (n > 1 and cols[0].count(0) >= k - 1
-                              and cols[-1].count(0) >= k - 1 and _column_gather(cols, k, m))
-                if gather:
-                    out.append(gather(row))
-                elif m:
+                if m:
                     out.append(tuple(sum(map(mul, row, col)) % m for col in cols))
                 else:
                     out.append(tuple(sum(map(mul, row, col)) for col in cols))

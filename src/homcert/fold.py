@@ -6,8 +6,9 @@ homotopy scalar.  The general construction takes the mapping cone of the
 coevaluation comparison map into a shifted exterior-coefficient complex,
 built one degree down where the fold sits, and divides out a canonical disk;
 each object is built once, and the two split exact rows through that cone
-are returned alongside the fold itself.  The fold is checked through the
-disk row it is the quotient of, as the kernel checks a derived row end.
+are returned alongside the fold itself.  The disk row comes from
+``constructions.split_top_disk``, the builder peeling uses too.  The fold
+is checked through that row, as the kernel checks a derived row end.
 
 Below the ceiling (top degree < n) the degree ``n`` part is zero and the
 fold is the input rescaled by its own scalars, on a window widened down to
@@ -25,6 +26,7 @@ from .constructions import (
     cone_mixed,
     desuspend,
     disk,
+    split_top_disk,
     suspend,
     tensor_module,
 )
@@ -89,16 +91,16 @@ def fold_general(m: HomotopyStructure, n: int) -> FoldData:
     The cone sits where the fold uses it: the desuspended cone of the
     comparison f is the cone of -f between the desuspended ends, and its
     ``cone_mixed`` row is the coefficient row.  The fold is its quotient by
-    the top disk, on the cone's own matrices: below degree n - 2 its
-    differentials and operators are the cone's ``Matrix`` objects, and the
-    fold projection is the identity.  The cone is checked in full, then
-    the disk row and its one scalar tuple; the fold's law follows, as for a
-    derived row end in ``check_certificate``.  A caller that needs no row
-    folds through ``fold``, which skips the cone below the ceiling.
+    the top disk, and ``split_top_disk`` builds that disk row on the cone's
+    own matrices: below degree n - 2 the fold's differentials and operators
+    are the cone's ``Matrix`` objects, and the fold projection is the
+    identity.  The cone is checked in full, then the disk row and its one
+    scalar tuple; the fold's law follows, as for a derived row end in
+    ``check_certificate``.  A caller that needs no row folds through
+    ``fold``, which skips the cone below the ceiling.
     """
     x = m.complex
     ring = x.ring
-    d = m.ngens
     _refuse_fold(m, n)
 
     f, coeff = counit_map(m, ambient=n)
@@ -106,52 +108,26 @@ def fold_general(m: HomotopyStructure, n: int) -> FoldData:
     coefficient_row = cone_mixed(
         ChainMap(mx.complex, my.complex, 0, tuple(-a for a in f.mats)), mx, my)
     c = coefficient_row.total
-    cx = c.complex
-    p = x.rank(n)
 
     # Canonical disk through the top of the cone: degree n holds the top of
-    # the input, and its boundary lands as [I; -d_n].
+    # the input.  In degree n - 1 the disk enters as [I; -d_n] and leaves by
+    # [I | 0]; the fold keeps the input's block, by [0; I] and [d_n | I].
+    p, dn = x.rank(n), x.diff(n)
     dsk = desuspend(disk(ring, p, n + 1, squared_scalars(m)))
-    incl_n = Matrix.vstack(Matrix.identity(ring, p), -x.diff(n))
-    disk_incl = ChainMap(dsk.complex, cx, 0,
-                         (incl_n, Matrix.identity(ring, cx.rank(n))))
+    eye_p, eye, zero = (Matrix.identity(ring, p), Matrix.identity(ring, dn.rows),
+                        Matrix.zeros(ring, p, dn.rows))
+    disk_row = split_top_disk(c, dsk, Matrix.vstack(eye_p, -dn), Matrix.hstack(eye_p, zero),
+                              Matrix.vstack(zero, eye), Matrix.hstack(dn, eye))
 
-    # Quotient of the cone by the disk: drop degree n and the coefficient
-    # block in degree n - 1.
-    lo = cx.min_degree
-    keep = Matrix.vstack(Matrix.zeros(ring, p, x.rank(n - 1)),
-                         Matrix.identity(ring, x.rank(n - 1)))
-    q_top = Matrix.hstack(x.diff(n), Matrix.identity(ring, x.rank(n - 1)))
-    ranks = tuple(cx.rank(i) for i in range(lo, n - 1)) + (x.rank(n - 1),)
-    diffs = tuple(cx.diff(i) for i in range(lo + 1, n - 1)) + (cx.diff(n - 1) * keep,)
-    qx = GradedFreeComplex(ring, lo, ranks, diffs)
-    ops = tuple(tuple(c.op(g, i) for i in range(lo, n - 2)) + (q_top * c.op(g, n - 2),)
-                for g in range(d))
-    q = HomotopyStructure(qx, c.scalars, ops)
-    proj = ChainMap(cx, qx, 0, tuple(
-        Matrix.identity(ring, cx.rank(i)) if i < n - 1
-        else q_top if i == n - 1
-        else Matrix.zeros(ring, 0, cx.rank(i)) for i in cx.degrees()))
-    # The disk row splits by [0; I] against q_top = [d_n | I] and by [I, 0]
-    # against [I; -d_n]; elsewhere its blocks are identities or empty.
-    section = ChainMap(qx, cx, 0, tuple(
-        keep if i == n - 1 else Matrix.identity(ring, cx.rank(i)) for i in qx.degrees()))
-    retraction = ChainMap(cx, dsk.complex, 0, tuple(
-        Matrix.hstack(Matrix.identity(ring, p), Matrix.zeros(ring, p, x.rank(n - 1)))
-        if i == n - 1
-        else Matrix.identity(ring, p) if i == n
-        else Matrix.zeros(ring, 0, cx.rank(i)) for i in cx.degrees()))
-
-    data = FoldData(coefficient_row, Row(dsk, c, q, disk_incl, proj, section, retraction))
     problems = check_structure(c)
     if problems:
         raise AssertionError("fold cone is not a structure: " + problems[0])
-    if not dsk.scalars == c.scalars == q.scalars:
+    if not dsk.scalars == c.scalars == disk_row.quotient.scalars:
         raise AssertionError("fold disk, cone and fold differ in scalars")
-    why = data.disk_row.defect()
+    why = disk_row.defect()
     if why:
         raise AssertionError("fold disk " + why)
-    return data
+    return FoldData(coefficient_row, disk_row)
 
 
 def _refuse_fold(m: HomotopyStructure, n: int) -> None:

@@ -68,12 +68,6 @@ class HomotopyStructure:
             return self.ops[g][j]
         return Matrix.zeros(x.ring, x.rank(i + 1), x.rank(i))
 
-    def op_map(self, g: int) -> ChainMap:
-        """The full operator of generator ``g`` as a degree +1 map."""
-        x = self.complex
-        mats = tuple(self.op(g, i) for i in x.degrees())
-        return ChainMap(x, x, 1, mats)
-
 
 def restrict(m: HomotopyStructure, factors: Sequence) -> HomotopyStructure:
     """Scale each generator: operator f_g * e_g has scalar f_g * s_g.

@@ -17,7 +17,7 @@ import homcert.exactalg
 from homcert.complexes import (
     ChainMap, GradedFreeComplex, HomotopySystem, boundary_map, check_ses, concentrated,
     find_contraction, homology_invariants, identity_map, is_contraction, null_homotopies,
-    reduce_units, solve_homotopy, zero_complex, zero_map,
+    reduce_units, solve_homotopy, zero_map,
 )
 from homcert.exactalg import Matrix, ModularRing, QQ, ZZ, Zmod
 from homcert.kernel import inverse_defect, validate_complex
@@ -84,7 +84,7 @@ def random_split_complex(rng, ring, length=4, pieces=None):
 
 
 def test_validate_examples():
-    assert validate_complex(zero_complex(ZZ)) == []
+    assert validate_complex(concentrated(ZZ, 0, 0)) == []
     assert validate_complex(two_term(2)) == []
     bad = cx([1, 1, 1], [[[1]], [[1]]])
     rep = validate_complex(bad)
@@ -240,7 +240,7 @@ def test_contraction_frozen():
     assert h.mat(0) == Matrix.identity(ZZ, 1)
     assert find_contraction(two_term(2)) is None
     assert find_contraction(two_term(2, ring=QQ)) is not None
-    assert find_contraction(zero_complex(ZZ)) is not None
+    assert find_contraction(concentrated(ZZ, 0, 0)) is not None
 
 
 def test_contraction_zmod_composite():
@@ -533,7 +533,7 @@ def test_check_ses_accepts_split():
 
 def test_check_ses_zero_sub():
     c = two_term(3)
-    incl, proj = split_ses(zero_complex(ZZ), c)
+    incl, proj = split_ses(concentrated(ZZ, 0, 0), c)
     assert check_ses(incl, proj) == []
 
 
@@ -546,7 +546,7 @@ def test_check_ses_rejects_non_exact():
     a = concentrated(ZZ, 0, 1)
     b = concentrated(ZZ, 0, 1)
     f = ChainMap(a, b, 0, (Matrix.from_rows(ZZ, [[2]]),))
-    g = zero_map(b, zero_complex(ZZ))
+    g = zero_map(b, concentrated(ZZ, 0, 0))
     assert any("middle" in r or "surjective" in r for r in check_ses(f, g))
 
 

@@ -1,5 +1,6 @@
 """Suspension, duals, disks, cones, gluing, peeling, tensor products."""
 
+import dataclasses
 import random
 
 import pytest
@@ -11,7 +12,7 @@ from homcert.complexes import (
 from homcert.constructions import (
     cone_mixed, cone_same, direct_sum, disk, dual, glue_extension,
     identity_cone_contraction, mapping_cone, module_tensor, peel_to_disks,
-    peel_top, suspend, suspend_complex, tensor_module,
+    peel_top, split_top_disk, suspend, suspend_complex, tensor_module,
 )
 from homcert.exactalg import Matrix, QQ, ZZ, Zmod, solve_right
 from homcert.fold import fold_general
@@ -323,7 +324,7 @@ def test_peel_to_disks_counts():
         x = m.complex
         steps = peel_to_disks(m)
         assert len(steps) == x.top_degree - x.min_degree
-        assert sum(s.sub.complex.total_rank() for s in steps) >= x.rank(x.top_degree)
+        assert sum(sum(s.sub.complex.ranks) for s in steps) >= x.rank(x.top_degree)
 
 
 def test_peel_factors_once_given_a_contraction(monkeypatch):
@@ -369,7 +370,7 @@ def test_composite_search_builds_systems_on_the_reduced_complex(monkeypatch):
     real = complexes_mod.HomotopySystem.__init__
 
     def counted(self, y):
-        sizes.append(y.total_rank())
+        sizes.append(sum(y.ranks))
         real(self, y)
     monkeypatch.setattr(complexes_mod.HomotopySystem, "__init__", counted)
     for mod, name in ((complexes_mod, "reduce_units"), (exactalg_mod, "smith_normal_form")):
@@ -391,6 +392,35 @@ def test_peel_rejects_non_contractible():
     m = HomotopyStructure(x, (2,), ((Matrix.from_rows(ZZ, [[1]]),),))
     with pytest.raises(ValueError):
         peel_top(m)
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, Zmod(7), Zmod(12)], ids=str)
+def test_top_disk_rows_split_in_every_ring(ring):
+    """The fold's disk rows in every ring, and the peel rows over Z, are the
+    rows ``split_top_disk`` builds from their degree n - 1 blocks, and split
+    exact.  One entry more in the complement basis breaks only the
+    splitting, as the section need not be a chain map."""
+    rng = random.Random(31)
+    rows = [fold_general(m, n).disk_row for m, n in (
+        (disk(ring, 2, 3, (2,)), 3),
+        (suspend(koszul(ring, (2, 3)), 2), 4),
+        (disk_pile(rng, ring, 3, (3,)), 3),
+        (disk(ring, 2, 2, (2,)), 3))]  # below the ceiling, the disk is empty
+    if ring == ZZ:
+        rows += peel_to_disks(contractible_structure(rng, ZZ, 3, (2,)))
+    for row in rows:
+        n = row.sub.complex.top_degree
+        basis = row.section.mat(n - 1)
+        assert row == split_top_disk(row.total, row.sub, row.include.mat(n - 1),
+                                     row.retraction.mat(n - 1), basis, row.project.mat(n - 1))
+        assert row.defect() is None
+        if not basis.cols:
+            continue  # the last peel leaves a zero quotient
+        bumped = basis.with_entry(0, 0, ring.add(basis.entry(0, 0), ring.one()))
+        s = row.section
+        mats = tuple(bumped if i == n - 1 else e for i, e in zip(s.source.degrees(), s.mats))
+        bad = dataclasses.replace(row, section=ChainMap(s.source, s.target, 0, mats))
+        assert bad.defect().startswith("row is not split exact: ")
 
 
 # -- tensor products --------------------------------------------------
@@ -455,7 +485,7 @@ def test_tensor_is_a_complex_and_euler_multiplicative():
             x.euler_characteristic() * stair.euler_characteristic()
     w = tensor_complexes(stair, stair)
     assert validate_complex(w) == []
-    assert w.total_rank() == stair.total_rank() ** 2
+    assert sum(w.ranks) == sum(stair.ranks) ** 2
 
 
 def test_module_tensor_matches_tensor_complexes():

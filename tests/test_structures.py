@@ -8,7 +8,7 @@ import sympy
 from sympy.matrices.normalforms import invariant_factors
 
 from homcert import exactalg, structures
-from homcert.complexes import GradedFreeComplex, find_contraction, identity_map
+from homcert.complexes import ChainMap, GradedFreeComplex, find_contraction, identity_map
 from homcert.exactalg import Matrix, QQ, ZZ, Zmod
 from homcert.kernel import check_structure
 from homcert.structures import (
@@ -78,19 +78,7 @@ def test_is_equivariant_identity_and_failure():
     assert is_equivariant(ident, m, m)
     assert not is_equivariant(ident, m, restrict(m, (3,)))
     with pytest.raises(ValueError):
-        is_equivariant(m.op_map(0), m, m)
-
-
-def test_op_map_shapes():
-    x = staircase()
-    m = structure_from_contraction(x, find_contraction(x), (1,))
-    e = m.op_map(0)
-    assert e.shift == 1
-    assert e.mat(2).rows == 0  # forced zero out of the top
-    # e is itself a contraction scaled by 1 here, so d e + e d = id
-    for i in x.degrees():
-        lhs = x.diff(i + 1) * e.mat(i) + e.mat(i - 1) * x.diff(i)
-        assert lhs == Matrix.identity(ZZ, x.rank(i))
+        is_equivariant(ChainMap(x, x, 1, tuple(m.op(0, i) for i in x.degrees())), m, m)
 
 
 # -- exponent search --------------------------------------------------

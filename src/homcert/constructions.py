@@ -400,7 +400,10 @@ def peel_to_disks(m: HomotopyStructure) -> list:
 
 
 def module_tensor(rank: int, m: HomotopyStructure) -> HomotopyStructure:
-    """R^rank (x) M for a degree-0 module: every matrix becomes I (x) mat."""
+    """R^rank (x) M for a degree-0 module: every matrix becomes I (x) mat.
+    For rank 1 that is ``m`` itself, and no matrix is copied."""
+    if rank == 1:
+        return m
     x = m.complex
     ring = x.ring
     ident = Matrix.identity(ring, rank)
@@ -412,7 +415,10 @@ def module_tensor(rank: int, m: HomotopyStructure) -> HomotopyStructure:
 
 
 def tensor_module(m: HomotopyStructure, rank: int) -> HomotopyStructure:
-    """M (x) R^rank for a degree-0 module: every matrix becomes mat (x) I."""
+    """M (x) R^rank for a degree-0 module: every matrix becomes mat (x) I.
+    For rank 1 that is ``m`` itself, and no matrix is copied."""
+    if rank == 1:
+        return m
     x = m.complex
     ring = x.ring
     ident = Matrix.identity(ring, rank)

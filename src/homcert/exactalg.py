@@ -324,27 +324,39 @@ class Matrix:
 
     @staticmethod
     def block(grid) -> "Matrix":
-        """Assemble a matrix from a 2-d grid of compatible blocks."""
+        """Assemble a matrix from a 2-d grid of blocks.
+
+        Every grid row has as many blocks as the first, the blocks of a grid
+        row share their height, those of a grid column their width, and all
+        share the ring; one pass checks this.  The stored rows are joined as
+        they are when every denominator is 1; only over Q, with fractions,
+        is each block first brought to the lcm of the denominators.
+        """
         if not grid or not grid[0]:
             raise ValueError("empty block grid")
-        ring = grid[0][0].ring
+        widths = [b.cols for b in grid[0]]
+        ring, den = grid[0][0].ring, 1
         for brow in grid:
-            heights = {b.rows for b in brow}
-            if len(heights) != 1:
-                raise ValueError("inconsistent block heights")
-            if any(b.ring != ring for b in brow):
-                raise ValueError("mixed rings in block grid")
-        for j in range(len(grid[0])):
-            widths = {brow[j].cols for brow in grid}
-            if len(widths) != 1:
-                raise ValueError("inconsistent block widths")
-        den = math.lcm(*(b.den for brow in grid for b in brow))
+            if len(brow) != len(widths):
+                raise ValueError("ragged block grid")
+            height = brow[0].rows
+            for b, width in zip(brow, widths):
+                if b.rows != height:
+                    raise ValueError("inconsistent block heights")
+                if b.cols != width:
+                    raise ValueError("inconsistent block widths")
+                if b.ring is not ring and b.ring != ring:
+                    raise ValueError("mixed rings in block grid")
+                if b.den != 1:
+                    den = math.lcm(den, b.den)
         out = []
         for brow in grid:
             parts = [_times(b.ints, den // b.den) for b in brow]
-            out.extend(tuple(chain.from_iterable(pieces)) for pieces in zip(*parts))
-        cols = sum(b.cols for b in grid[0])
-        return Matrix.from_ints(ring, len(out), cols, tuple(out), den)
+            if len(parts) == 1:
+                out.extend(parts[0])
+            else:
+                out.extend(tuple(chain.from_iterable(pieces)) for pieces in zip(*parts))
+        return Matrix.from_ints(ring, len(out), sum(widths), tuple(out), den)
 
     # -- arithmetic ----------------------------------------------------
 

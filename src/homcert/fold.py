@@ -94,8 +94,18 @@ def fold_general(m: HomotopyStructure, n: int) -> FoldData:
     the top disk, and ``split_top_disk`` builds that disk row on the cone's
     own matrices: below degree n - 2 the fold's differentials and operators
     are the cone's ``Matrix`` objects, and the fold projection is the
-    identity.  The cone is checked in full, then the disk row and its one
-    scalar tuple; the fold's law follows, as for a derived row end in
+    identity.
+
+    The comparison is taken of the desuspended input, at ambient n - 1, and
+    is the comparison of ``m`` at n between the desuspended ends.  A word of
+    k desuspended operators is (-1)^k times the word, and the counit sign
+    (-1)^((n-1-d)k) is (-1)^k times (-1)^((n-d)k); the two signs cancel, so
+    the map has the same matrices.  Its target is the desuspended wedge
+    model: the wedge model suspended once, by n - d - 1, which scales no
+    matrix when n - d - 1 is even.
+
+    The cone is checked in full, then the disk row and its one scalar
+    tuple; the fold's law follows, as for a derived row end in
     ``check_certificate``.  A caller that needs no row folds through
     ``fold``, which skips the cone below the ceiling.
     """
@@ -103,8 +113,8 @@ def fold_general(m: HomotopyStructure, n: int) -> FoldData:
     ring = x.ring
     _refuse_fold(m, n)
 
-    f, coeff = counit_map(m, ambient=n)
-    mx, my = desuspend(m), desuspend(coeff)
+    mx = desuspend(m)
+    f, my = counit_map(mx, ambient=n - 1)
     coefficient_row = cone_mixed(
         ChainMap(mx.complex, my.complex, 0, tuple(-a for a in f.mats)), mx, my)
     c = coefficient_row.total

@@ -30,6 +30,17 @@ def _index(basis) -> dict:
     return {sub: i for i, sub in enumerate(basis)}
 
 
+def _sign_matrix(ring, rows: int, cols: int, entries) -> Matrix:
+    """The rows x cols matrix with ``sign`` (1 or -1) at each (row, col,
+    sign) of ``entries`` and 0 elsewhere, written as stored ints, with -1
+    as the ring's residue: the scalar-free operators and the star."""
+    minus = ring.normalize(-1).numerator
+    ints = [[0] * cols for _ in range(rows)]
+    for i, j, sign in entries:
+        ints[i][j] = 1 if sign == 1 else minus
+    return Matrix.from_ints(ring, rows, cols, tuple(map(tuple, ints)))
+
+
 def permutation_sign(perm) -> int:
     inversions = sum(1 for a in range(len(perm)) for b in range(a + 1, len(perm))
                      if perm[a] > perm[b])
@@ -43,9 +54,10 @@ def koszul(ring, scalars) -> HomotopyStructure:
     d = len(ss)
     bases = [exterior_basis(d, k) for k in range(d + 1)]
     ranks = tuple(comb(d, k) for k in range(d + 1))
+    index = [_index(basis) for basis in bases]
     diffs = []
     for k in range(1, d + 1):
-        rows = _index(bases[k - 1])
+        rows = index[k - 1]
         mat = [[ring.zero()] * ranks[k] for _ in range(ranks[k - 1])]
         for col, sub in enumerate(bases[k]):
             for a, j in enumerate(sub):
@@ -58,15 +70,10 @@ def koszul(ring, scalars) -> HomotopyStructure:
     for i in range(1, d + 1):
         grid = []
         for k in range(d):
-            rows = _index(bases[k + 1])
-            mat = [[ring.zero()] * ranks[k] for _ in range(ranks[k + 1])]
-            for col, sub in enumerate(bases[k]):
-                if i in sub:
-                    continue
-                smaller = sum(1 for j in sub if j < i)
-                val = ring.one() if smaller % 2 == 0 else ring.neg(ring.one())
-                mat[rows[tuple(sorted(sub + (i,)))]][col] = val
-            grid.append(Matrix.from_rows(ring, mat))
+            rows = index[k + 1]
+            grid.append(_sign_matrix(ring, ranks[k + 1], ranks[k], (
+                (rows[tuple(sorted(sub + (i,)))], col, (-1) ** sum(1 for j in sub if j < i))
+                for col, sub in enumerate(bases[k]) if i not in sub)))
         ops.append(tuple(grid))
     return HomotopyStructure(cx, ss, tuple(ops))
 
@@ -78,9 +85,10 @@ def koszul_dual(ring, scalars) -> HomotopyStructure:
     d = len(ss)
     bases = [exterior_basis(d, d - m) for m in range(d + 1)]
     ranks = tuple(comb(d, d - m) for m in range(d + 1))
+    index = [_index(basis) for basis in bases]
     diffs = []
     for m in range(1, d + 1):
-        rows = _index(bases[m - 1])
+        rows = index[m - 1]
         mat = [[ring.zero()] * ranks[m] for _ in range(ranks[m - 1])]
         for col, sub in enumerate(bases[m]):
             for r in range(1, d + 1):
@@ -95,15 +103,11 @@ def koszul_dual(ring, scalars) -> HomotopyStructure:
     for r in range(1, d + 1):
         grid = []
         for m in range(d):
-            rows = _index(bases[m + 1])
-            mat = [[ring.zero()] * ranks[m] for _ in range(ranks[m + 1])]
-            for col, sub in enumerate(bases[m]):
-                if r not in sub:
-                    continue
-                a = sub.index(r) + 1
-                val = ring.one() if (a + len(sub)) % 2 == 0 else ring.neg(ring.one())
-                mat[rows[sub[:a - 1] + sub[a:]]][col] = val
-            grid.append(Matrix.from_rows(ring, mat))
+            rows = index[m + 1]
+            # sub.index(r) is a - 1 for the 1-based position a of r in sub
+            grid.append(_sign_matrix(ring, ranks[m + 1], ranks[m], (
+                (rows[tuple(j for j in sub if j != r)], col, (-1) ** (sub.index(r) + 1 + len(sub)))
+                for col, sub in enumerate(bases[m]) if r in sub)))
         ops.append(tuple(grid))
     return HomotopyStructure(cx, ss, tuple(ops))
 
@@ -126,13 +130,12 @@ def star_matrices(ring, d: int) -> tuple:
     for k in range(d + 1):
         src = exterior_basis(d, k)
         rows = _index(exterior_basis(d, d - k))
-        mat = [[ring.zero()] * len(src) for _ in range(comb(d, d - k))]
-        outer = -1 if (k * (d - k)) % 2 else 1
+        outer = (-1) ** (k * (d - k))
+        entries = []
         for col, sub in enumerate(src):
             complement = tuple(j for j in range(1, d + 1) if j not in sub)
-            val = outer * permutation_sign(sub + complement)
-            mat[rows[complement]][col] = ring.from_int(val)
-        mats.append(Matrix.from_rows(ring, mat))
+            entries.append((rows[complement], col, outer * permutation_sign(sub + complement)))
+        mats.append(_sign_matrix(ring, len(rows), len(src), entries))
     return tuple(mats)
 
 

@@ -26,7 +26,11 @@ Conventions shared by every document kind:
 * a dump is one line of compact JSON with sorted keys and a trailing
   newline, so equal objects give equal bytes (``python -m json.tool FILE``
   shows it indented); the reader takes any JSON layout, the indented one of
-  earlier versions included.
+  earlier versions included;
+* an integer longer than the interpreter's digit limit for integer strings
+  (``sys.get_int_max_str_digits()``, 4300 by default; the environment
+  variable ``PYTHONINTMAXSTRDIGITS=0`` lifts it) is neither read nor
+  written: the writer refuses it with a ``ValueError`` that names the limit.
 
 ``from_json`` sniffs the document kind from its keys; decoding errors are
 reported as ``FormatError`` with a breadcrumb path into the document, and
@@ -38,6 +42,7 @@ Decoding only enforces well-formedness (shapes, types); semantic laws
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 
 from .complexes import ChainMap, GradedFreeComplex
@@ -121,9 +126,18 @@ def ring_from_json(tag, where: str = "ring") -> Ring:
     _fail('ring tag must be "Z", "Q", or {"Zmod": m}', where)
 
 
+def _digit_limit() -> ValueError:
+    """The writer's refusal of an integer past the interpreter's digit limit."""
+    return ValueError(f"cannot write an integer of more than {sys.get_int_max_str_digits()} "
+                      "digits, the interpreter's limit (PYTHONINTMAXSTRDIGITS=0 lifts it)")
+
+
 def element_to_str(ring: Ring, a) -> str:
     # str of an int equals str of the same Fraction, so Q needs no wrapping.
-    return str(a) if ring == QQ else str(int(a))
+    try:
+        return str(a) if ring == QQ else str(int(a))
+    except ValueError:
+        raise _digit_limit() from None
 
 
 def _parse_rational(v: str):
@@ -166,7 +180,10 @@ def element_from_json(ring: Ring, v, where: str):
 
 def _ratio_writer(den: int):
     def write(x: int) -> str:
-        return str(x // den) if x % den == 0 else str(Fraction(x, den))
+        try:
+            return str(x // den) if x % den == 0 else str(Fraction(x, den))
+        except ValueError:
+            raise _digit_limit() from None
     return write
 
 
@@ -474,9 +491,14 @@ def dumps(obj) -> str:
     """Deterministic text form: one line of sorted, compact JSON and a
     trailing newline.  Equal objects serialize to identical bytes.  Without
     ``indent`` CPython encodes in C, several times faster than its
-    pure-Python indenting encoder."""
+    pure-Python indenting encoder.  A document is a tree that ``to_json``
+    builds, so the encoder skips its check for cycles.  An integer past the
+    interpreter's digit limit is a ``ValueError`` that names the limit."""
     doc = to_json(obj) if not isinstance(obj, (dict, list)) else obj
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    try:
+        return json.dumps(doc, sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"
+    except ValueError:
+        raise _digit_limit() from None
 
 
 def parse_json(data, where: str = ""):

@@ -5,7 +5,11 @@ import dataclasses
 import importlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -269,6 +273,31 @@ def test_unreadable_text_is_exit_2(run, tmp_path, command, make, message):
     assert code == 2 and report is None
     assert err["error"]["code"] == "malformed" and err["error"]["where"] == str(path)
     assert err["error"]["message"].startswith(message)
+
+
+@pytest.mark.parametrize("setting", [None, "0"])
+def test_gamma_past_the_writer_digit_limit(tmp_path, setting):
+    """A valid disk whose 2,201-digit scalar folds to 4,401 digits: under the
+    default limit the writer refuses it by name, and without a limit it is
+    written."""
+    path = write(tmp_path, "big.json", disk(ZZ, 1, 2, (10 ** 2200,)))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+    if setting is not None:
+        env["PYTHONINTMAXSTRDIGITS"] = setting
+    done = subprocess.run([sys.executable, "-m", "homcert", "gamma", path], env=env,
+                          capture_output=True, text=True, timeout=120)
+    if setting is None:
+        assert done.returncode == 1 and done.stdout == ""
+        (line,) = done.stderr.splitlines()
+        err = json.loads(line)["error"]
+        limit = sys.int_info.default_max_str_digits
+        assert err["code"] == "invalid" and f"more than {limit} digits" in err["message"]
+    else:
+        assert done.returncode == 0 and done.stderr == ""
+        # the folded operators hold JSON integers past the limit of this process
+        report = json.loads(done.stdout, parse_int=str)
+        assert report["scalars"] == ["1" + "0" * 4400]
 
 
 def test_usage_error_is_exit_2(run):

@@ -98,6 +98,45 @@ def test_matrix_shapes_and_blocks():
     assert big.entry(2, 2) == 1 and big.entry(0, 2) == 0
 
 
+def test_block_joins_empty_blocks_and_fractions():
+    a = mat([[1, 2], [3, 4]])
+    # zero-height and zero-width blocks join, and leave the others as they are
+    assert Matrix.block([[a, Matrix.zeros(ZZ, 2, 0)], [Matrix.zeros(ZZ, 0, 2),
+                                                        Matrix.zeros(ZZ, 0, 0)]]) == a
+    tall = Matrix.block([[Matrix.zeros(ZZ, 0, 3)], [Matrix.zeros(ZZ, 2, 3)]])
+    assert (tall.rows, tall.cols) == (2, 3) and tall.is_zero()
+    wide = Matrix.block([[Matrix.zeros(ZZ, 0, 2), Matrix.zeros(ZZ, 0, 1)]])
+    assert (wide.rows, wide.cols, wide.ints) == (0, 3, ())
+    # over Q the blocks meet at the lcm of their denominators, in lowest terms
+    half, third = Matrix.scalar(QQ, 1, Fraction(1, 2)), Matrix.scalar(QQ, 1, Fraction(1, 3))
+    joined = Matrix.block([[half, third], [Matrix.identity(QQ, 1), Matrix.zeros(QQ, 1, 1)]])
+    assert joined == Matrix.from_rows(QQ, [[Fraction(1, 2), Fraction(1, 3)], [1, 0]])
+    assert (joined.ints, joined.den) == (((3, 2), (6, 0)), 6)
+
+
+@pytest.mark.parametrize("grid, message", [
+    ([], "empty block grid"),
+    ([[]], "empty block grid"),
+    ([["a", "a"], ["a", "a", "a"]], "ragged block grid"),
+    ([["a", "a", "a"], ["a", "a"]], "ragged block grid"),
+    ([["a"], []], "ragged block grid"),
+    ([["a", "a21"]], "inconsistent block heights"),
+    ([["a", "a"], ["a12", "a12"]], "inconsistent block widths"),
+    ([["a", "z0x1"]], "inconsistent block heights"),
+    ([["z0x1"], ["z1x0"]], "inconsistent block widths"),
+    ([["z0x1", "z1x0"]], "inconsistent block heights"),
+    ([["a", "q"]], "mixed rings in block grid"),
+    ([["a"], ["z7"]], "mixed rings in block grid"),
+])
+def test_block_refuses_a_bad_grid(grid, message):
+    blocks = {"a": Matrix.identity(ZZ, 1), "a12": Matrix.zeros(ZZ, 1, 2),
+              "a21": Matrix.zeros(ZZ, 2, 1),
+              "z0x1": Matrix.zeros(ZZ, 0, 1), "z1x0": Matrix.zeros(ZZ, 1, 0),
+              "q": Matrix.identity(QQ, 1), "z7": Matrix.identity(Zmod(7), 1)}
+    with pytest.raises(ValueError, match=message):
+        Matrix.block([[blocks[name] for name in brow] for brow in grid])
+
+
 def test_zero_dimensional_matrices():
     e = Matrix.zeros(ZZ, 0, 3)
     f = Matrix.zeros(ZZ, 3, 0)

@@ -219,6 +219,51 @@ def test_fold_defect_builds_the_coefficient_block_once(monkeypatch):
         assert calls == {"koszul_dual": 1}
 
 
+@pytest.mark.parametrize("rname", RINGS)
+def test_fold_general_builds_the_wedge_model_once(monkeypatch, rname):
+    """One wedge model per fold, suspended at most once on its way into the
+    cone (the comparison is taken of the desuspended input), and no
+    Kronecker product when the top module has rank 1."""
+    ring = RINGS[rname]
+    calls = count_calls(monkeypatch, [(Matrix, "kron")])
+    models, wedge, suspended = [], [], []
+
+    def from_wedge(real, built):
+        """``real``, recording each result built from a wedge model."""
+        def wrapped(*args, **kwargs):
+            out = real(*args, **kwargs)
+            if any(a is w for a in args for w in wedge):
+                built.append(out)
+                wedge.append(out)
+            return out
+        return wrapped
+
+    def koszul_dual_recorded(*args, real=koszul_module.koszul_dual):
+        models.append(real(*args))
+        wedge.append(models[-1])
+        return models[-1]
+
+    monkeypatch.setattr(koszul_module, "koszul_dual", koszul_dual_recorded)
+    monkeypatch.setattr(koszul_module, "module_tensor",
+                        from_wedge(koszul_module.module_tensor, []))
+    constructions_module = importlib.import_module("homcert.constructions")
+    for owner in (constructions_module, koszul_module, fold_module):
+        monkeypatch.setattr(owner, "suspend", from_wedge(owner.suspend, suspended))
+    for d in range(1, 5):
+        scalars = tuple(ring.normalize(s) for s in SCALARS[rname][:d])
+        for shift in (0, 1):
+            # top degree n = d + shift, so n - d - 1 takes either parity
+            m = suspend(koszul(ring, scalars), shift)
+            for rank in (1, 2):
+                x = module_tensor(rank, m)
+                for built in (models, wedge, suspended):
+                    built.clear()
+                calls["kron"] = 0
+                fold_general(x, d + shift)
+                assert len(models) == 1 and len(suspended) <= 1
+                assert calls["kron"] == 0 or rank > 1
+
+
 def test_comparison_and_disk_iso_fill_no_entry_one_at_a_time(monkeypatch):
     rng = random.Random(4)
     inputs = [random_structure(rng, ring, 3, scalars)

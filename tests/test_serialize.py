@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -272,6 +273,33 @@ def test_loads_rejects_non_json():
 def test_loads_rejects_unreadable_text(text):
     with pytest.raises(FormatError):
         loads(text)
+
+
+@pytest.fixture
+def least_digit_limit():
+    """The interpreter's int-string digit limit at its least, 640, for one test."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield 640
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("ring, big", [
+    (ZZ, 10 ** 700), (QQ, 10 ** 700), (QQ, Fraction(10 ** 700, 3)), (QQ, Fraction(3, 10 ** 700)),
+])
+def test_writer_names_the_digit_limit(least_digit_limit, ring, big):
+    """An entry or a scalar past the limit is refused by the writer with the
+    limit named: a JSON integer, a Q string and a scalar string alike."""
+    named = f"more than {least_digit_limit} digits"
+    x = GradedFreeComplex(ring, 0, (1, 1), (Matrix.scalar(ring, 1, big),))
+    for obj in (x, disk(ring, 1, 1, (big,))):
+        with pytest.raises(ValueError, match=named):
+            dumps(obj)
+    with pytest.raises(ValueError, match=named):
+        serialize.element_to_str(ring, big)
+    # one digit inside the limit still writes
+    y = GradedFreeComplex(ring, 0, (1, 1), (Matrix.scalar(ring, 1, 10 ** (least_digit_limit - 1)),))
+    assert loads(dumps(y)) == y
 
 
 # -- layout ------------------------------------------------------------

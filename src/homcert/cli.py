@@ -52,7 +52,8 @@ def _emit_error(code: str, message: str, where: str = None):
 
 def _load_doc(path: str):
     try:
-        data = Path(path).read_bytes()
+        with open(path, "rb") as f:
+            data = f.read()
     except OSError as e:
         raise FormatError(f"cannot read {path}: {e.strerror or e}", path) from None
     return parse_json(data, path)
@@ -354,65 +355,64 @@ def cmd_demo(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    """A usage error prints only its message, with no usage line naming the
+    parser, so a leaf parsing its part of a command line prints what the
+    full parser prints (see ``_parse``)."""
+
     def error(self, message):
         _emit_error("usage", message)
         raise SystemExit(2)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The full parser.  Its ``leaves`` map the command words of each leaf
+    command, such as ``("homotopy", "find")``, to the subparser that the
+    full parser hands the rest of the command line to."""
     p = _Parser(prog="homcert", description=__doc__.splitlines()[0])
+    leaves = p.leaves = {}
+
+    def leaf(sub, words, fn, help):
+        q = leaves[words] = sub.add_parser(words[-1], help=help)
+        q.set_defaults(fn=fn)
+        return q
+
     sub = p.add_subparsers(dest="subcommand", required=True)
 
-    q = sub.add_parser("validate", help="check a document against its laws")
-    q.add_argument("file")
-    q.set_defaults(fn=cmd_validate)
+    leaf(sub, ("validate",), cmd_validate, "check a document against its laws").add_argument("file")
 
     q = sub.add_parser("homotopy", help="homotopy-structure search")
     hsub = q.add_subparsers(dest="homotopy_command", required=True)
-    hf = hsub.add_parser("find", help="least-exponent structure search")
+    hf = leaf(hsub, ("homotopy", "find"), cmd_homotopy_find, "least-exponent structure search")
     hf.add_argument("file")
     hf.add_argument("--gens", required=True,
                     help="comma-separated generator scalars, e.g. 2,3")
-    hf.set_defaults(fn=cmd_homotopy_find)
 
-    q = sub.add_parser("gamma", help="fold a structure below its top degree")
+    q = leaf(sub, ("gamma",), cmd_gamma, "fold a structure below its top degree")
     q.add_argument("file")
     q.add_argument("--general", action="store_true",
                    help="no effect; every fold takes the comparison-cone route")
-    q.set_defaults(fn=cmd_gamma)
 
-    q = sub.add_parser("cone", help="structured mapping cone")
+    q = leaf(sub, ("cone",), cmd_cone, "structured mapping cone")
     q.add_argument("file", help='JSON object {"map", "source", "target"}')
     q.add_argument("--same", action="store_true",
                    help="equivariant cone keeping the scalars")
-    q.set_defaults(fn=cmd_cone)
 
-    q = sub.add_parser("glue", help="glue end structures across an extension")
+    q = leaf(sub, ("glue",), cmd_glue, "glue end structures across an extension")
     q.add_argument("file", help='JSON object {"include", "project", "sub", "quotient"}')
-    q.set_defaults(fn=cmd_glue)
 
-    q = sub.add_parser("peel", help="peel a contractible structure into disks")
-    q.add_argument("file")
-    q.set_defaults(fn=cmd_peel)
+    leaf(sub, ("peel",), cmd_peel, "peel a contractible structure into disks").add_argument("file")
+    leaf(sub, ("dual",), cmd_dual, "reflect degrees and transpose").add_argument("file")
 
-    q = sub.add_parser("dual", help="reflect degrees and transpose")
-    q.add_argument("file")
-    q.set_defaults(fn=cmd_dual)
-
-    q = sub.add_parser("suspend", help="shift degrees up")
+    q = leaf(sub, ("suspend",), cmd_suspend, "shift degrees up")
     q.add_argument("file")
     q.add_argument("--by", type=int, default=1)
-    q.set_defaults(fn=cmd_suspend)
 
-    q = sub.add_parser("certify", help="check a relation certificate")
-    q.add_argument("file")
-    q.set_defaults(fn=cmd_certify)
+    leaf(sub, ("certify",), cmd_certify, "check a relation certificate").add_argument("file")
 
-    q = sub.add_parser("demo", help="seeded end-to-end certificate pipelines")
+    q = leaf(sub, ("demo",), cmd_demo, "seeded end-to-end certificate pipelines")
     q.add_argument("name", choices=sorted(_DEMOS))
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--out", help="certificate output path")
-    q.set_defaults(fn=cmd_demo)
 
     return p
 
@@ -421,9 +421,20 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER = build_parser()
 
 
+def _parse(argv: list):
+    """Parse ``argv`` as the full parser would.  A command line that starts
+    with a leaf's command words goes straight to that leaf, the parser the
+    full one would hand the rest to, which skips a parse per level."""
+    for n in (2, 1):
+        q = _PARSER.leaves.get(tuple(argv[:n]))
+        if q is not None:
+            return q.parse_args(argv[n:])
+    return _PARSER.parse_args(argv)
+
+
 def main(argv=None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
     try:

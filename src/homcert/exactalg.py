@@ -387,8 +387,9 @@ class Matrix:
         return Matrix.from_ints(self.ring, self.rows, self.cols, ints, self.den)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
-        """The product: the other factor when one factor is the identity,
-        and otherwise computed row by row of ``self``.
+        """The product: the zero matrix when a dimension is 0, the other
+        factor when one factor is the identity, and otherwise computed row
+        by row of ``self``.
 
         A factor is the identity when it stores the shared identity ints
         (``_eye``) over denominator 1.  A row of ``self`` that is all zeros
@@ -401,15 +402,18 @@ class Matrix:
 
         Exactness: entry (i, j) of the product of the stored ints is the
         sum S of A[i][t] * B[t][j] over the t with A[i][t] != 0, and every
-        route computes S on the stored ints.  An all-zero row has no term
-        and a row with one nonzero has one; a sparse row adds its terms row
-        by row; a dot product adds all k products, the zero ones included.
-        An identity factor makes S the other factor's stored entry.  So the
-        result is exact and identical in every ring: over Z/m each entry is
-        reduced once at the end (a term times 1, and the other factor of an
-        identity, are stored residues already), and over Q the stored ints
-        share the denominator ``self.den * other.den``, which ``from_ints``
-        reduces (an identity's is 1).
+        route computes S on the stored ints.  An empty sum is 0, stored
+        over denominator 1: so is every entry when the inner dimension is
+        0, and a product with no rows or columns has no entries.  An
+        all-zero row has no term and a row with one nonzero has one; a
+        sparse row adds its terms row by row; a dot product adds all k
+        products, the zero ones included.  An identity factor makes S the
+        other factor's stored entry.  So the result is exact and identical
+        in every ring: over Z/m each entry is reduced once at the end (a
+        term times 1, and the other factor of an identity, are stored
+        residues already), and over Q the stored ints share the denominator
+        ``self.den * other.den``, which ``from_ints`` reduces (an
+        identity's is 1).
         """
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -418,8 +422,8 @@ class Matrix:
         k, n = self.cols, other.cols
         if k != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{k} by {other.rows}x{n}")
-        # Each lookup is keyed by the factor's column count, so a 0 x n
-        # matrix, whose ints are the empty tuple, is the identity only for n = 0.
+        if not (self.rows and k and n):
+            return Matrix.zeros(self.ring, self.rows, n)
         if other.ints is _EYE.get(n) and other.den == 1:
             return self
         if self.ints is _EYE.get(k) and self.den == 1:

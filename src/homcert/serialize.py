@@ -30,7 +30,8 @@ Conventions shared by every document kind:
 * an integer longer than the interpreter's digit limit for integer strings
   (``sys.get_int_max_str_digits()``, 4300 by default; the environment
   variable ``PYTHONINTMAXSTRDIGITS=0`` lifts it) is neither read nor
-  written: the writer refuses it with a ``ValueError`` that names the limit.
+  written: the writer refuses it with a ``ValueError`` and the reader with a
+  ``FormatError``, each naming the limit.
 
 ``from_json`` sniffs the document kind from its keys; decoding errors are
 reported as ``FormatError`` with a breadcrumb path into the document, and
@@ -126,10 +127,19 @@ def ring_from_json(tag, where: str = "ring") -> Ring:
     _fail('ring tag must be "Z", "Q", or {"Zmod": m}', where)
 
 
-def _digit_limit() -> ValueError:
-    """The writer's refusal of an integer past the interpreter's digit limit."""
-    return ValueError(f"cannot write an integer of more than {sys.get_int_max_str_digits()} "
-                      "digits, the interpreter's limit (PYTHONINTMAXSTRDIGITS=0 lifts it)")
+def _digit_limit(verb: str) -> str:
+    """Why an integer past the interpreter's digit limit cannot be written
+    or read; ``verb`` says which."""
+    return (f"cannot {verb} an integer of more than {sys.get_int_max_str_digits()} "
+            "digits, the interpreter's limit (PYTHONINTMAXSTRDIGITS=0 lifts it)")
+
+
+def _read_refusal(e: ValueError) -> str | None:
+    """The reader's words when ``e`` is the interpreter refusing to convert
+    a string of more digits than its limit, else None.  CPython signals
+    that refusal only by the text of a plain ``ValueError``, the same in
+    ``int``, ``Fraction`` and ``json.loads``."""
+    return _digit_limit("read") if str(e).startswith("Exceeds the limit") else None
 
 
 def element_to_str(ring: Ring, a) -> str:
@@ -137,7 +147,7 @@ def element_to_str(ring: Ring, a) -> str:
     try:
         return str(a) if ring == QQ else str(int(a))
     except ValueError:
-        raise _digit_limit() from None
+        raise ValueError(_digit_limit("write")) from None
 
 
 def _parse_rational(v: str):
@@ -169,8 +179,8 @@ def _element_reader(ring: Ring):
 def element_from_json(ring: Ring, v, where: str):
     try:
         return ring.normalize(_element_reader(ring)(v))
-    except (ValueError, ZeroDivisionError):
-        _fail(f"not a ring element: {brief(v)}", where)
+    except (ValueError, ZeroDivisionError) as e:
+        _fail(_read_refusal(e) or f"not a ring element: {brief(v)}", where)
     except TypeError:
         _fail("expected a ring element", where)
 
@@ -183,7 +193,7 @@ def _ratio_writer(den: int):
         try:
             return str(x // den) if x % den == 0 else str(Fraction(x, den))
         except ValueError:
-            raise _digit_limit() from None
+            raise ValueError(_digit_limit("write")) from None
     return write
 
 
@@ -487,18 +497,23 @@ def to_json(obj):
     raise ValueError(f"no JSON form for {type(obj).__name__}")
 
 
+# One encoder per process: ``json.dumps`` with keyword arguments builds a
+# new one on every call.  Without ``indent`` CPython encodes in C, several
+# times faster than its pure-Python indenting encoder, and a document is a
+# tree that ``to_json`` builds, so the encoder skips its check for cycles.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+
+
 def dumps(obj) -> str:
     """Deterministic text form: one line of sorted, compact JSON and a
-    trailing newline.  Equal objects serialize to identical bytes.  Without
-    ``indent`` CPython encodes in C, several times faster than its
-    pure-Python indenting encoder.  A document is a tree that ``to_json``
-    builds, so the encoder skips its check for cycles.  An integer past the
-    interpreter's digit limit is a ``ValueError`` that names the limit."""
+    trailing newline.  Equal objects serialize to identical bytes.  An
+    integer past the interpreter's digit limit is a ``ValueError`` that
+    names the limit."""
     doc = to_json(obj) if not isinstance(obj, (dict, list)) else obj
     try:
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"
+        return _ENCODER.encode(doc) + "\n"
     except ValueError:
-        raise _digit_limit() from None
+        raise ValueError(_digit_limit("write")) from None
 
 
 def parse_json(data, where: str = ""):
@@ -514,7 +529,7 @@ def parse_json(data, where: str = ""):
     except RecursionError:
         raise FormatError("not JSON: nested too deeply", where) from None
     except ValueError as e:  # JSONDecodeError, or the int digit limit
-        raise FormatError(f"not JSON: {e}", where) from None
+        raise FormatError(f"not JSON: {_read_refusal(e) or e}", where) from None
 
 
 def loads(text: str):

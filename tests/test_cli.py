@@ -174,7 +174,7 @@ def _long_in_step(key):
 
 @pytest.mark.parametrize("doc, where", [
     (lambda: {"ring": "Z", "min_degree": 0, "ranks": [1, 1],
-              "diffs": [{"entries": [["9" * 5000]]}]},
+              "diffs": [{"entries": [["x" * 5000]]}]},
      "complex.diffs[0].entries[0][0]"),
     (_long_in_step("sub"), "certificate.steps[0].sub"),
     (_long_in_step("kind"), "certificate.steps[0].kind"),
@@ -298,6 +298,37 @@ def test_gamma_past_the_writer_digit_limit(tmp_path, setting):
         # the folded operators hold JSON integers past the limit of this process
         report = json.loads(done.stdout, parse_int=str)
         assert report["scalars"] == ["1" + "0" * 4400]
+
+
+@pytest.mark.parametrize("setting", [None, "0"])
+@pytest.mark.parametrize("ring", ["Z", "Q"])
+@pytest.mark.parametrize("form", [int, str])
+def test_reader_names_the_digit_limit(tmp_path, setting, ring, form):
+    """A 5,000-digit entry, as a JSON integer or a decimal string: under the
+    default limit the reader refuses it by name, and without a limit it is
+    read."""
+    path = tmp_path / "big.json"
+    doc = {"ring": ring, "min_degree": 0, "ranks": [1, 1], "diffs": [{"entries": [["BIG"]]}]}
+    big = "9" * 5000
+    path.write_text(json.dumps(doc).replace('"BIG"', big if form is int else f'"{big}"'))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+    if setting is not None:
+        env["PYTHONINTMAXSTRDIGITS"] = setting
+    done = subprocess.run([sys.executable, "-m", "homcert", "validate", str(path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    if setting is None:
+        assert done.returncode == 2 and done.stdout == ""
+        (line,) = done.stderr.splitlines()
+        err = json.loads(line)["error"]
+        limit = sys.int_info.default_max_str_digits
+        assert err["code"] == "malformed"
+        assert (f"cannot read an integer of more than {limit} digits, the interpreter's limit "
+                "(PYTHONINTMAXSTRDIGITS=0 lifts it)") in err["message"]
+        assert err["where"] == (str(path) if form is int else "complex.diffs[0].entries[0][0]")
+    else:
+        assert done.returncode == 0 and done.stderr == ""
+        assert json.loads(done.stdout)["valid"] is True
 
 
 def test_usage_error_is_exit_2(run):
@@ -629,6 +660,72 @@ def test_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
     assert built == []
     assert seen[:len(argvs)] == seen[len(argvs):]
     assert [code for code, _ in seen[:len(argvs)]] == [0, 0, 0, 0, 2]
+
+
+def _dispatch_grid(tmp_path) -> list:
+    """Command lines over every subcommand: valid input, help at each level,
+    missing, extra and unknown arguments, misspelt commands and ``--``."""
+    d = disk(ZZ, 1, 2, (2,))
+    m = write(tmp_path, "m.json", d)
+    x = write(tmp_path, "x.json", two_term(4))
+    c = write(tmp_path, "c.json", sum_certificate(d, d, 2))
+    cone_in = write(tmp_path, "cone.json", {
+        "map": to_json(identity_map(d.complex)), "source": to_json(d), "target": to_json(d)})
+    rng = random.Random(3)
+    sub, quot = disk_pile(rng, ZZ, 2, (2,)), disk_pile(rng, ZZ, 3, (3,))
+    incl, proj = split_row(rng, ZZ, sub, quot)
+    glue_in = write(tmp_path, "glue.json", {
+        "include": to_json(incl), "project": to_json(proj),
+        "sub": to_json(sub), "quotient": to_json(quot)})
+    out = str(tmp_path / "demo.json")
+    return [
+        ["validate", m], ["validate", x], ["validate", c],
+        ["homotopy", "find", x, "--gens", "2"], ["homotopy", "find", x, "--gens=2,3"],
+        ["homotopy", "find", x, "--gens", "1"], ["homotopy", "find", "--gens", "2", m],
+        ["gamma", m], ["gamma", m, "--general"], ["cone", cone_in], ["cone", cone_in, "--same"],
+        ["glue", glue_in], ["peel", m], ["dual", m], ["suspend", m, "--by", "2"],
+        ["certify", c], ["certify", m], ["demo", "ex3", "--seed", "1", "--out", out],
+        [], ["-h"], ["--help"], ["homotopy"], ["homotopy", "-h"], ["homotopy", "find", "-h"],
+        ["validate", "--help"], ["demo", "-h"], ["suspend", "--he"],
+        ["validate"], ["homotopy", "find", x], ["homotopy", "find", "--gens", "2"],
+        ["validate", m, "extra"], ["dual", m, m], ["suspend", m, "--by", "two"],
+        ["demo", "nope"], ["--gen", "2"], ["homotopy", "find", x, "--gen", "2"],
+        ["homotopy", "find", x, "--gens"], ["homotopy", "find", x, "--gens", "2", "--gens"],
+        ["homotopy", "fin", x], ["VALIDATE", m], ["nonsense"], ["validate", str(tmp_path)],
+        ["--", "validate", m], ["validate", "--", m], ["homotopy", "--", "find", x],
+        ["homotopy", "find", "--", x, "--gens", "2"], ["-h", "validate", m],
+    ]
+
+
+def _outcome(argv):
+    """Exit code, stdout and stderr of ``homcert ARGV`` in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_leaf_dispatch_matches_the_full_parser(tmp_path, monkeypatch):
+    """Every command line gives the bytes it gives when the full parser
+    parses it and hands the result to its command."""
+    grid = _dispatch_grid(tmp_path)
+    got = [_outcome(argv) for argv in grid]
+    monkeypatch.setattr(cli, "_parse", cli._PARSER.parse_args)
+    for argv, outcome in zip(grid, got):
+        assert outcome == _outcome(argv), argv
+    assert {code for code, _, _ in got} == {0, 1, 2}
+
+
+def test_leaf_commands_skip_the_full_parser(tmp_path, monkeypatch):
+    calls = []
+    full = cli._PARSER.parse_args
+    monkeypatch.setattr(cli._PARSER, "parse_args", lambda argv: calls.append(argv) or full(argv))
+    m = write(tmp_path, "m.json", disk(ZZ, 1, 2, (2,)))
+    for argv in (["validate", m], ["homotopy", "find", m, "--gens", "2"], ["dual", m, "extra"],
+                 ["suspend", "-h"], ["homotopy", "find"]):
+        _outcome(argv)
+    assert calls == []
+    assert _outcome([])[0] == 2 and calls == [[]]
 
 
 @pytest.mark.parametrize("build, kind, field", [

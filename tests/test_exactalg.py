@@ -430,6 +430,12 @@ def test_identity_products_at_the_edges(ring):
                 assert p.entries == plain_product(left, right)
         with pytest.raises(ValueError, match="cannot multiply"):
             eye * Matrix.zeros(ring, n + 1, 2)
+        # an empty side is no excuse for disagreeing inner dimensions
+        for left, right in ((Matrix.zeros(ring, 0, n), Matrix.zeros(ring, n + 1, 2)),
+                            (Matrix.zeros(ring, 2, n + 1), Matrix.zeros(ring, n, 0)),
+                            (Matrix.zeros(ring, 2, 0), Matrix.zeros(ring, 1, 3))):
+            with pytest.raises(ValueError, match="cannot multiply"):
+                left * right
     if ring == QQ:
         half = Matrix.scalar(QQ, 3, Fraction(1, 2))  # the identity's ints over 2
         x = Matrix.build(QQ, 3, 3, lambda i, j: Fraction(i - j, 3))
@@ -437,7 +443,10 @@ def test_identity_products_at_the_edges(ring):
     other = ZZ if ring != ZZ else QQ
     for left, right in ((Matrix.identity(ring, 2), Matrix.identity(other, 2)),
                         (Matrix.identity(ring, 2), Matrix.zeros(other, 2, 3)),
-                        (Matrix.zeros(other, 3, 2), Matrix.identity(ring, 2))):
+                        (Matrix.zeros(other, 3, 2), Matrix.identity(ring, 2)),
+                        (Matrix.zeros(ring, 0, 2), Matrix.zeros(other, 2, 3)),
+                        (Matrix.zeros(ring, 2, 0), Matrix.zeros(other, 0, 3)),
+                        (Matrix.zeros(other, 3, 2), Matrix.zeros(ring, 2, 0))):
         with pytest.raises(ValueError, match="mixed rings"):
             left * right
 

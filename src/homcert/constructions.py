@@ -81,15 +81,15 @@ class DirectSum:
 def direct_sum(ma: HomotopyStructure, mb: HomotopyStructure) -> DirectSum:
     """Blockwise sum of two structures with the same scalars.
 
-    A + B is the same-scalar cone of the zero map from the desuspension of
-    B to A: the desuspension and the cone each negate d_B and e_B, so the
-    blocks are diagonal with the original matrices, and the transposes that
-    split the cone's row are the other inclusion and projection.
+    A + B is the cone row of the zero map from the desuspension of B to A:
+    the desuspension and the cone each negate d_B, so the blocks are
+    diagonal with the original matrices, and the transposes that split the
+    cone's row are the other inclusion and projection.
     """
     if ma.scalars != mb.scalars:
         raise ValueError("direct sum needs matching scalar tuples")
-    mx = desuspend(mb)
-    row = _cone_same(zero_map(mx.complex, ma.complex), mx, ma)
+    f = zero_map(suspend_complex(mb.complex, -1), ma.complex)
+    row = _cone_row(f, ma, mb, _zero_corner(f))
     return DirectSum(row.total, (row.include, row.section), (row.retraction, row.project))
 
 
@@ -124,6 +124,29 @@ def mapping_cone(f: ChainMap):
     return cone, incl, proj
 
 
+def _cone_row(f: ChainMap, sub: HomotopyStructure, quot: HomotopyStructure,
+              corner) -> Row:
+    """The canonical row sub >--> cone(f) -->> quot, unchecked: ``sub`` lives
+    on the target of f, ``quot`` on the suspended source, with one scalar
+    tuple.  Generator g acts out of degree i by [[e_sub, corner(g, i)],
+    [0, e_quot]], the triangular shape of the cone's differential, and the
+    transposes split the row: the section x -> (0, x), the retraction
+    (y, x) -> y."""
+    cone, incl, proj = mapping_cone(f)
+    ops = tuple(tuple(
+        Matrix.block([[sub.op(g, i), corner(g, i)],
+                      [Matrix.zeros(cone.ring, quot.complex.rank(i + 1), sub.complex.rank(i)),
+                       quot.op(g, i)]])
+        for i in list(cone.degrees())[:-1]) for g in range(sub.ngens))
+    return Row(sub, HomotopyStructure(cone, sub.scalars, ops), quot,
+               incl, proj, proj.transpose(), incl.transpose())
+
+
+def _zero_corner(f: ChainMap):
+    """The corner of a diagonal cone operator: zero from X_(i-1) to Y_(i+1)."""
+    return lambda g, i: Matrix.zeros(f.source.ring, f.target.rank(i + 1), f.source.rank(i - 1))
+
+
 def cone_mixed(f: ChainMap, mx: HomotopyStructure, my: HomotopyStructure) -> Row:
     """Cone of any chain map between structured complexes, as the total of
     its canonical row target >--> cone -->> suspended source.
@@ -131,9 +154,7 @@ def cone_mixed(f: ChainMap, mx: HomotopyStructure, my: HomotopyStructure) -> Row
     Generator g acts by [[t_g e_Y, e_Y f e_X], [0, -s_g e_X]] where s_g,
     t_g are the scalars on the target and the source; the cone carries the
     product scalars s_g * t_g, and the ends are rescaled to match: their
-    operators are the diagonal blocks t_g e_Y and -s_g e_X themselves.  The
-    transposes split the row: the section x -> (0, x) and the retraction
-    (y, x) -> y.
+    operators are the diagonal blocks t_g e_Y and -s_g e_X themselves.
 
     No self-check: the ends' laws and f being a chain map prove the
     output.  D = [[d_Y, f], [0, -d_X]] squares to zero, the diagonal blocks
@@ -143,25 +164,8 @@ def cone_mixed(f: ChainMap, mx: HomotopyStructure, my: HomotopyStructure) -> Row
     """
     if mx.ngens != my.ngens:
         raise ValueError("source and target need the same number of generators")
-    x, y = f.source, f.target
-    ring = y.ring
-    cone, incl, proj = mapping_cone(f)
-    degrees = list(cone.degrees())[:-1]
-    ops, sub_ops, quot_ops = [], [], []
-    for g in range(mx.ngens):
-        t, s = mx.scalars[g], my.scalars[g]
-        ey = {i: my.op(g, i).scale(t) for i in degrees}
-        ex = {i: mx.op(g, i - 1).scale(ring.neg(s)) for i in degrees}
-        ops.append(tuple(Matrix.block([
-            [ey[i], my.op(g, i) * f.mat(i) * mx.op(g, i - 1)],
-            [Matrix.zeros(ring, x.rank(i), y.rank(i)), ex[i]]]) for i in degrees))
-        sub_ops.append(tuple(ey[i] for i in list(my.complex.degrees())[:-1]))
-        quot_ops.append(tuple(ex[i] for i in list(proj.target.degrees())[:-1]))
-    scalars = tuple(ring.mul(my.scalars[g], mx.scalars[g]) for g in range(mx.ngens))
-    return Row(HomotopyStructure(my.complex, scalars, tuple(sub_ops)),
-               HomotopyStructure(cone, scalars, tuple(ops)),
-               HomotopyStructure(proj.target, scalars, tuple(quot_ops)),
-               incl, proj, proj.transpose(), incl.transpose())
+    return _cone_row(f, restrict(my, mx.scalars), suspend(restrict(mx, my.scalars)),
+                     lambda g, i: my.op(g, i) * f.mat(i) * mx.op(g, i - 1))
 
 
 def cone_same(f: ChainMap, mx: HomotopyStructure, my: HomotopyStructure) -> Row:
@@ -176,41 +180,15 @@ def cone_same(f: ChainMap, mx: HomotopyStructure, my: HomotopyStructure) -> Row:
         raise ValueError("cone_same needs equal scalar tuples")
     if not is_equivariant(f, mx, my):
         raise ValueError("cone_same needs an equivariant map")
-    return _cone_same(f, mx, my)
-
-
-def _cone_same(f: ChainMap, mx: HomotopyStructure, my: HomotopyStructure) -> Row:
-    """``cone_same`` without its input checks; the -e_X blocks are the
-    operators of the suspended source, the quotient."""
-    x, y = f.source, f.target
-    ring = y.ring
-    cone, incl, proj = mapping_cone(f)
-    degrees = list(cone.degrees())[:-1]
-    neg = ring.from_int(-1)
-    ops, quot_ops = [], []
-    for g in range(mx.ngens):
-        ex = {i: mx.op(g, i - 1).scale(neg) for i in degrees}
-        ops.append(tuple(Matrix.block([
-            [my.op(g, i), Matrix.zeros(ring, y.rank(i + 1), x.rank(i - 1))],
-            [Matrix.zeros(ring, x.rank(i), y.rank(i)), ex[i]]]) for i in degrees))
-        quot_ops.append(tuple(ex[i] for i in list(proj.target.degrees())[:-1]))
-    return Row(my, HomotopyStructure(cone, mx.scalars, tuple(ops)),
-               HomotopyStructure(proj.target, mx.scalars, tuple(quot_ops)),
-               incl, proj, proj.transpose(), incl.transpose())
+    return _cone_row(f, my, suspend(mx), _zero_corner(f))
 
 
 def identity_cone_contraction(x: GradedFreeComplex) -> ChainMap:
-    """The closed-form contraction h(y, sx) = (0, sy) of the cone of id."""
-    cone, _, _ = mapping_cone(identity_map(x))
-    ring = x.ring
-    mats = []
-    for i in cone.degrees():
-        mats.append(Matrix.block([
-            [Matrix.zeros(ring, x.rank(i + 1), x.rank(i)),
-             Matrix.zeros(ring, x.rank(i + 1), x.rank(i - 1))],
-            [Matrix.identity(ring, x.rank(i)),
-             Matrix.zeros(ring, x.rank(i), x.rank(i - 1))]]))
-    h = ChainMap(cone, cone, 1, tuple(mats))
+    """The contraction h(y, sx) = (0, sy) of the cone of id: its row's own
+    splitting, h_i = s_(i+1) r_i for the section s and retraction r."""
+    cone, incl, proj = mapping_cone(identity_map(x))
+    s, r = proj.transpose(), incl.transpose()
+    h = ChainMap(cone, cone, 1, tuple(s.mat(i + 1) * r.mat(i) for i in cone.degrees()))
     if not is_contraction(h):
         raise AssertionError("identity cone contraction failed its own check")
     return h

@@ -35,9 +35,11 @@ if TYPE_CHECKING:
 
 
 def validate_complex(x: GradedFreeComplex) -> list[str]:
-    """Diagnostics for d_i d_(i+1) = 0; an empty list means ``x`` is a complex."""
-    return [f"d_{i} * d_{i + 1} != 0" for i in x.degrees()
-            if not (x.diff(i) * x.diff(i + 1)).is_zero()]
+    """Diagnostics for d_i d_(i+1) = 0; an empty list means ``x`` is a complex.
+    Stored differentials are paired: at the window's ends a factor is zero."""
+    return [f"d_{i} * d_{i + 1} != 0"
+            for i, (d, e) in enumerate(zip(x.diffs, x.diffs[1:]), x.min_degree + 1)
+            if not (d * e).is_zero()]
 
 
 def contraction_defect(h: ChainMap) -> Optional[int]:

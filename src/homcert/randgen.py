@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import dataclasses
 
-from .complexes import ChainMap, GradedFreeComplex, identity_map
+from .complexes import ChainMap, GradedFreeComplex, identity_map, zero_map
 from .constructions import (
     direct_sum, disk, identity_cone_contraction, mapping_cone,
-    module_tensor, suspend,
+    module_tensor, suspend, suspend_complex,
 )
 from .exactalg import Matrix, ZZ
 from .kernel import Certificate, ClassExpr, Contractible, ExactRow, Isomorphism
@@ -70,24 +70,16 @@ def random_structure(rng, ring, top, scalars):
 def split_row(rng, ring, sub, quot):
     """A split exact row with the given end structures, randomly twisted.
 
-    Presents the direct sum of the two underlying complexes, composed with
-    the shear automorphism [[id, 0], [v, id]] where v = d sigma + sigma d
-    for a random degree +1 block sigma, so the arrows are not the plain
-    block inclusions.  Returns ``(include, project)``.
+    Presents the direct sum of the two complexes, the cone of a zero map,
+    composed with the shear automorphism [[id, 0], [v, id]] where v =
+    d sigma + sigma d for a random degree +1 block sigma, so the arrows are
+    not the plain block inclusions.  Returns ``(include, project)``.
     """
     a, c = sub.complex, quot.complex
-    lo = min(a.min_degree, c.min_degree)
-    hi = max(a.top_degree, c.top_degree)
-    ranks = tuple(a.rank(i) + c.rank(i) for i in range(lo, hi + 1))
-    diffs = tuple(
-        Matrix.block([
-            [a.diff(i), Matrix.zeros(ring, a.rank(i - 1), c.rank(i))],
-            [Matrix.zeros(ring, c.rank(i - 1), a.rank(i)), c.diff(i)]])
-        for i in range(lo + 1, hi + 1))
-    total = GradedFreeComplex(ring, lo, ranks, diffs)
+    total, _, _ = mapping_cone(zero_map(suspend_complex(c, -1), a))
     sigma = {i: Matrix.build(ring, c.rank(i + 1), a.rank(i),
                              lambda r, s: ring.from_int(rng.randint(-1, 1)))
-             for i in range(lo, hi + 1)}
+             for i in total.degrees()}
 
     def sig(i):
         return sigma.get(i, Matrix.zeros(ring, c.rank(i + 1), a.rank(i)))

@@ -15,7 +15,7 @@ Conventions shared by every document kind:
 * a complex stores ``diffs[j]`` as the differential out of degree
   ``min_degree + j + 1`` into ``min_degree + j``, each rank <= ``RANK_LIMIT``
   and |min_degree| <= ``DEGREE_LIMIT`` (the writer refuses a complex past
-  that bound, which it could not read back);
+  either bound, which it could not read back);
 * a standalone chain map embeds its source and target so the file stands
   alone;
 * a certificate states each complex once, in its registry: every map a step
@@ -270,6 +270,9 @@ def _matrices(raw, where: str, ring: Ring, shapes: list) -> tuple:
 def complex_to_json(x: GradedFreeComplex) -> dict:
     if abs(x.min_degree) > DEGREE_LIMIT:
         raise ValueError(f"min_degree {x.min_degree} is past the bound {DEGREE_LIMIT} "
+                         "that the reader enforces")
+    if max(x.ranks) > RANK_LIMIT:
+        raise ValueError(f"rank {max(x.ranks)} is past the bound {RANK_LIMIT} "
                          "that the reader enforces")
     return {
         "ring": ring_to_json(x.ring),

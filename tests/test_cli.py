@@ -20,7 +20,7 @@ from homcert.certificates import (
     peel_chain_certificate, sum_certificate,
 )
 from homcert.cli import main
-from homcert.complexes import ChainMap, GradedFreeComplex, identity_map
+from homcert.complexes import ChainMap, GradedFreeComplex, identity_map, zero_map
 from homcert.constructions import disk, module_tensor, suspend
 from homcert.exactalg import Matrix, ZZ, Zmod
 from homcert.koszul import koszul
@@ -251,6 +251,29 @@ def test_suspend_past_the_degree_limit_is_refused(run, tmp_path):
     code, up, _ = run("suspend", path, "--by", str(serialize.DEGREE_LIMIT))
     assert code == 0 and up["complex"]["min_degree"] == serialize.DEGREE_LIMIT
     code, _, _ = run("validate", write(tmp_path, "up.json", up))
+    assert code == 0
+
+
+def _zero_cone_input(tmp_path, half):
+    """The zero map Z^half (degree 1) -> Z^half (degree 2), no generators: its
+    cone is Z^(2 half) in degree 2."""
+    x = GradedFreeComplex(ZZ, 1, (half,), ())
+    y = GradedFreeComplex(ZZ, 2, (half,), ())
+    return write(tmp_path, f"cone{half}.json", {
+        "map": to_json(zero_map(x, y)),
+        "source": to_json(HomotopyStructure(x, (), ())),
+        "target": to_json(HomotopyStructure(y, (), ()))})
+
+
+def test_cone_past_the_rank_limit_is_refused(run, tmp_path):
+    """A cone whose rank the reader would refuse is not written."""
+    code, report, err = run("cone", _zero_cone_input(tmp_path, serialize.RANK_LIMIT // 2 + 1))
+    assert code == 1 and report is None
+    assert err["error"]["code"] == "invalid" and "bound" in err["error"]["message"]
+    code, report, err = run("cone", _zero_cone_input(tmp_path, serialize.RANK_LIMIT // 2))
+    assert code == 0 and err is None
+    assert report["complex"]["ranks"] == [serialize.RANK_LIMIT]
+    code, _, _ = run("validate", write(tmp_path, "cone_out.json", report))
     assert code == 0
 
 

@@ -98,6 +98,31 @@ def test_validate_negative_degrees():
     assert validate_complex(x) == []
 
 
+def validate_complex_reference(x):
+    """d² = 0 checked over every degree of the window, the zero maps at its
+    ends included."""
+    return [f"d_{i} * d_{i + 1} != 0" for i in x.degrees()
+            if not (x.diff(i) * x.diff(i + 1)).is_zero()]
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, Zmod(7), Zmod(12)], ids=["Z", "Q", "Z7", "Z12"])
+def test_validate_complex_pairs_stored_differentials(ring):
+    """Pairing the stored differentials gives the messages of the loop over
+    every degree: complexes failing d² = 0, one-degree windows, and zero
+    ranks at the ends and inside."""
+    rng = random.Random(f"validate/{ring}")
+    failing = 0
+    for _ in range(200):
+        ranks = [rng.choice((0, 0, 1, 2, 3)) for _ in range(rng.randint(1, 6))]
+        diffs = tuple(Matrix.build(ring, r, s, lambda i, j: ring.from_int(rng.randint(-2, 2)))
+                      for r, s in zip(ranks, ranks[1:]))
+        x = GradedFreeComplex(ring, rng.randint(-3, 3), tuple(ranks), diffs)
+        want = validate_complex_reference(x)
+        assert validate_complex(x) == want
+        failing += bool(want)
+    assert failing >= 20
+
+
 def test_signs_in_negative_degrees_are_integers(monkeypatch):
     chi = concentrated(ZZ, -1, 2).euler_characteristic()
     assert chi == -2 and type(chi) is int

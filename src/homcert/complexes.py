@@ -16,7 +16,7 @@ from typing import Optional
 from .exactalg import (
     Matrix, Ring, ZZ, ModularRing, SmithSolver,
 )
-from .kernel import _first_non_identity, contraction_defect
+from .kernel import _law_terms, contraction_defect
 
 
 @dataclass(frozen=True)
@@ -351,12 +351,14 @@ def _retraction_defect(f: ChainMap, g: ChainMap, h: ChainMap) -> Optional[str]:
         i = m.chain_defect()
         if i is not None:
             return f"{name} is not a chain map in degree {i}"
-    x = f.source
-    return _first_non_identity(
-        x.min_degree, x.top_degree,
-        (("f·g", lambda i: f.mat(i) * g.mat(i)),
-         ("g·f + dh + hd", lambda i: (g.mat(i) * f.mat(i) + x.diff(i + 1) * h.mat(i)
-                                      + h.mat(i - 1) * x.diff(i)))))
+    x, y = f.source, f.target
+    for j, i in enumerate(x.degrees()):
+        if not Matrix.is_scalar_sum([(f.mat(i), g.mat(i))], 1, y.rank(i), x.ring):
+            return f"f·g ≠ id in degree {i}"
+        terms = [(g.mat(i), f.mat(i))] + _law_terms(x.diffs, h.mats, j)
+        if not Matrix.is_scalar_sum(terms, 1, x.rank(i), x.ring):
+            return f"g·f + dh + hd ≠ id in degree {i}"
+    return None
 
 
 def solve_homotopy(x: GradedFreeComplex, c) -> Optional[ChainMap]:

@@ -164,8 +164,10 @@ def cone_mixed(f: ChainMap, mx: HomotopyStructure, my: HomotopyStructure) -> Row
     """
     if mx.ngens != my.ngens:
         raise ValueError("source and target need the same number of generators")
-    return _cone_row(f, restrict(my, mx.scalars), suspend(restrict(mx, my.scalars)),
-                     lambda g, i: my.op(g, i) * f.mat(i) * mx.op(g, i - 1))
+    sub, neg = restrict(my, mx.scalars), mx.complex.ring.neg
+    quot = HomotopyStructure(suspend_complex(mx.complex), sub.scalars, tuple(
+        tuple(e.scale(neg(s)) for e in grid) for s, grid in zip(my.scalars, mx.ops)))
+    return _cone_row(f, sub, quot, lambda g, i: my.op(g, i) * f.mat(i) * mx.op(g, i - 1))
 
 
 def cone_same(f: ChainMap, mx: HomotopyStructure, my: HomotopyStructure) -> Row:

@@ -251,6 +251,63 @@ def _eye(n: int) -> tuple:
     return ints
 
 
+def _product_rows(a: tuple, b: tuple, n: int, m: int) -> list:
+    """The stored ints of A·B, one tuple per row of ``a``: ``a`` has rows,
+    each of k > 0 entries, and ``b`` has k rows of n > 0 entries.  Every
+    entry is reduced mod ``m``, unless m is 0.
+
+    A row of ``a`` that is all zeros gives zeros; a row with one nonzero x,
+    at index t, gives row t of ``b`` times x (as it is for x = 1); a row
+    with at most half of its entries nonzero sums the rows of ``b`` that its
+    nonzero entries select, each times its entry; a denser row takes a dot
+    product with each column of ``b``, the columns being transposed once,
+    for the first such row.
+
+    Exactness: entry (i, j) is the sum S of a[i][t] * b[t][j] over the t
+    with a[i][t] != 0, and every route computes S on the stored ints.  An
+    all-zero row has no term and a row with one nonzero has one; a sparse
+    row adds its terms row by row; a dot product adds all k products, the
+    zero ones included.  Reducing S mod m once, or after adding it to other
+    such sums, gives the same residue (a term times 1 is a stored residue
+    already).  So both callers are exact and identical in every ring:
+    ``Matrix.__mul__`` reduces here and stores the rows over the product of
+    the factors' denominators; ``Matrix.is_scalar_sum`` passes m = 0, brings
+    each product to one common denominator, adds them and reduces the sum.
+    """
+    k = len(a[0])
+    cols, out = None, []
+    add, mul, zero = operator.add, operator.mul, (0,) * n
+    for row in a:
+        zeros = row.count(0)
+        if zeros == k:
+            out.append(zero)
+        elif zeros == k - 1:
+            x = next(filter(None, row))
+            brow = b[row.index(x)]
+            if x == 1:
+                out.append(brow)
+            elif m:
+                out.append(tuple(map(m.__rmod__, map(x.__mul__, brow))))
+            else:
+                out.append(tuple(map(x.__mul__, brow)))
+        elif 2 * zeros >= k:
+            acc = None
+            for x, brow in compress(zip(row, b), row):
+                term = brow if x == 1 else map(x.__mul__, brow)
+                # one tuple per term: a chain of lazy maps, one per
+                # term, overflows the C stack on long rows
+                acc = term if acc is None else tuple(map(add, acc, term))
+            out.append(tuple(map(m.__rmod__, acc)) if m else tuple(acc))
+        else:
+            if cols is None:
+                cols = tuple(zip(*b))
+            if m:
+                out.append(tuple(sum(map(mul, row, col)) % m for col in cols))
+            else:
+                out.append(tuple(sum(map(mul, row, col)) for col in cols))
+    return out
+
+
 class Matrix:
     """Immutable dense matrix over an exact ring.
 
@@ -388,32 +445,13 @@ class Matrix:
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         """The product: the zero matrix when a dimension is 0, the other
-        factor when one factor is the identity, and otherwise computed row
-        by row of ``self``.
+        factor when one factor is the identity, and otherwise the rows of
+        ``_product_rows`` over the denominator ``self.den * other.den``,
+        which ``from_ints`` reduces.
 
         A factor is the identity when it stores the shared identity ints
-        (``_eye``) over denominator 1.  A row of ``self`` that is all zeros
-        gives zeros; a row with one nonzero a, at index t, gives row t of
-        ``other`` times a (as it is for a = 1); a row with at most half of
-        its entries nonzero sums the rows of ``other`` that its nonzero
-        entries select, each times its entry; a denser row takes a dot
-        product with each column of ``other``, the columns being transposed
-        once, for the first such row.
-
-        Exactness: entry (i, j) of the product of the stored ints is the
-        sum S of A[i][t] * B[t][j] over the t with A[i][t] != 0, and every
-        route computes S on the stored ints.  An empty sum is 0, stored
-        over denominator 1: so is every entry when the inner dimension is
-        0, and a product with no rows or columns has no entries.  An
-        all-zero row has no term and a row with one nonzero has one; a
-        sparse row adds its terms row by row; a dot product adds all k
-        products, the zero ones included.  An identity factor makes S the
-        other factor's stored entry.  So the result is exact and identical
-        in every ring: over Z/m each entry is reduced once at the end (a
-        term times 1, and the other factor of an identity, are stored
-        residues already), and over Q the stored ints share the denominator
-        ``self.den * other.den``, which ``from_ints`` reduces (an
-        identity's is 1).
+        (``_eye``) over denominator 1; the other factor is then the product,
+        its stored entries being residues already over Z/m.
         """
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -428,37 +466,51 @@ class Matrix:
             return self
         if self.ints is _EYE.get(k) and self.den == 1:
             return other
-        b, m, cols, out = other.ints, self.ring._mod, None, []
-        add, mul, zero = operator.add, operator.mul, (0,) * n
-        for row in self.ints:
-            zeros = row.count(0)
-            if zeros == k:
-                out.append(zero)
-            elif zeros == k - 1:
-                a = next(filter(None, row))
-                brow = b[row.index(a)]
-                if a == 1:
-                    out.append(brow)
-                elif m:
-                    out.append(tuple(map(m.__rmod__, map(a.__mul__, brow))))
-                else:
-                    out.append(tuple(map(a.__mul__, brow)))
-            elif 2 * zeros >= k:
-                acc = None
-                for a, brow in compress(zip(row, b), row):
-                    term = brow if a == 1 else map(a.__mul__, brow)
-                    # one tuple per term: a chain of lazy maps, one per
-                    # term, overflows the C stack on long rows
-                    acc = term if acc is None else tuple(map(add, acc, term))
-                out.append(tuple(map(m.__rmod__, acc)) if m else tuple(acc))
-            else:
-                if cols is None:
-                    cols = tuple(zip(*b))
-                if m:
-                    out.append(tuple(sum(map(mul, row, col)) % m for col in cols))
-                else:
-                    out.append(tuple(sum(map(mul, row, col)) for col in cols))
-        return Matrix.from_ints(self.ring, self.rows, n, tuple(out), self.den * other.den)
+        ints = tuple(_product_rows(self.ints, other.ints, n, self.ring._mod))
+        return Matrix.from_ints(self.ring, self.rows, n, ints, self.den * other.den)
+
+    @staticmethod
+    def is_scalar_sum(terms, c, n: int, ring: Ring) -> bool:
+        """True when the sum of x * y over the pairs (x, y) of ``terms`` is
+        the n x n matrix c * id, with no product or sum built as a matrix.
+
+        Each x is n x k and each y is k x n over ``ring``, for any k.  The
+        rows of every product come from ``_product_rows``, unreduced.  Over Q
+        each product is brought to the lcm L of the terms' denominators, as
+        ``_combine`` does, and the sum must store c * L on its diagonal, so
+        a c with c * L no integer fails when n > 0.  Over Z/m each entry of
+        the sum is reduced once, at the end.  A term with k = 0 adds
+        nothing; with no term left the sum is zero, which is c * id when
+        c = 0 or n = 0.
+        """
+        kept = []
+        for x, y in terms:
+            for a in (x, y):
+                if a.ring is not ring and a.ring != ring:
+                    raise ValueError(f"mixed rings: {ring} vs {a.ring}")
+            if x.rows != n or x.cols != y.rows or y.cols != n:
+                raise ValueError(f"cannot add {x.rows}x{x.cols} by {y.rows}x{y.cols} "
+                                 f"products to a {n}x{n} sum")
+            if x.cols:
+                kept.append((x, y))
+        c = ring.normalize(c)
+        if not n:
+            return True
+        den = math.lcm(*(x.den * y.den for x, y in kept))
+        num, rest = divmod(c.numerator * den, c.denominator)
+        if rest:
+            return False
+        acc = None
+        for x, y in kept:
+            rows = _times(_product_rows(x.ints, y.ints, n, 0), den // (x.den * y.den))
+            acc = rows if acc is None else [tuple(map(operator.add, r, t))
+                                            for r, t in zip(acc, rows)]
+        if acc is None:
+            return not num
+        if ring._mod:
+            acc = _tuples(acc, ring._mod)
+        zeros = n - 1 if num else n
+        return all(row[i] == num and row.count(0) == zeros for i, row in enumerate(acc))
 
     def scale(self, c) -> "Matrix":
         c = self.ring.normalize(c)

@@ -42,11 +42,18 @@ def validate_complex(x: GradedFreeComplex) -> list[str]:
             if not (d * e).is_zero()]
 
 
+def _law_terms(d: tuple, e: tuple, j: int) -> list:
+    """The products (d, e) of d e + e d out of degree slot ``j``, from the
+    stored differentials ``d`` and degree +1 maps ``e``: above the top
+    slot and below the bottom one there is no term."""
+    return ([(d[j], e[j])] if j < len(d) else []) + ([(e[j - 1], d[j - 1])] if j else [])
+
+
 def contraction_defect(h: ChainMap) -> Optional[int]:
     """The first degree where d h + h d != id, or None for a contraction."""
     x = h.source
-    for i in x.degrees():
-        if not (x.diff(i + 1) * h.mat(i) + h.mat(i - 1) * x.diff(i)).is_identity():
+    for j, (i, n) in enumerate(zip(x.degrees(), x.ranks)):
+        if not Matrix.is_scalar_sum(_law_terms(x.diffs, h.mats, j), 1, n, x.ring):
             return i
     return None
 
@@ -94,11 +101,13 @@ def inverse_defect(f: ChainMap, g: ChainMap) -> Optional[str]:
 
 
 def check_law(m: HomotopyStructure) -> list[str]:
-    """Report every degree where d e + e d != s * id; d² = 0 is not checked."""
+    """Report every degree where d e + e d != s * id; d² = 0 is not checked.
+    Stored matrices are paired: at the window's ends a term is zero."""
     x = m.complex
     return [f"generator {g}: d e + e d != {s} * id in degree {i}"
-            for g, s in enumerate(m.scalars) for i in x.degrees()
-            if not (x.diff(i + 1) * m.op(g, i) + m.op(g, i - 1) * x.diff(i)).is_scalar(s)]
+            for g, (s, e) in enumerate(zip(m.scalars, m.ops))
+            for j, (i, n) in enumerate(zip(x.degrees(), x.ranks))
+            if not Matrix.is_scalar_sum(_law_terms(x.diffs, e, j), s, n, x.ring)]
 
 
 def check_structure(m: HomotopyStructure) -> list[str]:

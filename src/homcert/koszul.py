@@ -194,6 +194,12 @@ def counit_map(m: HomotopyStructure, ambient=None):
     n - d of top module (x) koszul_dual, and the degree-i component stacks the
     word operators into the top interleaved with the module factor, scaled
     by (-1)^((n-d)(n-i)).  The map is the identity in degree n.
+
+    The words are made top-down, a word of two or more letters with one
+    product: out of degree i the matrix of (w_0, ..., w_(k-1)) is that of
+    its prefix out of degree i + 1 times e_(w_(k-1)) out of degree i, as
+    ``word_matrix`` multiplies.  The prefix of a k-subset in the basis is a
+    (k - 1)-subset in the basis one degree up.
     """
     x = m.complex
     ring = x.ring
@@ -203,13 +209,14 @@ def counit_map(m: HomotopyStructure, ambient=None):
         raise ValueError("ambient degree must dominate the window")
     p = x.rank(n)
     target = suspend(module_tensor(p, koszul_dual(ring, m.scalars)), n - d)
-    mats = []
-    for i in x.degrees():
-        k = n - i
-        if k < 0 or k > d:
-            mats.append(Matrix.zeros(ring, target.complex.rank(i), x.rank(i)))
-            continue
-        words = Matrix.block([[word_matrix(m, sub, i)] for sub in exterior_basis(d, k)])
-        block = interleave_rows(words, p)
-        mats.append(-block if ((n - d) * k) % 2 else block)
-    return ChainMap(x, target.complex, 0, tuple(mats)), target
+    blocks, words = {}, {(): Matrix.identity(ring, p)}
+    for k in range(min(d, n - x.min_degree) + 1):
+        i = n - k
+        if k:
+            words = {w: m.op(w[-1] - 1, i) if k == 1 else words[w[:-1]] * m.op(w[-1] - 1, i)
+                     for w in exterior_basis(d, k)}
+        block = interleave_rows(Matrix.block([[w] for w in words.values()]), p)
+        blocks[i] = -block if ((n - d) * k) % 2 else block
+    mats = tuple(blocks[i] if i in blocks else
+                 Matrix.zeros(ring, target.complex.rank(i), x.rank(i)) for i in x.degrees())
+    return ChainMap(x, target.complex, 0, mats), target

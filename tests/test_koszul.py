@@ -1,16 +1,19 @@
 """Exterior-algebra models, complementation, word operators, comparison maps."""
 
 import random
+from fractions import Fraction
 
-from homcert.complexes import boundary_map, find_contraction, identity_map
-from homcert.constructions import disk, suspend
-from homcert.exactalg import Matrix, ZZ
+import pytest
+
+from homcert.complexes import ChainMap, boundary_map, find_contraction, identity_map
+from homcert.constructions import disk, module_tensor, suspend
+from homcert.exactalg import Matrix, QQ, ZZ, Zmod
 from homcert.kernel import check_structure, inverse_defect
 from homcert.koszul import (
-    counit_map, exterior_basis, hodge_star, koszul, koszul_dual, permutation_sign,
-    unit_map, word_operator,
+    counit_map, exterior_basis, hodge_star, interleave_rows, koszul, koszul_dual,
+    permutation_sign, unit_map, word_matrix, word_operator,
 )
-from homcert.structures import find_structure, is_equivariant
+from homcert.structures import HomotopyStructure, find_structure, is_equivariant
 from homcert.complexes import GradedFreeComplex
 
 
@@ -188,6 +191,69 @@ def test_counit_with_larger_ambient_degree():
     assert target.complex.ranks == (0, 0, 0)
     assert f.is_chain_map()
 
+
+
+def counit_map_reference(m, ambient=None):
+    """``counit_map`` with every word's matrix made whole by ``word_matrix``."""
+    x = m.complex
+    ring, d = x.ring, m.ngens
+    n = x.top_degree if ambient is None else ambient
+    p = x.rank(n)
+    target = suspend(module_tensor(p, koszul_dual(ring, m.scalars)), n - d)
+    mats = []
+    for i in x.degrees():
+        k = n - i
+        if k < 0 or k > d:
+            mats.append(Matrix.zeros(ring, target.complex.rank(i), x.rank(i)))
+            continue
+        words = Matrix.block([[word_matrix(m, sub, i)] for sub in exterior_basis(d, k)])
+        block = interleave_rows(words, p)
+        mats.append(-block if ((n - d) * k) % 2 else block)
+    return ChainMap(x, target.complex, 0, tuple(mats)), target
+
+
+COUNIT_RINGS = {"Z": ZZ, "Q": QQ, "Z7": Zmod(7), "Z12": Zmod(12)}
+
+
+@pytest.mark.parametrize("ring", COUNIT_RINGS.values(), ids=COUNIT_RINGS.keys())
+def test_counit_map_matches_the_word_matrix_stack(ring):
+    """Words made from their prefixes give the stack of ``word_matrix``
+    blocks, for d = 1..4, windows shorter and longer than d with zero ranks,
+    the ambient degree at and above the top, and operators that need not
+    satisfy the law (over Q with fractions)."""
+    rng = random.Random(f"counit/{ring}")
+
+    def entry():
+        return Fraction(rng.randint(-3, 3), rng.choice((1, 2))) if ring == QQ \
+            else rng.randint(-3, 3)
+
+    def mat(rows, cols):
+        return Matrix.build(ring, rows, cols, lambda i, j: entry())
+
+    for d in range(1, 5):
+        models = [koszul(ring, (2, 3, 5, 7)[:d]), suspend(koszul_dual(ring, (3, 1, 2, 5)[:d]), 1)]
+        for _ in range(8):
+            ranks = tuple(rng.choice((0, 1, 2, 3)) for _ in range(rng.randint(1, 6)))
+            x = GradedFreeComplex(ring, rng.randint(-2, 2), ranks, tuple(
+                mat(r, s) for r, s in zip(ranks, ranks[1:])))
+            ops = tuple(tuple(mat(s, r) for r, s in zip(ranks, ranks[1:])) for _ in range(d))
+            models.append(HomotopyStructure(x, tuple(entry() for _ in range(d)), ops))
+        for m in models:
+            top = m.complex.top_degree
+            for ambient in (None, top, top + 1, top + 2):
+                assert counit_map(m, ambient) == counit_map_reference(m, ambient)
+
+
+def test_counit_map_makes_each_word_with_one_product(monkeypatch):
+    """A word of k >= 2 letters costs one product: 11 for d = 4, not the 17
+    of multiplying every word out."""
+    calls = []
+    real = Matrix.__mul__
+    monkeypatch.setattr(Matrix, "__mul__", lambda a, b: calls.append(1) or real(a, b))
+    for d, want in ((1, 0), (2, 1), (3, 4), (4, 11)):
+        calls.clear()
+        counit_map(koszul(ZZ, (2, 3, 5, 7)[:d]))
+        assert len(calls) == want
 
 def test_koszul_contractible_when_a_scalar_is_a_unit():
     assert find_contraction(koszul(ZZ, (1, 6)).complex) is not None

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from .complexes import ChainMap, find_contraction, identity_map
 from .constructions import (
-    cone_same, direct_sum, glue_extension, identity_cone_contraction,
-    peel_to_disks, peel_top, solve_splitting, suspend,
+    cone_same, direct_sum, disk, glue_extension, identity_cone_contraction,
+    peel_to_disks, solve_splitting, split_cone_top, suspend,
 )
 from .fold import (
     disk_fold_iso, fold, fold_block_map, fold_general, fold_map, squared_scalars,
@@ -213,11 +213,13 @@ def structure_independence_certificate(m1: HomotopyStructure,
     Claims [restrict(m1, s^3)] = [restrict(m2, s^3)] at ceiling ``n``.  Both
     sides are glued onto the contractible cone of the identity, folded below
     ``n + 1``, and compared through the shared quotient; the folded cones
-    are then emptied out against the same folded top disk.  No row of a
-    fold is used, so each object folds through ``fold``: the four that stop
-    below degree n + 1 are rescaled directly, and only those that reach it
-    (at n = top(X): the shared quotient, both cones and the top disk) build
-    the comparison cone.
+    are then emptied out against the same folded top disk.  The cone's top
+    differential is [I; -d_top], so ``split_cone_top`` splits that disk off
+    both cones in every ring, with no Smith form, and each row is checked
+    with ``Row.defect``.  No row of a fold is used, so each object folds
+    through ``fold``: the four that stop below degree n + 1 are rescaled
+    directly, and only those that reach it (at n = top(X): the shared
+    quotient, both cones and the top disk) build the comparison cone.
     """
     x = m1.complex
     if m2.complex != x:
@@ -241,12 +243,14 @@ def structure_independence_certificate(m1: HomotopyStructure,
     f_glued = fold(glued, ceiling)
     f_plain = fold(plain.total, ceiling)
 
-    h_cone = identity_cone_contraction(x)
-    peel_g = peel_top(glued, h_cone)
-    peel_p = peel_top(plain.total, h_cone)
-    if peel_g.sub != peel_p.sub:
-        raise AssertionError("the two peels disagree on the top disk")
-    f_disk = fold(peel_g.sub, ceiling)
+    top = x.top_degree
+    dsk = disk(x.ring, x.rank(top), top + 1, glued.scalars)
+    peel_g, peel_p = (split_cone_top(c, dsk, x.diff(top)) for c in (glued, plain.total))
+    for row in (peel_g, peel_p):
+        why = row.defect()
+        if why:
+            raise AssertionError("top disk " + why)
+    f_disk = fold(dsk, ceiling)
     f_tail_g = fold(peel_g.quotient, ceiling)
     f_tail_p = fold(peel_p.quotient, ceiling)
 

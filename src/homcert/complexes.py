@@ -406,7 +406,7 @@ def null_homotopies(x: GradedFreeComplex) -> tuple:
                 if e is None:
                     return None
                 mats.append(e)
-            if not (e * x.diff(x.top_degree)).is_scalar(c):
+            if not Matrix.is_scalar_sum([(e, x.diff(x.top_degree))], c, x.ranks[-1], ring):
                 return None
             return ChainMap(x, x, 1, tuple(mats) + (Matrix.zeros(ring, 0, x.ranks[-1]),))
         return (math.lcm(1, *(a for h in hom for a in h.torsion)),

@@ -9,7 +9,7 @@ extension, splitting off the top degree as a disk, and tensor products.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .complexes import (
     ChainMap, GradedFreeComplex, find_contraction, identity_map, is_contraction, zero_map,
@@ -313,12 +313,22 @@ def split_top_disk(m: HomotopyStructure, dsk: HomotopyStructure, include: Matrix
     return Row(dsk, m, quotient, incl, proj, section, retraction)
 
 
-def peel_top(m: HomotopyStructure,
-             contraction: Optional[ChainMap] = None) -> Row:
+def split_cone_top(m: HomotopyStructure, dsk: HomotopyStructure, dn: Matrix) -> Row:
+    """``split_top_disk`` for a cone whose top differential is [I; -d_n],
+    unchecked: the disk enters as [I; -d_n] and leaves by [I | 0], and
+    [0; I] against [d_n | I] spans the complement."""
+    ring = m.complex.ring
+    eye_p, eye = Matrix.identity(ring, dn.cols), Matrix.identity(ring, dn.rows)
+    zero = Matrix.zeros(ring, dn.cols, dn.rows)
+    return split_top_disk(m, dsk, Matrix.vstack(eye_p, -dn), Matrix.hstack(eye_p, zero),
+                          Matrix.vstack(zero, eye), Matrix.hstack(dn, eye))
+
+
+def peel_top(m: HomotopyStructure) -> Row:
     """Split the top degree of a contractible structure off as a disk: the
     row disk >--> input -->> quotient, with its splitting.
 
-    Uses a contraction h to form the idempotent id - d h on the next
+    Finds a contraction h to form the idempotent id - d h on the next
     degree and splits its image off over Z with one Smith form; that image
     is the complement of the disk, which enters by d_n and leaves by h.
     ``split_top_disk`` builds the row, which is then checked.  Needs at
@@ -329,9 +339,8 @@ def peel_top(m: HomotopyStructure,
         raise ValueError("peeling uses integral Smith splitting")
     if len(x.ranks) < 2:
         raise ValueError("nothing to peel in a one-degree window")
-    # find_contraction checks its own output; only a supplied one is checked here.
-    h = find_contraction(x) if contraction is None else contraction
-    if h is None or (contraction is not None and not is_contraction(h)):
+    h = find_contraction(x)  # checks its own output
+    if h is None:
         raise ValueError("peeling needs a contractible complex")
     n = x.top_degree
     ring = x.ring

@@ -7,8 +7,9 @@ coevaluation comparison map into a shifted exterior-coefficient complex,
 built one degree down where the fold sits, and divides out a canonical disk;
 each object is built once, and the two split exact rows through that cone
 are returned alongside the fold itself.  The disk row comes from
-``constructions.split_top_disk``, the builder peeling uses too.  The fold
-is checked through that row, as the kernel checks a derived row end.
+``constructions.split_cone_top``, as the independence certificate's rows
+do.  The fold is checked through that row, as the kernel checks a derived
+row end.
 
 Below the ceiling (top degree < n) the degree ``n`` part is zero and the
 fold is the input rescaled by its own scalars, on a window widened down to
@@ -26,7 +27,7 @@ from .constructions import (
     cone_mixed,
     desuspend,
     disk,
-    split_top_disk,
+    split_cone_top,
     suspend,
     tensor_module,
 )
@@ -91,7 +92,7 @@ def fold_general(m: HomotopyStructure, n: int) -> FoldData:
     The cone sits where the fold uses it: the desuspended cone of the
     comparison f is the cone of -f between the desuspended ends, and its
     ``cone_mixed`` row is the coefficient row.  The fold is its quotient by
-    the top disk, and ``split_top_disk`` builds that disk row on the cone's
+    the top disk, and ``split_cone_top`` builds that disk row on the cone's
     own matrices: below degree n - 2 the fold's differentials and operators
     are the cone's ``Matrix`` objects, and the fold projection is the
     identity.
@@ -120,14 +121,9 @@ def fold_general(m: HomotopyStructure, n: int) -> FoldData:
     c = coefficient_row.total
 
     # Canonical disk through the top of the cone: degree n holds the top of
-    # the input.  In degree n - 1 the disk enters as [I; -d_n] and leaves by
-    # [I | 0]; the fold keeps the input's block, by [0; I] and [d_n | I].
-    p, dn = x.rank(n), x.diff(n)
-    dsk = desuspend(disk(ring, p, n + 1, squared_scalars(m)))
-    eye_p, eye, zero = (Matrix.identity(ring, p), Matrix.identity(ring, dn.rows),
-                        Matrix.zeros(ring, p, dn.rows))
-    disk_row = split_top_disk(c, dsk, Matrix.vstack(eye_p, -dn), Matrix.hstack(eye_p, zero),
-                              Matrix.vstack(zero, eye), Matrix.hstack(dn, eye))
+    # the input, and the fold keeps the input's block in degree n - 1.
+    dsk = desuspend(disk(ring, x.rank(n), n + 1, squared_scalars(m)))
+    disk_row = split_cone_top(c, dsk, x.diff(n))
 
     problems = check_structure(c)
     if problems:

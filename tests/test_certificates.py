@@ -23,6 +23,7 @@ from homcert.certificates import (
 )
 from homcert.kernel import (
     Certificate, ClassExpr, Contractible, ExactRow, Isomorphism, Slot, check_certificate,
+    check_structure,
 )
 from homcert.koszul import koszul
 from homcert.randgen import (
@@ -303,6 +304,69 @@ def test_structure_independence_certificate_at_the_tight_ceiling(t):
         cert = structure_independence_certificate(m1, m2, m1.complex.top_degree)
         res = check_certificate(cert)
         assert res.accepted, (res.reason, res.step)
+
+
+INDEPENDENCE_RINGS = {"Z": ZZ, "Q": QQ, "Z7": Zmod(7), "Z12": Zmod(12),
+                      "Zp31": Zmod(2 ** 31 - 1)}
+
+
+def homotopic_structure(rng, m):
+    """``m`` with each e replaced by e + d σ - σ d for a random degree +2 map
+    σ per generator, which keeps d e + e d = s."""
+    x = m.complex
+    ring = x.ring
+
+    def entry(a, b):
+        return Fraction(rng.randint(-3, 3), rng.choice((1, 2))) if ring == QQ \
+            else rng.randint(-3, 3)
+
+    ops = []
+    for grid in m.ops:
+        sigma = {i: Matrix.build(ring, x.rank(i + 2), x.rank(i), entry)
+                 for i in range(x.min_degree - 1, x.top_degree)}
+        ops.append(tuple(e + x.diff(i + 2) * sigma[i] - sigma[i - 1] * x.diff(i)
+                         for i, e in zip(x.degrees(), grid)))
+    return HomotopyStructure(x, m.scalars, tuple(ops))
+
+
+@pytest.mark.parametrize("ring", INDEPENDENCE_RINGS.values(), ids=INDEPENDENCE_RINGS.keys())
+def test_structure_independence_certificate_in_every_ring(ring):
+    """Two homotopic structures have one class after rescaling, in every
+    ring, and every corrupted witness entry of the certificate is caught."""
+    rng = random.Random(36)
+    for top in (2, 3):
+        for scalars in ((2,), (3, 2), (6,)):
+            for _ in range(6):
+                m1 = random_structure(rng, ring, top, scalars)
+                m2 = homotopic_structure(rng, m1)
+                assert check_structure(m2) == []
+                cert = structure_independence_certificate(m1, m2, top)
+                res = check_certificate(cert)
+                assert res.accepted, (top, scalars, res.reason, res.step)
+                for _ in range(2):
+                    mutant, where = corrupt_witness_entry(rng, cert)
+                    assert not check_certificate(mutant).accepted, where
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, Zmod(7)], ids=str)
+def test_structure_independence_splits_the_top_without_smith_or_peel(monkeypatch, ring):
+    """The top disk splits off both cones by explicit blocks: no ``peel_top``
+    and no Smith form of its own; over a field no Smith form at all."""
+    import homcert.constructions as constructions_mod
+    import homcert.exactalg as exactalg_mod
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("called")
+    rng = random.Random(10)
+    m1 = random_structure(rng, ring, 3, (3, 2))
+    m2 = homotopic_structure(rng, m1)
+    patched = [(constructions_mod, "peel_top"), (constructions_mod, "smith_normal_form")]
+    if ring.is_field:
+        patched.append((exactalg_mod, "smith_normal_form"))
+    for mod, name in patched:
+        monkeypatch.setattr(mod, name, refuse)
+    res = check_certificate(structure_independence_certificate(m1, m2, 3))
+    assert res.accepted, (res.reason, res.step)
 
 
 def test_mutations_rejected_smoke():

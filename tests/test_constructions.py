@@ -327,27 +327,6 @@ def test_peel_to_disks_counts():
         assert sum(sum(s.sub.complex.ranks) for s in steps) >= x.rank(x.top_degree)
 
 
-def test_peel_factors_once_given_a_contraction(monkeypatch):
-    import homcert.constructions as constructions_mod
-    import homcert.exactalg as exactalg_mod
-    base = staircase_structure().complex
-    cone, _, _ = mapping_cone(identity_map(base))
-    h = identity_cone_contraction(base)
-    m = structure_from_contraction(cone, h, (3,))
-    calls = {"smith_normal_form": 0, "solve_right": 0}
-    for name in calls:
-        real = getattr(exactalg_mod, name)
-
-        def counted(*args, real=real, name=name):
-            calls[name] += 1
-            return real(*args)
-        for mod in (exactalg_mod, constructions_mod):
-            monkeypatch.setattr(mod, name, counted)
-    step = peel_top(m, h)
-    assert calls == {"smith_normal_form": 1, "solve_right": 0}
-    assert len(step.quotient.complex.ranks) == len(m.complex.ranks) - 1
-
-
 def test_composite_search_builds_systems_on_the_reduced_complex(monkeypatch):
     import homcert.complexes as complexes_mod
     import homcert.exactalg as exactalg_mod

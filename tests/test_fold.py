@@ -288,7 +288,7 @@ def test_fold_rejects_a_corrupt_cone_operator_below_the_top(monkeypatch):
 def test_fold_rejects_a_corrupt_top_operator(monkeypatch):
     """The fold's own top operator is caught by the disk row's check."""
     m, n = suspend(koszul(ZZ, (2, 3)), 2), 4
-    real = fold_module.split_top_disk
+    real = fold_module.split_cone_top
     tops = []
 
     def corrupt(*parts):
@@ -299,7 +299,7 @@ def test_fold_rejects_a_corrupt_top_operator(monkeypatch):
         ops = (grid[:-1] + (bump(grid[-1]),),) + q.ops[1:]
         return dataclasses.replace(row, quotient=HomotopyStructure(q.complex, q.scalars, ops))
 
-    monkeypatch.setattr(fold_module, "split_top_disk", corrupt)
+    monkeypatch.setattr(fold_module, "split_cone_top", corrupt)
     with pytest.raises(AssertionError) as raised:
         fold_general(m, n)
     assert len(tops) == 1 and tops[0][0] == n - 1 and tops[0][1] > 0  # a nonempty top operator
@@ -311,7 +311,7 @@ def test_fold_rejects_a_corrupt_disk_row_splitting(monkeypatch, witness):
     """The disk row's section and retraction are checked with the row: one
     entry moved breaks a split identity, since i is injective and p onto."""
     m, n = suspend(koszul(ZZ, (2, 3)), 2), 4
-    real = fold_module.split_top_disk
+    real = fold_module.split_cone_top
 
     def corrupt(*parts):
         row = real(*parts)
@@ -320,7 +320,7 @@ def test_fold_rejects_a_corrupt_disk_row_splitting(monkeypatch, witness):
         mats = f.mats[:j] + (bump(f.mats[j]),) + f.mats[j + 1:]
         return dataclasses.replace(row, **{witness: ChainMap(f.source, f.target, 0, mats)})
 
-    monkeypatch.setattr(fold_module, "split_top_disk", corrupt)
+    monkeypatch.setattr(fold_module, "split_cone_top", corrupt)
     with pytest.raises(AssertionError, match="^fold disk row is not split exact: "):
         fold_general(m, n)
 

@@ -10,12 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, islice
 from typing import Optional
 
-from .exactalg import (
-    Matrix, Ring, ZZ, ModularRing, SmithSolver,
-)
+from .exactalg import Matrix, ModularRing, Ring, SmithSolver, Zmod, crt
 from .kernel import _law_terms, contraction_defect
 
 
@@ -220,28 +218,35 @@ class HomotopySystem:
 
     Unknowns are the entries of e out of each degree below the top,
     row-major; equations are the entries of each degree's identity,
-    row-major, so the right-hand side is c times the column ``unit``.
-    The system is factored once, by ``SmithSolver`` (over Z/m its integer
-    lift [S | m*I]), and every ``solve`` reuses that factorisation.
-    ``null_homotopies`` builds it only over composite Z/m, on the output
-    of ``reduce_units``, a complex with no unit entry.
+    row-major, so the right-hand side is c times the column ``unit``.  The
+    rows are written from the differentials' stored ints: in degree i,
+    equation (r, s) has coefficient d_(i+1)[r][t] on e_i[t][s] and d_i[t][s]
+    on e_(i-1)[r][t].  ``system`` is factored once, by ``SmithSolver``, and
+    every ``solve`` reuses that factorisation.  ``null_homotopies`` builds
+    it only over Z/p^e, e >= 2, where the factorisation is the local Smith
+    form, on the output of ``reduce_units``, a complex with no unit entry.
     """
 
     def __init__(self, x: GradedFreeComplex):
         self.x = x
-        ring, degs = x.ring, list(x.degrees())
-        self.shapes = [(x.rank(j + 1), x.rank(j)) for j in degs[:-1]]
-        rows = []
-        for i in degs:
-            n_i, eye = x.rank(i), Matrix.identity(ring, x.rank(i))
-            blocks = [x.diff(i + 1).kron(eye) if j == i
-                      else eye.kron(x.diff(i).transpose()) if j == i - 1
-                      else Matrix.zeros(ring, n_i * n_i, r * c)
-                      for j, (r, c) in zip(degs, self.shapes)]
-            rows.append(Matrix.block([blocks]) if blocks else Matrix.zeros(ring, n_i * n_i, 0))
-        self.system = Matrix.block([[m] for m in rows])
-        self.unit = Matrix.from_ints(ring, self.system.rows, 1, tuple(
-            (int(r == s),) for i in degs for r in range(x.rank(i)) for s in range(x.rank(i))))
+        ranks, diffs = x.ranks, x.diffs
+        # e out of slot j is ranks[j + 1] x ranks[j]; diffs[j] maps slot j + 1 to slot j
+        self.shapes = [(ranks[j + 1], ranks[j]) for j in range(len(diffs))]
+        offsets = list(accumulate((r * k for r, k in self.shapes), initial=0))
+        width, rows, unit = offsets[-1], [], []
+        for j, n in enumerate(ranks):
+            for r in range(n):
+                for s in range(n):
+                    row = [0] * width
+                    if j < len(diffs):  # d_(i+1) e_i
+                        row[offsets[j] + s:offsets[j + 1]:n] = diffs[j].ints[r]
+                    if j:  # e_(i-1) d_i
+                        start = offsets[j - 1] + r * ranks[j - 1]
+                        row[start:start + ranks[j - 1]] = [a[s] for a in diffs[j - 1].ints]
+                    rows.append(tuple(row))
+                    unit.append((int(r == s),))
+        self.system = Matrix.from_ints(x.ring, len(rows), width, tuple(rows))
+        self.unit = Matrix.from_ints(x.ring, len(rows), 1, tuple(unit))
         self.solver = SmithSolver(self.system)
 
     def solve(self, c) -> Optional[ChainMap]:
@@ -384,14 +389,22 @@ def null_homotopies(x: GradedFreeComplex) -> tuple:
     homology, which c * id being null-homotopic requires.
 
     Over composite Z/m cycles need not have a complement (Z/4 --2--> Z/4
-    --2--> Z/4), so the degrees are coupled and free is False.  The unit
-    entries are cancelled once (``reduce_units`` gives y, f, g, h) and the
-    ``HomotopySystem`` of y is factored once, U * [S | m*I] * V = D.  Every
-    row of that lift has a nonzero d_i, so c times the identity column v is
-    solvable exactly when b = lcm_i d_i / gcd(d_i, (U v)_i) divides c;
-    b | m.  ``solve`` turns the solution e' on y into e = g e' f + c h: if
+    --2--> Z/4), so the degrees are coupled and free is False.  Z/m is the
+    product of the rings Z/q over its prime powers q (the Chinese remainder
+    theorem), and c * id is null-homotopic over Z/m exactly when it is over
+    every Z/q, so x is split into its images x_q, before any unit is
+    cancelled, and b = prod_q b_q: a prime q = p takes the field path
+    above, and b_p is p when x_p has homology, else 1; over q = p^e, e >= 2,
+    the unit entries are cancelled once (``reduce_units`` gives y, f, g, h)
+    and the ``HomotopySystem`` of y is factored once by the local Smith
+    form U * S * V = D.  With w = U v for the identity column v, the system
+    D * Y = c * w asks d | c * w_i of row i, where d is its entry of D, or
+    q for a zero row; d is a power of p, so that is d / gcd(d, w_i) | c,
+    and b_q is the lcm of these, a divisor of q.  There
+    ``solve`` turns the solution e' on y into e = g e' f + c h: if
     d e' + e' d = c on y then d e + e d = c (g f + d h + h d) = c on x, and
-    if e works on x then f e g works on y.
+    if e works on x then f e g works on y.  ``solve`` glues the factors'
+    solutions by ``crt``.
     """
     ring = x.ring
     if not isinstance(ring, ModularRing) or ring.is_field:
@@ -411,10 +424,25 @@ def null_homotopies(x: GradedFreeComplex) -> tuple:
             return ChainMap(x, x, 1, tuple(mats) + (Matrix.zeros(ring, 0, x.ranks[-1]),))
         return (math.lcm(1, *(a for h in hom for a in h.torsion)),
                 any(h.free_rank for h in hom), solve)
+    qs = [p ** e for p, e in ring.factors]
+    if len(qs) > 1:
+        factors = [null_homotopies(GradedFreeComplex(
+            Zmod(q), x.min_degree, x.ranks, tuple(d.over(Zmod(q)) for d in x.diffs)))
+            for q in qs]
+
+        def glued(c):
+            es = [solve(c) for _, _, solve in factors]
+            if any(e is None for e in es):
+                return None
+            return ChainMap(x, x, 1, tuple(crt(ring, mats) for mats in zip(*(e.mats for e in es))))
+        return math.prod(q if free else b for q, (b, free, _) in
+                         zip(qs, factors)), False, glued
     y, f, g, h = reduce_units(x)
     system = HomotopySystem(y)
-    uv = system.solver.u * Matrix.from_ints(ZZ, system.unit.rows, 1, system.unit.ints)
-    b = math.lcm(1, *(d // math.gcd(d, w) for d, (w,) in zip(system.solver.diag, uv.ints)))
+    s, m = system.solver, ring.modulus
+    uv = s.u * system.unit
+    ds = s.diag + [m] * (uv.rows - len(s.diag))  # a zero row of D asks m | c * w
+    b = math.lcm(1, *(d // math.gcd(d, w) for d, (w,) in zip(ds, uv.ints)))
 
     def solve(c):
         e = system.solve(ring.normalize(c))

@@ -3,9 +3,9 @@
 Everything downstream (homology, contraction search, homotopy-operator
 search, gluing) reduces to right-solving A*X = B over one of these rings,
 so this module concentrates all the number crunching: a small immutable
-matrix type, Smith normal form with unimodular witnesses over Z, and a
-complete solver for each supported ring (Z/m composite included, via
-lifting through the integers).
+matrix type, Smith normal form with invertible witnesses over Z and over
+each local ring Z/p^e, and a complete solver for each supported ring
+(composite Z/m split by the Chinese remainder theorem into its Z/p^e).
 
 A matrix stores canonical Python ints in every ring (residues over Z/m,
 one integer matrix over one common denominator over Q), so products,
@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import chain, compress, count, islice
 from typing import Callable, Optional
 
 
@@ -167,6 +167,74 @@ def is_prime(m: int) -> bool:
     return True
 
 
+def _iroot(n: int, k: int) -> int:
+    """The integer k-th root of n >= 1: the float estimate, corrected exactly."""
+    r = round(n ** (1.0 / k))
+    while r ** k > n:
+        r -= 1
+    while (r + 1) ** k <= n:
+        r += 1
+    return r
+
+
+def _rho(n: int) -> int:
+    """A proper divisor of n, which has two distinct prime factors: Pollard's
+    rho with Brent's cycle finding and batched gcds (Brent 1980)."""
+    for c in count(1):
+        y, q, g, r = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: step through it again one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g
+
+
+def factorize(m: int) -> tuple:
+    """The pairs (p, e) with m = prod p^e, 1 <= m < MODULUS_LIMIT, by
+    ascending p.
+
+    Trial division removes the primes below 1000.  Every prime of the
+    cofactor n exceeds 1000, so n < 2^82 is at most an 8th power: a prime
+    (``is_prime``), a perfect power of a smaller cofactor, or a number with
+    two distinct primes, which ``_rho`` splits.
+    """
+    found: dict = {}
+    for p in chain((2,), range(3, 1000, 2)):  # a composite p divides nothing left
+        while m % p == 0:
+            m //= p
+            found[p] = found.get(p, 0) + 1
+    todo = [(m, 1)] if m > 1 else []
+    while todo:
+        n, e = todo.pop()
+        if is_prime(n):
+            found[n] = found.get(n, 0) + e
+            continue
+        for k in range(n.bit_length() // 10, 1, -1):
+            r = _iroot(n, k)
+            if r ** k == n:
+                todo.append((r, e * k))
+                break
+        else:
+            d = _rho(n)
+            todo += [(d, e), (n // d, e)]
+    return tuple(sorted(found.items()))
+
+
 class ModularRing(Ring):
     """Z/m with canonical representatives 0..m-1; m need not be prime."""
 
@@ -178,6 +246,7 @@ class ModularRing(Ring):
         self.modulus = self._mod = int(modulus)
         self.tag = f"Z/{self.modulus}"
         self._prime = is_prime(self.modulus)
+        self._factors = None
 
     def from_int(self, n):
         return int(n) % self.modulus
@@ -208,6 +277,13 @@ class ModularRing(Ring):
         # Only prime moduli give a field; callers that need elimination
         # (rank, solve, homology) must check this.
         return self._prime
+
+    @property
+    def factors(self) -> tuple:
+        """``factorize(m)``, computed on first use and kept with the ring."""
+        if self._factors is None:
+            self._factors = factorize(self.modulus)
+        return self._factors
 
     def __eq__(self, other):
         return isinstance(other, ModularRing) and other.modulus == self.modulus
@@ -532,6 +608,10 @@ class Matrix:
         return Matrix.from_ints(self.ring, self.rows * other.rows, self.cols * other.cols,
                                 ints, self.den * other.den)
 
+    def over(self, ring: "ModularRing") -> "Matrix":
+        """The image over ``ring`` = Z/q of a matrix over Z, or over Z/m with q | m."""
+        return Matrix.from_ints(ring, self.rows, self.cols, _tuples(self.ints, ring.modulus))
+
     # -- queries -------------------------------------------------------
 
     @property
@@ -591,15 +671,17 @@ class Matrix:
 
 
 # ---------------------------------------------------------------------
-# Smith normal form over Z
+# Smith normal form over Z and over Z/p^e
 # ---------------------------------------------------------------------
 
 
 def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
-    """Smith normal form with unimodular witnesses, U * A * V = D.
+    """Smith normal form with invertible witnesses, U * A * V = D.
 
-    D is diagonal with nonnegative entries d_1 | d_2 | ... and trailing
-    zeros; U and V have determinant +-1.
+    Over Z, D is diagonal with nonnegative entries d_1 | d_2 | ... and
+    trailing zeros; U and V have determinant +-1.  Over Z/q with q = p^e a
+    prime power, D is diag(p^a_1, ..., p^a_k, 0, ...) with a_1 <= ... <= a_k
+    < e, and U, V are invertible mod q (``_local_smith``).
 
     Example:
         >>> from homcert.exactalg import Matrix, ZZ, smith_normal_form
@@ -610,8 +692,10 @@ def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
         >>> (u * a * v) == d
         True
     """
+    if isinstance(a.ring, ModularRing) and len(a.ring.factors) == 1:
+        return _local_smith(a)
     if a.ring != ZZ:
-        raise ValueError("smith_normal_form requires the ring Z")
+        raise ValueError("smith_normal_form requires the ring Z or Z/p^e")
     r, c = a.rows, a.cols
     d = [list(row) for row in a.ints]
     u = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
@@ -705,14 +789,77 @@ def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
             u[k] = [-x for x in u[k]]
 
     D = Matrix.from_ints(ZZ, r, c, tuple(map(tuple, d)))
-    return _unimodular(u), D, _unimodular(v)
+    return _unimodular(ZZ, u), D, _unimodular(ZZ, v)
 
 
-def _unimodular(rows: list) -> Matrix:
+def _local_smith(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
+    """U * A * V = D over Z/q, q = p^e, computed on residues below q.
+
+    Z/q is a local principal ideal ring: x = p^v(x) * unit for x != 0.  Each
+    pivot is an entry of least valuation a in the trailing block, moved to
+    (t, t) and scaled by the inverse of its unit to p^a.  Every other entry
+    of its row and column is then p^a times a residue, so one row operation
+    per entry below it and one column operation per entry right of it clear
+    them, with no remainder to iterate on; the column operations change row
+    t of D only, because column t of D is zero off the pivot by then.  No
+    entry left in the block has a valuation below a, so the search for the
+    next pivot starts at a: an entry x has valuation a exactly when
+    x % p^(a+1) != 0, and a rises only when no entry of the block has
+    valuation a (Storjohann, "Algorithms for Matrix Canonical Forms", 2000).
+    U and V are products of swaps, unit scalings and elementary operations,
+    so they are invertible mod q.
+    """
+    ring, r, c = a.ring, a.rows, a.cols
+    (p, _), = ring.factors
+    q, sub = ring.modulus, operator.sub
+    d = [list(row) for row in a.ints]
+    u = [[int(i == j) for j in range(r)] for i in range(r)]
+    vt = [[int(i == j) for j in range(c)] for i in range(c)]  # vt[j] is column j of V
+
+    def combine(x: list, f: int, y: list) -> list:  # x - f * y, entrywise mod q
+        return list(map(q.__rmod__, map(sub, x, map(f.__mul__, y))))
+
+    level = 1  # p^a, the least valuation left in the block
+    for t in range(min(r, c)):
+        pivot = None
+        while pivot is None and level < q:
+            nxt = level * p
+            pivot = next(((i, j) for i in range(t, r) for j in compress(
+                count(t), map(nxt.__rmod__, islice(d[i], t, None)))), None)
+            if pivot is None:
+                level = nxt
+        if pivot is None:
+            break
+        i, j = pivot
+        d[t], d[i], u[t], u[i] = d[i], d[t], u[i], u[t]
+        if j != t:
+            for row in islice(d, t, None):
+                row[t], row[j] = row[j], row[t]
+            vt[t], vt[j] = vt[j], vt[t]
+        piv = d[t]
+        w = pow(piv[t] // level, -1, q)
+        if w != 1:
+            piv[t:] = [x * w % q for x in piv[t:]]
+            u[t] = [x * w % q for x in u[t]]
+        for i in range(t + 1, r):
+            x = d[i][t]
+            if x:
+                d[i][t:] = combine(d[i][t:], x // level, piv[t:])
+                u[i] = combine(u[i], x // level, u[t])
+        for j in range(t + 1, c):
+            x = piv[j]
+            if x:
+                vt[j] = combine(vt[j], x // level, vt[t])
+                piv[j] = 0
+    D = Matrix.from_ints(ring, r, c, tuple(map(tuple, d)))
+    return _unimodular(ring, u), D, _unimodular(ring, list(zip(*vt)))
+
+
+def _unimodular(ring: Ring, rows: list) -> Matrix:
     """A square Smith multiplier; one left as the identity shares the
     identity's ints, so the products of ``SmithSolver.solve`` skip it."""
     n, ints = len(rows), tuple(map(tuple, rows))
-    return Matrix.identity(ZZ, n) if ints == _eye(n) else Matrix.from_ints(ZZ, n, n, ints)
+    return Matrix.identity(ring, n) if ints == _eye(n) else Matrix.from_ints(ring, n, n, ints)
 
 
 def det(a: Matrix):
@@ -825,53 +972,72 @@ def _solve_field(a: Matrix, b: Matrix) -> Optional[Matrix]:
 class SmithSolver:
     """Factor A once; then solve A*X = B repeatedly.
 
-    Over Z, U * A * V = D is the Smith form of A.  A solution has zero
-    coordinates along ker(A) in the basis of V's columns, so every
-    solution lies in one fixed complement of ker(A).
+    Over Z and over a local ring Z/p^e (e >= 2), U * A * V = D is the Smith
+    form of A (``smith_normal_form``), ``diag`` holds D's nonzero diagonal
+    entries and ``rank`` their number.  A*X = B exactly when D*Y = U*B with
+    X = V*Y: each of the first ``rank`` rows of U*B must be a multiple of
+    its entry of D, and every row after them zero.  A solution has zero
+    coordinates along ker(A) in the basis of V's columns, so every solution
+    lies in one fixed complement of ker(A).
 
     Over a field (Q, Z/p) the Smith form is diag(1, ..., 1, 0, ...), so
     only the rank is kept, by one elimination, and ``diag`` is ``rank``
     ones; each solve is the Gauss-Jordan of ``solve_right``, whose zero
     free variables put every solution in one fixed complement of ker(A).
 
-    Over composite Z/m the factored matrix is the integer lift [A | m*I]:
-    A*X = B mod m exactly when A*X + m*W = B over Z for some W, so a
-    solution of the lift, cut to its first A.cols rows and reduced mod m,
-    solves A*X = B.  ``v`` keeps only those rows of V; ``diag`` and
-    ``rank`` describe the lift, which has full row rank.
+    Over any other Z/m, Z/m = prod Z/q over the prime powers q of m (the
+    Chinese remainder theorem), so A*X = B exactly when it holds mod every
+    q.  ``parts`` holds one solver of A mod q per q, and a solution glues
+    theirs by ``crt``.  In every other ring ``parts`` is empty.
     """
 
+    parts: tuple = ()
+
     def __init__(self, a: Matrix):
-        ring = a.ring
+        ring = self.ring = a.ring
         self.a = a
         if ring.is_field:
             self.rank = len(_row_reduce(ring, list(map(list, a.ints)), a.cols))
             self.diag = [1] * self.rank
-            return
-        lift = a if ring == ZZ else Matrix.from_ints(ZZ, a.rows, a.cols, a.ints).hstack(
-            Matrix.scalar(ZZ, a.rows, ring.modulus))
-        self.u, d, v = smith_normal_form(lift)
-        self.v = v if lift is a else Matrix.from_ints(ZZ, a.cols, lift.cols, v.ints[:a.cols])
-        self.diag = [d.ints[i][i] for i in range(min(lift.rows, lift.cols))]
-        self.rank = sum(1 for x in self.diag if x != 0)
+        elif ring != ZZ and len(ring.factors) > 1:
+            self.parts = tuple(SmithSolver(a.over(Zmod(p ** e))) for p, e in ring.factors)
+        else:
+            self.u, d, self.v = smith_normal_form(a)
+            self.diag = list(filter(None, (d.ints[i][i] for i in range(min(a.rows, a.cols)))))
+            self.rank = len(self.diag)
 
     def solve(self, b: Matrix) -> Optional[Matrix]:
-        ring = self.a.ring
+        ring = self.ring
         if b.ring != ring:
             raise ValueError(f"mixed rings: {ring} vs {b.ring}")
         if b.rows != self.a.rows:
             raise ValueError("shape mismatch in solve")
         if ring.is_field:
             return _solve_field(self.a, b)
-        # D is nonzero exactly on its first ``rank`` diagonal entries.
-        lift = b if ring == ZZ else Matrix.from_ints(ZZ, b.rows, b.cols, b.ints)
-        cb, r = self.u * lift, self.rank
+        if self.parts:
+            xs = [s.solve(b.over(s.ring)) for s in self.parts]
+            return None if any(x is None for x in xs) else crt(ring, xs)
+        cb, r = self.u * b, self.rank
         top = tuple(zip(self.diag, cb.ints[:r]))
         if any(v % d for d, row in top for v in row) or any(map(any, cb.ints[r:])):
             return None
         y = tuple(tuple(v // d for v in row) for d, row in top) + ((0,) * b.cols,) * (self.v.cols - r)
-        x = self.v * Matrix.from_ints(ZZ, self.v.cols, b.cols, y)
-        return x if ring == ZZ else Matrix.from_ints(ring, x.rows, x.cols, _tuples(x.ints, ring._mod))
+        return self.v * Matrix.from_ints(ring, self.v.cols, b.cols, y)
+
+
+def crt(ring: ModularRing, parts: list) -> Matrix:
+    """The matrix over Z/m congruent to ``parts[k]`` modulo p^e for the k-th
+    pair (p, e) of ``ring.factors``; the parts share one shape.
+
+    The idempotent (m/q) * ((m/q)^-1 mod q) is 1 mod q and 0 mod every
+    other prime power of m, so the sum of each part times its idempotent is
+    the one residue mod m with every part's residues.
+    """
+    m, first = ring.modulus, parts[0]
+    coeffs = [m // q * pow(m // q, -1, q) for q in (p ** e for p, e in ring.factors)]
+    ints = tuple(tuple(sum(map(operator.mul, coeffs, xs)) % m for xs in zip(*rows))
+                 for rows in zip(*(p.ints for p in parts)))
+    return Matrix.from_ints(ring, first.rows, first.cols, ints)
 
 
 def solve_right(a: Matrix, b: Matrix) -> Optional[Matrix]:

@@ -332,9 +332,10 @@ def test_composite_search_builds_systems_on_the_reduced_complex(monkeypatch):
     import homcert.exactalg as exactalg_mod
     rng, r9 = random.Random(9), Zmod(9)
 
-    def unimodular(n):
-        up = Matrix.build(r9, n, n, lambda i, j: 1 if i == j else rng.randint(0, 8) * (i < j))
-        low = Matrix.build(r9, n, n, lambda i, j: 1 if i == j else rng.randint(0, 8) * (i > j))
+    def unimodular(n, ring=r9):
+        top = ring.modulus - 1
+        up = Matrix.build(ring, n, n, lambda i, j: 1 if i == j else rng.randint(0, top) * (i < j))
+        low = Matrix.build(ring, n, n, lambda i, j: 1 if i == j else rng.randint(0, top) * (i > j))
         return up * low
     pieces = Matrix.build(r9, 4, 4, lambda i, j: (2, 4, 6, 8)[i] * (i == j))  # 6: the non-unit
     x = GradedFreeComplex(r9, 0, (4, 4), (unimodular(4) * pieces * unimodular(4),))
@@ -345,7 +346,15 @@ def test_composite_search_builds_systems_on_the_reduced_complex(monkeypatch):
     d1 = Matrix.from_rows(r9, [[3, 0, 0, 0], [0, 2, 0, 0], [0, 0, 0, 6]])
     d2 = Matrix.from_rows(r9, [[3, 0], [0, 0], [0, 4], [0, 0]])
     z = GradedFreeComplex(r9, 0, (3, 4, 2), (p[0] * d1 * q[1], p[1] * d2 * q[2]))
-    sizes, calls = [], {"reduce_units": 0, "smith_normal_form": 0}
+    # Z/36 = Z/4 x Z/9: Z/36 --18--> Z/36 --2--> Z/36 is the coupled pair
+    # over Z/4 and 2 cancels over Z/9, beside the units 5 and 7 and a piece 6
+    r36 = Zmod(36)
+    p = [unimodular(n, r36) for n in (3, 4, 2)]
+    q = [solve_right(m, Matrix.identity(r36, m.rows)) for m in p]
+    d1 = Matrix.from_rows(r36, [[2, 0, 0, 0], [0, 5, 0, 0], [0, 0, 0, 6]])
+    d2 = Matrix.from_rows(r36, [[18, 0], [0, 0], [0, 7], [0, 0]])
+    w = GradedFreeComplex(r36, 0, (3, 4, 2), (p[0] * d1 * q[1], p[1] * d2 * q[2]))
+    sizes, calls = [], []
     real = complexes_mod.HomotopySystem.__init__
 
     def counted(self, y):
@@ -353,16 +362,20 @@ def test_composite_search_builds_systems_on_the_reduced_complex(monkeypatch):
         real(self, y)
     monkeypatch.setattr(complexes_mod.HomotopySystem, "__init__", counted)
     for mod, name in ((complexes_mod, "reduce_units"), (exactalg_mod, "smith_normal_form")):
-        def tally(*args, real=getattr(mod, name), name=name):
-            calls[name] += 1
-            return real(*args)
+        def tally(a, real=getattr(mod, name), name=name):
+            calls.append((name, a.ring.modulus if a.ring != ZZ else "Z"))
+            return real(a)
         monkeypatch.setattr(mod, name, tally)
-    for y, gens, exponents, reduced in ((x, (3,), (1,), 2), (z, (3, 6), (2, 2), 5)):
+    for y, gens, exponents, reduced, powers in ((x, (3,), (1,), 2, (9,)),
+                                                (z, (3, 6), (2, 2), 5, (9,)),
+                                                (w, (6,), (2,), 5, (4, 9))):
         sizes.clear()
-        calls.update(dict.fromkeys(calls, 0))
+        calls.clear()
         res = find_structure(y, gens)
         assert res.exponents == exponents and check_structure(res.structure) == []
-        assert calls == {"reduce_units": 1, "smith_normal_form": 1}
+        # no integer Smith form: one reduce_units and one local Smith form per p^e
+        assert sorted(calls) == sorted([("reduce_units", q) for q in powers]
+                                       + [("smith_normal_form", q) for q in powers])
         assert sizes and max(sizes) <= reduced
 
 

@@ -7,7 +7,7 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import invariant_factors
 
-from homcert import exactalg, structures
+from homcert import complexes, exactalg, structures
 from homcert.complexes import ChainMap, GradedFreeComplex, find_contraction, identity_map
 from homcert.exactalg import Matrix, QQ, ZZ, Zmod
 from homcert.kernel import check_structure
@@ -305,9 +305,21 @@ def test_find_structure_solves_composite_units_on_the_reduced_system(monkeypatch
     x = GradedFreeComplex(z8, 0, (2, 3, 1), (Matrix.from_rows(z8, [[1, 2, 0], [0, 0, 1]]),
                                              Matrix.from_rows(z8, [[6], [1], [0]])))
     calls = count_eliminations(monkeypatch)
+    rings = []
+    real = exactalg.smith_normal_form
+
+    def spy(a):
+        rings.append(a.ring)
+        return real(a)
+    monkeypatch.setattr(exactalg, "smith_normal_form", spy)
+    reduced = []
+    monkeypatch.setattr(complexes, "reduce_units",
+                        lambda y, real=complexes.reduce_units: reduced.append(y) or real(y))
     res = find_structure(x, (3, 2))
     assert res.exponents == (1, 1) and res.structure is not None
-    assert calls == {"smith_normal_form": 1, "_row_reduce": 0}
+    # no integer Smith form: one reduce_units and one local Smith form mod 8
+    assert rings == [z8] and reduced == [x]
+    assert calls["_row_reduce"] == 0
 
 
 @pytest.mark.parametrize("ring", [ZZ, QQ], ids=["Z", "Q"])

@@ -14,7 +14,7 @@ from typing import Sequence
 from .complexes import (
     ChainMap, GradedFreeComplex, find_contraction, identity_map, is_contraction, zero_map,
 )
-from .exactalg import Matrix, ZZ, smith_normal_form, solve_right
+from .exactalg import Matrix, smith_normal_form, solve_right
 from .kernel import Row, check_structure, split_defect
 from .structures import HomotopyStructure, is_equivariant, restrict
 
@@ -329,14 +329,14 @@ def peel_top(m: HomotopyStructure) -> Row:
     row disk >--> input -->> quotient, with its splitting.
 
     Finds a contraction h to form the idempotent id - d h on the next
-    degree and splits its image off over Z with one Smith form; that image
-    is the complement of the disk, which enters by d_n and leaves by h.
+    degree and splits its image off with one Smith form; that image is the
+    complement of the disk, which enters by d_n and leaves by h.
     ``split_top_disk`` builds the row, which is then checked.  Needs at
-    least a two-degree window.
+    least a two-degree window, and a ring with a Smith form: Z or Z/p^e,
+    where the image of an idempotent is free.  ``smith_normal_form``
+    refuses Q and a composite Z/m.
     """
     x = m.complex
-    if x.ring != ZZ:
-        raise ValueError("peeling uses integral Smith splitting")
     if len(x.ranks) < 2:
         raise ValueError("nothing to peel in a one-degree window")
     h = find_contraction(x)  # checks its own output
@@ -389,30 +389,29 @@ def peel_to_disks(m: HomotopyStructure) -> list:
 
 
 def module_tensor(rank: int, m: HomotopyStructure) -> HomotopyStructure:
-    """R^rank (x) M for a degree-0 module: every matrix becomes I (x) mat.
-    For rank 1 that is ``m`` itself, and no matrix is copied."""
-    if rank == 1:
-        return m
-    x = m.complex
-    ring = x.ring
-    ident = Matrix.identity(ring, rank)
-    cx = GradedFreeComplex(ring, x.min_degree,
-                           tuple(rank * r for r in x.ranks),
-                           tuple(ident.kron(d) for d in x.diffs))
-    ops = tuple(tuple(ident.kron(e) for e in grid) for grid in m.ops)
-    return HomotopyStructure(cx, m.scalars, ops)
+    """R^rank (x) M for a degree-0 module: every matrix becomes I (x) mat,
+    module index first.  For rank 1 that is ``m`` itself."""
+    return _tensor(m, rank, module_first=True)
 
 
 def tensor_module(m: HomotopyStructure, rank: int) -> HomotopyStructure:
-    """M (x) R^rank for a degree-0 module: every matrix becomes mat (x) I.
-    For rank 1 that is ``m`` itself, and no matrix is copied."""
+    """M (x) R^rank for a degree-0 module: every matrix becomes mat (x) I,
+    basis index of M first.  For rank 1 that is ``m`` itself."""
+    return _tensor(m, rank, module_first=False)
+
+
+def _tensor(m: HomotopyStructure, rank: int, module_first: bool) -> HomotopyStructure:
+    """The body of both tensors with R^rank: they differ only in the order
+    of the Kronecker factors.  A module of rank 1 returns ``m``, and no
+    matrix is copied."""
     if rank == 1:
         return m
     x = m.complex
-    ring = x.ring
-    ident = Matrix.identity(ring, rank)
-    cx = GradedFreeComplex(ring, x.min_degree,
-                           tuple(rank * r for r in x.ranks),
-                           tuple(d.kron(ident) for d in x.diffs))
-    ops = tuple(tuple(e.kron(ident) for e in grid) for grid in m.ops)
-    return HomotopyStructure(cx, m.scalars, ops)
+    ident = Matrix.identity(x.ring, rank)
+
+    def tensor(a: Matrix) -> Matrix:
+        return ident.kron(a) if module_first else a.kron(ident)
+
+    cx = GradedFreeComplex(x.ring, x.min_degree, tuple(rank * r for r in x.ranks),
+                           tuple(map(tensor, x.diffs)))
+    return HomotopyStructure(cx, m.scalars, tuple(tuple(map(tensor, grid)) for grid in m.ops))

@@ -32,9 +32,7 @@ from .constructions import (
     tensor_module,
 )
 from .exactalg import Matrix
-from .koszul import (
-    counit_map, exterior_basis, interleave_rows, koszul, star_matrices,
-)
+from .koszul import counit_map, exterior_basis, koszul, star_matrices
 from .kernel import Row, check_structure, iso_defect, map_defect
 from .structures import HomotopyStructure, restrict
 
@@ -179,10 +177,11 @@ def fold_block_map(phi: ChainMap, fold_x: HomotopyStructure, fold_y: HomotopyStr
 
     ``fold_x`` and ``fold_y`` are the folds of the source and the target
     (``fold``, or a ``FoldData.structure``).  In degree n - 1 it is phi
-    itself, and below it the block sum of phi_n (x) id on the coefficient
-    columns and phi_i.  The formula is additive, multiplicative and unital
-    degree by degree, so it carries splitting identities over, also for
-    maps that are not chain maps.  When both inputs stop below n, phi_n
+    itself, and below it the block sum of id (x) phi_n on the coefficient
+    columns, word-major as the target of ``counit_map``, and phi_i.  The
+    formula is additive, multiplicative and unital degree by degree, so it
+    carries splitting identities over, also for maps that are not chain
+    maps.  When both inputs stop below n, phi_n
     is 0 x 0 and the block sum is phi_i itself in every degree.
     """
     gx = fold_x.complex
@@ -202,7 +201,7 @@ def fold_block_map(phi: ChainMap, fold_x: HomotopyStructure, fold_y: HomotopyStr
         else:
             width = len(exterior_basis(d, n - 1 - i))
             mats.append(Matrix.block([
-                [top_mat.kron(Matrix.identity(ring, width)),
+                [Matrix.identity(ring, width).kron(top_mat),
                  Matrix.zeros(ring, top_mat.rows * width, x.rank(i))],
                 [Matrix.zeros(ring, y.rank(i), top_mat.cols * width),
                  phi.mat(i)],
@@ -240,12 +239,11 @@ def disk_fold_iso(ring, rank: int, n: int, scalars: tuple):
         raise AssertionError("disk fold differs from the shifted coefficient block")
     target = suspend(restrict(tensor_module(koszul(ring, scalars), rank), scalars),
                      n - d - 1)
-    # Row (a, j) of the iso is row (j, a) of id (x) unstar, where unstar, the
-    # transposed star in that degree, is a signed permutation.
+    # Both ends are word-major, so the iso is unstar (x) id, where unstar,
+    # the transposed star in that degree, is a signed permutation.
     ident = Matrix.identity(ring, rank)
     iso = ChainMap(data.structure.complex, target.complex, 0, tuple(
-        interleave_rows(ident.kron(star.transpose()), star.cols)
-        for star in star_matrices(ring, d)))
+        star.transpose().kron(ident) for star in star_matrices(ring, d)))
     # self-check: a chain map, inverted by its transpose, and equivariant
     why = iso_defect(iso, iso.transpose(), data.structure, target)
     if why:

@@ -11,12 +11,12 @@ the comparison maps between a structured complex and these models.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import chain, combinations
+from itertools import combinations
 from math import comb
 from operator import mul
 
 from .complexes import ChainMap, GradedFreeComplex
-from .constructions import module_tensor, suspend, tensor_module
+from .constructions import suspend, tensor_module
 from .exactalg import Matrix
 from .structures import HomotopyStructure
 
@@ -139,13 +139,6 @@ def star_matrices(ring, d: int) -> tuple:
     return tuple(mats)
 
 
-def interleave_rows(a: Matrix, height: int) -> Matrix:
-    """The rows of a stack of blocks ``height`` rows tall, reordered from
-    (block, row) to (row, block): row j of block b moves to j * blocks + b."""
-    ints = tuple(chain.from_iterable(a.ints[j::height] for j in range(height)))
-    return Matrix.from_ints(a.ring, a.rows, a.cols, ints, a.den)
-
-
 def word_matrix(m: HomotopyStructure, word, i: int) -> Matrix:
     """The matrix of ``word_operator(m, word)`` out of degree ``i``: the
     product of the k operator matrices it passes through, and nothing more."""
@@ -191,9 +184,10 @@ def counit_map(m: HomotopyStructure, ambient=None):
     """The comparison onto the wedge model on the top module.
 
     Returns (map, target structure); the target is the suspension by
-    n - d of top module (x) koszul_dual, and the degree-i component stacks the
-    word operators into the top interleaved with the module factor, scaled
-    by (-1)^((n-d)(n-i)).  The map is the identity in degree n.
+    n - d of koszul_dual (x) top module, word index first, as ``unit_map``
+    orders its source.  The degree-i component stacks the word operators
+    into the top, one block of rows per word, scaled by (-1)^((n-d)(n-i)).
+    The map is the identity in degree n.
 
     The words are made top-down, a word of two or more letters with one
     product: out of degree i the matrix of (w_0, ..., w_(k-1)) is that of
@@ -208,14 +202,14 @@ def counit_map(m: HomotopyStructure, ambient=None):
     if n < x.top_degree:
         raise ValueError("ambient degree must dominate the window")
     p = x.rank(n)
-    target = suspend(module_tensor(p, koszul_dual(ring, m.scalars)), n - d)
+    target = suspend(tensor_module(koszul_dual(ring, m.scalars), p), n - d)
     blocks, words = {}, {(): Matrix.identity(ring, p)}
     for k in range(min(d, n - x.min_degree) + 1):
         i = n - k
         if k:
             words = {w: m.op(w[-1] - 1, i) if k == 1 else words[w[:-1]] * m.op(w[-1] - 1, i)
                      for w in exterior_basis(d, k)}
-        block = interleave_rows(Matrix.block([[w] for w in words.values()]), p)
+        block = Matrix.block([[w] for w in words.values()])
         blocks[i] = -block if ((n - d) * k) % 2 else block
     mats = tuple(blocks[i] if i in blocks else
                  Matrix.zeros(ring, target.complex.rank(i), x.rank(i)) for i in x.degrees())

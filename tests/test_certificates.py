@@ -224,6 +224,33 @@ def test_peel_chain_certificate_accepted():
     assert len(cert.claim.terms) == len(rows) + 1
 
 
+PEEL_RINGS = {"Z": ZZ, "Z7": Zmod(7), "Z2^31-1": Zmod(2 ** 31 - 1), "Z4": Zmod(4),
+              "Z8": Zmod(8), "Z9": Zmod(9)}
+
+
+@pytest.mark.parametrize("ring", PEEL_RINGS.values(), ids=PEEL_RINGS.keys())
+def test_peel_chain_certificate_in_every_prime_power_ring(ring):
+    """Peeling splits the idempotent's image with the Smith form of Z or the
+    local one of Z/p^e: every chain is accepted, and a copy with one
+    witness entry bumped is rejected (tops 2-4, two scalar tuples, 10 seeds)."""
+    for top in (2, 3, 4):
+        for scalars in ((2,), (3, 2)):
+            for seed in range(10):
+                rng = random.Random(seed)
+                cert = peel_chain_certificate(contractible_structure(rng, ring, top, scalars), top)
+                res = check_certificate(cert)
+                assert res.accepted, res.reason
+                bad, info = corrupt_witness_entry(rng, cert)
+                assert not check_certificate(bad).accepted, info
+
+
+@pytest.mark.parametrize("ring", [QQ, Zmod(12)], ids=str)
+def test_peel_refuses_rings_without_a_smith_form(ring):
+    m = contractible_structure(random.Random(0), ring, 3, (2,))
+    with pytest.raises(ValueError, match="smith_normal_form requires the ring Z or Z/p"):
+        peel_chain_certificate(m, 3)
+
+
 def _unimodular(rng, n):
     """A random integer matrix of determinant +-1 and its inverse."""
     p = [[int(i == j) for j in range(n)] for i in range(n)]

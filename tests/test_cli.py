@@ -22,7 +22,7 @@ from homcert.certificates import (
 from homcert.cli import main
 from homcert.complexes import ChainMap, GradedFreeComplex, identity_map, zero_map
 from homcert.constructions import disk, module_tensor, suspend
-from homcert.exactalg import Matrix, ZZ, Zmod
+from homcert.exactalg import Matrix, QQ, ZZ, Zmod
 from homcert.koszul import koszul
 from homcert.randgen import contractible_structure, disk_pile, split_row
 from homcert.serialize import dumps, from_json, loads, to_json
@@ -562,6 +562,25 @@ def test_peel_emits_accepted_certificate(run, tmp_path):
     assert report["disks"] == len(m.complex.ranks) - 1
     cert_path = write(tmp_path, "peel.json", report)
     assert run("certify", cert_path)[0] == 0
+
+
+def test_peel_over_a_prime_power_certifies(run, tmp_path):
+    m = contractible_structure(random.Random(5), Zmod(9), 3, (3, 2))
+    code, report, err = run("peel", write(tmp_path, "m.json", m))
+    assert code == 0 and err is None
+    assert report["disks"] == len(m.complex.ranks) - 1
+    code, verdict, _ = run("certify", write(tmp_path, "peel.json", report))
+    assert code == 0 and verdict["accepted"] is True
+
+
+def test_peel_over_q_is_one_error_line(run, tmp_path, capsys):
+    m = contractible_structure(random.Random(5), QQ, 3, (2,))
+    path = write(tmp_path, "m.json", m)
+    assert main(["peel", path]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("\n") == 1
+    err = json.loads(out.err)["error"]
+    assert err["code"] == "invalid" and "Z or Z/p^e" in err["message"]
 
 
 def test_peel_non_contractible_invalid(run, tmp_path):

@@ -9,7 +9,7 @@ import pytest
 from homcert.complexes import ChainMap, GradedFreeComplex, check_ses, identity_map
 from homcert.constructions import (
     cone_mixed, direct_sum, disk, identity_cone_contraction, mapping_cone,
-    module_tensor, suspend,
+    module_tensor, suspend, tensor_module,
 )
 from homcert.exactalg import Matrix, QQ, ZZ, Zmod
 from homcert.fold import (
@@ -203,10 +203,10 @@ def coefficient_block(ring, rank: int, scalars: tuple) -> HomotopyStructure:
     """Exterior-coefficient columns on a rank ``rank`` module, rescaled.
 
     This is the unshifted model of the coefficient end of the fold: the
-    dual exterior complex tensored on the right of the module, with each
-    homotopy operator rescaled by its own scalar.
+    dual exterior complex tensored with the module, word index first, with
+    each homotopy operator rescaled by its own scalar.
     """
-    return restrict(module_tensor(rank, koszul_dual(ring, scalars)), scalars)
+    return restrict(tensor_module(koszul_dual(ring, scalars), rank), scalars)
 
 
 def test_fold_general_exact_rows():
@@ -216,6 +216,9 @@ def test_fold_general_exact_rows():
         shifted_cone(rng, ZZ, 3, 3, 2),
         suspend(koszul(ZZ, (2, 3)), 1),
         restrict(disk_pile(rng, ZZ, 4, (2, 5)), (1, 1)),
+        # d >= 2 and top rank >= 2, where the two tensor orders differ
+        suspend(module_tensor(2, koszul(ZZ, (2, 3))), 1),
+        disk(ZZ, 3, 3, (2, 3, 5)),
     ]
     for m in cases:
         n = m.complex.top_degree
@@ -429,7 +432,7 @@ def block_formula(phi, fold_x, n):
             continue
         w = len(exterior_basis(d, n - 1 - i))
         mats.append(Matrix.block([
-            [top.kron(Matrix.identity(ring, w)),
+            [Matrix.identity(ring, w).kron(top),
              Matrix.zeros(ring, top.rows * w, phi.source.rank(i))],
             [Matrix.zeros(ring, phi.target.rank(i), top.cols * w), phi.mat(i)]]))
     return mats
@@ -451,6 +454,26 @@ def test_fold_block_map_below_the_ceiling_is_phi(ring):
             assert list(got.mats) == block_formula(phi, fx, n)
             if max(phi.source.top_degree, phi.target.top_degree) < n:
                 assert all(got.mat(i) == phi.mat(i) for i in fx.complex.degrees())
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, Zmod(7), Zmod(12)], ids=str)
+def test_fold_block_map_at_the_ceiling_is_the_block_formula(ring):
+    """At the ceiling phi_n is no 0 x 0 block: with d >= 2 and top ranks 2
+    and 3 the coefficient columns carry id (x) phi_n, and the map is an
+    equivariant chain map between the folds."""
+    rng = random.Random(37)
+    n = 3
+    for scalars in ((2, 3), (3, 2, 5)):
+        ma = direct_sum(disk(ring, 2, n, scalars),
+                        disk_pile(rng, ring, n - 1, scalars, length=2)).structure
+        mb = disk(ring, 3, n, scalars)
+        summed = direct_sum(ma, mb)
+        fa, fb, fab = (fold_general(x, n).structure for x in (ma, mb, summed.structure))
+        for phi, fx, fy in ((summed.include[0], fa, fab), (summed.project[0], fab, fa),
+                            (summed.include[1], fb, fab), (summed.project[1], fab, fb)):
+            got = fold_block_map(phi, fx, fy, n)
+            assert list(got.mats) == block_formula(phi, fx, n)
+            assert fold_map(phi, fx, fy, n) == got
 
 
 def sum_fold_iso(ma, mb, n):

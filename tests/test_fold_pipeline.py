@@ -60,7 +60,7 @@ def counit_reference(m: HomotopyStructure, n: int):
     ring = x.ring
     d = m.ngens
     p = x.rank(n)
-    target = suspend(module_tensor(p, koszul_dual(ring, m.scalars)), n - d)
+    target = suspend(tensor_module(koszul_dual(ring, m.scalars), p), n - d)
     mats = []
     for i in x.degrees():
         k = n - i
@@ -71,8 +71,8 @@ def counit_reference(m: HomotopyStructure, n: int):
         words = [word_matrix(m, sub, i) for sub in basis]
         sign = -1 if ((n - d) * k) % 2 else 1
 
-        def entry(r, c, words=words, nb=len(basis), sign=sign):
-            j, idx = divmod(r, nb)
+        def entry(r, c, words=words, sign=sign):
+            idx, j = divmod(r, p)
             v = words[idx].entry(j, c)
             return v if sign == 1 else ring.neg(v)
 
@@ -94,12 +94,12 @@ def disk_iso_reference(ring, rank: int, n: int, scalars: tuple) -> ChainMap:
         nb = len(exterior_basis(d, d - k))
         high = len(exterior_basis(d, k))
 
-        def entry(r, c, unstar=unstar, nb=nb):
+        def entry(r, c, unstar=unstar):
             i_idx, j_row = divmod(r, rank)
-            j_col, jj = divmod(c, nb)
+            jj, j_col = divmod(c, rank)
             return unstar.entry(i_idx, jj) if j_row == j_col else ring.zero()
 
-        mats.append(Matrix.build(ring, high * rank, rank * nb, entry))
+        mats.append(Matrix.build(ring, high * rank, nb * rank, entry))
     return ChainMap(gx, target.complex, 0, tuple(mats))
 
 
@@ -244,8 +244,8 @@ def test_fold_general_builds_the_wedge_model_once(monkeypatch, rname):
         return models[-1]
 
     monkeypatch.setattr(koszul_module, "koszul_dual", koszul_dual_recorded)
-    monkeypatch.setattr(koszul_module, "module_tensor",
-                        from_wedge(koszul_module.module_tensor, []))
+    monkeypatch.setattr(koszul_module, "tensor_module",
+                        from_wedge(koszul_module.tensor_module, []))
     constructions_module = importlib.import_module("homcert.constructions")
     for owner in (constructions_module, koszul_module, fold_module):
         monkeypatch.setattr(owner, "suspend", from_wedge(owner.suspend, suspended))

@@ -6,11 +6,11 @@ from fractions import Fraction
 import pytest
 
 from homcert.complexes import ChainMap, boundary_map, find_contraction, identity_map
-from homcert.constructions import disk, module_tensor, suspend
+from homcert.constructions import disk, suspend, tensor_module
 from homcert.exactalg import Matrix, QQ, ZZ, Zmod
 from homcert.kernel import check_structure, inverse_defect
 from homcert.koszul import (
-    counit_map, exterior_basis, hodge_star, interleave_rows, koszul, koszul_dual,
+    counit_map, exterior_basis, hodge_star, koszul, koszul_dual,
     permutation_sign, unit_map, word_matrix, word_operator,
 )
 from homcert.structures import HomotopyStructure, find_structure, is_equivariant
@@ -199,15 +199,14 @@ def counit_map_reference(m, ambient=None):
     ring, d = x.ring, m.ngens
     n = x.top_degree if ambient is None else ambient
     p = x.rank(n)
-    target = suspend(module_tensor(p, koszul_dual(ring, m.scalars)), n - d)
+    target = suspend(tensor_module(koszul_dual(ring, m.scalars), p), n - d)
     mats = []
     for i in x.degrees():
         k = n - i
         if k < 0 or k > d:
             mats.append(Matrix.zeros(ring, target.complex.rank(i), x.rank(i)))
             continue
-        words = Matrix.block([[word_matrix(m, sub, i)] for sub in exterior_basis(d, k)])
-        block = interleave_rows(words, p)
+        block = Matrix.block([[word_matrix(m, sub, i)] for sub in exterior_basis(d, k)])
         mats.append(-block if ((n - d) * k) % 2 else block)
     return ChainMap(x, target.complex, 0, tuple(mats)), target
 

@@ -184,8 +184,8 @@ def valuation(x, p, e):
     return v if x else e
 
 
-@pytest.mark.parametrize("p, e", [(2, 1), (2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (7, 3),
-                                  (2, 32)])
+@pytest.mark.parametrize("p, e", [(2, 1), (7, 1), (2 ** 31 - 1, 1), (2, 2), (2, 3), (3, 2),
+                                  (5, 2), (3, 3), (7, 3), (2, 32)])
 def test_local_smith_form_matches_the_integer_invariant_factors(p, e):
     rng, q = random.Random(100 * p + e), p ** e
     ring = Zmod(q)
